@@ -14,15 +14,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import synthgen
 from .errors import ConfigError, DataError, InvalidConfig
-from .features import feature_vectors, rank_features, write_feature_csv
+from .features import feature_matrix, feature_vectors, rank_features, write_feature_csv
 from .learners import LearnerConfig
 from .pipeline import (
-    ModelBundle,
     PipelineConfig,
     bundle_from_dict,
     bundle_to_dict,
@@ -33,7 +32,14 @@ from .pipeline import (
     run_traditional,
     train_bundle,
 )
-from .preprocess import BalanceConfig, DenoiseConfig, denoise_dataset, drop_invalid, over_sample, under_sample
+from .preprocess import (
+    BalanceConfig,
+    DenoiseConfig,
+    denoise_dataset,
+    drop_invalid,
+    oversample_order,
+    undersample_order,
+)
 from .rules import SegmentationConfig, load_rule, rule_satisfied
 from .scada import (
     apply_label_windows,
@@ -45,6 +51,42 @@ from .scada import (
     write_labeled_csv,
     write_scada_csv,
 )
+from .schema import from_dict
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """Where an experiment's train and test turbines come from: a synthetic
+    pair generated on the fly, or two labeled CSV files."""
+
+    pair: synthgen.PairConfig | None = None
+    direction: str = "AB"  # "BA" trains on turbine B and tests on A
+    train: str | None = None
+    test: str | None = None
+
+    def __post_init__(self):
+        if self.pair is None and (self.train is None or self.test is None):
+            raise InvalidConfig("data must contain either 'pair' or 'train'+'test'")
+        if self.direction not in ("AB", "BA"):
+            raise InvalidConfig(f"direction must be 'AB' or 'BA', got {self.direction!r}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The experiment JSON document (configs/experiment_default.json)."""
+
+    data: DataConfig
+    learner: LearnerConfig
+    variants: tuple[str, ...] = ("traditional", "reengineered")
+    denoise: DenoiseConfig = DenoiseConfig()
+    balance: BalanceConfig = BalanceConfig()
+    cv_k: int = 5
+    n_runs: int = 10
+    master_seed: int = 0
+    min_segment_size: int = 50
+    traditional_raw_features: bool = False
+    rule: str = "R5"  # builtin id or rule JSON path
+    segment_threshold: float = -0.25
 
 
 def _dump_json(doc, path: Path) -> None:
@@ -74,28 +116,19 @@ def _write_turbine(out: synthgen.SynthOutput, directory: Path) -> None:
     counts = {"normal": 0, "abnormal": 0, "invalid": 0}
     for label in out.truth_labels:
         counts[label.value] += 1
-    ledger = {
-        "episodes": [
-            {"start": e.start, "end": e.end, "severity": e.severity} for e in out.episode_ledger
-        ],
-        "counts": counts,
-    }
+    ledger = {"episodes": [asdict(e) for e in out.episode_ledger], "counts": counts}
     _dump_json(ledger, directory / "ledger.json")
 
 
 def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
-    if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        doc = {}
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if args.pair:
-        base_doc = doc.get("base", doc if "duration" in doc else {})
-        base = synthgen.config_from_dict(base_doc)
-        if args.seed is not None:
-            base = replace(base, seed=args.seed)
-        profile = synthgen.profile_from_dict(doc["profile"]) if "profile" in doc else synthgen.default_offset_profile()
-        turbine_a, turbine_b = synthgen.make_turbine_pair(base, profile)
+        if "base" not in doc and "profile" not in doc:
+            doc = {"base": doc}  # a plain synth config is the pair's base
+        pair = from_dict(synthgen.PairConfig, doc)
+        base = pair.base if args.seed is None else replace(pair.base, seed=args.seed)
+        turbine_a, turbine_b = synthgen.make_turbine_pair(base, pair.profile)
         _write_turbine(turbine_a, out_dir / "A")
         _write_turbine(turbine_b, out_dir / "B")
         print(f"wrote pair to {out_dir}/A and {out_dir}/B")
@@ -109,19 +142,17 @@ def _cmd_synth(args) -> int:
 
 
 def _preprocessed(args):
-    dataset = read_labeled_csv(args.data, Path(args.data).stem)
-    dataset = drop_invalid(dataset)
-    dataset = denoise_dataset(dataset, DenoiseConfig(window=args.ma_window))
-    if getattr(args, "balance", "none") == "under":
-        dataset = under_sample(dataset, args.seed)
-    elif getattr(args, "balance", "none") == "over":
-        dataset = over_sample(dataset, args.seed)
-    return dataset
+    denoise = DenoiseConfig(window=args.ma_window)
+    dataset = drop_invalid(read_labeled_csv(args.data, Path(args.data).stem))
+    return denoise_dataset(dataset, denoise)
 
 
 def _cmd_features(args) -> int:
-    dataset = _preprocessed(args)
-    vectors = feature_vectors(dataset)
+    vectors = feature_vectors(_preprocessed(args))
+    if args.balance != "none":
+        draw = undersample_order if args.balance == "under" else oversample_order
+        _, y = feature_matrix(vectors)
+        vectors = [vectors[i] for i in draw(y == 1, args.seed)]
     write_feature_csv(vectors, args.out)
     print(f"wrote {len(vectors)} feature rows -> {args.out}")
     if args.rank:
@@ -148,88 +179,43 @@ def _cmd_inspect_rules(args) -> int:
     return 0
 
 
-def _learner_config(doc: dict) -> LearnerConfig:
-    known = {
-        "algorithm",
-        "knn_k",
-        "cart_max_depth",
-        "cart_min_leaf",
-        "mlp_hidden",
-        "mlp_learning_rate",
-        "mlp_epochs",
-        "mlp_batch_size",
-        "mlp_init_scale",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise InvalidConfig(f"unknown learner options: {sorted(unknown)}")
-    if "algorithm" not in doc:
-        raise InvalidConfig("learner.algorithm is required")
-    kwargs = dict(doc)
-    if "mlp_hidden" in kwargs:
-        kwargs["mlp_hidden"] = tuple(int(h) for h in kwargs["mlp_hidden"])
-    return LearnerConfig(**kwargs)
-
-
 def _load_datasets(doc: dict):
-    data = doc.get("data")
-    if not isinstance(data, dict):
-        raise InvalidConfig("config needs a 'data' object")
-    if "pair" in data:
-        pair = data["pair"]
-        base = synthgen.config_from_dict(pair.get("base", {}))
-        profile = (
-            synthgen.profile_from_dict(pair["profile"])
-            if "profile" in pair
-            else synthgen.default_offset_profile()
-        )
-        turbine_a, turbine_b = synthgen.make_turbine_pair(base, profile)
-        ds_a = apply_label_windows(turbine_a.records, turbine_a.truth_windows, "A")
-        ds_b = apply_label_windows(turbine_b.records, turbine_b.truth_windows, "B")
-        if data.get("direction", "AB") == "BA":
-            return ds_b, ds_a
-        return ds_a, ds_b
-    if "train" in data and "test" in data:
-        train = read_labeled_csv(data["train"], Path(data["train"]).stem)
-        test = read_labeled_csv(data["test"], Path(data["test"]).stem)
-        return train, test
-    raise InvalidConfig("data must contain either 'pair' or 'train'+'test'")
+    data = from_dict(ExperimentConfig, doc).data
+    if data.pair is None:
+        return read_labeled_csv(data.train, Path(data.train).stem), read_labeled_csv(data.test, Path(data.test).stem)
+    turbine_a, turbine_b = synthgen.make_turbine_pair(data.pair.base, data.pair.profile)
+    ds_a = apply_label_windows(turbine_a.records, turbine_a.truth_windows, "A")
+    ds_b = apply_label_windows(turbine_b.records, turbine_b.truth_windows, "B")
+    return (ds_b, ds_a) if data.direction == "BA" else (ds_a, ds_b)
 
 
 def _pipeline_configs(doc: dict) -> dict[str, PipelineConfig]:
-    variants = doc.get("variants", ["traditional", "reengineered"])
-    denoise = DenoiseConfig(window=int(doc.get("denoise", {}).get("window", 10)))
-    balance_doc = doc.get("balance", {})
-    balance = BalanceConfig(
-        method=balance_doc.get("method", "under"), seed=int(balance_doc.get("seed", 0))
-    )
-    learner = _learner_config(doc.get("learner", {}))
+    exp = from_dict(ExperimentConfig, doc)
+    # fields the experiment sets itself: run seeds derive from master_seed,
+    # and every channel is denoised
+    for section, key in (("learner", "seed"), ("denoise", "channels")):
+        if key in doc.get(section, {}):
+            raise InvalidConfig(f"{section}.{key}: unknown key")
     common = dict(
-        denoise=denoise,
-        balance=balance,
-        learner=learner,
-        cv_k=int(doc.get("cv_k", 5)),
-        n_runs=int(doc.get("n_runs", 10)),
-        master_seed=int(doc.get("master_seed", 0)),
-        min_segment_size=int(doc.get("min_segment_size", 50)),
+        denoise=exp.denoise,
+        balance=exp.balance,
+        learner=exp.learner,
+        cv_k=exp.cv_k,
+        n_runs=exp.n_runs,
+        master_seed=exp.master_seed,
+        min_segment_size=exp.min_segment_size,
     )
     configs: dict[str, PipelineConfig] = {}
-    for variant in variants:
+    for variant in exp.variants:
         if variant == "traditional":
             configs[variant] = PipelineConfig(
-                variant="traditional",
-                traditional_raw_features=bool(doc.get("traditional_raw_features", False)),
-                **common,
+                variant="traditional", traditional_raw_features=exp.traditional_raw_features, **common
             )
         elif variant == "reengineered":
-            rule_spec = doc.get("rule", "R5")
-            rule = load_rule(rule_spec) if isinstance(rule_spec, str) else None
-            if rule is None:
-                raise InvalidConfig("rule must be a builtin id or a JSON file path")
             configs[variant] = PipelineConfig(
                 variant="reengineered",
-                rule=rule,
-                segmentation=SegmentationConfig(threshold=float(doc.get("segment_threshold", -0.25))),
+                rule=load_rule(exp.rule),
+                segmentation=SegmentationConfig(threshold=exp.segment_threshold),
                 **common,
             )
         else:
@@ -243,8 +229,8 @@ def _cmd_experiment(args) -> int:
         doc["rule"] = args.rule
     if args.segment_threshold is not None:
         doc["segment_threshold"] = args.segment_threshold
-    train, test = _load_datasets(doc)
     configs = _pipeline_configs(doc)
+    train, test = _load_datasets(doc)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -269,7 +255,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle_doc = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
-    bundle: ModelBundle = bundle_from_dict(bundle_doc)
+    bundle = bundle_from_dict(bundle_doc)
     records = parse_scada_csv(args.scada)
     predictions = predict_stream(bundle, records)
     with open(args.out, "w", encoding="utf-8", newline="") as f:

@@ -39,6 +39,12 @@ class NonNumericCell(DataError):
         super().__init__(f"row {row}, column {column!r}: not a finite number: {value!r}")
 
 
+class ShortRow(DataError):
+    def __init__(self, row, cells, columns):
+        self.row = row
+        super().__init__(f"row {row}: {cells} cells, header has {columns}")
+
+
 class UnparseableTimestamp(DataError):
     def __init__(self, row, value):
         self.row = row

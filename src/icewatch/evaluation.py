@@ -1,5 +1,5 @@
 """Confusion accounting, the competition score, cross-validation, and
-repeated seeded experiments.
+run statistics with seed derivation.
 
 The confusion-matrix orientation treats normal as the positive row, which
 is unusual but matches the competition's scoring convention:
@@ -20,7 +20,7 @@ centers at 50 for a chance predictor regardless of class imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,10 +109,6 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def derive_seeds(master_seed: int, n: int) -> list[int]:
-    return [derive_seed(master_seed, i) for i in range(n)]
-
-
 def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle then contiguous split into k folds whose sizes
     differ by at most one."""
@@ -153,19 +149,3 @@ def crossval_fold_scores(
         fold_scores.append(score(confusion(y[test_idx], predicted)))
     return fold_scores
 
-
-def cross_validate(
-    features: np.ndarray, labels: Sequence[int], cfg: LearnerConfig, k: int, seed: int
-) -> float:
-    """Mean score over k folds."""
-    return float(np.mean(crossval_fold_scores(features, labels, cfg, k, seed)))
-
-
-def repeated_runs(
-    experiment: Callable[[int], float], n_runs: int, master_seed: int
-) -> RunStatistics:
-    """Run the experiment once per deterministically derived child seed and
-    aggregate to mean and sample standard deviation."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    return run_statistics([experiment(s) for s in derive_seeds(master_seed, n_runs)])

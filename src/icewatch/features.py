@@ -23,13 +23,12 @@ and exportable but are not part of that vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidLabel, SingleClassDataset
-from .scada import Label, LabeledDataset, ScadaRecord
+from .scada import Label, LabeledDataset, ScadaRecord, open_sink
 
 # Inputs must exceed -5 by this margin for the offset denominators.
 DENOMINATOR_MARGIN = 1e-6
@@ -105,16 +104,6 @@ FEATURE_FIELDS = {
     "x9": "torque",
     "x10": "pitch_angle_avg",
 }
-
-# Engineered features outside the model's ten, for the extended ranking.
-EXTRA_ENGINEERED = (
-    "pitch_speed_avg",
-    "pitch_moto_tmp_avg",
-    "pitch_ng5_tmp_avg",
-    "pitch_ng5_dc_avg",
-    "power_coeff",
-    "thrust_coeff",
-)
 
 LABEL_CODES = {Label.NORMAL: 0, Label.ABNORMAL: 1}
 
@@ -209,20 +198,9 @@ def fisher_score(values: np.ndarray, is_abnormal: np.ndarray) -> float:
     return diff * diff / pooled
 
 
-def rank_features(
-    vectors: Sequence[FeatureVector],
-    extended: bool = False,
-    engineered: Sequence[EngineeredRecord] | None = None,
-) -> list[tuple[str, float]]:
-    """Rank features by Fisher score, descending; ties break by name.
-
-    With extended=True a parallel sequence of EngineeredRecord must be
-    supplied; the six engineered features outside the model's ten join the
-    ranking under their own names. This is a diagnostic: the pipeline
-    always uses the fixed ten-feature set.
-    """
-    if extended and (engineered is None or len(engineered) != len(vectors)):
-        raise ValueError("extended ranking needs one EngineeredRecord per vector")
+def rank_features(vectors: Sequence[FeatureVector]) -> list[tuple[str, float]]:
+    """Rank the ten model features by Fisher score, descending; ties break
+    by name."""
     X, y = feature_matrix(vectors)
     if X.shape[0] == 0 or len(set(y.tolist())) < 2:
         raise SingleClassDataset()
@@ -231,24 +209,15 @@ def rank_features(
     scored: list[tuple[str, float]] = []
     for j, fid in enumerate(FEATURE_IDS):
         scored.append((fid, fisher_score(X[:, j], is_abnormal)))
-    if extended:
-        for name in EXTRA_ENGINEERED:
-            values = np.array([getattr(er, name) for er in engineered], dtype=float)
-            scored.append((name, fisher_score(values, is_abnormal)))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
 
 
 def write_feature_csv(vectors: Sequence[FeatureVector], sink) -> None:
     """Export as CSV with header x1..x10,y and y coded 0=normal, 1=abnormal."""
-    own = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_sink(sink) as stream:
         stream.write(",".join(FEATURE_IDS + ("y",)) + "\n")
         for fv in vectors:
             cells = [repr(float(feature_value(fv, fid))) for fid in FEATURE_IDS]
             cells.append(str(LABEL_CODES[fv.label]))
             stream.write(",".join(cells) + "\n")
-    finally:
-        if own:
-            stream.close()

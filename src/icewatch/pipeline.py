@@ -28,7 +28,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -72,6 +72,7 @@ from .rules import (
     strong_rule_filter,
 )
 from .scada import Label, LabeledDataset, ScadaRecord, channel_matrix
+from .schema import from_dict
 
 REPORT_FORMAT = 1
 BUNDLE_FORMAT = 1
@@ -134,31 +135,18 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _rule_to_dict(rule: IntervalRule) -> dict:
+    return {"id": rule.rule_id, "constraints": rule_to_json(rule)}
+
+
 def pipeline_config_to_dict(cfg: PipelineConfig) -> dict:
-    lc = cfg.learner
-    doc = {
-        "variant": cfg.variant,
-        "denoise": {"window": cfg.denoise.window, "channels": list(cfg.denoise.channels)},
-        "balance": {"method": cfg.balance.method, "seed": cfg.balance.seed},
-        "learner": {
-            "algorithm": lc.algorithm,
-            "knn_k": lc.knn_k,
-            "cart_max_depth": lc.cart_max_depth,
-            "cart_min_leaf": lc.cart_min_leaf,
-            "mlp_hidden": list(lc.mlp_hidden),
-            "mlp_learning_rate": lc.mlp_learning_rate,
-            "mlp_epochs": lc.mlp_epochs,
-            "mlp_batch_size": lc.mlp_batch_size,
-            "mlp_init_scale": lc.mlp_init_scale,
-        },
-        "cv_k": cfg.cv_k,
-        "n_runs": cfg.n_runs,
-        "master_seed": cfg.master_seed,
-        "min_segment_size": cfg.min_segment_size,
-        "traditional_raw_features": cfg.traditional_raw_features,
-    }
+    """The report's config echo: every field except the learner seed (each
+    run derives its own), with the rule as {id, constraints} and the
+    segmentation as a top-level segment_threshold, both only when set."""
+    doc = asdict(cfg)
+    del doc["learner"]["seed"], doc["rule"], doc["segmentation"]
     if cfg.rule is not None:
-        doc["rule"] = {"id": cfg.rule.rule_id, "constraints": rule_to_json(cfg.rule)}
+        doc["rule"] = _rule_to_dict(cfg.rule)
     if cfg.segmentation is not None:
         doc["segment_threshold"] = cfg.segmentation.threshold
     return doc
@@ -171,13 +159,27 @@ def _prepare(dataset: LabeledDataset, denoise: DenoiseConfig) -> LabeledDataset:
     return denoise_dataset(drop_invalid(dataset), denoise)
 
 
-def _label_codes(dataset: LabeledDataset) -> np.ndarray:
-    return np.array([LABEL_CODES[lr.label] for lr in dataset.records], dtype=np.int8)
-
-
 def _raw_matrix(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     X = channel_matrix([lr.record for lr in dataset.records])
-    return X, _label_codes(dataset)
+    return X, np.array([LABEL_CODES[lr.label] for lr in dataset.records], dtype=np.int8)
+
+
+def _traditional_matrix(dataset: LabeledDataset, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    prep = _prepare(dataset, cfg.denoise)
+    if cfg.traditional_raw_features:
+        return _raw_matrix(prep)
+    return feature_matrix(feature_vectors(prep))
+
+
+def _segment_matrices(train: LabeledDataset, cfg: PipelineConfig) -> dict[Segment, tuple[np.ndarray, np.ndarray]]:
+    """Training rows of each wind-speed segment, from the rule's candidates."""
+    candidates, _ = strong_rule_filter(feature_vectors(_prepare(train, cfg.denoise)), cfg.rule)
+    low, high = segment_vectors(candidates, cfg.segmentation)
+    matrices = {Segment.LOW: feature_matrix(low), Segment.HIGH: feature_matrix(high)}
+    for s, (X, _) in matrices.items():
+        if X.shape[0] < cfg.min_segment_size:
+            raise SegmentTooSmall(s.value, X.shape[0], cfg.min_segment_size)
+    return matrices
 
 
 def _balance_order(y: np.ndarray, cfg: BalanceConfig, seed: int) -> np.ndarray:
@@ -228,14 +230,8 @@ def run_traditional(
 ) -> ExperimentReport:
     if cfg.variant != "traditional":
         raise InvalidConfig("run_traditional needs a traditional config")
-    train_prep = _prepare(train, cfg.denoise)
-    test_prep = _prepare(test, cfg.denoise)
-    if cfg.traditional_raw_features:
-        X_train, y_train = _raw_matrix(train_prep)
-        X_test, y_test = _raw_matrix(test_prep)
-    else:
-        X_train, y_train = feature_matrix(feature_vectors(train_prep))
-        X_test, y_test = feature_matrix(feature_vectors(test_prep))
+    X_train, y_train = _traditional_matrix(train, cfg)
+    X_test, y_test = _traditional_matrix(test, cfg)
 
     seeds = _run_seeds(cfg)
 
@@ -303,15 +299,7 @@ def run_reengineered(
 ) -> ExperimentReport:
     if cfg.variant != "reengineered":
         raise InvalidConfig("run_reengineered needs a reengineered config")
-    train_vectors = feature_vectors(_prepare(train, cfg.denoise))
-    candidates, _ = strong_rule_filter(train_vectors, cfg.rule)
-    low, high = segment_vectors(candidates, cfg.segmentation)
-    train_seg = {Segment.LOW: feature_matrix(low), Segment.HIGH: feature_matrix(high)}
-    for s in Segment:
-        count = train_seg[s][0].shape[0]
-        if count < cfg.min_segment_size:
-            raise SegmentTooSmall(s.value, count, cfg.min_segment_size)
-
+    train_seg = _segment_matrices(train, cfg)
     test_vectors = feature_vectors(_prepare(test, cfg.denoise))
     gated = _gate_test(test_vectors, cfg.rule, cfg.segmentation)
 
@@ -383,12 +371,8 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
     one past the experiment's runs."""
     i = cfg.n_runs  # one past the last experiment run
     seed = derive_seed(cfg.master_seed, i)
-    train_prep = _prepare(train, cfg.denoise)
     if cfg.variant == "traditional":
-        if cfg.traditional_raw_features:
-            X, y = _raw_matrix(train_prep)
-        else:
-            X, y = feature_matrix(feature_vectors(train_prep))
+        X, y = _traditional_matrix(train, cfg)
         order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i))
         lcfg = replace(cfg.learner, seed=derive_seed(seed, 2))
         model = learners.train(lcfg, X[order], y[order])
@@ -398,14 +382,8 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
             raw_features=cfg.traditional_raw_features,
             model=model,
         )
-    vectors = feature_vectors(train_prep)
-    candidates, _ = strong_rule_filter(vectors, cfg.rule)
-    low, high = segment_vectors(candidates, cfg.segmentation)
     models: dict[Segment, TrainedModel] = {}
-    for s_index, (s, vecs) in enumerate(((Segment.LOW, low), (Segment.HIGH, high))):
-        X, y = feature_matrix(vecs)
-        if X.shape[0] < cfg.min_segment_size:
-            raise SegmentTooSmall(s.value, X.shape[0], cfg.min_segment_size)
+    for s_index, (s, (X, y)) in enumerate(_segment_matrices(train, cfg).items()):
         order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i, s_index))
         lcfg = replace(cfg.learner, seed=derive_seed(seed, 2, s_index))
         models[s] = learners.train(lcfg, X[order], y[order])
@@ -483,13 +461,13 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
     doc = {
         "format": BUNDLE_FORMAT,
         "variant": bundle.variant,
-        "denoise": {"window": bundle.denoise.window, "channels": list(bundle.denoise.channels)},
+        "denoise": asdict(bundle.denoise),
         "raw_features": bundle.raw_features,
     }
     if bundle.variant == "traditional":
         doc["model"] = learners.model_to_dict(bundle.model)
     else:
-        doc["rule"] = {"id": bundle.rule.rule_id, "constraints": rule_to_json(bundle.rule)}
+        doc["rule"] = _rule_to_dict(bundle.rule)
         doc["segment_threshold"] = bundle.segmentation.threshold
         doc["low_model"] = learners.model_to_dict(bundle.low_model)
         doc["high_model"] = learners.model_to_dict(bundle.high_model)
@@ -499,22 +477,25 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
 def bundle_from_dict(doc: dict) -> ModelBundle:
     if doc.get("format") != BUNDLE_FORMAT:
         raise InvalidConfig(f"unsupported bundle format {doc.get('format')!r}")
-    denoise = DenoiseConfig(window=int(doc["denoise"]["window"]), channels=tuple(doc["denoise"]["channels"]))
-    if doc["variant"] == "traditional":
+    try:
+        denoise = from_dict(DenoiseConfig, doc["denoise"])
+        if doc["variant"] == "traditional":
+            return ModelBundle(
+                variant="traditional",
+                denoise=denoise,
+                raw_features=bool(doc.get("raw_features", False)),
+                model=learners.model_from_dict(doc["model"]),
+            )
         return ModelBundle(
-            variant="traditional",
+            variant="reengineered",
             denoise=denoise,
-            raw_features=bool(doc.get("raw_features", False)),
-            model=learners.model_from_dict(doc["model"]),
+            rule=rule_from_json(doc["rule"]["constraints"], rule_id=doc["rule"]["id"]),
+            segmentation=SegmentationConfig(threshold=float(doc["segment_threshold"])),
+            low_model=learners.model_from_dict(doc["low_model"]),
+            high_model=learners.model_from_dict(doc["high_model"]),
         )
-    return ModelBundle(
-        variant="reengineered",
-        denoise=denoise,
-        rule=rule_from_json(doc["rule"]["constraints"], rule_id=doc["rule"]["id"]),
-        segmentation=SegmentationConfig(threshold=float(doc["segment_threshold"])),
-        low_model=learners.model_from_dict(doc["low_model"]),
-        high_model=learners.model_from_dict(doc["high_model"]),
-    )
+    except KeyError as exc:
+        raise InvalidConfig(f"bundle is missing key {exc}") from None
 
 
 # --- report output --------------------------------------------------------------

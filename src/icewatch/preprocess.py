@@ -10,14 +10,13 @@ randomness is injected through explicit seeds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyClass, WindowLargerThanSeries
-from .scada import CHANNELS, Label, LabeledDataset, LabeledRecord, channel_matrix, replace_channels
+from .errors import EmptyClass, InvalidConfig, WindowLargerThanSeries
+from .scada import CHANNELS, Label, LabeledDataset, LabeledRecord, channel_matrix
 
 log = logging.getLogger(__name__)
 
@@ -29,10 +28,10 @@ class DenoiseConfig:
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise InvalidConfig(f"window must be >= 1, got {self.window}")
         unknown = set(self.channels) - set(CHANNELS)
         if unknown:
-            raise ValueError(f"unknown channels: {sorted(unknown)}")
+            raise InvalidConfig(f"unknown channels: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class BalanceConfig:
 
     def __post_init__(self):
         if self.method not in ("under", "over"):
-            raise ValueError(f"balance method must be 'under' or 'over', got {self.method!r}")
+            raise InvalidConfig(f"balance method must be 'under' or 'over', got {self.method!r}")
 
 
 def drop_invalid(dataset: LabeledDataset) -> LabeledDataset:
@@ -51,29 +50,15 @@ def drop_invalid(dataset: LabeledDataset) -> LabeledDataset:
     return LabeledDataset(turbine_id=dataset.turbine_id, records=kept)
 
 
-def moving_average(series: Sequence[float], window: int) -> np.ndarray:
-    """Trailing moving average: out[i] = mean(series[i : i+window]).
-
-    Output length is len(series) - window + 1. A window larger than the
-    series raises WindowLargerThanSeries instead of returning an empty
-    result, so a misconfigured window surfaces immediately.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if window > x.shape[0]:
-        raise WindowLargerThanSeries(window, x.shape[0])
-    return sliding_window_view(x, window).mean(axis=-1)
-
-
 def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDataset:
-    """Replace configured channels by their trailing moving average.
+    """Replace configured channels by their trailing moving average:
+    output record i carries mean(channel[i : i+window]).
 
-    The first window-1 records are dropped. Each surviving record keeps
-    the label of the most recent raw record in its window (causal
-    semantics); windows mixing labels are counted and logged.
+    The first window-1 records are dropped; a window larger than the
+    dataset raises WindowLargerThanSeries instead of returning nothing.
+    Each surviving record keeps the label of the most recent raw record in
+    its window (causal semantics); windows mixing labels are counted and
+    logged.
     """
     n = len(dataset)
     w = cfg.window
@@ -95,14 +80,13 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     for i in range(means.shape[0]):
         raw = dataset.records[i + w - 1]
         smoothed = {ch: float(means[i, k]) for k, ch in enumerate(cfg.channels)}
-        out.append(LabeledRecord(replace_channels(raw.record, **smoothed), raw.label))
+        out.append(LabeledRecord(replace(raw.record, **smoothed), raw.label))
     return LabeledDataset(turbine_id=dataset.turbine_id, records=tuple(out))
 
 
 def undersample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:
     """Index order for under-sampling: all abnormal rows plus an equal-size
-    uniform sample of normal rows (without replacement), shuffled. Shared by
-    the record-level and feature-matrix paths so both draw identically."""
+    uniform sample of normal rows (without replacement), shuffled."""
     is_abnormal = np.asarray(is_abnormal, dtype=bool)
     abnormal = np.flatnonzero(is_abnormal)
     normal = np.flatnonzero(~is_abnormal)
@@ -139,25 +123,3 @@ def oversample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:
     extra = minority[rng.integers(0, minority.size, size=need)]
     return np.concatenate([np.arange(is_abnormal.size), extra])
 
-
-def _abnormal_mask(dataset: LabeledDataset) -> np.ndarray:
-    for lr in dataset.records:
-        if lr.label is Label.INVALID:
-            raise ValueError("balancing requires invalid records to be dropped first")
-    return np.array([lr.label is Label.ABNORMAL for lr in dataset.records], dtype=bool)
-
-
-def under_sample(dataset: LabeledDataset, seed: int) -> LabeledDataset:
-    """Balance by randomly discarding normal records down to the abnormal
-    count. The output is shuffled deterministically by the seed."""
-    order = undersample_order(_abnormal_mask(dataset), seed)
-    records = tuple(dataset.records[i] for i in order)
-    return LabeledDataset(turbine_id=dataset.turbine_id, records=records)
-
-
-def over_sample(dataset: LabeledDataset, seed: int) -> LabeledDataset:
-    """Balance by duplicating minority records (sampled with replacement).
-    Already balanced input comes back unchanged."""
-    order = oversample_order(_abnormal_mask(dataset), seed)
-    records = tuple(dataset.records[i] for i in order)
-    return LabeledDataset(turbine_id=dataset.turbine_id, records=records)

@@ -27,8 +27,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .errors import UnknownRule
+from .errors import InvalidConfig, UnknownRule
 from .features import FEATURE_IDS, FeatureVector, feature_value
+from .schema import from_dict
 
 INF = math.inf
 
@@ -43,9 +44,9 @@ class IntervalConstraint:
 
     def __post_init__(self):
         if self.feature not in FEATURE_IDS:
-            raise ValueError(f"unknown feature id {self.feature!r}")
+            raise InvalidConfig(f"unknown feature id {self.feature!r}")
         if self.lower > self.upper:
-            raise ValueError(f"{self.feature}: lower {self.lower} exceeds upper {self.upper}")
+            raise InvalidConfig(f"{self.feature}: lower {self.lower} exceeds upper {self.upper}")
 
     def holds(self, value: float) -> bool:
         if self.lower_inclusive:
@@ -70,11 +71,11 @@ class IntervalRule:
 
     def __post_init__(self):
         if not self.constraints:
-            raise ValueError("a rule needs at least one constraint")
+            raise InvalidConfig("a rule needs at least one constraint")
         seen = set()
         for c in self.constraints:
             if c.feature in seen:
-                raise ValueError(f"duplicate constraint on {c.feature}")
+                raise InvalidConfig(f"duplicate constraint on {c.feature}")
             seen.add(c.feature)
 
 
@@ -129,7 +130,7 @@ class SegmentationConfig:
 
     def __post_init__(self):
         if not math.isfinite(self.threshold):
-            raise ValueError("segmentation threshold must be finite")
+            raise InvalidConfig("segmentation threshold must be finite")
 
 
 def which_segment(fv: FeatureVector, cfg: SegmentationConfig) -> Segment:
@@ -189,20 +190,9 @@ def rule_to_json(rule: IntervalRule) -> list[dict]:
 
 
 def rule_from_json(doc: list[dict], rule_id: str = "custom") -> IntervalRule:
-    constraints = []
-    for item in doc:
-        lower = item.get("lower")
-        upper = item.get("upper")
-        constraints.append(
-            IntervalConstraint(
-                feature=item["feature"],
-                lower=-INF if lower is None else float(lower),
-                upper=INF if upper is None else float(upper),
-                lower_inclusive=bool(item.get("lower_inclusive", False)),
-                upper_inclusive=bool(item.get("upper_inclusive", False)),
-            )
-        )
-    return IntervalRule(rule_id=rule_id, constraints=tuple(constraints))
+    """Inverse of rule_to_json; a null or absent bound is unbounded."""
+    items = [{key: value for key, value in item.items() if value is not None} for item in doc]
+    return IntervalRule(rule_id=rule_id, constraints=tuple(from_dict(IntervalConstraint, item) for item in items))
 
 
 def load_rule(spec: str) -> IntervalRule:

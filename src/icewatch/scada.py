@@ -21,7 +21,8 @@ import csv
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
@@ -29,10 +30,12 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
+    DataError,
     EmptyFile,
     MissingColumn,
     NonNumericCell,
     OverlappingWindows,
+    ShortRow,
     UnexpectedColumn,
     UnparseableTimestamp,
 )
@@ -128,10 +131,7 @@ class LabelWindow:
 
     def __post_init__(self):
         if self.start >= self.end:
-            raise ValueError(f"window start {self.start} must precede end {self.end}")
-
-    def contains(self, t: int) -> bool:
-        return self.start <= t < self.end
+            raise DataError(f"window start {self.start} must precede end {self.end}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,14 +157,11 @@ class LabeledDataset:
         times = [lr.record.time for lr in self.records]
         for i in range(1, len(times)):
             if times[i] < times[i - 1]:
-                raise ValueError(f"record times decrease at index {i}")
+                raise DataError(f"record times decrease at index {i}")
         return self
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __iter__(self) -> Iterator[LabeledRecord]:
-        return iter(self.records)
 
     def label_counts(self) -> dict[Label, int]:
         counts = {label: 0 for label in Label}
@@ -182,13 +179,27 @@ class DatasetSummary:
     time_span: tuple[int, int] | None  # None for an empty dataset
 
 
-def _open_source(source) -> IO[str]:
+@contextmanager
+def _open_source(source) -> Iterator[IO[str]]:
+    """A text stream over `source`; a path is opened here and closed on exit."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        with open(source, "r", encoding="utf-8", newline="") as stream:
+            yield stream
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:  # binary stream
+        yield io.TextIOWrapper(source, encoding="utf-8", newline="")
+
+
+@contextmanager
+def open_sink(sink) -> Iterator[IO[str]]:
+    """A text stream for writing to `sink`; a path is opened here and closed
+    on exit, an open stream is used as is and left open."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        yield sink
 
 
 def _parse_iso_timestamp(cell: str, row: int) -> int:
@@ -252,106 +263,103 @@ def _check_header(header: Sequence[str], expected: Sequence[str]) -> dict[str, i
     return positions
 
 
+def _scada_rows(source, extra: tuple[str, ...], what: str) -> Iterator[tuple[int, ScadaRecord, list[str]]]:
+    """The row loop shared by the raw and labeled readers: yield the row
+    number, the record, and the cells of the `extra` columns of every
+    non-blank data row."""
+    with _open_source(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFile(what)
+        positions = _check_header(header, COLUMNS + extra)
+        time_i = positions["time"]
+        group_i = positions["group"]
+        channel_pos = [(name, positions[name]) for name in CHANNELS]
+        extra_pos = [positions[name] for name in extra]
+        time_parser = None
+        for row_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise ShortRow(row_no, len(row), len(header))
+            if time_parser is None:
+                time_parser = _detect_time_parser(row[time_i])
+            values = [_parse_float(row[i], row_no, name) for name, i in channel_pos]
+            record = ScadaRecord(time_parser(row[time_i], row_no), *values, _parse_group(row[group_i], row_no))
+            yield row_no, record, [row[i] for i in extra_pos]
+
+
 def parse_scada_csv(source, turbine_id: str = "") -> list[ScadaRecord]:
     """Parse a raw SCADA CSV into records, preserving file order.
 
     `source` may be a path or an open text/binary stream. The header must
     contain exactly the 28 expected column names, in any order. Raises
-    MissingColumn, UnexpectedColumn, NonNumericCell, UnparseableTimestamp,
-    or EmptyFile.
+    MissingColumn, UnexpectedColumn, ShortRow, NonNumericCell,
+    UnparseableTimestamp, or EmptyFile.
     """
-    stream = _open_source(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyFile(f"SCADA file for {turbine_id or 'turbine'}") from None
-    positions = _check_header(header, COLUMNS)
-
-    time_i = positions["time"]
-    group_i = positions["group"]
-    channel_pos = [(name, positions[name]) for name in CHANNELS]
-
-    records: list[ScadaRecord] = []
-    time_parser = None
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if time_parser is None:
-            time_parser = _detect_time_parser(row[time_i])
-        values = {name: _parse_float(row[i], row_no, name) for name, i in channel_pos}
-        records.append(
-            ScadaRecord(
-                time=time_parser(row[time_i], row_no),
-                group=_parse_group(row[group_i], row_no),
-                **values,
-            )
-        )
+    what = f"SCADA file for {turbine_id or 'turbine'}"
+    records = [record for _, record, _ in _scada_rows(source, (), what)]
     if not records:
-        raise EmptyFile(f"SCADA file for {turbine_id or 'turbine'}")
+        raise EmptyFile(what)
     return records
+
+
+def _write_rows(sink, extra: tuple[str, ...], rows: Iterable[tuple[ScadaRecord, list]]) -> None:
+    """The row writer shared by the raw and labeled writers: each record's
+    28 columns followed by the cells of the `extra` columns."""
+    with open_sink(sink) as stream:
+        writer = csv.writer(stream)
+        writer.writerow(COLUMNS + extra)
+        for r, cells in rows:
+            writer.writerow([r.time] + [repr(getattr(r, c)) for c in CHANNELS] + [r.group] + cells)
 
 
 def write_scada_csv(records: Iterable[ScadaRecord], sink) -> None:
     """Write records in canonical column order. Floats use repr, so a
     write/parse round trip is bitwise exact; time is written as epoch
     seconds."""
-    own = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.time] + [repr(getattr(r, c)) for c in CHANNELS] + [r.group]
-            )
-    finally:
-        if own:
-            stream.close()
+    _write_rows(sink, (), ((r, []) for r in records))
 
 
 def parse_label_windows_csv(source) -> list[LabelWindow]:
     """Parse a window file with columns start,end,class."""
-    stream = _open_source(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyFile("window file") from None
-    positions = _check_header(header, ("start", "end", "class"))
-    windows: list[LabelWindow] = []
-    time_parser = None
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if time_parser is None:
-            time_parser = _detect_time_parser(row[positions["start"]])
-        kind_cell = row[positions["class"]].strip()
-        try:
-            kind = WindowKind(kind_cell)
-        except ValueError:
-            raise NonNumericCell(row_no, "class", kind_cell) from None
-        windows.append(
-            LabelWindow(
-                start=time_parser(row[positions["start"]], row_no),
-                end=time_parser(row[positions["end"]], row_no),
-                kind=kind,
+    with _open_source(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFile("window file")
+        positions = _check_header(header, ("start", "end", "class"))
+        windows: list[LabelWindow] = []
+        time_parser = None
+        for row_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise ShortRow(row_no, len(row), len(header))
+            if time_parser is None:
+                time_parser = _detect_time_parser(row[positions["start"]])
+            kind_cell = row[positions["class"]].strip()
+            try:
+                kind = WindowKind(kind_cell)
+            except ValueError:
+                raise NonNumericCell(row_no, "class", kind_cell) from None
+            windows.append(
+                LabelWindow(
+                    start=time_parser(row[positions["start"]], row_no),
+                    end=time_parser(row[positions["end"]], row_no),
+                    kind=kind,
+                )
             )
-        )
     return windows
 
 
 def write_label_windows_csv(windows: Iterable[LabelWindow], sink) -> None:
-    own = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_sink(sink) as stream:
         writer = csv.writer(stream)
         writer.writerow(("start", "end", "class"))
         for w in windows:
             writer.writerow((w.start, w.end, w.kind.value))
-    finally:
-        if own:
-            stream.close()
 
 
 def _check_disjoint(windows: Sequence[LabelWindow]) -> None:
@@ -405,54 +413,17 @@ def summarize(dataset: LabeledDataset) -> DatasetSummary:
 
 def write_labeled_csv(dataset: LabeledDataset, sink) -> None:
     """Internal labeled-dataset file: the 28 SCADA columns plus `label`."""
-    own = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(COLUMNS + ("label",))
-        for lr in dataset.records:
-            r = lr.record
-            writer.writerow(
-                [r.time]
-                + [repr(getattr(r, c)) for c in CHANNELS]
-                + [r.group, lr.label.value]
-            )
-    finally:
-        if own:
-            stream.close()
+    _write_rows(sink, ("label",), ((lr.record, [lr.label.value]) for lr in dataset.records))
 
 
 def read_labeled_csv(source, turbine_id: str = "") -> LabeledDataset:
     """Read a file written by write_labeled_csv."""
-    stream = _open_source(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyFile("labeled dataset file") from None
-    positions = _check_header(header, COLUMNS + ("label",))
-    time_i = positions["time"]
-    group_i = positions["group"]
-    label_i = positions["label"]
-    channel_pos = [(name, positions[name]) for name in CHANNELS]
-
     labeled: list[LabeledRecord] = []
-    time_parser = None
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if time_parser is None:
-            time_parser = _detect_time_parser(row[time_i])
-        values = {name: _parse_float(row[i], row_no, name) for name, i in channel_pos}
-        record = ScadaRecord(
-            time=time_parser(row[time_i], row_no),
-            group=_parse_group(row[group_i], row_no),
-            **values,
-        )
+    for row_no, record, (label_cell,) in _scada_rows(source, ("label",), "labeled dataset file"):
         try:
-            label = Label(row[label_i].strip())
+            label = Label(label_cell.strip())
         except ValueError:
-            raise NonNumericCell(row_no, "label", row[label_i]) from None
+            raise NonNumericCell(row_no, "label", label_cell) from None
         labeled.append(LabeledRecord(record, label))
     return LabeledDataset(turbine_id=turbine_id, records=tuple(labeled))
 
@@ -468,6 +439,3 @@ def channel_matrix(records: Sequence[ScadaRecord], channels: Sequence[str] = CHA
         return np.array([[getter(r)] for r in records], dtype=float)
     return np.array([getter(r) for r in records], dtype=float)
 
-
-def replace_channels(record: ScadaRecord, **channels: float) -> ScadaRecord:
-    return replace(record, **channels)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .scada import CHANNELS, Label, LabelWindow, ScadaRecord, WindowKind
+from .schema import from_dict
 
 START_EPOCH = 1446336000  # 2015-11-01T00:00:00Z, a winter campaign start
 
@@ -377,71 +378,17 @@ def default_offset_profile() -> OffsetProfile:
     )
 
 
-# --- config (de)serialization -------------------------------------------------
+@dataclass(frozen=True)
+class PairConfig:
+    """A turbine pair: the shared base config plus turbine B's calibration shift."""
 
-
-def config_to_dict(cfg: SynthConfig) -> dict:
-    return {
-        "duration": cfg.duration,
-        "nominal_dt": cfg.nominal_dt,
-        "start_epoch": cfg.start_epoch,
-        "wind": {"mean": cfg.wind.mean, "persistence": cfg.wind.persistence, "noise": cfg.wind.noise},
-        "temperature": {
-            "mean": cfg.temperature.mean,
-            "diurnal_amplitude": cfg.temperature.diurnal_amplitude,
-            "noise": cfg.temperature.noise,
-        },
-        "trigger": {
-            "temp_threshold": cfg.trigger.temp_threshold,
-            "hazard": cfg.trigger.hazard,
-            "min_len": cfg.trigger.min_len,
-            "max_len": cfg.trigger.max_len,
-        },
-        "effect": {
-            "power_derating": cfg.effect.power_derating,
-            "generator_droop": cfg.effect.generator_droop,
-            "pitch_shift": cfg.effect.pitch_shift,
-            "severity_min": cfg.effect.severity_min,
-            "severity_max": cfg.effect.severity_max,
-        },
-        "cut_in": cfg.cut_in,
-        "rated": cfg.rated,
-        "label_buffer": cfg.label_buffer,
-        "desensitize": {ch: list(ab) for ch, ab in cfg.desensitize.items()},
-        "seed": cfg.seed,
-    }
+    base: SynthConfig = field(default_factory=SynthConfig)
+    profile: OffsetProfile = field(default_factory=default_offset_profile)
 
 
 def config_from_dict(doc: dict) -> SynthConfig:
-    def sub(cls, key):
-        return cls(**doc[key]) if key in doc else cls()
-
-    kwargs = {
-        k: doc[k]
-        for k in ("duration", "nominal_dt", "start_epoch", "cut_in", "rated", "label_buffer", "seed")
-        if k in doc
-    }
-    return SynthConfig(
-        wind=sub(WindModel, "wind"),
-        temperature=sub(TemperatureModel, "temperature"),
-        trigger=sub(IcingTrigger, "trigger"),
-        effect=sub(IcingEffect, "effect"),
-        desensitize={ch: (float(a), float(b)) for ch, (a, b) in doc.get("desensitize", {}).items()},
-        **kwargs,
-    )
-
-
-def profile_to_dict(profile: OffsetProfile) -> dict:
-    return {
-        "scale": dict(profile.scale),
-        "offset": dict(profile.offset),
-        "seed_offset": profile.seed_offset,
-    }
+    return from_dict(SynthConfig, doc)
 
 
 def profile_from_dict(doc: dict) -> OffsetProfile:
-    return OffsetProfile(
-        scale={ch: float(v) for ch, v in doc.get("scale", {}).items()},
-        offset={ch: float(v) for ch, v in doc.get("offset", {}).items()},
-        seed_offset=int(doc.get("seed_offset", 1)),
-    )
+    return from_dict(OffsetProfile, doc)

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import make_fv, random_record
 from icewatch.cli import main as cli_main
-from icewatch.evaluation import ConfusionCounts, cross_validate, score
+from icewatch.evaluation import ConfusionCounts, crossval_fold_scores, score
 from icewatch.features import physical_features
 from icewatch.learners import (
     ABNORMAL,
@@ -275,7 +275,7 @@ def test_c08_chance_calibration():
                 y = np.zeros(1000, dtype=np.int8)
                 y[:500] = 1
                 y = y[np.random.default_rng(seed).permutation(1000)]  # label shuffle
-                means.append(cross_validate(X, y, cfg, k=5, seed=seed))
+                means.append(np.mean(crossval_fold_scores(X, y, cfg, k=5, seed=seed)))
             mean = float(np.mean(means))
             assert 40.0 <= mean <= 60.0, f"{name}: chance CV mean {mean:.2f} outside [40, 60]"
 

@@ -1,10 +1,13 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from conftest import make_dataset, make_record
 from icewatch.cli import main
-from icewatch.synthgen import SynthConfig, config_to_dict, default_offset_profile, profile_to_dict
+from icewatch.scada import COLUMNS, Label, write_labeled_csv, write_scada_csv
+from icewatch.synthgen import SynthConfig, default_offset_profile
 
 
 @pytest.fixture(scope="module")
@@ -14,8 +17,8 @@ def turbine_dir(tmp_path_factory):
     cfg.write_text(
         json.dumps(
             {
-                "base": config_to_dict(SynthConfig(duration=6000, seed=1)),
-                "profile": profile_to_dict(default_offset_profile()),
+                "base": asdict(SynthConfig(duration=6000, seed=1)),
+                "profile": asdict(default_offset_profile()),
             }
         )
     )
@@ -43,8 +46,8 @@ def tiny_experiment_config(tmp_path, n_runs=1, duration=6000, seed=1):
     doc = {
         "data": {
             "pair": {
-                "base": config_to_dict(SynthConfig(duration=duration, seed=seed)),
-                "profile": profile_to_dict(default_offset_profile()),
+                "base": asdict(SynthConfig(duration=duration, seed=seed)),
+                "profile": asdict(default_offset_profile()),
             }
         },
         "variants": ["traditional", "reengineered"],
@@ -161,3 +164,83 @@ class TestExitCodes:
             ["ingest", "--scada", str(scada), "--windows", str(windows), "--out", str(tmp_path / "o.csv")]
         )
         assert code == 3
+
+
+def _experiment(tmp_path, extra_argv=(), **changes):
+    doc = {"data": {"pair": {}}, "learner": {"algorithm": "knn"}, **changes}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    return ["experiment", "--config", str(path), "--out-dir", str(tmp_path / "out"), *extra_argv]
+
+
+def _file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _scada(path, times):
+    write_scada_csv([make_record(time=t) for t in times], path)
+    return str(path)
+
+
+def _ingest(tmp_path, scada, windows):
+    return ["ingest", "--scada", scada, "--windows", windows, "--out", str(tmp_path / "o.csv")]
+
+
+def _predict(tmp_path, bundle):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"format": 1, "variant": "traditional", **bundle}))
+    return ["predict", "--bundle", str(path), "--scada", str(tmp_path / "B.csv"), "--out", str(tmp_path / "l.csv")]
+
+
+def _features_ma0(tmp_path):
+    write_labeled_csv(make_dataset([Label.NORMAL] * 12), tmp_path / "d.csv")
+    return ["features", "--data", str(tmp_path / "d.csv"), "--ma-window", "0", "--out", str(tmp_path / "f.csv")]
+
+
+# (argv builder, exit code, expected part of the message)
+MALFORMED = {
+    "knn_k-string": (
+        lambda t: _experiment(t, learner={"algorithm": "knn", "knn_k": "3"}), 2,
+        "learner.knn_k: expected int, got '3'",
+    ),
+    "balance-smote": (lambda t: _experiment(t, balance={"method": "smote"}), 2, "balance: balance method"),
+    "unknown-wind-key": (
+        lambda t: _experiment(t, data={"pair": {"base": {"wind": {"gusts": 1.0}}}}), 2,
+        "data.pair.base.wind.gusts: unknown key",
+    ),
+    "top-level-n_run": (lambda t: _experiment(t, n_run=2), 2, "n_run: unknown key"),
+    "cv_k-string": (lambda t: _experiment(t, cv_k="5"), 2, "cv_k: expected int, got '5'"),
+    "rule-x99": (
+        lambda t: _experiment(t, ["--rule", _file(t / "x99.json", '[{"feature": "x99", "upper": 1.0}]')]), 2,
+        "unknown feature id 'x99'",
+    ),
+    "ma-window-0": (_features_ma0, 2, "window must be >= 1, got 0"),
+    "window-start-after-end": (
+        lambda t: _ingest(t, _scada(t / "s.csv", [0, 7]), _file(t / "w.csv", "start,end,class\n10,5,icing\n")), 3,
+        "window start 10 must precede end 5",
+    ),
+    "unsorted-scada": (
+        lambda t: _ingest(t, _scada(t / "s.csv", [7, 0]), _file(t / "w.csv", "start,end,class\n0,100,normal\n")), 3,
+        "record times decrease at index 1",
+    ),
+    "short-scada-row": (
+        lambda t: _ingest(t, _file(t / "s.csv", ",".join(COLUMNS) + "\n1,2\n"), str(t / "w.csv")), 3,
+        "row 1: 2 cells, header has 28",
+    ),
+    "bundle-without-denoise": (lambda t: _predict(t, {"model": {}}), 2, "bundle is missing key 'denoise'"),
+    "bundle-without-model": (lambda t: _predict(t, {"denoise": {"window": 10}}), 2, "bundle is missing key 'model'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_with_one_line(case, tmp_path, capsys):
+    build, expected_code, message = MALFORMED[case]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == expected_code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("config error:" if expected_code == 2 else "data error:")
+    assert message in line

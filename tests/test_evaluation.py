@@ -12,16 +12,14 @@ from icewatch.errors import (
 from icewatch.evaluation import (
     ConfusionCounts,
     confusion,
-    cross_validate,
     crossval_fold_scores,
     derive_seed,
-    derive_seeds,
     kfold_split,
-    repeated_runs,
     run_statistics,
     score,
 )
 from icewatch.learners import LearnerConfig
+from icewatch.pipeline import PipelineConfig, _run_seeds
 from icewatch.scada import Label
 
 N, A = Label.NORMAL, Label.ABNORMAL
@@ -140,7 +138,7 @@ class TestCrossValidate:
 
     def test_separable_scores_100(self, rng):
         X, y = self._separable(rng)
-        assert cross_validate(X, y, LearnerConfig(algorithm="cart"), k=5, seed=1) == 100.0
+        assert np.mean(crossval_fold_scores(X, y, LearnerConfig(algorithm="cart"), k=5, seed=1)) == 100.0
 
     def test_fold_scores_reproducible(self, rng):
         X, y = self._separable(rng)
@@ -153,38 +151,33 @@ class TestCrossValidate:
         X = rng.normal(size=(400, 4))
         y = (rng.uniform(size=400) < 0.5).astype(int)
         y[:2] = [0, 1]
-        value = cross_validate(X, y, LearnerConfig(algorithm="knn"), k=5, seed=3)
+        value = np.mean(crossval_fold_scores(X, y, LearnerConfig(algorithm="knn"), k=5, seed=3))
         assert 35.0 <= value <= 65.0
 
     def test_invalid_k_propagates(self, rng):
         X, y = self._separable(rng, n=8)
         with pytest.raises(InvalidK):
-            cross_validate(X, y, LearnerConfig(algorithm="knn"), k=10, seed=0)
+            crossval_fold_scores(X, y, LearnerConfig(algorithm="knn"), k=10, seed=0)
 
     def test_degenerate_folds(self):
         # two samples, two folds: every training fold is single-class
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         with pytest.raises(DegenerateFolds):
-            cross_validate(X, y, LearnerConfig(algorithm="knn", knn_k=1), k=2, seed=0)
+            crossval_fold_scores(X, y, LearnerConfig(algorithm="knn", knn_k=1), k=2, seed=0)
 
 
 class TestRepeatedRuns:
     def test_constant_experiment(self):
-        stats = repeated_runs(lambda seed: 90.0, n_runs=5, master_seed=1)
+        stats = run_statistics([90.0] * 5)
         assert stats.mean == 90.0 and stats.std == 0.0 and stats.runs == 5
 
-    def test_single_run(self):
-        stats = repeated_runs(lambda seed: 77.0, n_runs=1, master_seed=1)
-        assert stats.std == 0.0
-
     def test_child_seeds_deterministic_and_distinct(self):
-        seeds = derive_seeds(42, 10)
-        assert seeds == derive_seeds(42, 10)
+        seeds = [derive_seed(42, i) for i in range(10)]
+        assert seeds == [derive_seed(42, i) for i in range(10)]
         assert len(set(seeds)) == 10
         assert derive_seed(42, 0, 1) != derive_seed(42, 1, 0)
 
     def test_experiment_receives_derived_seeds(self):
-        seen = []
-        repeated_runs(lambda seed: seen.append(seed) or 1.0, n_runs=3, master_seed=9)
-        assert seen == derive_seeds(9, 3)
+        cfg = PipelineConfig(variant="traditional", learner=LearnerConfig(algorithm="knn"), n_runs=3, master_seed=9)
+        assert _run_seeds(cfg) == [derive_seed(9, i) for i in range(3)]

@@ -150,23 +150,6 @@ class TestRankFeatures:
         ]
         assert [name for name, _ in rank_features(rescaled)] == base_order
 
-    def test_extended_requires_engineered(self, rng):
-        vectors = self._vectors(rng)
-        with pytest.raises(ValueError):
-            rank_features(vectors, extended=True)
-
-    def test_extended_includes_extras(self, rng):
-        records = [random_record(rng, time=i) for i in range(40)]
-        engineered = [engineer_record(r) for r in records]
-        vectors = [
-            assemble_feature_vector(er, Label.ABNORMAL if i % 2 else Label.NORMAL)
-            for i, er in enumerate(engineered)
-        ]
-        ranking = rank_features(vectors, extended=True, engineered=engineered)
-        names = {name for name, _ in ranking}
-        assert "power_coeff" in names and "thrust_coeff" in names
-        assert len(ranking) == 16
-
 
 def test_feature_csv_export(rng):
     vectors = [

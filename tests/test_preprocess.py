@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_record
-from icewatch.errors import EmptyClass, WindowLargerThanSeries
+from icewatch.errors import EmptyClass, InvalidConfig, WindowLargerThanSeries
 from icewatch.preprocess import (
     BalanceConfig,
     DenoiseConfig,
     denoise_dataset,
     drop_invalid,
-    moving_average,
-    over_sample,
-    under_sample,
+    oversample_order,
+    undersample_order,
 )
 from icewatch.scada import Label, LabeledDataset, LabeledRecord
 
@@ -27,6 +26,13 @@ class TestDropInvalid:
     def test_all_invalid(self):
         out = drop_invalid(make_dataset([I, I, I]))
         assert len(out) == 0
+
+
+def moving_average(series, window: int) -> np.ndarray:
+    """denoise_dataset's trailing mean over a series carried in one channel."""
+    ds = LabeledDataset("T", tuple(LabeledRecord(make_record(time=i, power=float(v)), N) for i, v in enumerate(series)))
+    out = denoise_dataset(ds, DenoiseConfig(window=window, channels=("power",)))
+    return np.array([lr.record.power for lr in out.records])
 
 
 class TestMovingAverage:
@@ -102,81 +108,69 @@ class TestDenoise:
         assert out.records[0].record.wind_speed == 1.0  # untouched
 
 
+def mask(n_normal: int, n_abnormal: int) -> np.ndarray:
+    return np.array([False] * n_normal + [True] * n_abnormal)
+
+
 class TestUnderSample:
     def test_balanced_input_keeps_everything(self):
-        ds = make_dataset([N] * 10 + [A] * 10)
-        out = under_sample(ds, seed=3)
-        assert len(out) == 20
-        counts = out.label_counts()
-        assert counts[N] == counts[A] == 10
+        order = undersample_order(mask(10, 10), seed=3)
+        assert sorted(order.tolist()) == list(range(20))
 
     def test_counts_equal_and_abnormal_preserved(self):
-        ds = make_dataset([N] * 50 + [A] * 7)
-        out = under_sample(ds, seed=11)
-        counts = out.label_counts()
-        assert counts[N] == counts[A] == 7
-        abnormal_in = {id(lr) for lr in ds.records if lr.label is A}
-        abnormal_out = {id(lr) for lr in out.records if lr.label is A}
-        assert abnormal_out == abnormal_in
+        m = mask(50, 7)
+        order = undersample_order(m, seed=11)
+        assert int(m[order].sum()) == int((~m[order]).sum()) == 7
+        assert set(order[m[order]].tolist()) == set(np.flatnonzero(m).tolist())
 
     def test_every_output_record_exists_in_input(self):
-        ds = make_dataset([N] * 30 + [A] * 5)
-        out = under_sample(ds, seed=2)
-        pool = {id(lr) for lr in ds.records}
-        assert all(id(lr) in pool for lr in out.records)
-        assert len({id(lr) for lr in out.records}) == len(out)  # no duplicates
+        order = undersample_order(mask(30, 5), seed=2)
+        assert all(0 <= i < 35 for i in order.tolist())
+        assert len(set(order.tolist())) == order.size  # no duplicates
 
     def test_deterministic(self):
-        ds = make_dataset([N] * 40 + [A] * 6)
-        assert under_sample(ds, seed=9) == under_sample(ds, seed=9)
-        assert under_sample(ds, seed=9) != under_sample(ds, seed=10)
+        m = mask(40, 6)
+        assert np.array_equal(undersample_order(m, seed=9), undersample_order(m, seed=9))
+        assert not np.array_equal(undersample_order(m, seed=9), undersample_order(m, seed=10))
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
-            under_sample(make_dataset([N, N]), seed=0)
+            undersample_order(mask(2, 0), seed=0)
         with pytest.raises(EmptyClass):
-            under_sample(make_dataset([A, A]), seed=0)
-
-    def test_invalid_records_rejected(self):
-        with pytest.raises(ValueError):
-            under_sample(make_dataset([N, A, I]), seed=0)
+            undersample_order(mask(0, 2), seed=0)
 
     def test_fewer_normal_than_abnormal_rejected(self):
         with pytest.raises(ValueError):
-            under_sample(make_dataset([N, A, A]), seed=0)
+            undersample_order(mask(1, 2), seed=0)
 
     def test_competition_scale_counts(self):
         # 350255 normal + 23892 abnormal collapse to 23892 per class
-        from icewatch.preprocess import undersample_order
-
-        mask = np.zeros(350255 + 23892, dtype=bool)
-        mask[:23892] = True
-        order = undersample_order(mask, seed=0)
+        m = np.zeros(350255 + 23892, dtype=bool)
+        m[:23892] = True
+        order = undersample_order(m, seed=0)
         assert order.size == 47784
-        assert int(mask[order].sum()) == 23892
+        assert int(m[order].sum()) == 23892
 
 
 class TestOverSample:
     def test_duplicates_minority(self):
-        ds = make_dataset([N] * 5 + [A] * 2)
-        out = over_sample(ds, seed=4)
-        counts = out.label_counts()
-        assert len(out) == 10
-        assert counts[N] == counts[A] == 5
+        m = mask(5, 2)
+        order = oversample_order(m, seed=4)
+        assert order.size == 10
+        assert int(m[order].sum()) == int((~m[order]).sum()) == 5
 
     def test_balanced_unchanged(self):
-        ds = make_dataset([N, A, N, A])
-        assert over_sample(ds, seed=1) == ds
+        assert oversample_order(np.array([False, True, False, True]), seed=1).tolist() == [0, 1, 2, 3]
 
     def test_deterministic(self):
-        ds = make_dataset([N] * 8 + [A] * 3)
-        assert over_sample(ds, seed=5) == over_sample(ds, seed=5)
+        m = mask(8, 3)
+        assert np.array_equal(oversample_order(m, seed=5), oversample_order(m, seed=5))
 
 
 def test_balance_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         BalanceConfig(method="hybrid")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         DenoiseConfig(window=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         DenoiseConfig(channels=("nope",))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_fv
-from icewatch.errors import UnknownRule
+from icewatch.errors import InvalidConfig, UnknownRule
 from icewatch.rules import (
     GateDecision,
     IntervalConstraint,
@@ -203,13 +203,13 @@ class TestSerialization:
             load_rule("nonexistent.json")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             IntervalConstraint("x4", lower=2.0, upper=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             IntervalConstraint("x11")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             IntervalRule("bad", ())
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             IntervalRule(
                 "dup",
                 (IntervalConstraint("x4", upper=1.0), IntervalConstraint("x4", lower=0.0)),

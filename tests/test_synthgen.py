@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,12 +12,10 @@ from icewatch.synthgen import (
     SynthConfig,
     apply_offset_profile,
     config_from_dict,
-    config_to_dict,
     default_offset_profile,
     generate_turbine,
     make_turbine_pair,
     profile_from_dict,
-    profile_to_dict,
 )
 
 
@@ -129,11 +127,11 @@ def b_desens(base: SynthConfig):
 class TestConfigIo:
     def test_round_trip(self):
         cfg = SynthConfig(duration=1234, seed=99, desensitize={"power": (2.0, -0.5)})
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(asdict(cfg)) == cfg
 
     def test_profile_round_trip(self):
         profile = default_offset_profile()
-        assert profile_from_dict(profile_to_dict(profile)) == profile
+        assert profile_from_dict(asdict(profile)) == profile
 
     def test_defaults_from_empty_dict(self):
         assert config_from_dict({}) == SynthConfig()
