@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import synthgen
 from .errors import ConfigError, DataError, InvalidConfig
-from .features import feature_matrix, feature_vectors, rank_features, write_feature_csv
+from .features import dataset_features, feature_vectors, rank_features, write_feature_csv
 from .learners import LearnerConfig
 from .pipeline import (
     PipelineConfig,
@@ -148,15 +148,15 @@ def _preprocessed(args):
 
 
 def _cmd_features(args) -> int:
-    vectors = feature_vectors(_preprocessed(args))
+    X, y = dataset_features(_preprocessed(args))
     if args.balance != "none":
         draw = undersample_order if args.balance == "under" else oversample_order
-        _, y = feature_matrix(vectors)
-        vectors = [vectors[i] for i in draw(y == 1, args.seed)]
-    write_feature_csv(vectors, args.out)
-    print(f"wrote {len(vectors)} feature rows -> {args.out}")
+        order = draw(y == 1, args.seed)
+        X, y = X[order], y[order]
+    write_feature_csv(X, y, args.out)
+    print(f"wrote {len(y)} feature rows -> {args.out}")
     if args.rank:
-        for name, value in rank_features(vectors):
+        for name, value in rank_features(X, y):
             print(f"{name:>4}  fisher={value:.4f}")
     return 0
 

@@ -78,6 +78,11 @@ class EmptyClass(DataError):
         super().__init__(f"dataset has no {label} records")
 
 
+class TooFewNormal(DataError):
+    def __init__(self, n_normal, n_abnormal):
+        super().__init__(f"cannot under-sample: {n_normal} normal < {n_abnormal} abnormal")
+
+
 # --- feature engineering ---------------------------------------------------
 
 class DegenerateDenominator(DataError):

@@ -47,6 +47,12 @@ class ConfusionCounts:
 
 
 def _as_codes(labels: Sequence) -> np.ndarray:
+    codes = np.asarray(labels)
+    if codes.dtype.kind in "iu":
+        bad = (codes != NORMAL) & (codes != ABNORMAL)
+        if bad.any():
+            raise ValueError(f"label code must be 0 or 1, got {int(codes[bad][0])}")
+        return codes.astype(np.int8, copy=False)
     out = np.empty(len(labels), dtype=np.int8)
     for i, item in enumerate(labels):
         if isinstance(item, Label):

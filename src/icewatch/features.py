@@ -18,22 +18,32 @@ Two groups of derived quantities are computed per record:
 The prediction model uses a fixed ten-feature vector, addressed by the
 ids x1..x10 (see FEATURE_IDS). power_coeff and thrust_coeff are computed
 and exportable but are not part of that vector.
+
+The formulas are written once, over a record's channel attributes.
+engineer_record evaluates them on one ScadaRecord; dataset_features
+evaluates the same expressions on whole channel columns of a
+LabeledDataset, which gives bitwise the same values because every
+operation is elementwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidLabel, SingleClassDataset
-from .scada import Label, LabeledDataset, ScadaRecord, open_sink
+from .scada import CHANNELS, INVALID_CODE, LABELS, Label, LabeledDataset, ScadaRecord, open_sink
 
 # Inputs must exceed -5 by this margin for the offset denominators.
 DENOMINATOR_MARGIN = 1e-6
 
 OFFSET = 5.0
+
+_DENOMINATOR_FLOOR = -OFFSET + DENOMINATOR_MARGIN
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,21 +83,7 @@ class FeatureVector:
     label: Label
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            (
-                self.pitch1_moto_tmp,
-                self.pitch2_moto_tmp,
-                self.pitch3_moto_tmp,
-                self.wind_speed,
-                self.environment_tmp,
-                self.tmp_diff,
-                self.power,
-                self.tip_speed_ratio,
-                self.torque,
-                self.pitch_angle_avg,
-            ),
-            dtype=float,
-        )
+        return np.array(_feature_values(self), dtype=float)
 
 
 FEATURE_IDS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10")
@@ -105,6 +101,11 @@ FEATURE_FIELDS = {
     "x10": "pitch_angle_avg",
 }
 
+assert tuple(FEATURE_FIELDS.values()) == tuple(f.name for f in fields(FeatureVector))[: len(FEATURE_IDS)]
+
+# the ten feature values of a FeatureVector, in FEATURE_IDS order
+_feature_values = attrgetter(*FEATURE_FIELDS.values())
+
 LABEL_CODES = {Label.NORMAL: 0, Label.ABNORMAL: 1}
 
 
@@ -113,7 +114,10 @@ def feature_value(fv: FeatureVector, feature_id: str) -> float:
 
 
 def statistical_features(record: ScadaRecord) -> dict[str, float]:
-    """Per-blade averages and the inside-outside temperature difference."""
+    """Per-blade averages and the inside-outside temperature difference.
+
+    `record` may also carry one array per channel attribute; every value
+    is then an array (see dataset_features)."""
     return {
         "pitch_angle_avg": (record.pitch1_angle + record.pitch2_angle + record.pitch3_angle) / 3.0,
         "pitch_speed_avg": (record.pitch1_speed + record.pitch2_speed + record.pitch3_speed) / 3.0,
@@ -124,16 +128,26 @@ def statistical_features(record: ScadaRecord) -> dict[str, float]:
     }
 
 
+def _check_denominators(wind_speed: float, generator_speed: float) -> None:
+    if wind_speed <= _DENOMINATOR_FLOOR:
+        raise DegenerateDenominator("wind_speed", wind_speed)
+    if generator_speed <= _DENOMINATOR_FLOOR:
+        raise DegenerateDenominator("generator_speed", generator_speed)
+
+
 def physical_features(record: ScadaRecord) -> dict[str, float]:
     """Torque, power coefficient, thrust coefficient, and tip-speed ratio.
 
     Raises DegenerateDenominator when wind_speed or generator_speed sits
     within DENOMINATOR_MARGIN of -5.
     """
-    if record.wind_speed <= -OFFSET + DENOMINATOR_MARGIN:
-        raise DegenerateDenominator("wind_speed", record.wind_speed)
-    if record.generator_speed <= -OFFSET + DENOMINATOR_MARGIN:
-        raise DegenerateDenominator("generator_speed", record.generator_speed)
+    _check_denominators(record.wind_speed, record.generator_speed)
+    return _physics(record)
+
+
+def _physics(record) -> dict[str, float]:
+    """physical_features without the guard; like statistical_features it
+    also evaluates channel columns."""
     wind = record.wind_speed + OFFSET
     gen = record.generator_speed + OFFSET
     power = record.power + OFFSET
@@ -169,19 +183,44 @@ def assemble_feature_vector(engineered: EngineeredRecord, label: Label) -> Featu
     )
 
 
+def dataset_features(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of an invalid-free dataset: X is float64[n, 10] in FEATURE_IDS
+    order, y the labels coded 0=normal, 1=abnormal.
+
+    Row i is bitwise equal to assemble_feature_vector(engineer_record(r_i),
+    label_i).as_array(), and a bad dataset raises what that per-record path
+    raises first: DegenerateDenominator for a degenerate row (wind_speed
+    checked before generator_speed) or InvalidLabel for an invalid one,
+    whichever row comes first.
+    """
+    columns = SimpleNamespace(**dict(zip(CHANNELS, dataset.channels.T)))
+    n = len(dataset)
+    degenerate = np.flatnonzero(
+        (columns.wind_speed <= _DENOMINATOR_FLOOR) | (columns.generator_speed <= _DENOMINATOR_FLOOR)
+    )
+    invalid = np.flatnonzero(dataset.label == INVALID_CODE)
+    first_degenerate = int(degenerate[0]) if degenerate.size else n
+    first_invalid = int(invalid[0]) if invalid.size else n
+    if first_degenerate < n and first_degenerate <= first_invalid:
+        i = first_degenerate
+        _check_denominators(float(columns.wind_speed[i]), float(columns.generator_speed[i]))
+    if first_invalid < n:
+        raise InvalidLabel(Label.INVALID)
+    values = {**vars(columns), **statistical_features(columns), **_physics(columns)}
+    return np.column_stack([values[FEATURE_FIELDS[fid]] for fid in FEATURE_IDS]), dataset.label
+
+
 def feature_vectors(dataset: LabeledDataset) -> list[FeatureVector]:
     """Engineer every record of an invalid-free dataset."""
-    return [
-        assemble_feature_vector(engineer_record(lr.record), lr.label)
-        for lr in dataset.records
-    ]
+    X, y = dataset_features(dataset)
+    return [FeatureVector(*row, LABELS[code]) for row, code in zip(X.tolist(), y.tolist())]
 
 
 def feature_matrix(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
     """Stack vectors into (X, y) with y coded 0=normal, 1=abnormal."""
     if not vectors:
         return np.empty((0, len(FEATURE_IDS))), np.empty(0, dtype=np.int8)
-    X = np.stack([fv.as_array() for fv in vectors])
+    X = np.array([_feature_values(fv) for fv in vectors], dtype=float)
     y = np.array([LABEL_CODES[fv.label] for fv in vectors], dtype=np.int8)
     return X, y
 
@@ -198,10 +237,9 @@ def fisher_score(values: np.ndarray, is_abnormal: np.ndarray) -> float:
     return diff * diff / pooled
 
 
-def rank_features(vectors: Sequence[FeatureVector]) -> list[tuple[str, float]]:
-    """Rank the ten model features by Fisher score, descending; ties break
-    by name."""
-    X, y = feature_matrix(vectors)
+def rank_features(X: np.ndarray, y: np.ndarray) -> list[tuple[str, float]]:
+    """Rank the ten model features of a feature matrix (y coded 0/1) by
+    Fisher score, descending; ties break by name."""
     if X.shape[0] == 0 or len(set(y.tolist())) < 2:
         raise SingleClassDataset()
     is_abnormal = y.astype(bool)
@@ -213,11 +251,10 @@ def rank_features(vectors: Sequence[FeatureVector]) -> list[tuple[str, float]]:
     return scored
 
 
-def write_feature_csv(vectors: Sequence[FeatureVector], sink) -> None:
-    """Export as CSV with header x1..x10,y and y coded 0=normal, 1=abnormal."""
+def write_feature_csv(X: np.ndarray, y: np.ndarray, sink) -> None:
+    """Export a feature matrix as CSV with header x1..x10,y and y coded
+    0=normal, 1=abnormal. Values are written as the repr of Python floats."""
     with open_sink(sink) as stream:
         stream.write(",".join(FEATURE_IDS + ("y",)) + "\n")
-        for fv in vectors:
-            cells = [repr(float(feature_value(fv, fid))) for fid in FEATURE_IDS]
-            cells.append(str(LABEL_CODES[fv.label]))
-            stream.write(",".join(cells) + "\n")
+        for row, code in zip(X.tolist(), y.tolist()):
+            stream.write(",".join([*map(repr, row), str(code)]) + "\n")

@@ -17,7 +17,7 @@ Tie rules, fixed so behavior is reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +93,11 @@ class KnnModel:
     X: np.ndarray  # standardized training rows
     y: np.ndarray
     standardization: StandardizationParams
+    # squared norm of every training row, derived from X and never serialized
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sq_norms", np.einsum("ij,ij->i", self.X, self.X))
 
 
 def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
@@ -104,8 +109,7 @@ def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
 
 def _knn_predict_std(model: KnnModel, Q: np.ndarray) -> np.ndarray:
     """Vote over already standardized queries."""
-    Xt, yt, k = model.X, model.y, model.k
-    t_sq = np.einsum("ij,ij->i", Xt, Xt)
+    Xt, yt, k, t_sq = model.X, model.y, model.k, model.sq_norms
     out = np.empty(Q.shape[0], dtype=np.int8)
     for lo in range(0, Q.shape[0], _KNN_CHUNK):
         q = Q[lo : lo + _KNN_CHUNK]

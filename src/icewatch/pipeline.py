@@ -45,8 +45,8 @@ from .evaluation import (
 )
 from .features import (
     FeatureVector,
-    LABEL_CODES,
     assemble_feature_vector,
+    dataset_features,
     engineer_record,
     feature_matrix,
     feature_vectors,
@@ -159,16 +159,11 @@ def _prepare(dataset: LabeledDataset, denoise: DenoiseConfig) -> LabeledDataset:
     return denoise_dataset(drop_invalid(dataset), denoise)
 
 
-def _raw_matrix(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    X = channel_matrix([lr.record for lr in dataset.records])
-    return X, np.array([LABEL_CODES[lr.label] for lr in dataset.records], dtype=np.int8)
-
-
 def _traditional_matrix(dataset: LabeledDataset, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     prep = _prepare(dataset, cfg.denoise)
     if cfg.traditional_raw_features:
-        return _raw_matrix(prep)
-    return feature_matrix(feature_vectors(prep))
+        return prep.channels, prep.label
+    return dataset_features(prep)
 
 
 def _segment_matrices(train: LabeledDataset, cfg: PipelineConfig) -> dict[Segment, tuple[np.ndarray, np.ndarray]]:
@@ -475,6 +470,8 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
 
 
 def bundle_from_dict(doc: dict) -> ModelBundle:
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"a bundle must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != BUNDLE_FORMAT:
         raise InvalidConfig(f"unsupported bundle format {doc.get('format')!r}")
     try:

@@ -10,13 +10,13 @@ randomness is injected through explicit seeds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyClass, InvalidConfig, WindowLargerThanSeries
-from .scada import CHANNELS, Label, LabeledDataset, LabeledRecord, channel_matrix
+from .errors import EmptyClass, InvalidConfig, TooFewNormal, WindowLargerThanSeries
+from .scada import CHANNELS, INVALID_CODE, LabeledDataset
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +46,7 @@ class BalanceConfig:
 
 def drop_invalid(dataset: LabeledDataset) -> LabeledDataset:
     """Keep only normal and abnormal records, preserving order."""
-    kept = tuple(lr for lr in dataset.records if lr.label is not Label.INVALID)
-    return LabeledDataset(turbine_id=dataset.turbine_id, records=kept)
+    return dataset.take(dataset.label != INVALID_CODE)
 
 
 def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDataset:
@@ -56,9 +55,9 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
 
     The first window-1 records are dropped; a window larger than the
     dataset raises WindowLargerThanSeries instead of returning nothing.
-    Each surviving record keeps the label of the most recent raw record in
-    its window (causal semantics); windows mixing labels are counted and
-    logged.
+    Each surviving record keeps the time, group and label of the most
+    recent raw record in its window (causal semantics); windows mixing
+    labels are counted and logged.
     """
     n = len(dataset)
     w = cfg.window
@@ -67,21 +66,25 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     if w == 1:
         return dataset
 
-    matrix = channel_matrix([lr.record for lr in dataset.records], cfg.channels)
+    columns = [CHANNELS.index(ch) for ch in cfg.channels]
+    # take() returns C order, where [:, columns] would not: the memory
+    # layout sets the summation order of the mean, and the pinned outputs
+    # depend on its last bit
+    matrix = dataset.channels.take(columns, axis=1)
     means = sliding_window_view(matrix, w, axis=0).mean(axis=-1)
 
-    labels = np.array([lr.label.value for lr in dataset.records])
-    windows = sliding_window_view(labels, w)
+    windows = sliding_window_view(dataset.label, w)
     mixed = int(np.sum(np.any(windows != windows[:, -1:], axis=1)))
     if mixed:
         log.debug("denoise: %d of %d windows mix labels", mixed, means.shape[0])
 
-    out = []
-    for i in range(means.shape[0]):
-        raw = dataset.records[i + w - 1]
-        smoothed = {ch: float(means[i, k]) for k, ch in enumerate(cfg.channels)}
-        out.append(LabeledRecord(replace(raw.record, **smoothed), raw.label))
-    return LabeledDataset(turbine_id=dataset.turbine_id, records=tuple(out))
+    out = dataset.take(slice(w - 1, None))
+    if tuple(cfg.channels) == CHANNELS:
+        channels = means
+    else:
+        channels = out.channels.copy()
+        channels[:, columns] = means
+    return LabeledDataset(dataset.turbine_id, out.time, channels, out.group, out.label)
 
 
 def undersample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:
@@ -95,9 +98,7 @@ def undersample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:
     if normal.size == 0:
         raise EmptyClass("normal")
     if normal.size < abnormal.size:
-        raise ValueError(
-            f"cannot under-sample: {normal.size} normal < {abnormal.size} abnormal"
-        )
+        raise TooFewNormal(normal.size, abnormal.size)
     rng = np.random.default_rng(seed)
     chosen = normal[rng.choice(normal.size, size=abnormal.size, replace=False)]
     combined = np.concatenate([abnormal, chosen])

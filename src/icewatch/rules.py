@@ -191,6 +191,8 @@ def rule_to_json(rule: IntervalRule) -> list[dict]:
 
 def rule_from_json(doc: list[dict], rule_id: str = "custom") -> IntervalRule:
     """Inverse of rule_to_json; a null or absent bound is unbounded."""
+    if not isinstance(doc, list) or not all(isinstance(item, dict) for item in doc):
+        raise InvalidConfig("a rule must be a JSON array of constraint objects")
     items = [{key: value for key, value in item.items() if value is not None} for item in doc]
     return IntervalRule(rule_id=rule_id, constraints=tuple(from_dict(IntervalConstraint, item) for item in items))
 

@@ -13,6 +13,11 @@ with class in {icing, normal}). Window membership is half-open
 [start, end): a record at exactly `end` is outside. Records covered by
 no window are labeled invalid and retained at this layer; dropping them
 is the preprocessing stage's job.
+
+`ScadaRecord` is the row type of raw streams: the CSV reader and writer,
+the synthetic generator and deployment-time prediction. A labeled
+dataset is columnar (`LabeledDataset`): one array per column, built once
+by `apply_label_windows` or `read_labeled_csv`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -28,6 +32,8 @@ from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DataError,
@@ -77,6 +83,12 @@ class Label(Enum):
     NORMAL = "normal"
     ABNORMAL = "abnormal"
     INVALID = "invalid"
+
+
+# LabeledDataset.label holds code i for LABELS[i]; 0 and 1 are also the
+# normal/abnormal class codes of the feature matrices and the learners
+LABELS = (Label.NORMAL, Label.ABNORMAL, Label.INVALID)
+INVALID_CODE = LABELS.index(Label.INVALID)
 
 
 class WindowKind(Enum):
@@ -134,40 +146,39 @@ class LabelWindow:
             raise DataError(f"window start {self.start} must precede end {self.end}")
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledRecord:
-    record: ScadaRecord
-    label: Label
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Labeled records of one turbine.
+    """Labeled records of one turbine, one array per column: `time`
+    int64[n] (epoch seconds), `channels` float64[n, 26] in CHANNELS order,
+    `group` int64[n], and `label` int8[n] holding codes into LABELS.
 
-    Datasets built from a raw stream (apply_label_windows, read_labeled_csv,
-    the synthetic generator) are in ascending time order; class-balanced
-    datasets are in seeded-random order, since balancing discards the stream
-    structure anyway.
+    Datasets built from a raw stream (apply_label_windows, read_labeled_csv)
+    are in file order; ingest requires it to be ascending in time.
     """
 
     turbine_id: str
-    records: tuple[LabeledRecord, ...]
+    time: np.ndarray
+    channels: np.ndarray
+    group: np.ndarray
+    label: np.ndarray
 
     def require_time_order(self) -> "LabeledDataset":
-        times = [lr.record.time for lr in self.records]
-        for i in range(1, len(times)):
-            if times[i] < times[i - 1]:
-                raise DataError(f"record times decrease at index {i}")
+        decreasing = np.flatnonzero(np.diff(self.time) < 0)
+        if decreasing.size:
+            raise DataError(f"record times decrease at index {int(decreasing[0]) + 1}")
         return self
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.label.shape[0]
+
+    def take(self, rows) -> "LabeledDataset":
+        """The dataset restricted to `rows` (a boolean mask, an index array
+        or a slice), in that order."""
+        return LabeledDataset(self.turbine_id, self.time[rows], self.channels[rows], self.group[rows], self.label[rows])
 
     def label_counts(self) -> dict[Label, int]:
-        counts = {label: 0 for label in Label}
-        for lr in self.records:
-            counts[lr.label] += 1
-        return counts
+        counts = np.bincount(self.label, minlength=len(LABELS))
+        return {label: int(counts[code]) for code, label in enumerate(LABELS)}
 
 
 @dataclass(frozen=True)
@@ -212,11 +223,17 @@ def _parse_iso_timestamp(cell: str, row: int) -> int:
     return int(dt.timestamp())
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
 def _parse_epoch_timestamp(cell: str, row: int) -> int:
     try:
-        return int(cell.strip())
+        value = int(cell.strip())
     except ValueError:
         raise UnparseableTimestamp(row, cell) from None
+    if value not in _INT64:
+        raise UnparseableTimestamp(row, cell)
+    return value
 
 
 def _detect_time_parser(first_cell: str):
@@ -239,13 +256,15 @@ def _parse_float(cell: str, row: int, column: str) -> float:
 
 def _parse_group(cell: str, row: int) -> int:
     try:
-        return int(cell)
+        value = int(cell)
     except ValueError:
-        pass
-    value = _parse_float(cell, row, "group")
-    if value != int(value):
+        number = _parse_float(cell, row, "group")
+        if number != int(number):
+            raise NonNumericCell(row, "group", cell) from None
+        value = int(number)
+    if value not in _INT64:
         raise NonNumericCell(row, "group", cell)
-    return int(value)
+    return value
 
 
 def _check_header(header: Sequence[str], expected: Sequence[str]) -> dict[str, int]:
@@ -263,10 +282,10 @@ def _check_header(header: Sequence[str], expected: Sequence[str]) -> dict[str, i
     return positions
 
 
-def _scada_rows(source, extra: tuple[str, ...], what: str) -> Iterator[tuple[int, ScadaRecord, list[str]]]:
+def _scada_rows(source, extra: tuple[str, ...], what: str) -> Iterator[tuple[int, int, list[float], int, list[str]]]:
     """The row loop shared by the raw and labeled readers: yield the row
-    number, the record, and the cells of the `extra` columns of every
-    non-blank data row."""
+    number, the time, the 26 channel values, the group and the cells of
+    the `extra` columns of every non-blank data row."""
     with _open_source(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
@@ -285,9 +304,9 @@ def _scada_rows(source, extra: tuple[str, ...], what: str) -> Iterator[tuple[int
                 raise ShortRow(row_no, len(row), len(header))
             if time_parser is None:
                 time_parser = _detect_time_parser(row[time_i])
+            time = time_parser(row[time_i], row_no)
             values = [_parse_float(row[i], row_no, name) for name, i in channel_pos]
-            record = ScadaRecord(time_parser(row[time_i], row_no), *values, _parse_group(row[group_i], row_no))
-            yield row_no, record, [row[i] for i in extra_pos]
+            yield row_no, time, values, _parse_group(row[group_i], row_no), [row[i] for i in extra_pos]
 
 
 def parse_scada_csv(source, turbine_id: str = "") -> list[ScadaRecord]:
@@ -299,27 +318,31 @@ def parse_scada_csv(source, turbine_id: str = "") -> list[ScadaRecord]:
     UnparseableTimestamp, or EmptyFile.
     """
     what = f"SCADA file for {turbine_id or 'turbine'}"
-    records = [record for _, record, _ in _scada_rows(source, (), what)]
+    records = [ScadaRecord(time, *values, group) for _, time, values, group, _ in _scada_rows(source, (), what)]
     if not records:
         raise EmptyFile(what)
     return records
 
 
-def _write_rows(sink, extra: tuple[str, ...], rows: Iterable[tuple[ScadaRecord, list]]) -> None:
-    """The row writer shared by the raw and labeled writers: each record's
-    28 columns followed by the cells of the `extra` columns."""
+def _write_rows(sink, extra: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """The row writer shared by the raw and labeled writers. Each row is
+    (time, channel values, group, *extra cells); the values must be Python
+    floats, whose repr is the shortest round-tripping form."""
     with open_sink(sink) as stream:
         writer = csv.writer(stream)
         writer.writerow(COLUMNS + extra)
-        for r, cells in rows:
-            writer.writerow([r.time] + [repr(getattr(r, c)) for c in CHANNELS] + [r.group] + cells)
+        for time, values, group, *cells in rows:
+            writer.writerow([time, *map(repr, values), group, *cells])
+
+
+_channel_values = attrgetter(*CHANNELS)
 
 
 def write_scada_csv(records: Iterable[ScadaRecord], sink) -> None:
     """Write records in canonical column order. Floats use repr, so a
     write/parse round trip is bitwise exact; time is written as epoch
     seconds."""
-    _write_rows(sink, (), ((r, []) for r in records))
+    _write_rows(sink, (), ((r.time, _channel_values(r), r.group) for r in records))
 
 
 def parse_label_windows_csv(source) -> list[LabelWindow]:
@@ -383,17 +406,19 @@ def apply_label_windows(
     independent of window order.
     """
     _check_disjoint(windows)
-    ordered = sorted(windows, key=lambda w: w.start)
-    starts = [w.start for w in ordered]
-
-    def classify(t: int) -> Label:
-        i = bisect_right(starts, t) - 1
-        if i >= 0 and t < ordered[i].end:
-            return Label.ABNORMAL if ordered[i].kind is WindowKind.ICING else Label.NORMAL
-        return Label.INVALID
-
-    labeled = tuple(LabeledRecord(r, classify(r.time)) for r in records)
-    return LabeledDataset(turbine_id=turbine_id, records=labeled)
+    time = np.fromiter((r.time for r in records), dtype=np.int64, count=len(records))
+    label = np.full(time.shape[0], INVALID_CODE, dtype=np.int8)
+    if windows:
+        ordered = sorted(windows, key=lambda w: w.start)
+        starts = np.array([w.start for w in ordered], dtype=np.int64)
+        ends = np.array([w.end for w in ordered], dtype=np.int64)
+        kinds = [Label.ABNORMAL if w.kind is WindowKind.ICING else Label.NORMAL for w in ordered]
+        codes = np.array([LABELS.index(kind) for kind in kinds], dtype=np.int8)
+        i = np.searchsorted(starts, time, side="right") - 1
+        inside = (i >= 0) & (time < ends[i])
+        label[inside] = codes[i[inside]]
+    group = np.fromiter((r.group for r in records), dtype=np.int64, count=len(records))
+    return LabeledDataset(turbine_id, time, channel_matrix(records), group, label)
 
 
 def summarize(dataset: LabeledDataset) -> DatasetSummary:
@@ -401,7 +426,7 @@ def summarize(dataset: LabeledDataset) -> DatasetSummary:
     counts = dataset.label_counts()
     span = None
     if len(dataset) > 0:
-        span = (dataset.records[0].record.time, dataset.records[-1].record.time)
+        span = (int(dataset.time[0]), int(dataset.time[-1]))
     return DatasetSummary(
         turbine_id=dataset.turbine_id,
         n_normal=counts[Label.NORMAL],
@@ -413,29 +438,41 @@ def summarize(dataset: LabeledDataset) -> DatasetSummary:
 
 def write_labeled_csv(dataset: LabeledDataset, sink) -> None:
     """Internal labeled-dataset file: the 28 SCADA columns plus `label`."""
-    _write_rows(sink, ("label",), ((lr.record, [lr.label.value]) for lr in dataset.records))
+    names = [label.value for label in LABELS]
+    labels = (names[code] for code in dataset.label.tolist())
+    rows = zip(dataset.time.tolist(), dataset.channels.tolist(), dataset.group.tolist(), labels)
+    _write_rows(sink, ("label",), rows)
 
 
 def read_labeled_csv(source, turbine_id: str = "") -> LabeledDataset:
     """Read a file written by write_labeled_csv."""
-    labeled: list[LabeledRecord] = []
-    for row_no, record, (label_cell,) in _scada_rows(source, ("label",), "labeled dataset file"):
+    times: list[int] = []
+    rows: list[list[float]] = []
+    groups: list[int] = []
+    codes: list[int] = []
+    for row_no, time, values, group, (label_cell,) in _scada_rows(source, ("label",), "labeled dataset file"):
         try:
             label = Label(label_cell.strip())
         except ValueError:
             raise NonNumericCell(row_no, "label", label_cell) from None
-        labeled.append(LabeledRecord(record, label))
-    return LabeledDataset(turbine_id=turbine_id, records=tuple(labeled))
+        times.append(time)
+        rows.append(values)
+        groups.append(group)
+        codes.append(LABELS.index(label))
+    return LabeledDataset(
+        turbine_id,
+        np.array(times, dtype=np.int64),
+        np.array(rows, dtype=float).reshape(len(rows), len(CHANNELS)),
+        np.array(groups, dtype=np.int64),
+        np.array(codes, dtype=np.int8),
+    )
 
 
-def channel_matrix(records: Sequence[ScadaRecord], channels: Sequence[str] = CHANNELS):
+def channel_matrix(records: Sequence[ScadaRecord], channels: Sequence[str] = CHANNELS) -> np.ndarray:
     """Extract the given channels as a float matrix of shape (n, len(channels))."""
-    import numpy as np
-
     if not records:
         return np.empty((0, len(channels)))
     getter = attrgetter(*channels)
     if len(channels) == 1:
         return np.array([[getter(r)] for r in records], dtype=float)
     return np.array([getter(r) for r in records], dtype=float)
-

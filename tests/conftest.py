@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icewatch.features import FeatureVector
-from icewatch.scada import CHANNELS, Label, LabeledDataset, LabeledRecord, ScadaRecord
+from icewatch.scada import CHANNELS, LABELS, Label, LabeledDataset, ScadaRecord, channel_matrix
 
 
 def make_record(time: int = 0, group: int = 1, **channels) -> ScadaRecord:
@@ -30,12 +30,30 @@ def make_fv(label: Label = Label.NORMAL, **fields) -> FeatureVector:
     return FeatureVector(label=label, **values)
 
 
-def make_dataset(labels, turbine_id="T", start_time=0, dt=7) -> LabeledDataset:
-    records = tuple(
-        LabeledRecord(make_record(time=start_time + i * dt), label)
-        for i, label in enumerate(labels)
+def dataset_of(records, labels, turbine_id="T") -> LabeledDataset:
+    """A columnar dataset holding `records` with the given Label per record."""
+    return LabeledDataset(
+        turbine_id,
+        np.array([r.time for r in records], dtype=np.int64),
+        channel_matrix(records),
+        np.array([r.group for r in records], dtype=np.int64),
+        np.array([LABELS.index(label) for label in labels], dtype=np.int8),
     )
-    return LabeledDataset(turbine_id=turbine_id, records=records)
+
+
+def dataset_records(dataset: LabeledDataset) -> list[ScadaRecord]:
+    """The dataset's rows as records."""
+    rows = zip(dataset.time.tolist(), dataset.channels.tolist(), dataset.group.tolist())
+    return [ScadaRecord(time, *values, group) for time, values, group in rows]
+
+
+def dataset_labels(dataset: LabeledDataset) -> list[Label]:
+    return [LABELS[code] for code in dataset.label.tolist()]
+
+
+def make_dataset(labels, turbine_id="T", start_time=0, dt=7) -> LabeledDataset:
+    records = [make_record(time=start_time + i * dt) for i in range(len(labels))]
+    return dataset_of(records, labels, turbine_id)
 
 
 def random_record(rng: np.random.Generator, time: int = 0) -> ScadaRecord:

@@ -198,6 +198,18 @@ def _features_ma0(tmp_path):
     return ["features", "--data", str(tmp_path / "d.csv"), "--ma-window", "0", "--out", str(tmp_path / "f.csv")]
 
 
+def _features_under_sample(tmp_path):
+    # after the 10-step denoise drops 9 rows: 15 abnormal, 7 normal
+    write_labeled_csv(make_dataset([Label.ABNORMAL] * 24 + [Label.NORMAL] * 7), tmp_path / "d.csv")
+    return ["features", "--data", str(tmp_path / "d.csv"), "--balance", "under", "--out", str(tmp_path / "f.csv")]
+
+
+def _inspect_rules(tmp_path, rules_text):
+    write_labeled_csv(make_dataset([Label.NORMAL] * 12), tmp_path / "d.csv")
+    rules = _file(tmp_path / "r.json", rules_text)
+    return ["inspect-rules", "--data", str(tmp_path / "d.csv"), "--rules", rules]
+
+
 # (argv builder, exit code, expected part of the message)
 MALFORMED = {
     "knn_k-string": (
@@ -230,6 +242,14 @@ MALFORMED = {
     ),
     "bundle-without-denoise": (lambda t: _predict(t, {"model": {}}), 2, "bundle is missing key 'denoise'"),
     "bundle-without-model": (lambda t: _predict(t, {"denoise": {"window": 10}}), 2, "bundle is missing key 'model'"),
+    "bundle-not-object": (
+        lambda t: ["predict", "--bundle", _file(t / "b.json", "[1,2]"), "--scada", "B.csv", "--out", str(t / "l.csv")], 2,
+        "a bundle must be a JSON object, got list",
+    ),
+    "rules-not-objects": (
+        lambda t: _inspect_rules(t, "[1,2]"), 2, "a rule must be a JSON array of constraint objects",
+    ),
+    "under-sample-too-few-normal": (_features_under_sample, 3, "cannot under-sample: 7 normal < 15 abnormal"),
 }
 
 

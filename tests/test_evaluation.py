@@ -50,6 +50,15 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion([Label.INVALID], [N])
 
+    def test_int_arrays_checked_at_once(self):
+        actual = np.array([0, 0, 1, 1], dtype=np.int8)
+        c = confusion(actual, np.array([0, 1, 0, 1], dtype=np.int64))
+        assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
+        with pytest.raises(ValueError, match="label code must be 0 or 1, got 2"):
+            confusion(actual, np.array([0, 1, 2, 1]))
+        with pytest.raises(ValueError, match="label code must be 0 or 1, got 256"):
+            confusion(actual, np.array([0, 256, 1, 1]))
+
 
 class TestScore:
     def test_hand_value_exact(self):

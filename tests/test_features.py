@@ -1,23 +1,32 @@
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_fv, make_record, random_record
+from conftest import dataset_labels, dataset_of, dataset_records, make_fv, make_record, random_record
 from icewatch.errors import DegenerateDenominator, InvalidLabel, SingleClassDataset
 from icewatch.features import (
+    FEATURE_FIELDS,
     FEATURE_IDS,
     assemble_feature_vector,
+    dataset_features,
     engineer_record,
     feature_matrix,
     feature_value,
+    feature_vectors,
     fisher_score,
     physical_features,
     rank_features,
     statistical_features,
     write_feature_csv,
 )
-from icewatch.scada import Label
+from icewatch.preprocess import DenoiseConfig, denoise_dataset, drop_invalid
+from icewatch.scada import Label, apply_label_windows
+from icewatch.synthgen import config_from_dict, make_turbine_pair, profile_from_dict
+
+SMOKE = Path(__file__).resolve().parent.parent / "configs" / "experiment_smoke.json"
 
 
 class TestStatistical:
@@ -112,6 +121,64 @@ class TestAssemble:
                 assert getattr(er, name) == value
 
 
+def _per_record(records, labels):
+    """The reference path: engineer and assemble one record at a time."""
+    return [assemble_feature_vector(engineer_record(r), label) for r, label in zip(records, labels)]
+
+
+class TestDatasetFeatures:
+    def test_smoke_turbine_bitwise_equal_to_per_record_path(self):
+        pair = json.loads(SMOKE.read_text())["data"]["pair"]
+        turbine_a, _ = make_turbine_pair(config_from_dict(pair["base"]), profile_from_dict(pair["profile"]))
+        dataset = apply_label_windows(turbine_a.records, turbine_a.truth_windows, "A")
+        prep = denoise_dataset(drop_invalid(dataset), DenoiseConfig())
+        expected = _per_record(dataset_records(prep), dataset_labels(prep))
+        X_ref = np.array([[getattr(fv, FEATURE_FIELDS[fid]) for fid in FEATURE_IDS] for fv in expected])
+        y_ref = np.array([int(fv.label is Label.ABNORMAL) for fv in expected], dtype=np.int8)
+
+        X, y = dataset_features(prep)
+        assert X.shape == (len(prep), len(FEATURE_IDS))
+        assert X.tobytes() == X_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        vectors = feature_vectors(prep)
+        assert vectors == expected
+        assert feature_matrix(vectors)[0].tobytes() == X_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad_rows, channel, value",
+        [
+            # the first offending row decides, even if a later row fails on wind
+            ({1: dict(generator_speed=-5.0), 2: dict(wind_speed=-5.0)}, "generator_speed", -5.0),
+            # within one row wind speed is checked first
+            ({2: dict(wind_speed=-5 + 1e-7, generator_speed=-6.0)}, "wind_speed", -5 + 1e-7),
+        ],
+    )
+    def test_degenerate_row_raises_like_per_record_path(self, bad_rows, channel, value):
+        records = [make_record(time=i, **bad_rows.get(i, {})) for i in range(4)]
+        labels = [Label.NORMAL] * 4
+        with pytest.raises(DegenerateDenominator) as per_record:
+            _per_record(records, labels)
+        with pytest.raises(DegenerateDenominator) as columnar:
+            dataset_features(dataset_of(records, labels))
+        assert columnar.value.channel == per_record.value.channel == channel
+        assert str(columnar.value) == str(per_record.value)
+        assert repr(value) in str(columnar.value)
+
+    def test_first_failing_row_decides_between_degenerate_and_invalid(self):
+        N, I = Label.NORMAL, Label.INVALID
+        records = [make_record(time=i, wind_speed=-5.0 if i == 1 else 0.0) for i in range(3)]
+        cases = (([N, N, I], DegenerateDenominator), ([N, I, N], DegenerateDenominator), ([I, N, N], InvalidLabel))
+        for labels, error in cases:
+            with pytest.raises(error):
+                _per_record(records, labels)
+            with pytest.raises(error):
+                dataset_features(dataset_of(records, labels))
+
+    def test_empty_dataset(self):
+        X, y = dataset_features(dataset_of([], []))
+        assert X.shape == (0, len(FEATURE_IDS)) and y.shape == (0,)
+
+
 class TestRankFeatures:
     def _vectors(self, rng, n=400, shift=10.0):
         vectors = []
@@ -124,7 +191,7 @@ class TestRankFeatures:
 
     def test_separating_feature_ranks_first(self, rng):
         vectors = self._vectors(rng)
-        ranking = rank_features(vectors)
+        ranking = rank_features(*feature_matrix(vectors))
         assert ranking[0][0] == "x4"
         # oracle: recompute the Fisher score directly
         X, y = feature_matrix(vectors)
@@ -134,21 +201,21 @@ class TestRankFeatures:
 
     def test_identical_feature_scores_zero(self):
         vectors = [make_fv(label=Label.NORMAL), make_fv(label=Label.ABNORMAL)]
-        scores = dict(rank_features(vectors))
+        scores = dict(rank_features(*feature_matrix(vectors)))
         assert scores["x7"] == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataset):
-            rank_features([make_fv(), make_fv()])
+            rank_features(*feature_matrix([make_fv(), make_fv()]))
 
     def test_affine_rescale_keeps_order(self, rng):
         vectors = self._vectors(rng, shift=3.0)
-        base_order = [name for name, _ in rank_features(vectors)]
+        base_order = [name for name, _ in rank_features(*feature_matrix(vectors))]
         rescaled = [
             make_fv(label=fv.label, wind_speed=5.0 * fv.wind_speed - 7.0, power=fv.power * -0.5 + 1)
             for fv in vectors
         ]
-        assert [name for name, _ in rank_features(rescaled)] == base_order
+        assert [name for name, _ in rank_features(*feature_matrix(rescaled))] == base_order
 
 
 def test_feature_csv_export(rng):
@@ -157,7 +224,7 @@ def test_feature_csv_export(rng):
         make_fv(label=Label.ABNORMAL, wind_speed=-0.5),
     ]
     buf = io.StringIO()
-    write_feature_csv(vectors, buf)
+    write_feature_csv(*feature_matrix(vectors), buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == ",".join(FEATURE_IDS + ("y",))
     assert lines[1].endswith(",0")

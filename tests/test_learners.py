@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,16 @@ class TestSerialization:
         back = model_from_dict(model_to_dict(model))
         queries = rng.normal(size=(20, 4))
         assert np.array_equal(predict_batch(model, queries), predict_batch(back, queries))
+
+    def test_knn_row_norms_cached_not_serialized(self, rng):
+        X = rng.normal(size=(64, 4))
+        y = (X[:, 0] > 0).astype(np.int8)
+        model = train(LearnerConfig(algorithm="knn"), X, y)
+        assert model.sq_norms.tobytes() == np.einsum("ij,ij->i", model.X, model.X).tobytes()
+        doc = model_to_dict(model)
+        assert set(doc) == {"format", "kind", "k", "X", "y", "standardization"}
+        back = model_from_dict(json.loads(json.dumps(doc)))
+        assert back.sq_norms.tobytes() == model.sq_norms.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import dataset_labels, dataset_records
 from icewatch.errors import InvalidConfig, SegmentTooSmall
 from icewatch.features import feature_vectors
 from icewatch.learners import LearnerConfig
@@ -158,7 +159,7 @@ class TestBundle:
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
         back = bundle_from_dict(bundle_to_dict(bundle))
-        stream = [lr.record for lr in ds_a.records[:200]]
+        stream = dataset_records(ds_a)[:200]
         assert predict_stream(back, stream) == predict_stream(bundle, stream)
 
     def test_bundle_json_serializable(self):
@@ -181,7 +182,7 @@ class TestPredictStream:
     def test_partial_window_records_flagged(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
-        stream = [lr.record for lr in ds_a.records[:25]]
+        stream = dataset_records(ds_a)[:25]
         predictions = predict_stream(bundle, stream)
         assert all(p.low_confidence for p in predictions[:9])
         assert not any(p.low_confidence for p in predictions[9:])
@@ -191,7 +192,7 @@ class TestPredictStream:
         # a constant stream pinned at the median healthy operating point
         base, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
-        healthy = [lr.record for lr in ds_a.records if lr.label is Label.NORMAL]
+        healthy = [r for r, label in zip(dataset_records(ds_a), dataset_labels(ds_a)) if label is Label.NORMAL]
         from icewatch.scada import CHANNELS, channel_matrix
         from conftest import make_record
 
@@ -214,7 +215,7 @@ class TestPredictStream:
         _, ds_a, ds_b = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
         assert bundle.rule is None and bundle.segmentation is None
-        stream = [lr.record for lr in ds_b.records[:100]]
+        stream = dataset_records(ds_b)[:100]
         first = predict_stream(bundle, stream)
         second = predict_stream(bundle, stream)
         assert first == second

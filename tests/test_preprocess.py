@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import make_dataset, make_record
-from icewatch.errors import EmptyClass, InvalidConfig, WindowLargerThanSeries
+from conftest import dataset_labels, dataset_of, dataset_records, make_dataset, make_record, random_record
+from icewatch.errors import EmptyClass, InvalidConfig, TooFewNormal, WindowLargerThanSeries
 from icewatch.preprocess import (
     BalanceConfig,
     DenoiseConfig,
@@ -11,7 +14,7 @@ from icewatch.preprocess import (
     oversample_order,
     undersample_order,
 )
-from icewatch.scada import Label, LabeledDataset, LabeledRecord
+from icewatch.scada import CHANNELS, Label, channel_matrix
 
 N, A, I = Label.NORMAL, Label.ABNORMAL, Label.INVALID
 
@@ -20,8 +23,8 @@ class TestDropInvalid:
     def test_filters_invalid(self):
         ds = make_dataset([N, I, A])
         out = drop_invalid(ds)
-        assert [lr.label for lr in out.records] == [N, A]
-        assert out.records[0] is ds.records[0]
+        assert dataset_labels(out) == [N, A]
+        assert dataset_records(out) == [dataset_records(ds)[0], dataset_records(ds)[2]]
 
     def test_all_invalid(self):
         out = drop_invalid(make_dataset([I, I, I]))
@@ -30,9 +33,9 @@ class TestDropInvalid:
 
 def moving_average(series, window: int) -> np.ndarray:
     """denoise_dataset's trailing mean over a series carried in one channel."""
-    ds = LabeledDataset("T", tuple(LabeledRecord(make_record(time=i, power=float(v)), N) for i, v in enumerate(series)))
+    ds = dataset_of([make_record(time=i, power=float(v)) for i, v in enumerate(series)], [N] * len(series))
     out = denoise_dataset(ds, DenoiseConfig(window=window, channels=("power",)))
-    return np.array([lr.record.power for lr in out.records])
+    return np.array([r.power for r in dataset_records(out)])
 
 
 class TestMovingAverage:
@@ -71,17 +74,14 @@ class TestDenoise:
         ds = make_dataset([N] * 20)
         out = denoise_dataset(ds, DenoiseConfig(window=10))
         assert len(out) == 11
-        assert out.records[0].record.wind_speed == 0.0
-        assert out.records[0].record.time == ds.records[9].record.time
+        assert dataset_records(out)[0].wind_speed == 0.0
+        assert dataset_records(out)[0].time == dataset_records(ds)[9].time
 
     def test_full_window_mean(self):
-        records = tuple(
-            LabeledRecord(make_record(time=i, power=float(i)), N) for i in range(10)
-        )
-        ds = LabeledDataset(turbine_id="T", records=records)
+        ds = dataset_of([make_record(time=i, power=float(i)) for i in range(10)], [N] * 10)
         out = denoise_dataset(ds, DenoiseConfig(window=10))
         assert len(out) == 1
-        assert out.records[0].record.power == pytest.approx(np.mean(range(10)), rel=1e-12)
+        assert dataset_records(out)[0].power == pytest.approx(np.mean(range(10)), rel=1e-12)
 
     def test_window_one_identity(self):
         ds = make_dataset([N, A, N])
@@ -91,21 +91,40 @@ class TestDenoise:
         labels = [N, N, N, A, A]
         ds = make_dataset(labels)
         out = denoise_dataset(ds, DenoiseConfig(window=3))
-        assert [lr.label for lr in out.records] == [N, A, A]
+        assert dataset_labels(out) == [N, A, A]
 
     def test_window_larger_than_dataset(self):
         with pytest.raises(WindowLargerThanSeries):
             denoise_dataset(make_dataset([N, A]), DenoiseConfig(window=10))
 
     def test_only_configured_channels_smoothed(self):
-        records = tuple(
-            LabeledRecord(make_record(time=i, power=float(i), wind_speed=float(i)), N)
-            for i in range(4)
-        )
-        ds = LabeledDataset(turbine_id="T", records=records)
+        ds = dataset_of([make_record(time=i, power=float(i), wind_speed=float(i)) for i in range(4)], [N] * 4)
         out = denoise_dataset(ds, DenoiseConfig(window=2, channels=("power",)))
-        assert out.records[0].record.power == 0.5
-        assert out.records[0].record.wind_speed == 1.0  # untouched
+        assert dataset_records(out)[0].power == 0.5
+        assert dataset_records(out)[0].wind_speed == 1.0  # untouched
+
+
+def per_record_denoise(records, cfg: DenoiseConfig):
+    """The per-record reference: stack the records, take the trailing
+    window mean, and rebuild each surviving record around its means."""
+    w = cfg.window
+    means = sliding_window_view(channel_matrix(records, cfg.channels), w, axis=0).mean(axis=-1)
+    return [
+        replace(records[i + w - 1], **{ch: float(means[i, k]) for k, ch in enumerate(cfg.channels)})
+        for i in range(means.shape[0])
+    ]
+
+
+@pytest.mark.parametrize("channels", [CHANNELS, ("power",), ("pitch3_ng5_DC", "wind_speed", "acc_x")])
+def test_denoise_matches_per_record_path(channels, rng):
+    records = [random_record(rng, time=i * 7) for i in range(120)]
+    labels = [A if 40 <= i < 70 else N for i in range(120)]
+    cfg = DenoiseConfig(window=10, channels=channels)
+    out = denoise_dataset(dataset_of(records, labels), cfg)
+    expected = per_record_denoise(records, cfg)
+    assert dataset_records(out) == expected
+    assert out.channels.tobytes() == channel_matrix(expected).tobytes()
+    assert dataset_labels(out) == labels[9:]
 
 
 def mask(n_normal: int, n_abnormal: int) -> np.ndarray:
@@ -140,7 +159,7 @@ class TestUnderSample:
             undersample_order(mask(0, 2), seed=0)
 
     def test_fewer_normal_than_abnormal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewNormal, match="cannot under-sample: 1 normal < 2 abnormal"):
             undersample_order(mask(1, 2), seed=0)
 
     def test_competition_scale_counts(self):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import make_record, random_record
+from conftest import dataset_labels, dataset_of, dataset_records, make_record, random_record
 from icewatch.errors import (
     EmptyFile,
     MissingColumn,
@@ -112,7 +112,7 @@ class TestWindows:
     def test_membership_half_open(self):
         records = [make_record(time=t) for t in (49, 50, 100, 149, 150)]
         ds = apply_label_windows(records, [LabelWindow(50, 150, WindowKind.ICING)])
-        assert [lr.label for lr in ds.records] == [
+        assert dataset_labels(ds) == [
             Label.INVALID,
             Label.ABNORMAL,
             Label.ABNORMAL,
@@ -127,11 +127,11 @@ class TestWindows:
             LabelWindow(160, 190, WindowKind.NORMAL),
         ]
         ds = apply_label_windows(records, windows)
-        assert ds.records[0].label is Label.INVALID
+        assert dataset_labels(ds)[0] is Label.INVALID
 
     def test_normal_window(self):
         ds = apply_label_windows([make_record(time=10)], [LabelWindow(0, 20, WindowKind.NORMAL)])
-        assert ds.records[0].label is Label.NORMAL
+        assert dataset_labels(ds)[0] is Label.NORMAL
 
     def test_overlap_rejected_across_classes(self):
         windows = [
@@ -147,7 +147,7 @@ class TestWindows:
             LabelWindow(150, 190, WindowKind.NORMAL),
         ]
         ds = apply_label_windows([make_record(time=150)], windows)
-        assert ds.records[0].label is Label.NORMAL
+        assert dataset_labels(ds)[0] is Label.NORMAL
 
     def test_order_independence(self, rng):
         records = [make_record(time=t) for t in range(0, 500, 7)]
@@ -157,11 +157,11 @@ class TestWindows:
             LabelWindow(200, 350, WindowKind.NORMAL),
             LabelWindow(400, 450, WindowKind.ICING),
         ]
-        reference = [lr.label for lr in apply_label_windows(records, windows).records]
+        reference = dataset_labels(apply_label_windows(records, windows))
         for _ in range(5):
             shuffled = list(windows)
             rng.shuffle(shuffled)
-            labels = [lr.label for lr in apply_label_windows(records, shuffled).records]
+            labels = dataset_labels(apply_label_windows(records, shuffled))
             assert labels == reference
 
     def test_partition_counts(self, rng):
@@ -199,9 +199,7 @@ class TestSummarize:
         assert s.turbine_id == "T1"
 
     def test_empty(self):
-        from icewatch.scada import LabeledDataset
-
-        s = summarize(LabeledDataset(turbine_id="x", records=()))
+        s = summarize(dataset_of([], [], "x"))
         assert (s.n_normal, s.n_abnormal, s.n_invalid) == (0, 0, 0)
         assert s.time_span is None
 
@@ -228,4 +226,6 @@ def test_labeled_csv_round_trip(rng):
     write_labeled_csv(ds, buf)
     buf.seek(0)
     back = read_labeled_csv(buf, "T9")
-    assert back == ds
+    assert back.turbine_id == ds.turbine_id
+    assert dataset_records(back) == dataset_records(ds) == records
+    assert dataset_labels(back) == dataset_labels(ds)

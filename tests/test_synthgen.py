@@ -3,6 +3,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import dataset_labels
 from icewatch.errors import InvalidConfig
 from icewatch.scada import Label, apply_label_windows
 from icewatch.synthgen import (
@@ -46,7 +47,7 @@ class TestGenerate:
     def test_truth_windows_reproduce_labels(self):
         out = generate_turbine(SynthConfig(duration=8000, seed=7))
         ds = apply_label_windows(out.records, out.truth_windows, "S")
-        assert tuple(lr.label for lr in ds.records) == out.truth_labels
+        assert tuple(dataset_labels(ds)) == out.truth_labels
 
     def test_ledger_matches_windows(self):
         out = generate_turbine(SynthConfig(duration=20000, seed=5))
