@@ -225,6 +225,8 @@ def _pipeline_configs(doc: dict) -> dict[str, PipelineConfig]:
 
 def _cmd_experiment(args) -> int:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"top level: expected object, got {doc!r}")
     if args.rule is not None:
         doc["rule"] = args.rule
     if args.segment_threshold is not None:

@@ -18,7 +18,7 @@ Tie rules, fixed so behavior is reproducible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .scada import Label
 NORMAL, ABNORMAL = 0, 1
 
 _KNN_CHUNK = 1024
+_KNN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -108,24 +109,40 @@ def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
 
 
 def _knn_predict_std(model: KnnModel, Q: np.ndarray) -> np.ndarray:
-    """Vote over already standardized queries."""
+    """Vote over already standardized queries.
+
+    The distance product runs on fixed chunks of _KNN_CHUNK query rows,
+    because BLAS may round differently for another block shape; everything
+    after it runs on _KNN_BLOCK-row slices of the product, in place, with
+    one scratch buffer. -2*G + (|q|^2 + |t|^2) is bitwise the textbook
+    |q|^2 + |t|^2 - 2*G: IEEE addition commutes and x - y == x + (-y).
+    """
     Xt, yt, k, t_sq = model.X, model.y, model.k, model.sq_norms
+    abnormal = yt == ABNORMAL
     out = np.empty(Q.shape[0], dtype=np.int8)
+    scratch = np.empty((min(_KNN_BLOCK, Q.shape[0]), Xt.shape[0]))
     for lo in range(0, Q.shape[0], _KNN_CHUNK):
         q = Q[lo : lo + _KNN_CHUNK]
-        d2 = (q * q).sum(axis=1)[:, None] + t_sq[None, :] - 2.0 * (q @ Xt.T)
-        np.maximum(d2, 0.0, out=d2)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        mask = d2 <= kth[:, None]
-        counts = mask.sum(axis=1)
-        votes = (mask & (yt == ABNORMAL)).sum(axis=1)
-        block = np.where(2 * votes >= k, ABNORMAL, NORMAL).astype(np.int8)
-        # distance ties straddling the k boundary: resolve by lower row index
-        for row in np.flatnonzero(counts != k):
-            nearest = np.argsort(d2[row], kind="stable")[:k]
-            v = int(yt[nearest].sum())
-            block[row] = ABNORMAL if 2 * v >= k else NORMAL
-        out[lo : lo + _KNN_CHUNK] = block
+        G = q @ Xt.T
+        q_sq = (q * q).sum(axis=1)
+        for r in range(0, q.shape[0], _KNN_BLOCK):
+            d2 = G[r : r + _KNN_BLOCK]
+            buf = scratch[: d2.shape[0]]
+            np.add(q_sq[r : r + _KNN_BLOCK, None], t_sq, out=buf)
+            d2 *= -2.0
+            d2 += buf
+            np.maximum(d2, 0.0, out=d2)
+            buf[...] = d2
+            buf.partition(k - 1, axis=1)
+            mask = d2 <= buf[:, k - 1 : k]
+            counts = mask.sum(axis=1)
+            mask &= abnormal
+            block = out[lo + r : lo + r + d2.shape[0]]
+            block[...] = 2 * mask.sum(axis=1) >= k  # True is ABNORMAL
+            # distance ties straddling the k boundary: resolve by lower row index
+            for row in np.flatnonzero(counts != k):
+                nearest = np.argsort(d2[row], kind="stable")[:k]
+                block[row] = 2 * int(yt[nearest].sum()) >= k
     return out
 
 
@@ -148,11 +165,44 @@ class CartNode:
         return self.feature is None
 
 
+class _FlatTree(NamedTuple):
+    """A tree as parallel node arrays, root at 0; feature -1 marks a leaf."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    klass: np.ndarray
+
+
+def _flatten(root: CartNode) -> _FlatTree:
+    nodes, children = [root], []
+    for node in nodes:  # breadth first: the loop visits the children it appends
+        if node.is_leaf:
+            children.append((0, 0))
+        else:
+            children.append((len(nodes), len(nodes) + 1))
+            nodes += [node.left, node.right]
+    left, right = np.array(children, dtype=np.intp).T
+    return _FlatTree(
+        feature=np.array([-1 if n.is_leaf else n.feature for n in nodes], dtype=np.intp),
+        threshold=np.array([0.0 if n.is_leaf else n.threshold for n in nodes]),
+        left=left,
+        right=right,
+        klass=np.array([n.klass for n in nodes], dtype=np.int8),
+    )
+
+
 @dataclass(frozen=True)
 class CartModel:
     root: CartNode
     max_depth: int
     min_leaf: int
+    # the tree as node arrays, derived from root and never serialized
+    flat: _FlatTree = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "flat", _flatten(self.root))
 
 
 def _gini(n_abnormal: float, n: float) -> float:
@@ -226,10 +276,19 @@ def _train_cart(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> CartModel:
     return CartModel(root=root, max_depth=cfg.cart_max_depth, min_leaf=cfg.cart_min_leaf)
 
 
-def _cart_predict_one(node: CartNode, x: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.klass
+def _cart_predict(model: CartModel, X: np.ndarray) -> np.ndarray:
+    """Descend all rows one level per step; a row stops at its leaf."""
+    tree = model.flat
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        feature = tree.feature[at]
+        internal = feature >= 0
+        rows, at, feature = rows[internal], at[internal], feature[internal]
+        goes_left = X[rows, feature] < tree.threshold[at]
+        node[rows] = np.where(goes_left, tree.left[at], tree.right[at])
+    return tree.klass[node]
 
 
 # --- MLP ---------------------------------------------------------------------
@@ -243,26 +302,55 @@ class MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) otherwise, so exp
+    never overflows. min(z, -z) is -|z| except that a NaN keeps its sign:
+    np.minimum returns its first NaN argument."""
+    e = np.exp(np.minimum(z, -z))
+    p = np.exp(np.minimum(z, 0.0))
+    e += 1.0
+    p /= e
+    return p
 
 
-def _mlp_forward(model: MlpModel, X_std: np.ndarray) -> list[np.ndarray]:
+def _mlp_forward(
+    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X_std: np.ndarray
+) -> list[np.ndarray]:
     """Activations per layer, input included; last entry is the output
     probability column."""
     activations = [X_std]
-    for W, b in zip(model.weights, model.biases):
-        activations.append(_sigmoid(activations[-1] @ W + b))
+    for W, b in zip(weights, biases):
+        z = activations[-1] @ W
+        z += b
+        activations.append(_sigmoid(z))
     return activations
+
+
+def _mlp_backward(
+    weights: Sequence[np.ndarray],
+    acts: list[np.ndarray],
+    t: np.ndarray,
+    grads_w: Sequence[np.ndarray],
+    grads_b: Sequence[np.ndarray],
+) -> None:
+    """Write the gradient of the mean cross-entropy for every weight and
+    bias into grads_w and grads_b, from the activations of one forward pass
+    and the float targets t."""
+    # logistic output + cross-entropy collapses to (p - y) / m
+    delta = acts[-1] - t[:, None]
+    delta /= t.shape[0]
+    for layer in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[layer].T, delta, out=grads_w[layer])
+        np.add.reduce(delta, axis=0, out=grads_b[layer])
+        if layer > 0:
+            a = acts[layer]
+            delta = delta @ weights[layer].T
+            delta *= a
+            delta *= 1.0 - a
 
 
 def mlp_probability(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X_std = model.standardization.apply(np.asarray(X, dtype=float))
-    return _mlp_forward(model, X_std)[-1][:, 0]
+    return _mlp_forward(model.weights, model.biases, X_std)[-1][:, 0]
 
 
 def mlp_loss(model: MlpModel, X: np.ndarray, y: Sequence[int]) -> float:
@@ -280,57 +368,61 @@ def mlp_gradient(
 
     X is raw (unstandardized); the model's own standardization is applied,
     matching mlp_loss, so finite differences of mlp_loss check this exactly.
+    Training runs the same backward pass.
     """
     t = np.asarray(y, dtype=float)
     if t.size == 0:
         raise EmptyMatrix()
     X_std = model.standardization.apply(np.asarray(X, dtype=float))
-    acts = _mlp_forward(model, X_std)
-    m = X_std.shape[0]
-    # logistic output + cross-entropy collapses to (p - y) / m
-    delta = (acts[-1] - t[:, None]) / m
-    grads_w: list[np.ndarray] = []
-    grads_b: list[np.ndarray] = []
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w.append(acts[layer].T @ delta)
-        grads_b.append(delta.sum(axis=0))
-        if layer > 0:
-            a = acts[layer]
-            delta = (delta @ model.weights[layer].T) * a * (1.0 - a)
-    grads_w.reverse()
-    grads_b.reverse()
+    grads_w = [np.empty_like(W) for W in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    _mlp_backward(model.weights, _mlp_forward(model.weights, model.biases, X_std), t, grads_w, grads_b)
     return grads_w, grads_b
 
 
+def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight matrices and bias vectors of a layer stack, as views into one
+    flat array: each layer's weights, then its biases."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 def _train_mlp(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> MlpModel:
+    """Minibatch SGD, with the weights of the plain loop bit for bit:
+    standardizing once and then gathering rows gives the values of
+    standardizing each batch (the transform is elementwise), and
+    g *= lr; theta -= g is theta - lr * g. All weights and biases are views
+    into one parameter vector and all gradients into one gradient vector,
+    so a step's update is two array operations."""
     n = X.shape[0]
     if n < cfg.mlp_batch_size:
         raise TooFewSamples(cfg.mlp_batch_size, n)
     params = standardize_fit(X)
     sizes = [X.shape[1], *cfg.mlp_hidden, 1]
+    n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    theta, grad = np.zeros(n_params), np.empty(n_params)
+    weights, biases = _layer_views(theta, sizes)
+    grads_w, grads_b = _layer_views(grad, sizes)
     rng = np.random.default_rng(cfg.seed)
-    weights = tuple(
-        rng.normal(0.0, cfg.mlp_init_scale, size=(fan_in, fan_out))
-        for fan_in, fan_out in zip(sizes, sizes[1:])
-    )
-    biases = tuple(np.zeros(fan_out) for fan_out in sizes[1:])
-    model = MlpModel(weights=weights, biases=biases, standardization=params)
-
+    for W in weights:
+        W[...] = rng.normal(0.0, cfg.mlp_init_scale, size=W.shape)
+    X_std = params.apply(X)
+    targets = y.astype(float)
+    lr, size = cfg.mlp_learning_rate, cfg.mlp_batch_size
     for _ in range(cfg.mlp_epochs):
         perm = rng.permutation(n)
-        for lo in range(0, n, cfg.mlp_batch_size):
-            batch = perm[lo : lo + cfg.mlp_batch_size]
-            grads_w, grads_b = mlp_gradient(model, X[batch], y[batch])
-            model = MlpModel(
-                weights=tuple(
-                    W - cfg.mlp_learning_rate * g for W, g in zip(model.weights, grads_w)
-                ),
-                biases=tuple(
-                    b - cfg.mlp_learning_rate * g for b, g in zip(model.biases, grads_b)
-                ),
-                standardization=params,
-            )
-    return model
+        X_epoch, t_epoch = X_std[perm], targets[perm]
+        for lo in range(0, n, size):
+            acts = _mlp_forward(weights, biases, X_epoch[lo : lo + size])
+            _mlp_backward(weights, acts, t_epoch[lo : lo + size], grads_w, grads_b)
+            grad *= lr
+            theta -= grad
+    return MlpModel(weights=tuple(weights), biases=tuple(biases), standardization=params)
 
 
 # --- shared contract -----------------------------------------------------------
@@ -366,7 +458,7 @@ def predict_batch(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     if isinstance(model, KnnModel):
         return _knn_predict_std(model, model.standardization.apply(X))
     if isinstance(model, CartModel):
-        return np.array([_cart_predict_one(model.root, row) for row in X], dtype=np.int8)
+        return _cart_predict(model, X)
     p = mlp_probability(model, X)
     return np.where(p >= 0.5, ABNORMAL, NORMAL).astype(np.int8)
 
@@ -386,10 +478,24 @@ def _params_to_dict(p: StandardizationParams) -> dict:
     return {"mean": p.mean.tolist(), "std": p.std.tolist()}
 
 
+def _array(value, what: str, ndim: int, dtype=float) -> np.ndarray:
+    """A bundle's JSON array as an ndim-dimensional numpy array."""
+    try:
+        out = np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"model {what}: expected a numeric array") from None
+    if out.ndim != ndim:
+        raise InvalidConfig(f"model {what}: expected {ndim} dimensions, got shape {out.shape}")
+    return out
+
+
 def _params_from_dict(doc: dict) -> StandardizationParams:
-    return StandardizationParams(
-        mean=np.array(doc["mean"], dtype=float), std=np.array(doc["std"], dtype=float)
-    )
+    if not isinstance(doc, dict):
+        raise InvalidConfig("model standardization: expected an object")
+    mean, std = _array(doc["mean"], "mean", 1), _array(doc["std"], "std", 1)
+    if mean.shape != std.shape:
+        raise InvalidConfig(f"model standardization: {mean.size} means but {std.size} deviations")
+    return StandardizationParams(mean=mean, std=std)
 
 
 def _node_to_dict(node: CartNode) -> dict:
@@ -410,18 +516,29 @@ def _node_to_dict(node: CartNode) -> dict:
 
 
 def _node_from_dict(doc: dict) -> CartNode:
-    common = dict(
-        n=int(doc["n"]),
-        impurity=float(doc["impurity"]),
-        klass=int(doc["class"]),
-        proportions=(float(doc["proportions"][0]), float(doc["proportions"][1])),
-    )
-    if "feature" not in doc:
+    if not isinstance(doc, dict):
+        raise InvalidConfig("cart model: a tree node must be an object")
+    try:
+        common = dict(
+            n=int(doc["n"]),
+            impurity=float(doc["impurity"]),
+            klass=int(doc["class"]),
+            proportions=(float(doc["proportions"][0]), float(doc["proportions"][1])),
+        )
+        split = None if "feature" not in doc else (int(doc["feature"]), float(doc["threshold"]))
+    except (TypeError, ValueError, OverflowError, IndexError):
+        raise InvalidConfig("cart model: malformed tree node") from None
+    if common["klass"] not in (NORMAL, ABNORMAL):
+        raise InvalidConfig(f"cart model: node class must be 0 or 1, got {common['klass']}")
+    if split is None:
         return CartNode(**common)
+    feature, threshold = split
+    if feature < 0:
+        raise InvalidConfig(f"cart model: feature index must be >= 0, got {feature}")
     return CartNode(
         **common,
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
+        feature=feature,
+        threshold=threshold,
         left=_node_from_dict(doc["left"]),
         right=_node_from_dict(doc["right"]),
     )
@@ -456,26 +573,65 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
+    """Inverse of model_to_dict. Shapes are checked, so a malformed model
+    raises InvalidConfig here instead of failing inside predict."""
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"a model must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise InvalidConfig(f"unsupported model format {doc.get('format')!r}")
     kind = doc.get("kind")
     if kind == "knn":
-        return KnnModel(
-            k=int(doc["k"]),
-            X=np.array(doc["X"], dtype=float),
-            y=np.array(doc["y"], dtype=np.int8),
-            standardization=_params_from_dict(doc["standardization"]),
-        )
+        return _knn_from_dict(doc)
     if kind == "cart":
-        return CartModel(
-            root=_node_from_dict(doc["root"]),
-            max_depth=int(doc["max_depth"]),
-            min_leaf=int(doc["min_leaf"]),
-        )
+        root = _node_from_dict(doc["root"])
+        try:
+            return CartModel(root=root, max_depth=int(doc["max_depth"]), min_leaf=int(doc["min_leaf"]))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfig("cart model: max_depth and min_leaf must be integers") from None
     if kind == "mlp":
-        return MlpModel(
-            weights=tuple(np.array(W, dtype=float) for W in doc["weights"]),
-            biases=tuple(np.array(b, dtype=float) for b in doc["biases"]),
-            standardization=_params_from_dict(doc["standardization"]),
-        )
+        return _mlp_from_dict(doc)
     raise InvalidConfig(f"unknown model kind {kind!r}")
+
+
+def _knn_from_dict(doc: dict) -> KnnModel:
+    X, y = _array(doc["X"], "X", 2), _array(doc["y"], "y", 1, np.int8)
+    params = _params_from_dict(doc["standardization"])
+    k = doc["k"]
+    if X.shape[0] != y.size:
+        raise InvalidConfig(f"knn model: {X.shape[0]} training rows but {y.size} labels")
+    if X.shape[1] != params.mean.size:
+        raise InvalidConfig(f"knn model: {X.shape[1]} columns but {params.mean.size} standardized features")
+    if type(k) is not int or not 1 <= k <= y.size:
+        raise InvalidConfig(f"knn model: k must be an integer in 1..{y.size}, got {k!r}")
+    if not np.isin(y, (NORMAL, ABNORMAL)).all():
+        raise InvalidConfig("knn model: labels must be 0 or 1")
+    return KnnModel(k=k, X=X, y=y, standardization=params)
+
+
+def _mlp_from_dict(doc: dict) -> MlpModel:
+    params = _params_from_dict(doc["standardization"])
+    layers = doc["weights"], doc["biases"]
+    if not all(isinstance(part, list) for part in layers) or len(layers[0]) != len(layers[1]) or not layers[0]:
+        raise InvalidConfig("mlp model: weights and biases must be arrays of equal, non-zero length")
+    weights = tuple(_array(W, "weights", 2) for W in layers[0])
+    biases = tuple(_array(b, "biases", 1) for b in layers[1])
+    fan_in = params.mean.size
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        if W.shape[0] != fan_in or b.shape != (W.shape[1],):
+            raise InvalidConfig(
+                f"mlp model: layer {i} has weights {W.shape} and biases {b.shape} after {fan_in} inputs"
+            )
+        fan_in = W.shape[1]
+    if fan_in != 1:
+        raise InvalidConfig(f"mlp model: the last layer must have one output, got {fan_in}")
+    return MlpModel(weights=weights, biases=biases, standardization=params)
+
+
+def check_input_width(model: TrainedModel, width: int) -> None:
+    """Raise InvalidConfig unless the model reads rows of `width` features."""
+    if isinstance(model, CartModel):
+        needed = int(model.flat.feature.max()) + 1
+        if needed > width:
+            raise InvalidConfig(f"cart model splits on feature {needed - 1}, but rows have {width} features")
+    elif model.standardization.mean.size != width:
+        raise InvalidConfig(f"model reads {model.standardization.mean.size} features, but rows have {width}")

@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +42,7 @@ from .evaluation import (
     score,
 )
 from .features import (
+    FEATURE_IDS,
     FeatureVector,
     assemble_feature_vector,
     dataset_features,
@@ -71,7 +70,7 @@ from .rules import (
     segment as segment_vectors,
     strong_rule_filter,
 )
-from .scada import Label, LabeledDataset, ScadaRecord, channel_matrix
+from .scada import CHANNELS, Label, LabeledDataset, ScadaRecord, channel_matrix
 from .schema import from_dict
 
 REPORT_FORMAT = 1
@@ -187,36 +186,6 @@ def _run_seeds(cfg: PipelineConfig) -> list[int]:
     return [derive_seed(cfg.master_seed, i) for i in range(cfg.n_runs)]
 
 
-_T = TypeVar("_T")
-
-
-def _max_workers(n_runs: int) -> int:
-    """Parallelism cap from ICEWATCH_THREADS (0 = auto, unset = sequential)."""
-    raw = os.environ.get("ICEWATCH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"ICEWATCH_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise InvalidConfig(f"ICEWATCH_THREADS must be >= 0, got {value}")
-    if value == 0:
-        value = os.cpu_count() or 1
-    return max(1, min(value, n_runs))
-
-
-def _map_runs(fn: Callable[[int], _T], n_runs: int) -> list[_T]:
-    """Run the per-seed closure for every run index, optionally in parallel.
-    Results come back ordered by run index, and every seed is pre-derived,
-    so the output is byte-identical to sequential execution."""
-    workers = _max_workers(n_runs)
-    if workers == 1:
-        return [fn(i) for i in range(n_runs)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_runs)))
-
-
 # --- traditional flow -----------------------------------------------------------
 
 
@@ -240,7 +209,7 @@ def run_traditional(
         predicted = learners.predict_batch(model, X_test)
         return cv, score(confusion(y_test, predicted))
 
-    results = _map_runs(one_run, cfg.n_runs)
+    results = [one_run(i) for i in range(cfg.n_runs)]
     cv_scores = [cv for cv, _ in results]
     test_scores = [t for _, t in results]
 
@@ -323,7 +292,7 @@ def run_reengineered(
         pooled_test = score(confusion(np.concatenate(actual_parts), np.concatenate(predicted_parts)))
         return run_cv, run_test, pooled_cv, pooled_test
 
-    results = _map_runs(one_run, cfg.n_runs)
+    results = [one_run(i) for i in range(cfg.n_runs)]
     cv_scores = {s: [r[0][s] for r in results] for s in Segment}
     test_scores = {s: [r[1][s] for r in results] for s in Segment}
     pooled_cv = [r[2] for r in results]
@@ -476,20 +445,27 @@ def bundle_from_dict(doc: dict) -> ModelBundle:
         raise InvalidConfig(f"unsupported bundle format {doc.get('format')!r}")
     try:
         denoise = from_dict(DenoiseConfig, doc["denoise"])
-        if doc["variant"] == "traditional":
-            return ModelBundle(
-                variant="traditional",
-                denoise=denoise,
-                raw_features=bool(doc.get("raw_features", False)),
-                model=learners.model_from_dict(doc["model"]),
-            )
+        variant = doc["variant"]
+        if variant == "traditional":
+            raw_features = bool(doc.get("raw_features", False))
+            model = learners.model_from_dict(doc["model"])
+            learners.check_input_width(model, len(CHANNELS) if raw_features else len(FEATURE_IDS))
+            return ModelBundle(variant=variant, denoise=denoise, raw_features=raw_features, model=model)
+        if variant != "reengineered":
+            raise InvalidConfig(f"unknown bundle variant {variant!r}")
+        rule = doc["rule"]
+        if not isinstance(rule, dict):
+            raise InvalidConfig(f"bundle rule: expected an object, got {rule!r}")
+        low, high = learners.model_from_dict(doc["low_model"]), learners.model_from_dict(doc["high_model"])
+        for model in (low, high):
+            learners.check_input_width(model, len(FEATURE_IDS))
         return ModelBundle(
-            variant="reengineered",
+            variant=variant,
             denoise=denoise,
-            rule=rule_from_json(doc["rule"]["constraints"], rule_id=doc["rule"]["id"]),
-            segmentation=SegmentationConfig(threshold=float(doc["segment_threshold"])),
-            low_model=learners.model_from_dict(doc["low_model"]),
-            high_model=learners.model_from_dict(doc["high_model"]),
+            rule=rule_from_json(rule["constraints"], rule_id=rule["id"]),
+            segmentation=from_dict(SegmentationConfig, {"threshold": doc["segment_threshold"]}),
+            low_model=low,
+            high_model=high,
         )
     except KeyError as exc:
         raise InvalidConfig(f"bundle is missing key {exc}") from None

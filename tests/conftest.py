@@ -1,10 +1,26 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from icewatch.features import FeatureVector
 from icewatch.scada import CHANNELS, LABELS, Label, LabeledDataset, ScadaRecord, channel_matrix
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """Import perfbench/<name>.py, which is a script directory, not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_record(time: int = 0, group: int = 1, **channels) -> ScadaRecord:

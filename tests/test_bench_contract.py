@@ -4,28 +4,16 @@ helpers directly. A refactor that deletes or renames one of them fails
 here instead of first inside a traced benchmark run."""
 
 import importlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import PERFBENCH, load_perfbench
 from icewatch import cli, synthgen
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_traced_bindings_resolve():
-    tracer = _load("tracer")
+    tracer = load_perfbench("tracer")
     spans = set()
     for module_name, attrs in tracer.BINDINGS.items():
         module = importlib.import_module(module_name)
@@ -40,7 +28,7 @@ def test_traced_bindings_resolve():
 
 @pytest.mark.parametrize("seed", [13, 0])
 def test_setup_helpers_accept_every_workload_config(seed):
-    run = _load("run")
+    run = load_perfbench("run")
     for workload in run.WORKLOADS:
         doc, _ = run.workload_config(workload, seed)
         assert set(cli._pipeline_configs(doc)) == {"traditional", "reengineered"}

@@ -193,6 +193,11 @@ def _predict(tmp_path, bundle):
     return ["predict", "--bundle", str(path), "--scada", str(tmp_path / "B.csv"), "--out", str(tmp_path / "l.csv")]
 
 
+def _knn_model(X, mean):
+    std = {"mean": mean, "std": [1.0] * len(mean)}
+    return {"format": 1, "kind": "knn", "k": 1, "X": X, "y": [1] * len(X), "standardization": std}
+
+
 def _features_ma0(tmp_path):
     write_labeled_csv(make_dataset([Label.NORMAL] * 12), tmp_path / "d.csv")
     return ["features", "--data", str(tmp_path / "d.csv"), "--ma-window", "0", "--out", str(tmp_path / "f.csv")]
@@ -245,6 +250,25 @@ MALFORMED = {
     "bundle-not-object": (
         lambda t: ["predict", "--bundle", _file(t / "b.json", "[1,2]"), "--scada", "B.csv", "--out", str(t / "l.csv")], 2,
         "a bundle must be a JSON object, got list",
+    ),
+    "bundle-rule-not-object": (
+        lambda t: _predict(t, {"variant": "reengineered", "denoise": {"window": 10}, "rule": [1], "segment_threshold": 0}), 2,
+        "bundle rule: expected an object, got [1]",
+    ),
+    "bundle-model-not-object": (
+        lambda t: _predict(t, {"denoise": {"window": 10}, "model": [1]}), 2, "a model must be a JSON object, got list",
+    ),
+    "bundle-knn-width-mismatch": (
+        lambda t: _predict(t, {"denoise": {"window": 10}, "model": _knn_model([[1, 2]], mean=[0])}), 2,
+        "knn model: 2 columns but 1 standardized features",
+    ),
+    "bundle-knn-not-ten-features": (
+        lambda t: _predict(t, {"denoise": {"window": 10}, "model": _knn_model([[1, 2]], mean=[0, 0])}), 2,
+        "model reads 2 features, but rows have 10",
+    ),
+    "experiment-not-object-with-rule": (
+        lambda t: ["experiment", "--config", _file(t / "e.json", "[1,2]"), "--rule", "R5", "--out-dir", str(t / "o")], 2,
+        "top level: expected object, got [1, 2]",
     ),
     "rules-not-objects": (
         lambda t: _inspect_rules(t, "[1,2]"), 2, "a rule must be a JSON array of constraint objects",

@@ -1,0 +1,201 @@
+"""Parity of the learner kernels with their plain forms.
+
+The MLP training loop standardizes once, updates one flat parameter vector
+in place and shares one backward pass with mlp_gradient; the KNN vote works
+in place on row blocks of each distance product; CART descends level by
+level over flat node arrays. Each must give the same bits as the plain
+version below: weights and gradients for the MLP, labels for KNN and CART.
+"""
+
+import numpy as np
+import pytest
+
+from icewatch.learners import (
+    ABNORMAL,
+    NORMAL,
+    CartModel,
+    LearnerConfig,
+    MlpModel,
+    _sigmoid,
+    mlp_gradient,
+    predict_batch,
+    standardize_fit,
+    train,
+)
+
+_KNN_CHUNK = 1024
+
+
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_train_mlp(cfg, X, y):
+    """One MlpModel per step, each batch standardized on its own."""
+    n = X.shape[0]
+    params = standardize_fit(X)
+    sizes = [X.shape[1], *cfg.mlp_hidden, 1]
+    rng = np.random.default_rng(cfg.seed)
+    weights = tuple(
+        rng.normal(0.0, cfg.mlp_init_scale, size=(fan_in, fan_out))
+        for fan_in, fan_out in zip(sizes, sizes[1:])
+    )
+    biases = tuple(np.zeros(fan_out) for fan_out in sizes[1:])
+    model = MlpModel(weights=weights, biases=biases, standardization=params)
+    for _ in range(cfg.mlp_epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, cfg.mlp_batch_size):
+            batch = perm[lo : lo + cfg.mlp_batch_size]
+            grads_w, grads_b = reference_gradient(model, X[batch], y[batch])
+            model = MlpModel(
+                weights=tuple(W - cfg.mlp_learning_rate * g for W, g in zip(model.weights, grads_w)),
+                biases=tuple(b - cfg.mlp_learning_rate * g for b, g in zip(model.biases, grads_b)),
+                standardization=params,
+            )
+    return model
+
+
+def reference_gradient(model, X, y):
+    t = np.asarray(y, dtype=float)
+    X_std = model.standardization.apply(np.asarray(X, dtype=float))
+    acts = [X_std]
+    for W, b in zip(model.weights, model.biases):
+        acts.append(reference_sigmoid(acts[-1] @ W + b))
+    delta = (acts[-1] - t[:, None]) / X_std.shape[0]
+    grads_w, grads_b = [], []
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w.append(acts[layer].T @ delta)
+        grads_b.append(delta.sum(axis=0))
+        if layer > 0:
+            a = acts[layer]
+            delta = (delta @ model.weights[layer].T) * a * (1.0 - a)
+    return grads_w[::-1], grads_b[::-1]
+
+
+def reference_knn_predict(model, Q):
+    """Whole-chunk distance matrices, a partitioned copy, the same tie rules."""
+    Q = model.standardization.apply(np.atleast_2d(np.asarray(Q, dtype=float)))
+    Xt, yt, k, t_sq = model.X, model.y, model.k, model.sq_norms
+    out = np.empty(Q.shape[0], dtype=np.int8)
+    for lo in range(0, Q.shape[0], _KNN_CHUNK):
+        q = Q[lo : lo + _KNN_CHUNK]
+        d2 = (q * q).sum(axis=1)[:, None] + t_sq[None, :] - 2.0 * (q @ Xt.T)
+        np.maximum(d2, 0.0, out=d2)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        mask = d2 <= kth[:, None]
+        counts = mask.sum(axis=1)
+        votes = (mask & (yt == ABNORMAL)).sum(axis=1)
+        block = np.where(2 * votes >= k, ABNORMAL, NORMAL).astype(np.int8)
+        for row in np.flatnonzero(counts != k):
+            nearest = np.argsort(d2[row], kind="stable")[:k]
+            v = int(yt[nearest].sum())
+            block[row] = ABNORMAL if 2 * v >= k else NORMAL
+        out[lo : lo + _KNN_CHUNK] = block
+    return out
+
+
+def reference_cart_predict(model: CartModel, X):
+    out = []
+    for x in np.atleast_2d(X):
+        node = model.root
+        while not node.is_leaf:
+            node = node.left if x[node.feature] < node.threshold else node.right
+        out.append(node.klass)
+    return np.array(out, dtype=np.int8)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _labeled(rng, n, d=10):
+    X = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d) + rng.normal(size=d)
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.7, size=n) > 0).astype(np.int8)
+    y[:2] = [0, 1]
+    return X, y
+
+
+SPECIAL = [0.0, -0.0, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+def test_sigmoid_bitwise_at_every_length():
+    rng = np.random.default_rng(5)
+    for scale in (0.1, 1.0, 10.0, 40.0, 300.0):
+        for n in range(1, 71):
+            z = rng.normal(scale=scale, size=n)
+            z[rng.integers(0, n)] = SPECIAL[n % len(SPECIAL)]
+            assert _same_bits(_sigmoid(z), reference_sigmoid(z)), (scale, n)
+    z = np.array(SPECIAL)
+    assert _same_bits(_sigmoid(z), reference_sigmoid(z))
+    assert _same_bits(_sigmoid(z.reshape(1, -1)), reference_sigmoid(z.reshape(1, -1)))
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_mlp_training_bitwise(hidden, epochs):
+    X, y = _labeled(np.random.default_rng(len(hidden) * 10 + epochs), 203)
+    # batch 32 leaves an 11-row remainder batch every epoch
+    cfg = LearnerConfig(algorithm="mlp", mlp_hidden=hidden, mlp_epochs=epochs, mlp_batch_size=32, seed=7)
+    got, want = train(cfg, X, y), reference_train_mlp(cfg, X, y)
+    assert len(got.weights) == len(want.weights) == len(hidden) + 1
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert _same_bits(a, b)
+    assert _same_bits(got.standardization.mean, want.standardization.mean)
+
+
+def test_mlp_gradient_bitwise():
+    rng = np.random.default_rng(2)
+    X, y = _labeled(rng, 37)
+    model = train(LearnerConfig(algorithm="mlp", mlp_hidden=(16, 8), mlp_epochs=1), X, y)
+    got, want = mlp_gradient(model, X, y), reference_gradient(model, X, y)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_knn_labels_match_reference(k):
+    rng = np.random.default_rng(k)
+    X, y = _labeled(rng, 300)
+    model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
+    # 1500 queries: one full chunk and a remainder chunk, each split in
+    # row blocks with a short last block
+    Q = np.vstack([_labeled(rng, 1500 - 40)[0], X[:40]])
+    assert _same_bits(predict_batch(model, Q), reference_knn_predict(model, Q))
+    for row in Q[:25]:
+        assert _same_bits(predict_batch(model, row), reference_knn_predict(model, row))
+
+
+def test_knn_tie_fallback_and_k_equal_to_n_train():
+    rng = np.random.default_rng(9)
+    base, labels = _labeled(rng, 40)
+    # every training row three times, with differing labels: distance ties
+    # straddle the k boundary and the lower-index fallback decides
+    X = np.vstack([base, base, base])
+    y = np.concatenate([labels, 1 - labels, labels]).astype(np.int8)
+    Q = np.vstack([base, _labeled(rng, 60)[0]])
+    for k in (1, 2, 3, 4, X.shape[0]):
+        model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
+        assert _same_bits(predict_batch(model, Q), reference_knn_predict(model, Q)), k
+
+
+def _thresholds(node):
+    if node.is_leaf:
+        return []
+    return [node.threshold, *_thresholds(node.left), *_thresholds(node.right)]
+
+
+def test_cart_labels_match_reference():
+    rng = np.random.default_rng(4)
+    X, y = _labeled(rng, 400)
+    model = train(LearnerConfig(algorithm="cart", cart_max_depth=8, cart_min_leaf=3), X, y)
+    # rows sitting exactly on split thresholds pin the strict < of the descent
+    on_split = np.repeat(np.array(_thresholds(model.root))[:, None], X.shape[1], axis=1)
+    Q = np.vstack([_labeled(rng, 500)[0], X, on_split])
+    Q[0, :] = np.nan
+    assert _same_bits(predict_batch(model, Q), reference_cart_predict(model, Q))
+    assert _same_bits(predict_batch(model, Q[3]), reference_cart_predict(model, Q[3]))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from icewatch.learners import (
     LearnerConfig,
     MlpModel,
     StandardizationParams,
+    check_input_width,
     mlp_gradient,
     mlp_loss,
     mlp_probability,
@@ -343,3 +345,58 @@ class TestSerialization:
             model_from_dict({"format": 1, "kind": "forest"})
         with pytest.raises(InvalidConfig):
             model_from_dict({"format": 99, "kind": "knn"})
+
+
+def _trained_doc(algorithm):
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] > 0).astype(np.int8)
+    y[:2] = [0, 1]
+    cfg = LearnerConfig(algorithm=algorithm, mlp_hidden=(4,), mlp_epochs=2, cart_min_leaf=2)
+    return json.loads(json.dumps(model_to_dict(train(cfg, X, y))))
+
+
+def _two_outputs(doc):
+    for row in doc["weights"][-1]:
+        row.append(0.0)
+    doc["biases"][-1].append(0.0)
+
+
+# (algorithm, edit of the serialized model, expected part of the message)
+MALFORMED_MODELS = {
+    "knn-rows-vs-labels": ("knn", lambda d: d["y"].pop(), "training rows but"),
+    "knn-k-zero": ("knn", lambda d: d.update(k=0), "k must be an integer in 1..40"),
+    "knn-k-above-n": ("knn", lambda d: d.update(k=41), "k must be an integer in 1..40"),
+    "knn-k-string": ("knn", lambda d: d.update(k="3"), "k must be an integer"),
+    "knn-label-2": ("knn", lambda d: d["y"].__setitem__(0, 2), "labels must be 0 or 1"),
+    "knn-ragged-X": ("knn", lambda d: d["X"][0].pop(), "model X: expected a numeric array"),
+    "knn-X-1d": ("knn", lambda d: d.update(X=d["X"][0]), "model X: expected 2 dimensions"),
+    "knn-std-length": ("knn", lambda d: d["standardization"]["std"].pop(), "3 means but 2 deviations"),
+    "mlp-first-fan-in": ("mlp", lambda d: d["weights"][0].pop(), "layer 0 has weights (2, 4)"),
+    "mlp-bias-length": ("mlp", lambda d: d["biases"][0].pop(), "layer 0 has weights (3, 4) and biases (3,)"),
+    "mlp-last-fan-out": ("mlp", _two_outputs, "the last layer must have one output, got 2"),
+    "mlp-no-layers": ("mlp", lambda d: d.update(weights=[], biases=[]), "weights and biases must be arrays"),
+    "cart-negative-feature": ("cart", lambda d: d["root"].update(feature=-1), "feature index must be >= 0"),
+    "cart-node-not-object": ("cart", lambda d: d["root"].update(left=[1]), "a tree node must be an object"),
+    "cart-threshold-list": ("cart", lambda d: d["root"].update(threshold=[0.5]), "malformed tree node"),
+    "cart-max-depth-inf": ("cart", lambda d: d.update(max_depth=float("inf")), "max_depth and min_leaf must be integers"),
+    "cart-class-3": ("cart", lambda d: d["root"].update({"class": 3}), "node class must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_rejected(case):
+    algorithm, edit, message = MALFORMED_MODELS[case]
+    doc = _trained_doc(algorithm)
+    model_from_dict(doc)  # the unedited document loads
+    edit(doc)
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
+def test_input_width_check(algorithm):
+    model = model_from_dict(_trained_doc(algorithm))
+    check_input_width(model, 3)
+    with pytest.raises(InvalidConfig):
+        check_input_width(model, 2 if algorithm != "cart" else int(model.flat.feature.max()))

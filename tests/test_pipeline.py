@@ -226,29 +226,6 @@ class TestPredictStream:
         assert predict_stream(bundle, []) == []
 
 
-class TestParallelRuns:
-    def test_threads_env_gives_identical_report(self, monkeypatch):
-        _, ds_a, ds_b = small_pair()
-        cfg = reengineered_cfg(n_runs=3)
-        monkeypatch.delenv("ICEWATCH_THREADS", raising=False)
-        sequential = report_to_dict(run_reengineered(ds_a, ds_b, cfg))
-        monkeypatch.setenv("ICEWATCH_THREADS", "3")
-        parallel = report_to_dict(run_reengineered(ds_a, ds_b, cfg))
-        assert parallel == sequential
-
-    def test_auto_and_invalid_values(self, monkeypatch):
-        from icewatch.pipeline import _max_workers
-
-        monkeypatch.setenv("ICEWATCH_THREADS", "0")
-        assert _max_workers(4) >= 1
-        monkeypatch.setenv("ICEWATCH_THREADS", "banana")
-        with pytest.raises(InvalidConfig):
-            _max_workers(4)
-        monkeypatch.setenv("ICEWATCH_THREADS", "-2")
-        with pytest.raises(InvalidConfig):
-            _max_workers(4)
-
-
 def test_traditional_raw_channel_baseline():
     _, ds_a, ds_b = small_pair()
     common = knn_common(n_runs=1)
