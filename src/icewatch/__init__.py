@@ -3,4 +3,4 @@ SCADA data, with a synthetic data generator for desk-scale experiments."""
 
 __version__ = "0.1.0"
 
-from .scada import Label, LabeledDataset, ScadaRecord  # noqa: F401
+from .scada import Frame, Label, LabeledDataset, ScadaRecord  # noqa: F401

@@ -97,9 +97,9 @@ def _dump_json(doc, path: Path) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    records = parse_scada_csv(args.scada, args.turbine_id)
+    frame = parse_scada_csv(args.scada, args.turbine_id)
     windows = parse_label_windows_csv(args.windows)
-    dataset = apply_label_windows(records, windows, args.turbine_id).require_time_order()
+    dataset = apply_label_windows(frame, windows, args.turbine_id).require_time_order()
     write_labeled_csv(dataset, args.out)
     s = summarize(dataset)
     print(
@@ -258,8 +258,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_predict(args) -> int:
     bundle_doc = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
     bundle = bundle_from_dict(bundle_doc)
-    records = parse_scada_csv(args.scada)
-    predictions = predict_stream(bundle, records)
+    predictions = predict_stream(bundle, parse_scada_csv(args.scada))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("time", "label", "confidence_flag"))

@@ -17,7 +17,7 @@ Tie rules, fixed so behavior is reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +83,10 @@ class LearnerConfig:
             raise InvalidConfig("mlp_batch_size must be >= 1")
         if self.mlp_init_scale <= 0:
             raise InvalidConfig("mlp_init_scale must be positive")
+
+    def seeded(self, seed: int) -> LearnerConfig:
+        """The same learner, initialized from `seed`."""
+        return replace(self, seed=seed)
 
 
 # --- KNN ---------------------------------------------------------------------

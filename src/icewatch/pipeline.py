@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +56,7 @@ from .preprocess import (
     DenoiseConfig,
     denoise_dataset,
     drop_invalid,
+    moving_average,
     oversample_order,
     undersample_order,
 )
@@ -70,7 +71,7 @@ from .rules import (
     segment as segment_vectors,
     strong_rule_filter,
 )
-from .scada import CHANNELS, Label, LabeledDataset, ScadaRecord, channel_matrix
+from .scada import CHANNELS, Frame, Label, LabeledDataset, ScadaRecord
 from .schema import from_dict
 
 REPORT_FORMAT = 1
@@ -203,7 +204,7 @@ def run_traditional(
         run_seed = seeds[i]
         order = _balance_order(y_train, cfg.balance, derive_seed(cfg.balance.seed, i))
         Xb, yb = X_train[order], y_train[order]
-        lcfg = replace(cfg.learner, seed=derive_seed(run_seed, 2))
+        lcfg = cfg.learner.seeded(derive_seed(run_seed, 2))
         cv = float(np.mean(crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(run_seed, 1))))
         model = learners.train(lcfg, Xb, yb)
         predicted = learners.predict_batch(model, X_test)
@@ -279,7 +280,7 @@ def run_reengineered(
             X_seg, y_seg = train_seg[s]
             order = _balance_order(y_seg, cfg.balance, derive_seed(cfg.balance.seed, i, s_index))
             Xb, yb = X_seg[order], y_seg[order]
-            lcfg = replace(cfg.learner, seed=derive_seed(run_seed, 2, s_index))
+            lcfg = cfg.learner.seeded(derive_seed(run_seed, 2, s_index))
             run_cv[s] = float(
                 np.mean(crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(run_seed, 1, s_index)))
             )
@@ -338,7 +339,7 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
     if cfg.variant == "traditional":
         X, y = _traditional_matrix(train, cfg)
         order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i))
-        lcfg = replace(cfg.learner, seed=derive_seed(seed, 2))
+        lcfg = cfg.learner.seeded(derive_seed(seed, 2))
         model = learners.train(lcfg, X[order], y[order])
         return ModelBundle(
             variant="traditional",
@@ -349,7 +350,7 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
     models: dict[Segment, TrainedModel] = {}
     for s_index, (s, (X, y)) in enumerate(_segment_matrices(train, cfg).items()):
         order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i, s_index))
-        lcfg = replace(cfg.learner, seed=derive_seed(seed, 2, s_index))
+        lcfg = cfg.learner.seeded(derive_seed(seed, 2, s_index))
         models[s] = learners.train(lcfg, X[order], y[order])
     return ModelBundle(
         variant="reengineered",
@@ -368,45 +369,46 @@ class StreamPrediction:
     low_confidence: bool  # smoothed from a partial window or degenerate features
 
 
-def predict_stream(bundle: ModelBundle, records: Sequence[ScadaRecord]) -> list[StreamPrediction]:
-    """Label a raw record stream with the bundle's full preprocessing.
+def predict_stream(bundle: ModelBundle, frame: Frame) -> list[StreamPrediction]:
+    """Label a raw stream with the bundle's full preprocessing.
 
-    Deployment smoothing is a trailing window over the stream; the first
-    window-1 records are averaged over the partial prefix and flagged
-    low-confidence instead of being dropped, because a deployed predictor
-    must answer from the first record. Records whose physics features are
-    degenerate (channels at -5) are predicted normal and flagged.
+    Deployment smoothing is the training kernel (preprocess.moving_average)
+    from record window-1 on. The first window-1 records are averaged over
+    the partial prefix and flagged low-confidence instead of being dropped,
+    because a deployed predictor must answer from the first record.
+    Records whose physics features are degenerate (channels at -5) are
+    predicted normal and flagged.
+
+    One skew against training remains: training drops invalid records
+    before it smooths, so its windows bridge the gaps, while a deployed
+    stream can only smooth the records it receives.
     """
-    if not records:
-        return []
+    n = len(frame)
     w = bundle.denoise.window
-    smooth_channels = bundle.denoise.channels
-    raw = channel_matrix(records, smooth_channels)
-    csum = np.cumsum(raw, axis=0)
-    n = raw.shape[0]
-    means = np.empty_like(raw)
     head = min(w - 1, n)
-    means[:head] = csum[:head] / np.arange(1, head + 1)[:, None]
+    columns = [CHANNELS.index(ch) for ch in bundle.denoise.channels]
+    smoothed = frame.channels.copy()
+    prefix_sums = np.cumsum(frame.channels[:head].take(columns, axis=1), axis=0)
+    smoothed[:head, columns] = prefix_sums / np.arange(1, head + 1)[:, None]
     if n >= w:
-        means[w - 1 :] = csum[w - 1 :] - np.concatenate([np.zeros((1, raw.shape[1])), csum[:-w]])[: n - w + 1]
-        means[w - 1 :] /= w
+        smoothed[w - 1 :] = moving_average(frame.channels, bundle.denoise)
 
     out: list[StreamPrediction] = []
-    for i, record in enumerate(records):
-        smoothed = {ch: float(means[i, k]) for k, ch in enumerate(smooth_channels)}
-        rec = replace(record, **smoothed)
+    rows = zip(frame.time.tolist(), smoothed.tolist(), frame.group.tolist())
+    for i, (time, values, group) in enumerate(rows):
         flagged = i < w - 1
-        label = _predict_one(bundle, rec)
+        label = _predict_one(bundle, ScadaRecord(time, *values, group), smoothed[i])
         if label is None:
             label, flagged = Label.NORMAL, True
-        out.append(StreamPrediction(time=record.time, label=label, low_confidence=flagged))
+        out.append(StreamPrediction(time=time, label=label, low_confidence=flagged))
     return out
 
 
-def _predict_one(bundle: ModelBundle, rec: ScadaRecord) -> Label | None:
+def _predict_one(bundle: ModelBundle, rec: ScadaRecord, channels: np.ndarray) -> Label | None:
+    """The label of one smoothed record, given also as its channel row;
+    None when its features are degenerate."""
     if bundle.variant == "traditional" and bundle.raw_features:
-        row = channel_matrix([rec])[0]
-        return learners.predict(bundle.model, row)
+        return learners.predict(bundle.model, channels)
     try:
         # the label on a prediction-time vector is an inert placeholder
         fv = assemble_feature_vector(engineer_record(rec), Label.NORMAL)

@@ -10,7 +10,7 @@ randomness is injected through explicit seeds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,6 +49,24 @@ def drop_invalid(dataset: LabeledDataset) -> LabeledDataset:
     return dataset.take(dataset.label != INVALID_CODE)
 
 
+def moving_average(channels: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+    """The smoothing kernel of training and prediction, over a channel
+    matrix float64[n, 26] with n >= window: row i of the result is row
+    i+window-1 of `channels` with each configured channel replaced by its
+    mean over rows i .. i+window-1."""
+    w = cfg.window
+    columns = [CHANNELS.index(ch) for ch in cfg.channels]
+    # take() returns C order, where [:, columns] would not: the memory
+    # layout sets the summation order of the mean, and the pinned outputs
+    # depend on its last bit
+    means = sliding_window_view(channels.take(columns, axis=1), w, axis=0).mean(axis=-1)
+    if tuple(cfg.channels) == CHANNELS:
+        return means
+    out = channels[w - 1 :].copy()
+    out[:, columns] = means
+    return out
+
+
 def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDataset:
     """Replace configured channels by their trailing moving average:
     output record i carries mean(channel[i : i+window]).
@@ -66,25 +84,12 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     if w == 1:
         return dataset
 
-    columns = [CHANNELS.index(ch) for ch in cfg.channels]
-    # take() returns C order, where [:, columns] would not: the memory
-    # layout sets the summation order of the mean, and the pinned outputs
-    # depend on its last bit
-    matrix = dataset.channels.take(columns, axis=1)
-    means = sliding_window_view(matrix, w, axis=0).mean(axis=-1)
-
     windows = sliding_window_view(dataset.label, w)
     mixed = int(np.sum(np.any(windows != windows[:, -1:], axis=1)))
     if mixed:
-        log.debug("denoise: %d of %d windows mix labels", mixed, means.shape[0])
+        log.debug("denoise: %d of %d windows mix labels", mixed, windows.shape[0])
 
-    out = dataset.take(slice(w - 1, None))
-    if tuple(cfg.channels) == CHANNELS:
-        channels = means
-    else:
-        channels = out.channels.copy()
-        channels[:, columns] = means
-    return LabeledDataset(dataset.turbine_id, out.time, channels, out.group, out.label)
+    return replace(dataset.take(slice(w - 1, None)), channels=moving_average(dataset.channels, cfg))
 
 
 def undersample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:

@@ -14,10 +14,12 @@ with class in {icing, normal}). Window membership is half-open
 no window are labeled invalid and retained at this layer; dropping them
 is the preprocessing stage's job.
 
-`ScadaRecord` is the row type of raw streams: the CSV reader and writer,
-the synthetic generator and deployment-time prediction. A labeled
-dataset is columnar (`LabeledDataset`): one array per column, built once
-by `apply_label_windows` or `read_labeled_csv`.
+A raw stream is a `Frame`: one array per column, built once by the CSV
+reader or the synthetic generator and written by the CSV writer. A
+labeled dataset (`LabeledDataset`) is a Frame plus a turbine id and a
+label column, built by `apply_label_windows` or `read_labeled_csv`.
+`ScadaRecord` is one row of a frame; only deployment-time prediction
+builds it, to hand each smoothed row to the per-record feature code.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,7 +100,7 @@ class WindowKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class ScadaRecord:
-    """One timestamped SCADA observation. `time` is epoch seconds."""
+    """One row of a frame. `time` is epoch seconds."""
 
     time: int
     wind_speed: float
@@ -147,34 +149,39 @@ class LabelWindow:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledDataset:
-    """Labeled records of one turbine, one array per column: `time`
-    int64[n] (epoch seconds), `channels` float64[n, 26] in CHANNELS order,
-    `group` int64[n], and `label` int8[n] holding codes into LABELS.
+class Frame:
+    """A raw SCADA stream, one array per column: `time` int64[n] (epoch
+    seconds), `channels` float64[n, 26] in CHANNELS order and C order, and
+    `group` int64[n]. Frames read from a file are in file order."""
 
-    Datasets built from a raw stream (apply_label_windows, read_labeled_csv)
-    are in file order; ingest requires it to be ascending in time.
-    """
-
-    turbine_id: str
     time: np.ndarray
     channels: np.ndarray
     group: np.ndarray
-    label: np.ndarray
 
-    def require_time_order(self) -> "LabeledDataset":
+    def __len__(self) -> int:
+        return self.time.shape[0]
+
+    def take(self, rows):
+        """The same frame restricted to `rows` (a boolean mask, an index
+        array or a slice) in every array column, in that order."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{name: v[rows] for name, v in columns.items() if isinstance(v, np.ndarray)})
+
+    def require_time_order(self):
+        """The frame itself, if its times never decrease (ingest requires it)."""
         decreasing = np.flatnonzero(np.diff(self.time) < 0)
         if decreasing.size:
             raise DataError(f"record times decrease at index {int(decreasing[0]) + 1}")
         return self
 
-    def __len__(self) -> int:
-        return self.label.shape[0]
 
-    def take(self, rows) -> "LabeledDataset":
-        """The dataset restricted to `rows` (a boolean mask, an index array
-        or a slice), in that order."""
-        return LabeledDataset(self.turbine_id, self.time[rows], self.channels[rows], self.group[rows], self.label[rows])
+@dataclass(frozen=True, eq=False)
+class LabeledDataset(Frame):
+    """The labeled records of one turbine: a frame plus `label` int8[n],
+    holding codes into LABELS."""
+
+    turbine_id: str
+    label: np.ndarray
 
     def label_counts(self) -> dict[Label, int]:
         counts = np.bincount(self.label, minlength=len(LABELS))
@@ -282,35 +289,61 @@ def _check_header(header: Sequence[str], expected: Sequence[str]) -> dict[str, i
     return positions
 
 
-def _scada_rows(source, extra: tuple[str, ...], what: str) -> Iterator[tuple[int, int, list[float], int, list[str]]]:
-    """The row loop shared by the raw and labeled readers: yield the row
-    number, the time, the 26 channel values, the group and the cells of
-    the `extra` columns of every non-blank data row."""
+def _csv_rows(source, expected: tuple[str, ...], what: str) -> Iterator[tuple[int, tuple[str, ...], Callable]]:
+    """The row loop of every CSV reader: check the header against
+    `expected`, skip blank rows and reject short ones. Yield the row number,
+    the cells in `expected` order, and the time parser detected from the
+    first data row's first expected column."""
     with _open_source(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
             raise EmptyFile(what)
-        positions = _check_header(header, COLUMNS + extra)
-        time_i = positions["time"]
-        group_i = positions["group"]
-        channel_pos = [(name, positions[name]) for name in CHANNELS]
-        extra_pos = [positions[name] for name in extra]
+        positions = _check_header(header, expected)
+        ordered = itemgetter(*(positions[name] for name in expected))
         time_parser = None
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) < len(header):
                 raise ShortRow(row_no, len(row), len(header))
+            cells = ordered(row)
             if time_parser is None:
-                time_parser = _detect_time_parser(row[time_i])
-            time = time_parser(row[time_i], row_no)
-            values = [_parse_float(row[i], row_no, name) for name, i in channel_pos]
-            yield row_no, time, values, _parse_group(row[group_i], row_no), [row[i] for i in extra_pos]
+                time_parser = _detect_time_parser(cells[0])
+            yield row_no, cells, time_parser
 
 
-def parse_scada_csv(source, turbine_id: str = "") -> list[ScadaRecord]:
-    """Parse a raw SCADA CSV into records, preserving file order.
+def _parse_label(cell: str, row: int) -> int:
+    try:
+        return LABELS.index(Label(cell.strip()))
+    except ValueError:
+        raise NonNumericCell(row, "label", cell) from None
+
+
+def _read_frame(source, what: str, labeled: bool) -> tuple[Frame, np.ndarray]:
+    """The reader of raw and labeled CSVs: the frame and, for a labeled
+    file, its int8 label codes (empty for a raw one)."""
+    group_at = 1 + len(CHANNELS)
+    times: list[int] = []
+    rows: list[list[float]] = []
+    groups: list[int] = []
+    codes: list[int] = []
+    for row_no, cells, parse_time in _csv_rows(source, COLUMNS + (("label",) if labeled else ()), what):
+        times.append(parse_time(cells[0], row_no))
+        rows.append([_parse_float(cell, row_no, name) for name, cell in zip(CHANNELS, cells[1:group_at])])
+        groups.append(_parse_group(cells[group_at], row_no))
+        if labeled:
+            codes.append(_parse_label(cells[group_at + 1], row_no))
+    frame = Frame(
+        np.array(times, dtype=np.int64),
+        np.array(rows, dtype=float).reshape(len(rows), len(CHANNELS)),
+        np.array(groups, dtype=np.int64),
+    )
+    return frame, np.array(codes, dtype=np.int8)
+
+
+def parse_scada_csv(source, turbine_id: str = "") -> Frame:
+    """Parse a raw SCADA CSV into a frame, preserving file order.
 
     `source` may be a path or an open text/binary stream. The header must
     contain exactly the 28 expected column names, in any order. Raises
@@ -318,62 +351,39 @@ def parse_scada_csv(source, turbine_id: str = "") -> list[ScadaRecord]:
     UnparseableTimestamp, or EmptyFile.
     """
     what = f"SCADA file for {turbine_id or 'turbine'}"
-    records = [ScadaRecord(time, *values, group) for _, time, values, group, _ in _scada_rows(source, (), what)]
-    if not records:
+    frame, _ = _read_frame(source, what, labeled=False)
+    if not len(frame):
         raise EmptyFile(what)
-    return records
+    return frame
 
 
-def _write_rows(sink, extra: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """The row writer shared by the raw and labeled writers. Each row is
-    (time, channel values, group, *extra cells); the values must be Python
-    floats, whose repr is the shortest round-tripping form."""
+def _write_rows(sink, frame: Frame, extra: dict[str, list]) -> None:
+    """The writer of raw and labeled CSVs: the frame's rows followed by the
+    cells of the `extra` columns. Floats are written as the repr of Python
+    floats, the shortest round-tripping form, so a write/parse round trip
+    is bitwise exact; time is written as epoch seconds."""
     with open_sink(sink) as stream:
         writer = csv.writer(stream)
-        writer.writerow(COLUMNS + extra)
+        writer.writerow(COLUMNS + tuple(extra))
+        rows = zip(frame.time.tolist(), frame.channels.tolist(), frame.group.tolist(), *extra.values())
         for time, values, group, *cells in rows:
             writer.writerow([time, *map(repr, values), group, *cells])
 
 
-_channel_values = attrgetter(*CHANNELS)
-
-
-def write_scada_csv(records: Iterable[ScadaRecord], sink) -> None:
-    """Write records in canonical column order. Floats use repr, so a
-    write/parse round trip is bitwise exact; time is written as epoch
-    seconds."""
-    _write_rows(sink, (), ((r.time, _channel_values(r), r.group) for r in records))
+def write_scada_csv(frame: Frame, sink) -> None:
+    """Write a frame as a raw SCADA CSV in canonical column order."""
+    _write_rows(sink, frame, {})
 
 
 def parse_label_windows_csv(source) -> list[LabelWindow]:
     """Parse a window file with columns start,end,class."""
-    with _open_source(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFile("window file")
-        positions = _check_header(header, ("start", "end", "class"))
-        windows: list[LabelWindow] = []
-        time_parser = None
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ShortRow(row_no, len(row), len(header))
-            if time_parser is None:
-                time_parser = _detect_time_parser(row[positions["start"]])
-            kind_cell = row[positions["class"]].strip()
-            try:
-                kind = WindowKind(kind_cell)
-            except ValueError:
-                raise NonNumericCell(row_no, "class", kind_cell) from None
-            windows.append(
-                LabelWindow(
-                    start=time_parser(row[positions["start"]], row_no),
-                    end=time_parser(row[positions["end"]], row_no),
-                    kind=kind,
-                )
-            )
+    windows: list[LabelWindow] = []
+    for row_no, (start, end, kind_cell), parse_time in _csv_rows(source, ("start", "end", "class"), "window file"):
+        try:
+            kind = WindowKind(kind_cell.strip())
+        except ValueError:
+            raise NonNumericCell(row_no, "class", kind_cell.strip()) from None
+        windows.append(LabelWindow(start=parse_time(start, row_no), end=parse_time(end, row_no), kind=kind))
     return windows
 
 
@@ -394,31 +404,29 @@ def _check_disjoint(windows: Sequence[LabelWindow]) -> None:
 
 
 def apply_label_windows(
-    records: Sequence[ScadaRecord],
+    frame: Frame,
     windows: Sequence[LabelWindow],
     turbine_id: str = "",
 ) -> LabeledDataset:
-    """Label each record by window membership (start <= t < end).
+    """Label each record of `frame` by window membership (start <= t < end).
 
     Records inside an icing window become abnormal, inside a normal window
     become normal, and anything uncovered is invalid. Windows must be
     pairwise non-overlapping across both classes; the result is therefore
-    independent of window order.
+    independent of window order. The dataset shares the frame's arrays.
     """
     _check_disjoint(windows)
-    time = np.fromiter((r.time for r in records), dtype=np.int64, count=len(records))
-    label = np.full(time.shape[0], INVALID_CODE, dtype=np.int8)
+    label = np.full(len(frame), INVALID_CODE, dtype=np.int8)
     if windows:
         ordered = sorted(windows, key=lambda w: w.start)
         starts = np.array([w.start for w in ordered], dtype=np.int64)
         ends = np.array([w.end for w in ordered], dtype=np.int64)
         kinds = [Label.ABNORMAL if w.kind is WindowKind.ICING else Label.NORMAL for w in ordered]
         codes = np.array([LABELS.index(kind) for kind in kinds], dtype=np.int8)
-        i = np.searchsorted(starts, time, side="right") - 1
-        inside = (i >= 0) & (time < ends[i])
+        i = np.searchsorted(starts, frame.time, side="right") - 1
+        inside = (i >= 0) & (frame.time < ends[i])
         label[inside] = codes[i[inside]]
-    group = np.fromiter((r.group for r in records), dtype=np.int64, count=len(records))
-    return LabeledDataset(turbine_id, time, channel_matrix(records), group, label)
+    return LabeledDataset(frame.time, frame.channels, frame.group, turbine_id, label)
 
 
 def summarize(dataset: LabeledDataset) -> DatasetSummary:
@@ -439,40 +447,10 @@ def summarize(dataset: LabeledDataset) -> DatasetSummary:
 def write_labeled_csv(dataset: LabeledDataset, sink) -> None:
     """Internal labeled-dataset file: the 28 SCADA columns plus `label`."""
     names = [label.value for label in LABELS]
-    labels = (names[code] for code in dataset.label.tolist())
-    rows = zip(dataset.time.tolist(), dataset.channels.tolist(), dataset.group.tolist(), labels)
-    _write_rows(sink, ("label",), rows)
+    _write_rows(sink, dataset, {"label": [names[code] for code in dataset.label.tolist()]})
 
 
 def read_labeled_csv(source, turbine_id: str = "") -> LabeledDataset:
     """Read a file written by write_labeled_csv."""
-    times: list[int] = []
-    rows: list[list[float]] = []
-    groups: list[int] = []
-    codes: list[int] = []
-    for row_no, time, values, group, (label_cell,) in _scada_rows(source, ("label",), "labeled dataset file"):
-        try:
-            label = Label(label_cell.strip())
-        except ValueError:
-            raise NonNumericCell(row_no, "label", label_cell) from None
-        times.append(time)
-        rows.append(values)
-        groups.append(group)
-        codes.append(LABELS.index(label))
-    return LabeledDataset(
-        turbine_id,
-        np.array(times, dtype=np.int64),
-        np.array(rows, dtype=float).reshape(len(rows), len(CHANNELS)),
-        np.array(groups, dtype=np.int64),
-        np.array(codes, dtype=np.int8),
-    )
-
-
-def channel_matrix(records: Sequence[ScadaRecord], channels: Sequence[str] = CHANNELS) -> np.ndarray:
-    """Extract the given channels as a float matrix of shape (n, len(channels))."""
-    if not records:
-        return np.empty((0, len(channels)))
-    getter = attrgetter(*channels)
-    if len(channels) == 1:
-        return np.array([[getter(r)] for r in records], dtype=float)
-    return np.array([getter(r) for r in records], dtype=float)
+    frame, label = _read_frame(source, "labeled dataset file", labeled=True)
+    return LabeledDataset(frame.time, frame.channels, frame.group, turbine_id, label)

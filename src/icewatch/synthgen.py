@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConfig
-from .scada import CHANNELS, Label, LabelWindow, ScadaRecord, WindowKind
+from .scada import CHANNELS, LABELS, Frame, Label, LabelWindow, WindowKind
 from .schema import from_dict
 
 START_EPOCH = 1446336000  # 2015-11-01T00:00:00Z, a winter campaign start
@@ -151,7 +151,7 @@ class Episode:
 
 @dataclass(frozen=True)
 class SynthOutput:
-    records: tuple[ScadaRecord, ...]
+    records: Frame
     truth_windows: tuple[LabelWindow, ...]
     episode_ledger: tuple[Episode, ...]
     truth_labels: tuple[Label, ...]  # per-record ground truth, buffers included
@@ -180,7 +180,8 @@ def _simulate_episodes(cfg: SynthConfig, temp: np.ndarray, rng) -> tuple[np.ndar
 
 
 def _truth_label_array(n: int, spans: Sequence[tuple[int, int, float]], buffer: int) -> np.ndarray:
-    """0=normal, 1=icing, 2=invalid (unlabeled buffer around episodes)."""
+    """Codes into LABELS: 0=normal, 1=icing, 2=invalid (unlabeled buffer
+    around episodes)."""
     labels = np.zeros(n, dtype=np.int8)
     for first, last, _ in spans:
         lo = max(0, first - buffer)
@@ -191,19 +192,16 @@ def _truth_label_array(n: int, spans: Sequence[tuple[int, int, float]], buffer: 
 
 
 def _windows_from_labels(labels: np.ndarray, times: np.ndarray) -> list[LabelWindow]:
-    windows: list[LabelWindow] = []
-    n = labels.shape[0]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and labels[j + 1] == labels[i]:
-            j += 1
-        if labels[i] == 0:
-            windows.append(LabelWindow(int(times[i]), int(times[j]) + 1, WindowKind.NORMAL))
-        elif labels[i] == 1:
-            windows.append(LabelWindow(int(times[i]), int(times[j]) + 1, WindowKind.ICING))
-        i = j + 1
-    return windows
+    """One window per run of equal labels: normal (0) and icing (1) runs
+    get a window, invalid runs none."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
+    ends = np.append(starts[1:], labels.shape[0])
+    kinds = {0: WindowKind.NORMAL, 1: WindowKind.ICING}
+    return [
+        LabelWindow(int(times[first]), int(times[end - 1]) + 1, kinds[code])
+        for first, end, code in zip(starts.tolist(), ends.tolist(), labels[starts].tolist())
+        if code in kinds
+    ]
 
 
 def generate_turbine(cfg: SynthConfig) -> SynthOutput:
@@ -296,16 +294,8 @@ def generate_turbine(cfg: SynthConfig) -> SynthOutput:
     affines.update(cfg.desensitize)
     sensed = {ch: affines[ch][0] * truth[ch] + affines[ch][1] for ch in CHANNELS}
 
-    group = (dt * np.arange(n)) // 86400 + 1
-    columns = [sensed[ch] for ch in CHANNELS]
-    records = tuple(
-        ScadaRecord(
-            int(times[i]),
-            *(float(col[i]) for col in columns),
-            int(group[i]),
-        )
-        for i in range(n)
-    )
+    group = (dt * np.arange(n, dtype=np.int64)) // 86400 + 1
+    records = Frame(times, np.stack([sensed[ch] for ch in CHANNELS], axis=1), group)
 
     label_array = _truth_label_array(n, spans, cfg.label_buffer)
     windows = _windows_from_labels(label_array, times)
@@ -313,8 +303,7 @@ def generate_turbine(cfg: SynthConfig) -> SynthOutput:
         Episode(start=int(times[first]), end=int(times[last]) + 1, severity=sev)
         for first, last, sev in spans
     )
-    code_to_label = {0: Label.NORMAL, 1: Label.ABNORMAL, 2: Label.INVALID}
-    truth_labels = tuple(code_to_label[int(c)] for c in label_array)
+    truth_labels = tuple(LABELS[code] for code in label_array.tolist())
     return SynthOutput(
         records=records,
         truth_windows=tuple(windows),

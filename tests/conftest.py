@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from icewatch.features import FeatureVector
-from icewatch.scada import CHANNELS, LABELS, Label, LabeledDataset, ScadaRecord, channel_matrix
+from icewatch.scada import CHANNELS, LABELS, Frame, Label, LabeledDataset, ScadaRecord
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,20 +46,32 @@ def make_fv(label: Label = Label.NORMAL, **fields) -> FeatureVector:
     return FeatureVector(label=label, **values)
 
 
-def dataset_of(records, labels, turbine_id="T") -> LabeledDataset:
-    """A columnar dataset holding `records` with the given Label per record."""
-    return LabeledDataset(
-        turbine_id,
+def channel_matrix(records, channels=CHANNELS) -> np.ndarray:
+    """The given channels of `records` as a float matrix of shape
+    (n, len(channels)): the per-record reference for frame columns."""
+    rows = [[getattr(r, ch) for ch in channels] for r in records]
+    return np.array(rows, dtype=float).reshape(len(records), len(channels))
+
+
+def frame_of(records) -> Frame:
+    """The frame holding `records`, in order."""
+    return Frame(
         np.array([r.time for r in records], dtype=np.int64),
         channel_matrix(records),
         np.array([r.group for r in records], dtype=np.int64),
-        np.array([LABELS.index(label) for label in labels], dtype=np.int8),
     )
 
 
-def dataset_records(dataset: LabeledDataset) -> list[ScadaRecord]:
-    """The dataset's rows as records."""
-    rows = zip(dataset.time.tolist(), dataset.channels.tolist(), dataset.group.tolist())
+def dataset_of(records, labels, turbine_id="T") -> LabeledDataset:
+    """A labeled dataset holding `records` with the given Label per record."""
+    frame = frame_of(records)
+    codes = np.array([LABELS.index(label) for label in labels], dtype=np.int8)
+    return LabeledDataset(frame.time, frame.channels, frame.group, turbine_id, codes)
+
+
+def dataset_records(frame: Frame) -> list[ScadaRecord]:
+    """The rows of a frame or labeled dataset as records."""
+    rows = zip(frame.time.tolist(), frame.channels.tolist(), frame.group.tolist())
     return [ScadaRecord(time, *values, group) for time, values, group in rows]
 
 

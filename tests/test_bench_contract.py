@@ -9,7 +9,7 @@ import json
 import pytest
 
 from conftest import PERFBENCH, load_perfbench
-from icewatch import cli, synthgen
+from icewatch import cli, pipeline, scada, synthgen
 
 
 def test_traced_bindings_resolve():
@@ -35,3 +35,31 @@ def test_setup_helpers_accept_every_workload_config(seed):
         pair = doc["data"]["pair"]
         synthgen.config_from_dict(pair["base"])
         synthgen.profile_from_dict(pair["profile"])
+
+
+def test_setup_chain_on_a_short_pair(tmp_path):
+    """The calls the predict-stream set-up makes, then one operation's parse
+    and predict, on a short pair. Each result goes through the tracer's ROWS
+    lambda for its span, which takes len() of the records it sees."""
+    rows = load_perfbench("tracer").ROWS
+    doc, _ = load_perfbench("run").workload_config("predict-stream", 13)
+    pair = doc["data"]["pair"]
+    pair["base"]["duration"] = n = 2000
+    args = (synthgen.config_from_dict(pair["base"]), synthgen.profile_from_dict(pair["profile"]))
+    turbine_a, turbine_b = pair_out = synthgen.make_turbine_pair(*args)
+    assert rows["synthgen.make_turbine_pair"](args, pair_out) == (2 * n, 2 * n)
+
+    path = tmp_path / "B.csv"
+    scada.write_scada_csv(turbine_b.records, path)
+    assert rows["scada.write_scada_csv"]((turbine_b.records, path), None) == (n, n)
+    stream = scada.parse_scada_csv(path)
+    assert rows["scada.parse_scada_csv"]((path,), stream) == (n, n)
+
+    args = (turbine_a.records, turbine_a.truth_windows, "A")
+    train = scada.apply_label_windows(*args)
+    assert rows["scada.apply_label_windows"](args, train) == (n, n)
+    for variant, cfg in cli._pipeline_configs(doc).items():
+        bundle_doc = json.loads(json.dumps(pipeline.bundle_to_dict(pipeline.train_bundle(train, cfg))))
+        bundle = pipeline.bundle_from_dict(bundle_doc)
+        predictions = pipeline.predict_stream(bundle, stream)
+        assert rows["pipeline.predict_stream"]((bundle, stream), predictions) == (n, n), variant

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_dataset, make_record
+from conftest import frame_of, make_dataset, make_record
 from icewatch.cli import main
 from icewatch.scada import COLUMNS, Label, write_labeled_csv, write_scada_csv
 from icewatch.synthgen import SynthConfig, default_offset_profile
@@ -179,7 +179,7 @@ def _file(path, text):
 
 
 def _scada(path, times):
-    write_scada_csv([make_record(time=t) for t in times], path)
+    write_scada_csv(frame_of([make_record(time=t) for t in times]), path)
     return str(path)
 
 

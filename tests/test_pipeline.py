@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conftest import dataset_labels, dataset_records
+from conftest import channel_matrix, dataset_labels, dataset_records, frame_of, make_record
 from icewatch.errors import InvalidConfig, SegmentTooSmall
-from icewatch.features import feature_vectors
+from icewatch import pipeline
+from icewatch.features import engineer_record, feature_vectors
 from icewatch.learners import LearnerConfig
 from icewatch.pipeline import (
     ModelBundle,
@@ -21,7 +23,7 @@ from icewatch.pipeline import (
     run_traditional,
     train_bundle,
 )
-from icewatch.preprocess import BalanceConfig, DenoiseConfig
+from icewatch.preprocess import BalanceConfig, DenoiseConfig, denoise_dataset, drop_invalid
 from icewatch.rules import (
     IntervalConstraint,
     IntervalRule,
@@ -159,7 +161,7 @@ class TestBundle:
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
         back = bundle_from_dict(bundle_to_dict(bundle))
-        stream = dataset_records(ds_a)[:200]
+        stream = ds_a.take(slice(200))
         assert predict_stream(back, stream) == predict_stream(bundle, stream)
 
     def test_bundle_json_serializable(self):
@@ -173,41 +175,36 @@ class TestPredictStream:
         base, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
         # constant stream far outside R5 (wind speed 5 violates x4 < 2)
-        from conftest import make_record
-
-        stream = [make_record(time=i * 7, wind_speed=5.0) for i in range(30)]
+        stream = frame_of([make_record(time=i * 7, wind_speed=5.0) for i in range(30)])
         predictions = predict_stream(bundle, stream)
         assert all(p.label is Label.NORMAL for p in predictions)
 
     def test_partial_window_records_flagged(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
-        stream = dataset_records(ds_a)[:25]
+        stream = ds_a.take(slice(25))
         predictions = predict_stream(bundle, stream)
         assert all(p.low_confidence for p in predictions[:9])
         assert not any(p.low_confidence for p in predictions[9:])
-        assert [p.time for p in predictions] == [r.time for r in stream]
+        assert [p.time for p in predictions] == [r.time for r in dataset_records(stream)]
 
     def test_constant_benign_stream_is_all_normal(self):
         # a constant stream pinned at the median healthy operating point
         base, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
         healthy = [r for r, label in zip(dataset_records(ds_a), dataset_labels(ds_a)) if label is Label.NORMAL]
-        from icewatch.scada import CHANNELS, channel_matrix
-        from conftest import make_record
+        from icewatch.scada import CHANNELS
 
         medians = np.median(channel_matrix(healthy), axis=0)
         point = {ch: float(medians[i]) for i, ch in enumerate(CHANNELS)}
-        stream = [make_record(time=i * 7, **point) for i in range(50)]
+        stream = frame_of([make_record(time=i * 7, **point) for i in range(50)])
         predictions = predict_stream(bundle, stream)
         assert all(p.label is Label.NORMAL for p in predictions)
 
     def test_degenerate_record_predicts_normal_flagged(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
-        from conftest import make_record
-
-        stream = [make_record(time=0, wind_speed=-5.0)]
+        stream = frame_of([make_record(time=0, wind_speed=-5.0)])
         (p,) = predict_stream(bundle, stream)
         assert p.label is Label.NORMAL and p.low_confidence
 
@@ -215,15 +212,38 @@ class TestPredictStream:
         _, ds_a, ds_b = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
         assert bundle.rule is None and bundle.segmentation is None
-        stream = dataset_records(ds_b)[:100]
+        stream = ds_b.take(slice(100))
         first = predict_stream(bundle, stream)
         second = predict_stream(bundle, stream)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "denoise", [DenoiseConfig(), DenoiseConfig(window=7, channels=("power", "wind_speed", "pitch2_angle"))]
+    )
+    def test_smoothing_matches_training_kernel(self, denoise, monkeypatch):
+        # past warm-up, predict smooths an all-valid stream bitwise as
+        # training's denoise_dataset does
+        _, ds_a, ds_b = small_pair()
+        bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
+        bundle = dataclasses.replace(bundle, denoise=denoise)
+        stream = drop_invalid(ds_b)
+        seen = []
+
+        def spy(record):
+            seen.append(record)
+            return engineer_record(record)
+
+        monkeypatch.setattr(pipeline, "engineer_record", spy)
+        predict_stream(bundle, stream)
+        expected = denoise_dataset(stream, denoise)
+        smoothed = seen[denoise.window - 1 :]
+        assert [r.time for r in smoothed] == expected.time.tolist()
+        assert channel_matrix(smoothed).tobytes() == expected.channels.tobytes()
+
     def test_empty_stream(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
-        assert predict_stream(bundle, []) == []
+        assert predict_stream(bundle, frame_of([])) == []
 
 
 def test_traditional_raw_channel_baseline():

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import dataset_labels, dataset_of, dataset_records, make_dataset, make_record, random_record
+from conftest import (
+    channel_matrix,
+    dataset_labels,
+    dataset_of,
+    dataset_records,
+    make_dataset,
+    make_record,
+    random_record,
+)
 from icewatch.errors import EmptyClass, InvalidConfig, TooFewNormal, WindowLargerThanSeries
 from icewatch.preprocess import (
     BalanceConfig,
@@ -14,7 +22,7 @@ from icewatch.preprocess import (
     oversample_order,
     undersample_order,
 )
-from icewatch.scada import CHANNELS, Label, channel_matrix
+from icewatch.scada import CHANNELS, Label
 
 N, A, I = Label.NORMAL, Label.ABNORMAL, Label.INVALID
 
