@@ -13,15 +13,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from . import synthgen
-from .errors import ConfigError, DataError, InvalidConfig
-from .features import dataset_features, feature_vectors, rank_features, write_feature_csv
-from .learners import LearnerConfig
-from .pipeline import (
+# One BLAS thread per process, set before numpy loads: the seeded runs go
+# side by side in forked processes (pipeline._map_runs), and BLAS threads
+# spinning in each process would slow them down. An explicit value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import synthgen  # noqa: E402
+from .errors import ConfigError, DataError, InvalidConfig  # noqa: E402
+from .features import dataset_features, feature_vectors, rank_features, write_feature_csv  # noqa: E402
+from .learners import LearnerConfig  # noqa: E402
+from .pipeline import (  # noqa: E402
     PipelineConfig,
     bundle_from_dict,
     bundle_to_dict,
@@ -32,7 +39,7 @@ from .pipeline import (
     run_traditional,
     train_bundle,
 )
-from .preprocess import (
+from .preprocess import (  # noqa: E402
     BalanceConfig,
     DenoiseConfig,
     denoise_dataset,
@@ -40,8 +47,8 @@ from .preprocess import (
     oversample_order,
     undersample_order,
 )
-from .rules import SegmentationConfig, load_rule, rule_satisfied
-from .scada import (
+from .rules import SegmentationConfig, load_rule, rule_satisfied  # noqa: E402
+from .scada import (  # noqa: E402
     apply_label_windows,
     parse_label_windows_csv,
     parse_scada_csv,
@@ -51,7 +58,7 @@ from .scada import (
     write_labeled_csv,
     write_scada_csv,
 )
-from .schema import from_dict
+from .schema import from_dict  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def _cmd_synth(args) -> int:
 
 def _preprocessed(args):
     denoise = DenoiseConfig(window=args.ma_window)
-    dataset = drop_invalid(read_labeled_csv(args.data, Path(args.data).stem))
+    dataset = drop_invalid(read_labeled_csv(args.data, Path(args.data).stem).require_time_order())
     return denoise_dataset(dataset, denoise)
 
 
@@ -182,7 +189,7 @@ def _cmd_inspect_rules(args) -> int:
 def _load_datasets(doc: dict):
     data = from_dict(ExperimentConfig, doc).data
     if data.pair is None:
-        return read_labeled_csv(data.train, Path(data.train).stem), read_labeled_csv(data.test, Path(data.test).stem)
+        return tuple(read_labeled_csv(path, Path(path).stem).require_time_order() for path in (data.train, data.test))
     turbine_a, turbine_b = synthgen.make_turbine_pair(data.pair.base, data.pair.profile)
     ds_a = apply_label_windows(turbine_a.records, turbine_a.truth_windows, "A")
     ds_b = apply_label_windows(turbine_b.records, turbine_b.truth_windows, "B")
@@ -258,7 +265,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_predict(args) -> int:
     bundle_doc = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
     bundle = bundle_from_dict(bundle_doc)
-    predictions = predict_stream(bundle, parse_scada_csv(args.scada))
+    predictions = predict_stream(bundle, parse_scada_csv(args.scada).require_time_order())
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("time", "label", "confidence_flag"))

@@ -24,10 +24,14 @@ byte-identical report files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -187,6 +191,87 @@ def _run_seeds(cfg: PipelineConfig) -> list[int]:
     return [derive_seed(cfg.master_seed, i) for i in range(cfg.n_runs)]
 
 
+# --- seeded runs side by side ---------------------------------------------------
+
+
+def _map_runs(one_run: Callable[[int], object], n: int) -> list:
+    """``[one_run(i) for i in range(n)]``, computed by one process per CPU
+    in this process's affinity mask, at most n.
+
+    The runs split into contiguous shares. Forked children compute all but
+    the first share, each pickling its results to a pipe; the parent
+    computes the first share itself, so every call it makes, traced or not,
+    still happens in this process. A child that ends without its results
+    (an exception, a signal, lack of memory) has its share computed again
+    here: runs are deterministic, so an error is raised by the parent, in
+    run order, as the sequential loop would raise it. Errors are never
+    pickled, because most icewatch errors do not survive a pickle round
+    trip. Where fork is unavailable, or one process suffices, the runs
+    execute one after another in this process.
+
+    A fork copies only the calling thread. The CLI starts no other thread
+    and pins BLAS to one thread per process (see icewatch.cli), so the
+    processes fill the CPUs without BLAS threads competing for them.
+    """
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(n, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [one_run(i) for i in range(n)]
+    bounds = [n * k // workers for k in range(workers + 1)]
+    shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    pending: dict[int, int] = {}  # child pid -> read end of its result pipe
+    try:
+        pids = [_fork_share(one_run, share, pending) for share in shares[1:]]
+        results = [one_run(i) for i in shares[0]]
+        for pid, share in zip(pids, shares[1:]):
+            part = None if pid is None else _collect(pid, pending)
+            results.extend([one_run(i) for i in share] if part is None else part)
+        return results
+    finally:
+        for pid, fd in pending.items():
+            os.close(fd)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_share(one_run: Callable[[int], object], share: range, pending: dict[int, int]) -> int | None:
+    """Fork a child that computes `share` and writes its pickled results to
+    a pipe; record the pipe's read end in `pending`. None if no process
+    could be forked, which leaves the share to the parent."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps([one_run(i) for i in share])
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)  # no exit handlers, no flush of buffers copied from the parent
+    os.close(write_end)
+    pending[pid] = read_end
+    return pid
+
+
+def _collect(pid: int, pending: dict[int, int]) -> list | None:
+    """A child's results, or None if it ended without them. The pipe is read
+    to its end before the wait, so a child never blocks on a full pipe."""
+    with open(pending[pid], "rb", closefd=False) as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    os.close(pending.pop(pid))
+    return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
+
+
 # --- traditional flow -----------------------------------------------------------
 
 
@@ -210,7 +295,7 @@ def run_traditional(
         predicted = learners.predict_batch(model, X_test)
         return cv, score(confusion(y_test, predicted))
 
-    results = [one_run(i) for i in range(cfg.n_runs)]
+    results = _map_runs(one_run, cfg.n_runs)
     cv_scores = [cv for cv, _ in results]
     test_scores = [t for _, t in results]
 
@@ -293,7 +378,7 @@ def run_reengineered(
         pooled_test = score(confusion(np.concatenate(actual_parts), np.concatenate(predicted_parts)))
         return run_cv, run_test, pooled_cv, pooled_test
 
-    results = [one_run(i) for i in range(cfg.n_runs)]
+    results = _map_runs(one_run, cfg.n_runs)
     cv_scores = {s: [r[0][s] for r in results] for s in Segment}
     test_scores = {s: [r[1][s] for r in results] for s in Segment}
     pooled_cv = [r[2] for r in results]

@@ -4,6 +4,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+# First, so the tests run as the CLI does: importing icewatch.cli pins BLAS
+# to one thread per process before numpy loads, and in-process experiments
+# fork their seeded runs.
+import icewatch.cli  # noqa: F401
+
 import numpy as np
 import pytest
 

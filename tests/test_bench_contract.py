@@ -5,11 +5,14 @@ here instead of first inside a traced benchmark run."""
 
 import importlib
 import json
+import os
 
 import pytest
 
 from conftest import PERFBENCH, load_perfbench
 from icewatch import cli, pipeline, scada, synthgen
+
+SMOKE = PERFBENCH.parent / "configs" / "experiment_smoke.json"  # KNN, two runs
 
 
 def test_traced_bindings_resolve():
@@ -24,6 +27,24 @@ def test_traced_bindings_resolve():
     for workload, spec in layers.items():
         if isinstance(spec, dict):
             assert set(spec["expect_calls"]) <= spans, workload
+
+
+def test_expected_layers_are_called_with_runs_side_by_side(tmp_path, monkeypatch):
+    """Seeded runs fork (pipeline._map_runs), and a child's spans stay in the
+    child. The parent computes a share of the runs itself, so a traced run
+    still records every layer experiment-knn expects; a pool whose parent
+    only waits would fail here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two processes for the two runs
+    tracer = load_perfbench("tracer").Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["experiment", "--config", str(SMOKE), "--out-dir", str(tmp_path), "--bundles"])
+    finally:
+        assert tracer.restore() == []
+    assert code == 0
+    expected = json.loads((PERFBENCH / "layers.json").read_text())["experiment-knn"]["expect_calls"]
+    called = {span.name for span in tracer.spans}
+    assert [name for name in expected if name not in called] == []
 
 
 @pytest.mark.parametrize("seed", [13, 0])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -8,6 +11,8 @@ from conftest import frame_of, make_dataset, make_record
 from icewatch.cli import main
 from icewatch.scada import COLUMNS, Label, write_labeled_csv, write_scada_csv
 from icewatch.synthgen import SynthConfig, default_offset_profile
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +220,17 @@ def _inspect_rules(tmp_path, rules_text):
     return ["inspect-rules", "--data", str(tmp_path / "d.csv"), "--rules", rules]
 
 
+def _unsorted_labeled(tmp_path):
+    path = tmp_path / "d.csv"
+    write_labeled_csv(make_dataset([Label.NORMAL] * 12, start_time=77, dt=-7), path)
+    return str(path)
+
+
+def _predict_unsorted(tmp_path):
+    _scada(tmp_path / "B.csv", [70, 0, 35, 7, 14])
+    return _predict(tmp_path, {"denoise": {"window": 2}, "model": _knn_model([[0.0] * 10], mean=[0.0] * 10)})
+
+
 # (argv builder, exit code, expected part of the message)
 MALFORMED = {
     "knn_k-string": (
@@ -239,6 +255,18 @@ MALFORMED = {
     ),
     "unsorted-scada": (
         lambda t: _ingest(t, _scada(t / "s.csv", [7, 0]), _file(t / "w.csv", "start,end,class\n0,100,normal\n")), 3,
+        "record times decrease at index 1",
+    ),
+    "unsorted-predict-stream": (_predict_unsorted, 3, "record times decrease at index 1"),
+    "unsorted-features": (
+        lambda t: ["features", "--data", _unsorted_labeled(t), "--out", str(t / "f.csv")], 3,
+        "record times decrease at index 1",
+    ),
+    "unsorted-inspect-rules": (
+        lambda t: ["inspect-rules", "--data", _unsorted_labeled(t)], 3, "record times decrease at index 1",
+    ),
+    "unsorted-experiment-files": (
+        lambda t: _experiment(t, data={"train": _unsorted_labeled(t), "test": _unsorted_labeled(t)}), 3,
         "record times decrease at index 1",
     ),
     "short-scada-row": (
@@ -288,3 +316,38 @@ def test_malformed_input_exits_with_one_line(case, tmp_path, capsys):
     (line,) = err.splitlines()
     assert line.startswith("config error:" if expected_code == 2 else "data error:")
     assert message in line
+
+
+# --- BLAS threads ---------------------------------------------------------------
+
+
+def _python(code: str, **env) -> str:
+    """Run `code` in a fresh interpreter that sees icewatch and no BLAS thread
+    setting beyond `env`; return its standard output, stripped."""
+    environ = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, environ.get("PYTHONPATH")) if p)
+    environ.update(env)
+    done = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_cli_import_pins_blas_to_one_thread():
+    assert _python("import os, icewatch.cli; print(os.environ['OPENBLAS_NUM_THREADS'])") == "1"
+
+
+def test_cli_import_keeps_an_explicit_blas_thread_count():
+    code = "import os, icewatch.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_package_import_loads_no_numpy_and_sets_nothing():
+    code = "import os, sys, icewatch; print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)"
+    assert _python(code) == "False False"
+
+
+def test_package_reexports_the_record_types():
+    import icewatch
+    from icewatch import scada
+
+    for name in ("Frame", "Label", "LabeledDataset", "ScadaRecord"):
+        assert getattr(icewatch, name) is getattr(scada, name)

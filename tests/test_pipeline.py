@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import os
+import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import channel_matrix, dataset_labels, dataset_records, frame_of, make_record
-from icewatch.errors import InvalidConfig, SegmentTooSmall
+from icewatch.cli import main
+from icewatch.errors import EmptyClass, InvalidConfig, SegmentTooSmall
+from icewatch.evaluation import derive_seed
 from icewatch import pipeline
 from icewatch.features import engineer_record, feature_vectors
 from icewatch.learners import LearnerConfig
@@ -27,11 +33,14 @@ from icewatch.preprocess import BalanceConfig, DenoiseConfig, denoise_dataset, d
 from icewatch.rules import (
     IntervalConstraint,
     IntervalRule,
+    Segment,
     SegmentationConfig,
     builtin_rule,
 )
 from icewatch.scada import Label, apply_label_windows
 from icewatch.synthgen import SynthConfig, default_offset_profile, make_turbine_pair
+
+SMOKE = Path(__file__).resolve().parent.parent / "configs" / "experiment_smoke.json"
 
 
 def small_pair(duration=6000, seed=1):
@@ -265,3 +274,115 @@ def test_render_report_text():
     text = render_report_text([report])
     assert "Train: A  Test: B" in text
     assert "traditional" in text and "cv" in text and "test" in text
+
+
+# --- seeded runs side by side -----------------------------------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count _map_runs sees, through the affinity mask it reads."""
+    return lambda w: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_map_runs_equals_the_list_comprehension(cpus, n, w):
+    cpus(w)
+
+    def one_run(i):
+        return i, i / 7, {Segment.LOW: np.float64(i) ** 0.5}
+
+    assert pipeline._map_runs(one_run, n) == [one_run(i) for i in range(n)]
+    assert_no_child_left()
+
+
+def test_map_runs_uses_one_process_per_cpu_up_to_n(cpus):
+    cpus(3)
+    pids = pipeline._map_runs(lambda i: os.getpid(), 5)
+    # contiguous shares [0] [1 2] [3 4]; the parent computes the first
+    assert pids[0] == os.getpid()
+    assert pids[1] == pids[2] and pids[3] == pids[4] and len({pids[0], pids[1], pids[3]}) == 3
+    cpus(8)
+    assert len(set(pipeline._map_runs(lambda i: os.getpid(), 2))) == 2
+    assert_no_child_left()
+
+
+def test_map_runs_recomputes_the_share_of_a_killed_child(cpus):
+    cpus(2)
+    parent = os.getpid()
+
+    def one_run(i):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i * i
+
+    assert pipeline._map_runs(one_run, 3) == [0, 1, 4]
+    assert_no_child_left()
+
+
+def test_map_runs_kills_and_reaps_children_when_the_parent_is_interrupted(cpus):
+    cpus(2)
+    parent = os.getpid()
+
+    def one_run(i):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        pipeline._map_runs(one_run, 2)
+    assert time.perf_counter() - started < 30
+    assert_no_child_left()
+
+
+def test_an_error_in_a_childs_share_exits_as_the_sequential_loop_does(cpus, monkeypatch, tmp_path, capsys):
+    base = SynthConfig(duration=6000, seed=1)
+    doc = {
+        "data": {"pair": {"base": dataclasses.asdict(base), "profile": dataclasses.asdict(default_offset_profile())}},
+        "variants": ["traditional"],
+        "learner": {"algorithm": "cart"},
+        "balance": {"method": "under", "seed": 1},
+        "n_runs": 2,
+    }
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(doc))
+    failing_seed = derive_seed(1, 1)  # the balance draw of run 1, the child's share
+    calls = tmp_path / "calls"
+    balance_order = pipeline._balance_order
+
+    def failing_on_run_1(y, cfg, seed):
+        if seed == failing_seed:
+            with open(calls, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            raise EmptyClass("abnormal")
+        return balance_order(y, cfg, seed)
+
+    monkeypatch.setattr(pipeline, "_balance_order", failing_on_run_1)
+    outcomes = []
+    for w in (1, 2):
+        cpus(w)
+        code = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / f"out{w}")])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes == [(3, "data error: dataset has no abnormal records\n")] * 2
+    # sequentially the parent fails; side by side the child fails first, then
+    # the parent again on recomputing the child's share
+    first, child, again = calls.read_text().split()
+    assert first == again == str(os.getpid()) != child
+    assert_no_child_left()
+
+
+def test_smoke_report_is_identical_for_any_worker_count(cpus, tmp_path):
+    reports = []
+    for w in (1, 2):
+        cpus(w)
+        out = tmp_path / f"out{w}"
+        assert main(["experiment", "--config", str(SMOKE), "--out-dir", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
