@@ -47,8 +47,9 @@ from .preprocess import (  # noqa: E402
     oversample_order,
     undersample_order,
 )
-from .rules import SegmentationConfig, load_rule, rule_satisfied  # noqa: E402
+from .rules import SegmentationConfig, load_rule, strong_rule_filter  # noqa: E402
 from .scada import (  # noqa: E402
+    Label,
     apply_label_windows,
     parse_label_windows_csv,
     parse_scada_csv,
@@ -96,6 +97,14 @@ class ExperimentConfig:
     segment_threshold: float = -0.25
 
 
+def _read_config(path: str) -> dict:
+    """The top-level JSON object of a config file."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"top level: expected object, got {doc!r}")
+    return doc
+
+
 def _dump_json(doc, path: Path) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -129,7 +138,7 @@ def _write_turbine(out: synthgen.SynthOutput, directory: Path) -> None:
 
 def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    doc = _read_config(args.config) if args.config else {}
     if args.pair:
         if "base" not in doc and "profile" not in doc:
             doc = {"base": doc}  # a plain synth config is the pair's base
@@ -169,19 +178,18 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_inspect_rules(args) -> int:
-    dataset = _preprocessed(args)
-    vectors = feature_vectors(dataset)
+    vectors = feature_vectors(_preprocessed(args))
     n = len(vectors)
-    abnormal = [fv for fv in vectors if fv.label.value == "abnormal"]
-    rule_ids = args.rules or ["R1", "R2", "R3", "R4", "R5"]
-    for rule_id in rule_ids:
+    n_abnormal = sum(1 for fv in vectors if fv.label is Label.ABNORMAL)
+    for rule_id in args.rules or ["R1", "R2", "R3", "R4", "R5"]:
         rule = load_rule(rule_id)
-        passed = sum(1 for fv in vectors if rule_satisfied(rule, fv))
-        captured = sum(1 for fv in abnormal if rule_satisfied(rule, fv))
-        cap_rate = captured / len(abnormal) if abnormal else float("nan")
+        candidates, _ = strong_rule_filter(vectors, rule)
+        passed = len(candidates)
+        captured = sum(1 for fv in candidates if fv.label is Label.ABNORMAL)
+        cap_rate = captured / n_abnormal if n_abnormal else float("nan")
         print(
             f"{rule.rule_id}: {passed}/{n} pass ({passed / n:.1%}), "
-            f"abnormal captured {captured}/{len(abnormal)} ({cap_rate:.1%})"
+            f"abnormal captured {captured}/{n_abnormal} ({cap_rate:.1%})"
         )
     return 0
 
@@ -231,9 +239,7 @@ def _pipeline_configs(doc: dict) -> dict[str, PipelineConfig]:
 
 
 def _cmd_experiment(args) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"top level: expected object, got {doc!r}")
+    doc = _read_config(args.config)
     if args.rule is not None:
         doc["rule"] = args.rule
     if args.segment_threshold is not None:
@@ -349,6 +355,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

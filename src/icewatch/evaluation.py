@@ -27,7 +27,6 @@ import numpy as np
 from . import learners
 from .errors import DegenerateFolds, EmptyClassInTest, InvalidK, LengthMismatch
 from .learners import ABNORMAL, NORMAL, LearnerConfig
-from .scada import Label
 
 
 @dataclass(frozen=True)
@@ -46,29 +45,18 @@ class ConfusionCounts:
         return self.fp + self.tn
 
 
-def _as_codes(labels: Sequence) -> np.ndarray:
+def _as_codes(labels: Sequence[int]) -> np.ndarray:
     codes = np.asarray(labels)
-    if codes.dtype.kind in "iu":
-        bad = (codes != NORMAL) & (codes != ABNORMAL)
-        if bad.any():
-            raise ValueError(f"label code must be 0 or 1, got {int(codes[bad][0])}")
-        return codes.astype(np.int8, copy=False)
-    out = np.empty(len(labels), dtype=np.int8)
-    for i, item in enumerate(labels):
-        if isinstance(item, Label):
-            if item is Label.INVALID:
-                raise ValueError("invalid labels cannot be scored")
-            out[i] = NORMAL if item is Label.NORMAL else ABNORMAL
-        else:
-            code = int(item)
-            if code not in (NORMAL, ABNORMAL):
-                raise ValueError(f"label code must be 0 or 1, got {code}")
-            out[i] = code
-    return out
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer codes, got dtype {codes.dtype}")
+    bad = (codes != NORMAL) & (codes != ABNORMAL)
+    if bad.any():
+        raise ValueError(f"label code must be 0 or 1, got {int(codes[bad][0])}")
+    return codes.astype(np.int8, copy=False)
 
 
-def confusion(actual: Sequence, predicted: Sequence) -> ConfusionCounts:
-    """Count the four cells. Accepts Label enums or 0/1 codes."""
+def confusion(actual: Sequence[int], predicted: Sequence[int]) -> ConfusionCounts:
+    """Count the four cells of 0/1 label codes (learners.NORMAL, ABNORMAL)."""
     if len(actual) != len(predicted):
         raise LengthMismatch(len(actual), len(predicted))
     if len(actual) == 0:

@@ -1,25 +1,35 @@
 """End-to-end flows: the traditional baseline and the re-engineered,
 physics-gated pipeline, plus the deployable model bundle.
 
-Traditional flow, per seeded run: drop invalid records, denoise, balance
-by under-sampling, cross-validate on the balanced training set, train on
-all of it, then score on the full (invalid-dropped, denoised, unbalanced)
-test turbine.
+Both flows run one loop over named parts. A part is the training rows,
+test rows and seed key of one model. Per seeded run, every part is
+balanced by the configured under- or over-sampling, cross-validated on
+its balanced training set, trained on all of it and scored on its test
+rows.
 
-Re-engineered flow: after the same preprocessing, the strong rule filters
-training records down to icing candidates (everything else is excluded
-from training), candidates split into low and high wind-speed segments,
-and each segment gets its own balanced model. At test time every record
-passes through the gate: rule failures are predicted normal outright,
-candidates are routed to their segment's model. Scores are reported per
-segment and pooled over the whole test set.
+Traditional flow: after dropping invalid records and denoising, the single
+part "all" (seed key ()) trains on the whole training turbine and is
+scored on the whole (invalid-dropped, denoised, unbalanced) test turbine.
+
+Re-engineered flow: the traditional flow plus two gates. After the same
+preprocessing, the strong rule filters training records down to icing
+candidates (everything else is excluded from training), and candidates
+split into the parts "low" (seed key (0,)) and "high" (seed key (1,)) by
+wind speed. At test time every record passes through the gate: rule
+failures are predicted normal outright, candidates are routed to their
+part. Scores are reported per part and pooled over the whole test set;
+the pooled CV score is the mean of the parts' CV scores.
 
 Seed derivation, recorded in every report: run i uses
-derive_seed(master_seed, i); balancing draws come from the balance seed
-(derive_seed(balance.seed, i, segment_index)); fold shuffles and learner
-initialization derive from the run seed. Reports carry a config hash and
-all seeds, and contain no timestamps, so identical configs reproduce
-byte-identical report files.
+run_seed = derive_seed(master_seed, i); a part with seed key `key`
+balances with derive_seed(balance.seed, i, *key), shuffles its folds with
+derive_seed(run_seed, 1, *key) and seeds its learner with
+derive_seed(run_seed, 2, *key). The bundle trains each part once, as run
+i = n_runs would. Reports carry a config hash and all seeds, and contain
+no timestamps, so identical configs reproduce byte-identical report files.
+
+A bundle stores the model of each part under a fixed key: "all" as
+"model", "low" as "low_model" and "high" as "high_model".
 """
 
 from __future__ import annotations
@@ -67,7 +77,6 @@ from .preprocess import (
 from .rules import (
     GateDecision,
     IntervalRule,
-    Segment,
     SegmentationConfig,
     gate,
     rule_from_json,
@@ -170,17 +179,6 @@ def _traditional_matrix(dataset: LabeledDataset, cfg: PipelineConfig) -> tuple[n
     return dataset_features(prep)
 
 
-def _segment_matrices(train: LabeledDataset, cfg: PipelineConfig) -> dict[Segment, tuple[np.ndarray, np.ndarray]]:
-    """Training rows of each wind-speed segment, from the rule's candidates."""
-    candidates, _ = strong_rule_filter(feature_vectors(_prepare(train, cfg.denoise)), cfg.rule)
-    low, high = segment_vectors(candidates, cfg.segmentation)
-    matrices = {Segment.LOW: feature_matrix(low), Segment.HIGH: feature_matrix(high)}
-    for s, (X, _) in matrices.items():
-        if X.shape[0] < cfg.min_segment_size:
-            raise SegmentTooSmall(s.value, X.shape[0], cfg.min_segment_size)
-    return matrices
-
-
 def _balance_order(y: np.ndarray, cfg: BalanceConfig, seed: int) -> np.ndarray:
     if cfg.method == "under":
         return undersample_order(y == 1, seed)
@@ -272,125 +270,89 @@ def _collect(pid: int, pending: dict[int, int]) -> list | None:
     return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
 
 
-# --- traditional flow -----------------------------------------------------------
+# --- both flows -----------------------------------------------------------------
 
 
-def run_traditional(
-    train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig
-) -> ExperimentReport:
-    if cfg.variant != "traditional":
-        raise InvalidConfig("run_traditional needs a traditional config")
-    X_train, y_train = _traditional_matrix(train, cfg)
-    X_test, y_test = _traditional_matrix(test, cfg)
+# part name -> the bundle key of its model
+_BUNDLE_KEYS = {"all": "model", "low": "low_model", "high": "high_model"}
 
+
+def _training_parts(
+    train: LabeledDataset, cfg: PipelineConfig
+) -> dict[str, tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    """Per part name: its seed key and training rows. The traditional flow
+    has the single part "all"; the re-engineered one splits the rule's
+    candidates into "low" and "high" wind-speed parts."""
+    if cfg.variant == "traditional":
+        return {"all": ((), *_traditional_matrix(train, cfg))}
+    candidates, _ = strong_rule_filter(feature_vectors(_prepare(train, cfg.denoise)), cfg.rule)
+    low, high = segment_vectors(candidates, cfg.segmentation)
+    parts = {"low": ((0,), *feature_matrix(low)), "high": ((1,), *feature_matrix(high))}
+    for name, (_, X, _) in parts.items():
+        if X.shape[0] < cfg.min_segment_size:
+            raise SegmentTooSmall(name, X.shape[0], cfg.min_segment_size)
+    return parts
+
+
+def _test_parts(
+    test: LabeledDataset, cfg: PipelineConfig
+) -> tuple[np.ndarray | None, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The actual labels of the records the gate predicts normal outright
+    (None without a gate), and per part name its test rows."""
+    if cfg.variant == "traditional":
+        return None, {"all": _traditional_matrix(test, cfg)}
+    routed: dict[GateDecision, list[FeatureVector]] = {d: [] for d in GateDecision}
+    for fv in feature_vectors(_prepare(test, cfg.denoise)):
+        routed[gate(fv, cfg.rule, cfg.segmentation)].append(fv)
+    (_, auto_labels), low, high = (feature_matrix(routed[d]) for d in GateDecision)
+    return auto_labels, {"low": low, "high": high}
+
+
+def _balanced(
+    X: np.ndarray, y: np.ndarray, cfg: PipelineConfig, i: int, run_seed: int, key: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, LearnerConfig]:
+    """Run i's balance draw of one part's rows, and the part's learner
+    config seeded from the run seed."""
+    order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i, *key))
+    return X[order], y[order], cfg.learner.seeded(derive_seed(run_seed, 2, *key))
+
+
+def _run(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> ExperimentReport:
+    train_parts = _training_parts(train, cfg)
+    auto_labels, test_parts = _test_parts(test, cfg)
     seeds = _run_seeds(cfg)
 
-    def one_run(i: int) -> tuple[float, float]:
-        run_seed = seeds[i]
-        order = _balance_order(y_train, cfg.balance, derive_seed(cfg.balance.seed, i))
-        Xb, yb = X_train[order], y_train[order]
-        lcfg = cfg.learner.seeded(derive_seed(run_seed, 2))
-        cv = float(np.mean(crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(run_seed, 1))))
-        model = learners.train(lcfg, Xb, yb)
-        predicted = learners.predict_batch(model, X_test)
-        return cv, score(confusion(y_test, predicted))
-
-    results = _map_runs(one_run, cfg.n_runs)
-    cv_scores = [cv for cv, _ in results]
-    test_scores = [t for _, t in results]
-
-    doc = pipeline_config_to_dict(cfg)
-    cell = ReportCell(
-        pipeline="traditional",
-        algorithm=cfg.learner.algorithm,
-        segment="all",
-        cv=run_statistics(cv_scores),
-        test=run_statistics(test_scores),
-    )
-    return ExperimentReport(
-        train_id=train.turbine_id,
-        test_id=test.turbine_id,
-        config=doc,
-        config_hash=config_hash(doc),
-        run_seeds=tuple(seeds),
-        cells=(cell,),
-    )
-
-
-# --- re-engineered flow ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _GatedTest:
-    auto_labels: np.ndarray  # actual labels of auto-normal records
-    X: dict[Segment, np.ndarray]
-    y: dict[Segment, np.ndarray]
-
-
-def _gate_test(vectors: Sequence[FeatureVector], rule: IntervalRule, seg: SegmentationConfig) -> _GatedTest:
-    auto: list[FeatureVector] = []
-    per_segment: dict[Segment, list[FeatureVector]] = {Segment.LOW: [], Segment.HIGH: []}
-    for fv in vectors:
-        decision = gate(fv, rule, seg)
-        if decision is GateDecision.AUTO_NORMAL:
-            auto.append(fv)
-        else:
-            per_segment[decision.segment].append(fv)
-    _, auto_y = feature_matrix(auto)
-    X: dict[Segment, np.ndarray] = {}
-    y: dict[Segment, np.ndarray] = {}
-    for s in Segment:
-        X[s], y[s] = feature_matrix(per_segment[s])
-    return _GatedTest(auto_labels=auto_y, X=X, y=y)
-
-
-def run_reengineered(
-    train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig
-) -> ExperimentReport:
-    if cfg.variant != "reengineered":
-        raise InvalidConfig("run_reengineered needs a reengineered config")
-    train_seg = _segment_matrices(train, cfg)
-    test_vectors = feature_vectors(_prepare(test, cfg.denoise))
-    gated = _gate_test(test_vectors, cfg.rule, cfg.segmentation)
-
-    seeds = _run_seeds(cfg)
-
-    def one_run(i: int) -> tuple[dict[Segment, float], dict[Segment, float], float, float]:
-        run_seed = seeds[i]
-        run_cv: dict[Segment, float] = {}
-        run_test: dict[Segment, float] = {}
-        actual_parts = [gated.auto_labels]
-        predicted_parts = [np.zeros_like(gated.auto_labels)]  # auto-normal predicts normal
-        for s_index, s in enumerate(Segment):
-            X_seg, y_seg = train_seg[s]
-            order = _balance_order(y_seg, cfg.balance, derive_seed(cfg.balance.seed, i, s_index))
-            Xb, yb = X_seg[order], y_seg[order]
-            lcfg = cfg.learner.seeded(derive_seed(run_seed, 2, s_index))
-            run_cv[s] = float(
-                np.mean(crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(run_seed, 1, s_index)))
-            )
+    def one_run(i: int) -> tuple[dict[str, float], dict[str, float]]:
+        cv: dict[str, float] = {}
+        test_scores: dict[str, float] = {}
+        predicted: dict[str, np.ndarray] = {}
+        for name, (key, X, y) in train_parts.items():
+            X_test, y_test = test_parts[name]
+            Xb, yb, lcfg = _balanced(X, y, cfg, i, seeds[i], key)
+            cv[name] = float(np.mean(crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(seeds[i], 1, *key))))
             model = learners.train(lcfg, Xb, yb)
-            predicted = learners.predict_batch(model, gated.X[s])
-            run_test[s] = score(confusion(gated.y[s], predicted))
-            actual_parts.append(gated.y[s])
-            predicted_parts.append(predicted)
-        pooled_cv = float(np.mean(list(run_cv.values())))
-        pooled_test = score(confusion(np.concatenate(actual_parts), np.concatenate(predicted_parts)))
-        return run_cv, run_test, pooled_cv, pooled_test
+            predicted[name] = learners.predict_batch(model, X_test)
+            test_scores[name] = score(confusion(y_test, predicted[name]))
+        if auto_labels is not None:
+            cv["pooled"] = float(np.mean(list(cv.values())))
+            # auto-normal records are predicted normal
+            actual = np.concatenate([auto_labels, *(y for _, y in test_parts.values())])
+            pooled = np.concatenate([np.zeros_like(auto_labels), *predicted.values()])
+            test_scores["pooled"] = score(confusion(actual, pooled))
+        return cv, test_scores
 
     results = _map_runs(one_run, cfg.n_runs)
-    cv_scores = {s: [r[0][s] for r in results] for s in Segment}
-    test_scores = {s: [r[1][s] for r in results] for s in Segment}
-    pooled_cv = [r[2] for r in results]
-    pooled_test = [r[3] for r in results]
-
-    doc = pipeline_config_to_dict(cfg)
-    algorithm = cfg.learner.algorithm
-    cells = (
-        ReportCell("reengineered", algorithm, "low", run_statistics(cv_scores[Segment.LOW]), run_statistics(test_scores[Segment.LOW])),
-        ReportCell("reengineered", algorithm, "high", run_statistics(cv_scores[Segment.HIGH]), run_statistics(test_scores[Segment.HIGH])),
-        ReportCell("reengineered", algorithm, "pooled", run_statistics(pooled_cv), run_statistics(pooled_test)),
+    cells = tuple(
+        ReportCell(
+            pipeline=cfg.variant,
+            algorithm=cfg.learner.algorithm,
+            segment=name,
+            cv=run_statistics([cv[name] for cv, _ in results]),
+            test=run_statistics([t[name] for _, t in results]),
+        )
+        for name in results[0][0]
     )
+    doc = pipeline_config_to_dict(cfg)
     return ExperimentReport(
         train_id=train.turbine_id,
         test_id=test.turbine_id,
@@ -401,6 +363,18 @@ def run_reengineered(
     )
 
 
+def run_traditional(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> ExperimentReport:
+    if cfg.variant != "traditional":
+        raise InvalidConfig("run_traditional needs a traditional config")
+    return _run(train, test, cfg)
+
+
+def run_reengineered(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> ExperimentReport:
+    if cfg.variant != "reengineered":
+        raise InvalidConfig("run_reengineered needs a reengineered config")
+    return _run(train, test, cfg)
+
+
 # --- deployable bundle ----------------------------------------------------------
 
 
@@ -408,42 +382,28 @@ def run_reengineered(
 class ModelBundle:
     variant: str
     denoise: DenoiseConfig
+    models: dict[str, TrainedModel]  # by part name
     raw_features: bool = False
-    model: TrainedModel | None = None  # traditional
     rule: IntervalRule | None = None  # reengineered
     segmentation: SegmentationConfig | None = None
-    low_model: TrainedModel | None = None
-    high_model: TrainedModel | None = None
 
 
 def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
-    """Train the final deployable model(s) with one balance draw, seeded
-    one past the experiment's runs."""
+    """Train the final deployable model of each part with one balance draw,
+    seeded one past the experiment's runs."""
     i = cfg.n_runs  # one past the last experiment run
     seed = derive_seed(cfg.master_seed, i)
-    if cfg.variant == "traditional":
-        X, y = _traditional_matrix(train, cfg)
-        order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i))
-        lcfg = cfg.learner.seeded(derive_seed(seed, 2))
-        model = learners.train(lcfg, X[order], y[order])
-        return ModelBundle(
-            variant="traditional",
-            denoise=cfg.denoise,
-            raw_features=cfg.traditional_raw_features,
-            model=model,
-        )
-    models: dict[Segment, TrainedModel] = {}
-    for s_index, (s, (X, y)) in enumerate(_segment_matrices(train, cfg).items()):
-        order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i, s_index))
-        lcfg = cfg.learner.seeded(derive_seed(seed, 2, s_index))
-        models[s] = learners.train(lcfg, X[order], y[order])
+    models: dict[str, TrainedModel] = {}
+    for name, (key, X, y) in _training_parts(train, cfg).items():
+        Xb, yb, lcfg = _balanced(X, y, cfg, i, seed, key)
+        models[name] = learners.train(lcfg, Xb, yb)
     return ModelBundle(
-        variant="reengineered",
+        variant=cfg.variant,
         denoise=cfg.denoise,
+        models=models,
+        raw_features=cfg.traditional_raw_features,
         rule=cfg.rule,
         segmentation=cfg.segmentation,
-        low_model=models[Segment.LOW],
-        high_model=models[Segment.HIGH],
     )
 
 
@@ -492,20 +452,20 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> list[StreamPrediction]:
 def _predict_one(bundle: ModelBundle, rec: ScadaRecord, channels: np.ndarray) -> Label | None:
     """The label of one smoothed record, given also as its channel row;
     None when its features are degenerate."""
-    if bundle.variant == "traditional" and bundle.raw_features:
-        return learners.predict(bundle.model, channels)
+    if bundle.raw_features:
+        return learners.predict(bundle.models["all"], channels)
     try:
         # the label on a prediction-time vector is an inert placeholder
         fv = assemble_feature_vector(engineer_record(rec), Label.NORMAL)
     except DegenerateDenominator:
         return None
-    if bundle.variant == "traditional":
-        return learners.predict(bundle.model, fv.as_array())
-    decision = gate(fv, bundle.rule, bundle.segmentation)
-    if decision is GateDecision.AUTO_NORMAL:
-        return Label.NORMAL
-    model = bundle.low_model if decision.segment is Segment.LOW else bundle.high_model
-    return learners.predict(model, fv.as_array())
+    part = "all"
+    if bundle.rule is not None:
+        decision = gate(fv, bundle.rule, bundle.segmentation)
+        if decision is GateDecision.AUTO_NORMAL:
+            return Label.NORMAL
+        part = decision.segment.value
+    return learners.predict(bundle.models[part], fv.as_array())
 
 
 def bundle_to_dict(bundle: ModelBundle) -> dict:
@@ -515,13 +475,11 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
         "denoise": asdict(bundle.denoise),
         "raw_features": bundle.raw_features,
     }
-    if bundle.variant == "traditional":
-        doc["model"] = learners.model_to_dict(bundle.model)
-    else:
+    if bundle.rule is not None:
         doc["rule"] = _rule_to_dict(bundle.rule)
         doc["segment_threshold"] = bundle.segmentation.threshold
-        doc["low_model"] = learners.model_to_dict(bundle.low_model)
-        doc["high_model"] = learners.model_to_dict(bundle.high_model)
+    for name, model in bundle.models.items():
+        doc[_BUNDLE_KEYS[name]] = learners.model_to_dict(model)
     return doc
 
 
@@ -533,27 +491,21 @@ def bundle_from_dict(doc: dict) -> ModelBundle:
     try:
         denoise = from_dict(DenoiseConfig, doc["denoise"])
         variant = doc["variant"]
-        if variant == "traditional":
-            raw_features = bool(doc.get("raw_features", False))
-            model = learners.model_from_dict(doc["model"])
-            learners.check_input_width(model, len(CHANNELS) if raw_features else len(FEATURE_IDS))
-            return ModelBundle(variant=variant, denoise=denoise, raw_features=raw_features, model=model)
-        if variant != "reengineered":
+        rule = segmentation = None
+        if variant == "reengineered":
+            rule_doc = doc["rule"]
+            if not isinstance(rule_doc, dict):
+                raise InvalidConfig(f"bundle rule: expected an object, got {rule_doc!r}")
+            rule = rule_from_json(rule_doc["constraints"], rule_id=rule_doc["id"])
+            segmentation = from_dict(SegmentationConfig, {"threshold": doc["segment_threshold"]})
+        elif variant != "traditional":
             raise InvalidConfig(f"unknown bundle variant {variant!r}")
-        rule = doc["rule"]
-        if not isinstance(rule, dict):
-            raise InvalidConfig(f"bundle rule: expected an object, got {rule!r}")
-        low, high = learners.model_from_dict(doc["low_model"]), learners.model_from_dict(doc["high_model"])
-        for model in (low, high):
-            learners.check_input_width(model, len(FEATURE_IDS))
-        return ModelBundle(
-            variant=variant,
-            denoise=denoise,
-            rule=rule_from_json(rule["constraints"], rule_id=rule["id"]),
-            segmentation=from_dict(SegmentationConfig, {"threshold": doc["segment_threshold"]}),
-            low_model=low,
-            high_model=high,
-        )
+        raw_features = rule is None and bool(doc.get("raw_features", False))
+        parts = ("all",) if rule is None else ("low", "high")
+        models = {name: learners.model_from_dict(doc[_BUNDLE_KEYS[name]]) for name in parts}
+        for model in models.values():
+            learners.check_input_width(model, len(CHANNELS) if raw_features else len(FEATURE_IDS))
+        return ModelBundle(variant, denoise, models, raw_features, rule, segmentation)
     except KeyError as exc:
         raise InvalidConfig(f"bundle is missing key {exc}") from None
 

@@ -220,6 +220,21 @@ def _inspect_rules(tmp_path, rules_text):
     return ["inspect-rules", "--data", str(tmp_path / "d.csv"), "--rules", rules]
 
 
+def _inspect_rules_directory(tmp_path):
+    write_labeled_csv(make_dataset([Label.NORMAL] * 12), tmp_path / "d.csv")
+    return ["inspect-rules", "--data", str(tmp_path / "d.csv"), "--rules", str(tmp_path)]
+
+
+def _ingest_out_directory(tmp_path):
+    argv = _ingest(tmp_path, _scada(tmp_path / "s.csv", [0, 7]), _file(tmp_path / "w.csv", "start,end,class\n0,100,normal\n"))
+    return argv[:-1] + [str(tmp_path)]
+
+
+def _bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
 def _unsorted_labeled(tmp_path):
     path = tmp_path / "d.csv"
     write_labeled_csv(make_dataset([Label.NORMAL] * 12, start_time=77, dt=-7), path)
@@ -302,6 +317,26 @@ MALFORMED = {
         lambda t: _inspect_rules(t, "[1,2]"), 2, "a rule must be a JSON array of constraint objects",
     ),
     "under-sample-too-few-normal": (_features_under_sample, 3, "cannot under-sample: 7 normal < 15 abnormal"),
+    "synth-pair-config-not-object": (
+        lambda t: ["synth", "--pair", "--config", _file(t / "f.json", "5"), "--out", str(t / "o")], 2,
+        "top level: expected object, got 5",
+    ),
+    "experiment-config-directory": (
+        lambda t: ["experiment", "--config", str(t), "--out-dir", str(t / "o")], 3, "Is a directory",
+    ),
+    "predict-bundle-directory": (
+        lambda t: ["predict", "--bundle", str(t), "--scada", "B.csv", "--out", str(t / "l.csv")], 3, "Is a directory",
+    ),
+    "inspect-rules-rules-directory": (_inspect_rules_directory, 3, "Is a directory"),
+    "ingest-out-directory": (_ingest_out_directory, 3, "Is a directory"),
+    "experiment-config-not-utf8": (
+        lambda t: ["experiment", "--config", _bytes(t / "e.json", b'{"n_runs": "\xff"}'), "--out-dir", str(t / "o")], 3,
+        "can't decode byte 0xff",
+    ),
+    "ingest-scada-not-utf8": (
+        lambda t: _ingest(t, _bytes(t / "s.csv", b"time,\xff\n"), _file(t / "w.csv", "start,end,class\n")), 3,
+        "can't decode byte 0xff",
+    ),
 }
 
 

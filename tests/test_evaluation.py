@@ -18,11 +18,11 @@ from icewatch.evaluation import (
     run_statistics,
     score,
 )
-from icewatch.learners import LearnerConfig
+from icewatch.learners import ABNORMAL, NORMAL, LearnerConfig
 from icewatch.pipeline import PipelineConfig, _run_seeds
 from icewatch.scada import Label
 
-N, A = Label.NORMAL, Label.ABNORMAL
+N, A = NORMAL, ABNORMAL
 
 
 class TestConfusion:
@@ -47,8 +47,13 @@ class TestConfusion:
             confusion([N], [N, A])
 
     def test_invalid_label_rejected(self):
-        with pytest.raises(ValueError):
+        # only 0/1 codes are scored: neither Label enums nor other codes
+        with pytest.raises(ValueError, match="integer codes"):
             confusion([Label.INVALID], [N])
+        with pytest.raises(ValueError, match="integer codes"):
+            confusion([Label.NORMAL], [N])
+        with pytest.raises(ValueError, match="label code must be 0 or 1, got 2"):
+            confusion([2], [N])
 
     def test_int_arrays_checked_at_once(self):
         actual = np.array([0, 0, 1, 1], dtype=np.int8)

@@ -18,8 +18,8 @@ from icewatch.learners import LearnerConfig
 from icewatch.pipeline import (
     ModelBundle,
     PipelineConfig,
-    _gate_test,
     _prepare,
+    _test_parts,
     bundle_from_dict,
     bundle_to_dict,
     predict_stream,
@@ -154,8 +154,8 @@ class TestReengineered:
     def test_gate_partition_conserves_flow(self):
         _, ds_a, _ = small_pair()
         vectors = feature_vectors(_prepare(ds_a, DenoiseConfig()))
-        gated = _gate_test(vectors, builtin_rule("R5"), SegmentationConfig())
-        total = len(gated.auto_labels) + sum(len(gated.y[s]) for s in gated.y)
+        auto_labels, parts = _test_parts(ds_a, reengineered_cfg())
+        total = len(auto_labels) + sum(len(y) for _, y in parts.values())
         assert total == len(vectors)
 
     def test_deterministic(self):
