@@ -3,9 +3,9 @@ SCADA data, with a synthetic data generator for desk-scale experiments."""
 
 __version__ = "0.1.0"
 
-# The record types load numpy, so they are imported on first use: the CLI
+# The data types load numpy, so they are imported on first use: the CLI
 # must pin BLAS threads before numpy loads (see icewatch.cli).
-_SCADA_EXPORTS = ("Frame", "Label", "LabeledDataset", "ScadaRecord")
+_SCADA_EXPORTS = ("Frame", "Label", "LabeledDataset")
 
 
 def __getattr__(name):

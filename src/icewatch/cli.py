@@ -26,7 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 from . import synthgen  # noqa: E402
 from .errors import ConfigError, DataError, InvalidConfig  # noqa: E402
-from .features import dataset_features, feature_vectors, rank_features, write_feature_csv  # noqa: E402
+from .features import feature_vectors, rank_features, write_feature_csv  # noqa: E402
 from .learners import LearnerConfig  # noqa: E402
 from .pipeline import (  # noqa: E402
     PipelineConfig,
@@ -49,6 +49,7 @@ from .preprocess import (  # noqa: E402
 )
 from .rules import SegmentationConfig, load_rule, strong_rule_filter  # noqa: E402
 from .scada import (  # noqa: E402
+    LABELS,
     Label,
     apply_label_windows,
     parse_label_windows_csv,
@@ -59,7 +60,7 @@ from .scada import (  # noqa: E402
     write_labeled_csv,
     write_scada_csv,
 )
-from .schema import from_dict  # noqa: E402
+from .schema import from_dict, read_json  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class ExperimentConfig:
 
 def _read_config(path: str) -> dict:
     """The top-level JSON object of a config file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InvalidConfig(f"top level: expected object, got {doc!r}")
     return doc
@@ -164,7 +165,8 @@ def _preprocessed(args):
 
 
 def _cmd_features(args) -> int:
-    X, y = dataset_features(_preprocessed(args))
+    prep = _preprocessed(args)
+    X, y = feature_vectors(prep), prep.label
     if args.balance != "none":
         draw = undersample_order if args.balance == "under" else oversample_order
         order = draw(y == 1, args.seed)
@@ -178,14 +180,15 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_inspect_rules(args) -> int:
-    vectors = feature_vectors(_preprocessed(args))
-    n = len(vectors)
-    n_abnormal = sum(1 for fv in vectors if fv.label is Label.ABNORMAL)
+    prep = _preprocessed(args)
+    X = feature_vectors(prep)
+    abnormal = prep.label == LABELS.index(Label.ABNORMAL)
+    n, n_abnormal = len(X), int(abnormal.sum())
     for rule_id in args.rules or ["R1", "R2", "R3", "R4", "R5"]:
         rule = load_rule(rule_id)
-        candidates, _ = strong_rule_filter(vectors, rule)
+        candidates, _ = strong_rule_filter(X, rule)
         passed = len(candidates)
-        captured = sum(1 for fv in candidates if fv.label is Label.ABNORMAL)
+        captured = int(abnormal[candidates].sum())
         cap_rate = captured / n_abnormal if n_abnormal else float("nan")
         print(
             f"{rule.rule_id}: {passed}/{n} pass ({passed / n:.1%}), "
@@ -269,8 +272,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    bundle_doc = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
-    bundle = bundle_from_dict(bundle_doc)
+    bundle = bundle_from_dict(read_json(args.bundle))
     predictions = predict_stream(bundle, parse_scada_csv(args.scada).require_time_order())
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -355,7 +357,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

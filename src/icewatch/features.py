@@ -19,24 +19,22 @@ The prediction model uses a fixed ten-feature vector, addressed by the
 ids x1..x10 (see FEATURE_IDS). power_coeff and thrust_coeff are computed
 and exportable but are not part of that vector.
 
-The formulas are written once, over a record's channel attributes.
-engineer_record evaluates them on one ScadaRecord; dataset_features
-evaluates the same expressions on whole channel columns of a
-LabeledDataset, which gives bitwise the same values because every
-operation is elementwise.
+The formulas are written once, over a record's channel attributes. An
+attribute may hold one value or a whole column (`Frame.columns`); every
+operation is elementwise, so a row of the column result is bitwise the
+value computed on that row alone. engineer_record evaluates every derived
+feature, assemble_feature_vector stacks the x1..x10 columns, and
+degenerate_mask is the one denominator guard. feature_vectors applies
+them to a dataset, and training, test gating and prediction all compute
+their features this way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from types import SimpleNamespace
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidLabel, SingleClassDataset
-from .scada import CHANNELS, INVALID_CODE, LABELS, Label, LabeledDataset, ScadaRecord, open_sink
+from .scada import INVALID_CODE, Label, LabeledDataset, open_sink
 
 # Inputs must exceed -5 by this margin for the offset denominators.
 DENOMINATOR_MARGIN = 1e-6
@@ -45,49 +43,9 @@ OFFSET = 5.0
 
 _DENOMINATOR_FLOOR = -OFFSET + DENOMINATOR_MARGIN
 
-
-@dataclass(frozen=True, slots=True)
-class EngineeredRecord:
-    """A source record plus every derived feature."""
-
-    source: ScadaRecord
-    pitch_angle_avg: float
-    pitch_speed_avg: float
-    pitch_moto_tmp_avg: float
-    pitch_ng5_tmp_avg: float
-    pitch_ng5_dc_avg: float
-    tmp_diff: float
-    torque: float
-    power_coeff: float
-    thrust_coeff: float
-    tip_speed_ratio: float
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
-    """The ten selected model inputs plus the class label.
-
-    Field order matches the x1..x10 ids used by rules and CSV export.
-    """
-
-    pitch1_moto_tmp: float  # x1
-    pitch2_moto_tmp: float  # x2
-    pitch3_moto_tmp: float  # x3
-    wind_speed: float  # x4
-    environment_tmp: float  # x5
-    tmp_diff: float  # x6
-    power: float  # x7
-    tip_speed_ratio: float  # x8
-    torque: float  # x9
-    pitch_angle_avg: float  # x10
-    label: Label
-
-    def as_array(self) -> np.ndarray:
-        return np.array(_feature_values(self), dtype=float)
-
-
 FEATURE_IDS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10")
 
+# feature id -> the channel or engineered feature it reads
 FEATURE_FIELDS = {
     "x1": "pitch1_moto_tmp",
     "x2": "pitch2_moto_tmp",
@@ -101,23 +59,10 @@ FEATURE_FIELDS = {
     "x10": "pitch_angle_avg",
 }
 
-assert tuple(FEATURE_FIELDS.values()) == tuple(f.name for f in fields(FeatureVector))[: len(FEATURE_IDS)]
 
-# the ten feature values of a FeatureVector, in FEATURE_IDS order
-_feature_values = attrgetter(*FEATURE_FIELDS.values())
-
-LABEL_CODES = {Label.NORMAL: 0, Label.ABNORMAL: 1}
-
-
-def feature_value(fv: FeatureVector, feature_id: str) -> float:
-    return getattr(fv, FEATURE_FIELDS[feature_id])
-
-
-def statistical_features(record: ScadaRecord) -> dict[str, float]:
-    """Per-blade averages and the inside-outside temperature difference.
-
-    `record` may also carry one array per channel attribute; every value
-    is then an array (see dataset_features)."""
+def statistical_features(record) -> dict:
+    """Per-blade averages and the inside-outside temperature difference of
+    `record`, which has one attribute per channel: a value or a column."""
     return {
         "pitch_angle_avg": (record.pitch1_angle + record.pitch2_angle + record.pitch3_angle) / 3.0,
         "pitch_speed_avg": (record.pitch1_speed + record.pitch2_speed + record.pitch3_speed) / 3.0,
@@ -128,26 +73,11 @@ def statistical_features(record: ScadaRecord) -> dict[str, float]:
     }
 
 
-def _check_denominators(wind_speed: float, generator_speed: float) -> None:
-    if wind_speed <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator("wind_speed", wind_speed)
-    if generator_speed <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator("generator_speed", generator_speed)
+def physical_features(record) -> dict:
+    """Torque, power coefficient, thrust coefficient and tip-speed ratio.
 
-
-def physical_features(record: ScadaRecord) -> dict[str, float]:
-    """Torque, power coefficient, thrust coefficient, and tip-speed ratio.
-
-    Raises DegenerateDenominator when wind_speed or generator_speed sits
-    within DENOMINATOR_MARGIN of -5.
+    Unguarded: where degenerate_mask holds, a denominator is (nearly) zero.
     """
-    _check_denominators(record.wind_speed, record.generator_speed)
-    return _physics(record)
-
-
-def _physics(record) -> dict[str, float]:
-    """physical_features without the guard; like statistical_features it
-    also evaluates channel columns."""
     wind = record.wind_speed + OFFSET
     gen = record.generator_speed + OFFSET
     power = record.power + OFFSET
@@ -160,69 +90,48 @@ def _physics(record) -> dict[str, float]:
     }
 
 
-def engineer_record(record: ScadaRecord) -> EngineeredRecord:
-    return EngineeredRecord(source=record, **statistical_features(record), **physical_features(record))
+def engineer_record(record) -> dict:
+    """Every derived feature of `record` (see statistical_features), unguarded."""
+    return {**statistical_features(record), **physical_features(record)}
 
 
-def assemble_feature_vector(engineered: EngineeredRecord, label: Label) -> FeatureVector:
-    if label not in (Label.NORMAL, Label.ABNORMAL):
-        raise InvalidLabel(label)
-    src = engineered.source
-    return FeatureVector(
-        pitch1_moto_tmp=src.pitch1_moto_tmp,
-        pitch2_moto_tmp=src.pitch2_moto_tmp,
-        pitch3_moto_tmp=src.pitch3_moto_tmp,
-        wind_speed=src.wind_speed,
-        environment_tmp=src.environment_tmp,
-        tmp_diff=engineered.tmp_diff,
-        power=src.power,
-        tip_speed_ratio=engineered.tip_speed_ratio,
-        torque=engineered.torque,
-        pitch_angle_avg=engineered.pitch_angle_avg,
-        label=label,
-    )
+def assemble_feature_vector(record, engineered: dict) -> np.ndarray:
+    """The model inputs x1..x10 of `record` and its engineered features:
+    float64[n, 10] for columns of n rows, float64[1, 10] for one record."""
+    values = [engineered[name] if name in engineered else getattr(record, name) for name in FEATURE_FIELDS.values()]
+    return np.column_stack(values)
 
 
-def dataset_features(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) of an invalid-free dataset: X is float64[n, 10] in FEATURE_IDS
-    order, y the labels coded 0=normal, 1=abnormal.
+def degenerate_mask(record):
+    """Where wind_speed or generator_speed sits within DENOMINATOR_MARGIN
+    of -5, which makes an offset denominator degenerate."""
+    return (record.wind_speed <= _DENOMINATOR_FLOOR) | (record.generator_speed <= _DENOMINATOR_FLOOR)
 
-    Row i is bitwise equal to assemble_feature_vector(engineer_record(r_i),
-    label_i).as_array(), and a bad dataset raises what that per-record path
-    raises first: DegenerateDenominator for a degenerate row (wind_speed
-    checked before generator_speed) or InvalidLabel for an invalid one,
-    whichever row comes first.
+
+def feature_vectors(dataset: LabeledDataset) -> np.ndarray:
+    """X float64[n, 10] of an invalid-free dataset, in FEATURE_IDS order.
+
+    A bad dataset raises for its first bad row: DegenerateDenominator if
+    that row is degenerate (naming wind_speed before generator_speed),
+    InvalidLabel if it is invalid.
     """
-    columns = SimpleNamespace(**dict(zip(CHANNELS, dataset.channels.T)))
-    n = len(dataset)
-    degenerate = np.flatnonzero(
-        (columns.wind_speed <= _DENOMINATOR_FLOOR) | (columns.generator_speed <= _DENOMINATOR_FLOOR)
-    )
-    invalid = np.flatnonzero(dataset.label == INVALID_CODE)
-    first_degenerate = int(degenerate[0]) if degenerate.size else n
-    first_invalid = int(invalid[0]) if invalid.size else n
-    if first_degenerate < n and first_degenerate <= first_invalid:
-        i = first_degenerate
-        _check_denominators(float(columns.wind_speed[i]), float(columns.generator_speed[i]))
-    if first_invalid < n:
+    columns = dataset.columns()
+    bad = degenerate_mask(columns) | (dataset.label == INVALID_CODE)
+    if bad.any():
+        i = int(np.argmax(bad))
+        for channel in ("wind_speed", "generator_speed"):
+            value = float(getattr(columns, channel)[i])
+            if value <= _DENOMINATOR_FLOOR:
+                raise DegenerateDenominator(channel, value)
         raise InvalidLabel(Label.INVALID)
-    values = {**vars(columns), **statistical_features(columns), **_physics(columns)}
-    return np.column_stack([values[FEATURE_FIELDS[fid]] for fid in FEATURE_IDS]), dataset.label
+    return assemble_feature_vector(columns, engineer_record(columns))
 
 
-def feature_vectors(dataset: LabeledDataset) -> list[FeatureVector]:
-    """Engineer every record of an invalid-free dataset."""
-    X, y = dataset_features(dataset)
-    return [FeatureVector(*row, LABELS[code]) for row, code in zip(X.tolist(), y.tolist())]
-
-
-def feature_matrix(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack vectors into (X, y) with y coded 0=normal, 1=abnormal."""
-    if not vectors:
-        return np.empty((0, len(FEATURE_IDS))), np.empty(0, dtype=np.int8)
-    X = np.array([_feature_values(fv) for fv in vectors], dtype=float)
-    y = np.array([LABEL_CODES[fv.label] for fv in vectors], dtype=np.int8)
-    return X, y
+def feature_matrix(dataset: LabeledDataset, raw_features: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of an invalid-free dataset: X is feature_vectors(dataset), or
+    the 26 raw channels with `raw_features`, and y the label codes
+    0=normal, 1=abnormal."""
+    return (dataset.channels if raw_features else feature_vectors(dataset)), dataset.label
 
 
 def fisher_score(values: np.ndarray, is_abnormal: np.ndarray) -> float:

@@ -11,14 +11,15 @@ Traditional flow: after dropping invalid records and denoising, the single
 part "all" (seed key ()) trains on the whole training turbine and is
 scored on the whole (invalid-dropped, denoised, unbalanced) test turbine.
 
-Re-engineered flow: the traditional flow plus two gates. After the same
-preprocessing, the strong rule filters training records down to icing
-candidates (everything else is excluded from training), and candidates
-split into the parts "low" (seed key (0,)) and "high" (seed key (1,)) by
-wind speed. At test time every record passes through the gate: rule
-failures are predicted normal outright, candidates are routed to their
-part. Scores are reported per part and pooled over the whole test set;
-the pooled CV score is the mean of the parts' CV scores.
+Re-engineered flow: the traditional flow plus two gates, both on the
+feature matrix. After the same preprocessing, the strong rule filters
+training rows down to icing candidates (rules.strong_rule_filter;
+everything else is excluded from training), and rules.segment splits the
+candidates by wind speed into the parts "low" (seed key (0,)) and "high"
+(seed key (1,)), each in row order. At test time rules.gate gives every
+row one route: rule failures are predicted normal outright, candidates
+go to their part. Scores are reported per part and pooled over the whole
+test set; the pooled CV score is the mean of the parts' CV scores.
 
 Seed derivation, recorded in every report: run i uses
 run_seed = derive_seed(master_seed, i); a part with seed key `key`
@@ -46,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .errors import DegenerateDenominator, InvalidConfig, SegmentTooSmall
+from .errors import InvalidConfig, SegmentTooSmall
 from .evaluation import (
     RunStatistics,
     confusion,
@@ -57,9 +58,8 @@ from .evaluation import (
 )
 from .features import (
     FEATURE_IDS,
-    FeatureVector,
     assemble_feature_vector,
-    dataset_features,
+    degenerate_mask,
     engineer_record,
     feature_matrix,
     feature_vectors,
@@ -75,7 +75,9 @@ from .preprocess import (
     undersample_order,
 )
 from .rules import (
-    GateDecision,
+    AUTO_NORMAL,
+    HIGH,
+    LOW,
     IntervalRule,
     SegmentationConfig,
     gate,
@@ -84,7 +86,7 @@ from .rules import (
     segment as segment_vectors,
     strong_rule_filter,
 )
-from .scada import CHANNELS, Frame, Label, LabeledDataset, ScadaRecord
+from .scada import CHANNELS, Frame, Label, LabeledDataset
 from .schema import from_dict
 
 REPORT_FORMAT = 1
@@ -172,11 +174,15 @@ def _prepare(dataset: LabeledDataset, denoise: DenoiseConfig) -> LabeledDataset:
     return denoise_dataset(drop_invalid(dataset), denoise)
 
 
-def _traditional_matrix(dataset: LabeledDataset, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+def _matrix(dataset: LabeledDataset, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of a turbine after preprocessing: its feature rows, or for the
+    raw-channel baseline its channel rows, and its label codes."""
     prep = _prepare(dataset, cfg.denoise)
-    if cfg.traditional_raw_features:
-        return prep.channels, prep.label
-    return dataset_features(prep)
+    # each flow calls its own features function through this module, where
+    # perfbench/tracer.py times both by name
+    if cfg.variant == "traditional":
+        return feature_matrix(prep, cfg.traditional_raw_features)
+    return feature_vectors(prep), prep.label
 
 
 def _balance_order(y: np.ndarray, cfg: BalanceConfig, seed: int) -> np.ndarray:
@@ -283,15 +289,16 @@ def _training_parts(
     """Per part name: its seed key and training rows. The traditional flow
     has the single part "all"; the re-engineered one splits the rule's
     candidates into "low" and "high" wind-speed parts."""
+    X, y = _matrix(train, cfg)
     if cfg.variant == "traditional":
-        return {"all": ((), *_traditional_matrix(train, cfg))}
-    candidates, _ = strong_rule_filter(feature_vectors(_prepare(train, cfg.denoise)), cfg.rule)
-    low, high = segment_vectors(candidates, cfg.segmentation)
-    parts = {"low": ((0,), *feature_matrix(low)), "high": ((1,), *feature_matrix(high))}
-    for name, (_, X, _) in parts.items():
-        if X.shape[0] < cfg.min_segment_size:
-            raise SegmentTooSmall(name, X.shape[0], cfg.min_segment_size)
-    return parts
+        return {"all": ((), X, y)}
+    candidates, _ = strong_rule_filter(X, cfg.rule)
+    low, high = segment_vectors(X[candidates], cfg.segmentation)
+    parts = {"low": ((0,), candidates[low]), "high": ((1,), candidates[high])}
+    for name, (_, rows) in parts.items():
+        if len(rows) < cfg.min_segment_size:
+            raise SegmentTooSmall(name, len(rows), cfg.min_segment_size)
+    return {name: (key, X[rows], y[rows]) for name, (key, rows) in parts.items()}
 
 
 def _test_parts(
@@ -299,13 +306,12 @@ def _test_parts(
 ) -> tuple[np.ndarray | None, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """The actual labels of the records the gate predicts normal outright
     (None without a gate), and per part name its test rows."""
+    X, y = _matrix(test, cfg)
     if cfg.variant == "traditional":
-        return None, {"all": _traditional_matrix(test, cfg)}
-    routed: dict[GateDecision, list[FeatureVector]] = {d: [] for d in GateDecision}
-    for fv in feature_vectors(_prepare(test, cfg.denoise)):
-        routed[gate(fv, cfg.rule, cfg.segmentation)].append(fv)
-    (_, auto_labels), low, high = (feature_matrix(routed[d]) for d in GateDecision)
-    return auto_labels, {"low": low, "high": high}
+        return None, {"all": (X, y)}
+    route = gate(X, cfg.rule, cfg.segmentation)
+    parts = {"low": route == LOW, "high": route == HIGH}
+    return y[route == AUTO_NORMAL], {name: (X[rows], y[rows]) for name, rows in parts.items()}
 
 
 def _balanced(
@@ -424,6 +430,11 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> list[StreamPrediction]:
     Records whose physics features are degenerate (channels at -5) are
     predicted normal and flagged.
 
+    The features of all records are computed at once and routed by one
+    gate call; each routed record then gets its own one-row
+    learners.predict call, so a label never depends on which other rows
+    share a batch.
+
     One skew against training remains: training drops invalid records
     before it smooths, so its windows bridge the gaps, while a deployed
     stream can only smooth the records it receives.
@@ -438,34 +449,29 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> list[StreamPrediction]:
     if n >= w:
         smoothed[w - 1 :] = moving_average(frame.channels, bundle.denoise)
 
+    warm_up = np.arange(n) < w - 1
+    degenerate = np.zeros(n, dtype=bool)
+    if bundle.raw_features:
+        X = smoothed
+    else:
+        record = Frame(frame.time, smoothed, frame.group).columns()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # degenerate rows, set aside below
+            X = assemble_feature_vector(record, engineer_record(record))
+        degenerate = degenerate_mask(record)
+    # the model of each route code; without a gate every row goes to the one model
+    if bundle.rule is None:
+        route, models = np.full(n, LOW, dtype=np.int8), {LOW: bundle.models["all"]}
+    else:
+        route = gate(X, bundle.rule, bundle.segmentation)
+        models = {LOW: bundle.models["low"], HIGH: bundle.models["high"]}
+    route[degenerate] = AUTO_NORMAL
+
     out: list[StreamPrediction] = []
-    rows = zip(frame.time.tolist(), smoothed.tolist(), frame.group.tolist())
-    for i, (time, values, group) in enumerate(rows):
-        flagged = i < w - 1
-        label = _predict_one(bundle, ScadaRecord(time, *values, group), smoothed[i])
-        if label is None:
-            label, flagged = Label.NORMAL, True
+    rows = zip(frame.time.tolist(), route.tolist(), (warm_up | degenerate).tolist())
+    for i, (time, code, flagged) in enumerate(rows):
+        label = Label.NORMAL if code == AUTO_NORMAL else learners.predict(models[code], X[i])
         out.append(StreamPrediction(time=time, label=label, low_confidence=flagged))
     return out
-
-
-def _predict_one(bundle: ModelBundle, rec: ScadaRecord, channels: np.ndarray) -> Label | None:
-    """The label of one smoothed record, given also as its channel row;
-    None when its features are degenerate."""
-    if bundle.raw_features:
-        return learners.predict(bundle.models["all"], channels)
-    try:
-        # the label on a prediction-time vector is an inert placeholder
-        fv = assemble_feature_vector(engineer_record(rec), Label.NORMAL)
-    except DegenerateDenominator:
-        return None
-    part = "all"
-    if bundle.rule is not None:
-        decision = gate(fv, bundle.rule, bundle.segmentation)
-        if decision is GateDecision.AUTO_NORMAL:
-            return Label.NORMAL
-        part = decision.segment.value
-    return learners.predict(bundle.models[part], fv.as_array())
 
 
 def bundle_to_dict(bundle: ModelBundle) -> dict:

@@ -16,22 +16,32 @@ Five builtin rules are provided; R5 is the default filter:
     R5: x4 < 2 and x5 < 1.5 and 0.15 < x10 < 0.36 and x7 < 2
 
 Bounds are strict or inclusive exactly as written above.
+
+Rules and the wind-speed split work on feature matrices (rows from
+features.feature_vectors): rule_mask decides every row at once,
+strong_rule_filter and segment return the ascending row indices of their
+two parts, and gate combines the two into one routing code per row.
+Training, test gating, inspect-rules and predict all route through them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidConfig, UnknownRule
-from .features import FEATURE_IDS, FeatureVector, feature_value
-from .schema import from_dict
+from .features import FEATURE_IDS
+from .schema import from_dict, read_json
 
 INF = math.inf
+
+# the routing codes of gate
+AUTO_NORMAL, LOW, HIGH = 0, 1, 2
+
+_WIND = FEATURE_IDS.index("x4")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,21 +55,10 @@ class IntervalConstraint:
     def __post_init__(self):
         if self.feature not in FEATURE_IDS:
             raise InvalidConfig(f"unknown feature id {self.feature!r}")
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise InvalidConfig(f"{self.feature}: a bound is NaN")
         if self.lower > self.upper:
             raise InvalidConfig(f"{self.feature}: lower {self.lower} exceeds upper {self.upper}")
-
-    def holds(self, value: float) -> bool:
-        if self.lower_inclusive:
-            if value < self.lower:
-                return False
-        elif value <= self.lower:
-            return False
-        if self.upper_inclusive:
-            if value > self.upper:
-                return False
-        elif value >= self.upper:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -104,24 +103,24 @@ def builtin_rule(rule_id: str) -> IntervalRule:
     return IntervalRule(rule_id=rule_id, constraints=constraints)
 
 
-def rule_satisfied(rule: IntervalRule, fv: FeatureVector) -> bool:
-    return all(c.holds(feature_value(fv, c.feature)) for c in rule.constraints)
+def rule_mask(rule: IntervalRule, X: np.ndarray) -> np.ndarray:
+    """bool[n]: where the rows of X satisfy every constraint of `rule`.
+
+    Each comparison negates a failure test (`v <= lower`, or `v < lower`
+    for an inclusive bound), so a NaN value passes every constraint."""
+    mask = np.ones(len(X), dtype=bool)
+    for c in rule.constraints:
+        v = X[:, FEATURE_IDS.index(c.feature)]
+        mask &= ~(v < c.lower) if c.lower_inclusive else ~(v <= c.lower)
+        mask &= ~(v > c.upper) if c.upper_inclusive else ~(v >= c.upper)
+    return mask
 
 
-def strong_rule_filter(
-    vectors: Sequence[FeatureVector], rule: IntervalRule
-) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Partition into (candidates, auto_normal), order preserved in each part."""
-    candidates: list[FeatureVector] = []
-    auto_normal: list[FeatureVector] = []
-    for fv in vectors:
-        (candidates if rule_satisfied(rule, fv) else auto_normal).append(fv)
-    return candidates, auto_normal
-
-
-class Segment(Enum):
-    LOW = "low"
-    HIGH = "high"
+def strong_rule_filter(X: np.ndarray, rule: IntervalRule) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending row indices (candidates, auto_normal) of the rows of X
+    inside and outside the rule."""
+    passed = rule_mask(rule, X)
+    return np.flatnonzero(passed), np.flatnonzero(~passed)
 
 
 @dataclass(frozen=True)
@@ -133,44 +132,22 @@ class SegmentationConfig:
             raise InvalidConfig("segmentation threshold must be finite")
 
 
-def which_segment(fv: FeatureVector, cfg: SegmentationConfig) -> Segment:
-    # the boundary value goes to the high segment
-    return Segment.LOW if fv.wind_speed < cfg.threshold else Segment.HIGH
+def segment(X: np.ndarray, cfg: SegmentationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending row indices (low, high) of the rows of X by wind speed;
+    the boundary value and NaN go high."""
+    low = X[:, _WIND] < cfg.threshold
+    return np.flatnonzero(low), np.flatnonzero(~low)
 
 
-def segment(
-    vectors: Sequence[FeatureVector], cfg: SegmentationConfig
-) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Partition into (low, high) by wind speed, order preserved."""
-    low: list[FeatureVector] = []
-    high: list[FeatureVector] = []
-    for fv in vectors:
-        (low if which_segment(fv, cfg) is Segment.LOW else high).append(fv)
-    return low, high
-
-
-class GateDecision(Enum):
-    AUTO_NORMAL = "auto_normal"
-    CANDIDATE_LOW = "candidate_low"
-    CANDIDATE_HIGH = "candidate_high"
-
-    @property
-    def segment(self) -> Segment | None:
-        if self is GateDecision.CANDIDATE_LOW:
-            return Segment.LOW
-        if self is GateDecision.CANDIDATE_HIGH:
-            return Segment.HIGH
-        return None
-
-
-def gate(fv: FeatureVector, rule: IntervalRule, cfg: SegmentationConfig) -> GateDecision:
-    """Route a record: outside the rule means auto-normal, otherwise a
-    candidate for the low or high wind-speed model."""
-    if not rule_satisfied(rule, fv):
-        return GateDecision.AUTO_NORMAL
-    if which_segment(fv, cfg) is Segment.LOW:
-        return GateDecision.CANDIDATE_LOW
-    return GateDecision.CANDIDATE_HIGH
+def gate(X: np.ndarray, rule: IntervalRule, cfg: SegmentationConfig) -> np.ndarray:
+    """int8[n]: the route of each row of X. Outside the rule is AUTO_NORMAL,
+    a candidate is LOW or HIGH as segment splits the candidates."""
+    route = np.full(len(X), AUTO_NORMAL, dtype=np.int8)
+    candidates, _ = strong_rule_filter(X, rule)
+    low, high = segment(X[candidates], cfg)
+    route[candidates[low]] = LOW
+    route[candidates[high]] = HIGH
+    return route
 
 
 def rule_to_json(rule: IntervalRule) -> list[dict]:
@@ -204,5 +181,4 @@ def load_rule(spec: str) -> IntervalRule:
     path = Path(spec)
     if not path.exists():
         raise UnknownRule(spec)
-    with open(path, "r", encoding="utf-8") as f:
-        return rule_from_json(json.load(f), rule_id=path.stem)
+    return rule_from_json(read_json(path), rule_id=path.stem)

@@ -18,8 +18,8 @@ A raw stream is a `Frame`: one array per column, built once by the CSV
 reader or the synthetic generator and written by the CSV writer. A
 labeled dataset (`LabeledDataset`) is a Frame plus a turbine id and a
 label column, built by `apply_label_windows` or `read_labeled_csv`.
-`ScadaRecord` is one row of a frame; only deployment-time prediction
-builds it, to hand each smoothed row to the per-record feature code.
+`Frame.columns` names each column, so the feature formulas read a frame
+the way they would read one record: `columns.wind_speed` is a column.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -99,43 +100,6 @@ class WindowKind(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class ScadaRecord:
-    """One row of a frame. `time` is epoch seconds."""
-
-    time: int
-    wind_speed: float
-    generator_speed: float
-    power: float
-    wind_direction: float
-    wind_direction_mean: float
-    yaw_position: float
-    yaw_speed: float
-    pitch1_angle: float
-    pitch2_angle: float
-    pitch3_angle: float
-    pitch1_speed: float
-    pitch2_speed: float
-    pitch3_speed: float
-    pitch1_moto_tmp: float
-    pitch2_moto_tmp: float
-    pitch3_moto_tmp: float
-    acc_x: float
-    acc_y: float
-    environment_tmp: float
-    int_tmp: float
-    pitch1_ng5_tmp: float
-    pitch2_ng5_tmp: float
-    pitch3_ng5_tmp: float
-    pitch1_ng5_DC: float
-    pitch2_ng5_DC: float
-    pitch3_ng5_DC: float
-    group: int
-
-
-assert tuple(f.name for f in fields(ScadaRecord)) == COLUMNS
-
-
-@dataclass(frozen=True, slots=True)
 class LabelWindow:
     """Half-open time interval [start, end) carrying one class tag."""
 
@@ -160,6 +124,11 @@ class Frame:
 
     def __len__(self) -> int:
         return self.time.shape[0]
+
+    def columns(self) -> SimpleNamespace:
+        """One attribute per name in COLUMNS: `time`, a view of each
+        channel's column, and `group`."""
+        return SimpleNamespace(time=self.time, **dict(zip(CHANNELS, self.channels.T)), group=self.group)
 
     def take(self, rows):
         """The same frame restricted to `rows` (a boolean mask, an index
@@ -199,14 +168,19 @@ class DatasetSummary:
 
 @contextmanager
 def _open_source(source) -> Iterator[IO[str]]:
-    """A text stream over `source`; a path is opened here and closed on exit."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as stream:
-            yield stream
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    else:  # binary stream
-        yield io.TextIOWrapper(source, encoding="utf-8", newline="")
+    """A text stream over `source`; a path is opened here and closed on exit.
+    A byte that is not UTF-8 raises a DataError naming the path."""
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8", newline="") as stream:
+                yield stream
+        elif isinstance(source, io.TextIOBase):
+            yield source
+        else:  # binary stream
+            yield io.TextIOWrapper(source, encoding="utf-8", newline="")
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "stream")
+        raise DataError(f"{name}: {exc}") from None
 
 
 @contextmanager

@@ -10,11 +10,23 @@ dataclasses, ``X | None``, ``tuple[T, ...]``, fixed-length tuples and
 
 from __future__ import annotations
 
+import json
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
-from .errors import InvalidConfig
+from .errors import DataError, InvalidConfig
+
+
+def read_json(path):
+    """The parsed JSON of the file at `path`; a byte that is not UTF-8
+    raises a DataError naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return json.loads(text)
 
 
 def from_dict(cls, doc):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 # First, so the tests run as the CLI does: importing icewatch.cli pins BLAS
@@ -12,8 +13,15 @@ import icewatch.cli  # noqa: F401
 import numpy as np
 import pytest
 
-from icewatch.features import FeatureVector
-from icewatch.scada import CHANNELS, LABELS, Frame, Label, LabeledDataset, ScadaRecord
+from icewatch.errors import DegenerateDenominator, InvalidLabel
+from icewatch.features import DENOMINATOR_MARGIN, FEATURE_FIELDS, OFFSET, physical_features, statistical_features
+from icewatch.rules import AUTO_NORMAL, HIGH, LOW
+from icewatch.scada import CHANNELS, COLUMNS, LABELS, Frame, Label, LabeledDataset
+
+# One record of a frame, and one feature vector (x1..x10 by name, then its
+# label): the per-record views the tests build and compare.
+ScadaRecord = namedtuple("ScadaRecord", COLUMNS)
+FeatureVector = namedtuple("FeatureVector", (*FEATURE_FIELDS.values(), "label"))
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -92,6 +100,64 @@ def make_dataset(labels, turbine_id="T", start_time=0, dt=7) -> LabeledDataset:
 def random_record(rng: np.random.Generator, time: int = 0) -> ScadaRecord:
     channels = {ch: float(rng.uniform(-4.0, 10.0)) for ch in CHANNELS}
     return make_record(time=time, group=int(rng.integers(1, 5)), **channels)
+
+
+def fv_matrix(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of feature vectors: X float64[n, 10] in FEATURE_IDS order and
+    y the label codes, 0=normal, 1=abnormal."""
+    X = np.array([fv[: len(FEATURE_FIELDS)] for fv in vectors], dtype=float).reshape(len(vectors), len(FEATURE_FIELDS))
+    y = np.array([LABELS.index(fv.label) for fv in vectors], dtype=np.int8)
+    return X, y
+
+
+# --- the per-record reference path ---------------------------------------------
+# The feature and routing code as it ran one record at a time, before it
+# moved to matrices; the parity tests compare the array path with it.
+
+
+def engineer_per_record(record) -> dict:
+    """Every derived feature of one record; DegenerateDenominator when
+    wind_speed, then generator_speed, sits within the margin of -5."""
+    for channel in ("wind_speed", "generator_speed"):
+        value = getattr(record, channel)
+        if value <= -OFFSET + DENOMINATOR_MARGIN:
+            raise DegenerateDenominator(channel, value)
+    return {**statistical_features(record), **physical_features(record)}
+
+
+def assemble_per_record(record, engineered: dict, label: Label) -> FeatureVector:
+    if label not in (Label.NORMAL, Label.ABNORMAL):
+        raise InvalidLabel(label)
+    values = {**record._asdict(), **engineered}
+    return FeatureVector(*(values[name] for name in FEATURE_FIELDS.values()), label)
+
+
+def holds(c, value: float) -> bool:
+    """IntervalConstraint's test of one value: it tests failure, so a NaN
+    value passes."""
+    if c.lower_inclusive:
+        if value < c.lower:
+            return False
+    elif value <= c.lower:
+        return False
+    if c.upper_inclusive:
+        if value > c.upper:
+            return False
+    elif value >= c.upper:
+        return False
+    return True
+
+
+def rule_satisfied(rule, fv: FeatureVector) -> bool:
+    return all(holds(c, getattr(fv, FEATURE_FIELDS[c.feature])) for c in rule.constraints)
+
+
+def gate_per_record(fv: FeatureVector, rule, cfg) -> int:
+    """The route code of one vector: outside the rule auto-normal, else low
+    below the threshold and high at or above it (or at NaN)."""
+    if not rule_satisfied(rule, fv):
+        return AUTO_NORMAL
+    return LOW if fv.wind_speed < cfg.threshold else HIGH
 
 
 @pytest.fixture

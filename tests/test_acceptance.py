@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_fv, random_record
+from conftest import fv_matrix, make_fv, random_record
 from icewatch.cli import main as cli_main
 from icewatch.evaluation import ConfusionCounts, crossval_fold_scores, score
 from icewatch.features import physical_features
@@ -31,7 +31,7 @@ from icewatch.learners import (
 from icewatch.rules import (
     SegmentationConfig,
     builtin_rule,
-    rule_satisfied,
+    rule_mask,
     segment,
     strong_rule_filter,
 )
@@ -55,26 +55,14 @@ def criterion(name: str, budget_seconds: float):
 
 
 def random_vectors(rng, n):
+    """n feature rows, float64[n, 10] in x1..x10 order."""
     x4 = rng.uniform(-3, 5, n)
     x5 = rng.uniform(-3, 4, n)
     x7 = rng.uniform(-2, 4, n)
     x10 = rng.uniform(-0.2, 0.7, n)
     other = rng.normal(size=(6, n))
-    return [
-        make_fv(
-            wind_speed=float(x4[i]),
-            environment_tmp=float(x5[i]),
-            power=float(x7[i]),
-            pitch_angle_avg=float(x10[i]),
-            pitch1_moto_tmp=float(other[0, i]),
-            pitch2_moto_tmp=float(other[1, i]),
-            pitch3_moto_tmp=float(other[2, i]),
-            tmp_diff=float(other[3, i]),
-            tip_speed_ratio=float(other[4, i]),
-            torque=float(other[5, i]),
-        )
-        for i in range(n)
-    ]
+    # x1..x3 pitch motor temperatures, x6 tmp_diff, x8 tip-speed ratio, x9 torque
+    return np.column_stack([other[0], other[1], other[2], x4, x5, other[3], x7, other[4], other[5], x10])
 
 
 def test_c01_score_formula_exactness():
@@ -108,7 +96,8 @@ def _expect_boundary(rule_id, feature, bound, inclusive, side, base_fields):
     ):
         fields = dict(base_fields)
         fields[feature] = value
-        assert rule_satisfied(rule, make_fv(**fields)) == expected, (
+        X, _ = fv_matrix([make_fv(**fields)])  # one row
+        assert rule_mask(rule, X).tolist() == [expected], (
             rule_id, feature, value, expected,
         )
 
@@ -140,36 +129,29 @@ def test_c03_rule_boundary_semantics():
         _expect_boundary("R5", "power", 2.0, False, "upper", inside_r5)
 
         rng = np.random.default_rng(7)
-        vectors = random_vectors(rng, 100_000)
-        r1, r4, r5 = builtin_rule("R1"), builtin_rule("R4"), builtin_rule("R5")
-        for fv in vectors:
-            s5 = rule_satisfied(r5, fv)
-            s4 = rule_satisfied(r4, fv)
-            s1 = rule_satisfied(r1, fv)
-            assert (not s5 or s4) and (not s4 or s1)
+        X = random_vectors(rng, 100_000)
+        s1, s4, s5 = (rule_mask(builtin_rule(r), X) for r in ("R1", "R4", "R5"))
+        assert not (s5 & ~s4).any() and not (s4 & ~s1).any()
 
 
 def test_c04_partition_laws():
     with criterion("C4 partition laws (100k)", 10.0):
         rng = np.random.default_rng(11)
-        vectors = random_vectors(rng, 100_000)
-        position = {id(v): i for i, v in enumerate(vectors)}
+        X = random_vectors(rng, 100_000)
 
-        candidates, auto = strong_rule_filter(vectors, builtin_rule("R5"))
-        assert len(candidates) + len(auto) == len(vectors)
-        seen = [id(v) for v in candidates] + [id(v) for v in auto]
-        assert len(set(seen)) == len(vectors)  # no loss, no duplication
+        candidates, auto = strong_rule_filter(X, builtin_rule("R5"))
+        assert len(candidates) + len(auto) == len(X)
+        seen = np.concatenate([candidates, auto])
+        assert len(np.unique(seen)) == len(X)  # no loss, no duplication
         for part in (candidates, auto):
-            indices = [position[id(v)] for v in part]
-            assert indices == sorted(indices)
+            assert (np.diff(part) > 0).all()  # ascending: order kept
 
-        low, high = segment(vectors, SegmentationConfig(threshold=-0.25))
-        assert len(low) + len(high) == len(vectors)
-        seen = [id(v) for v in low] + [id(v) for v in high]
-        assert len(set(seen)) == len(vectors)
+        low, high = segment(X, SegmentationConfig(threshold=-0.25))
+        assert len(low) + len(high) == len(X)
+        seen = np.concatenate([low, high])
+        assert len(np.unique(seen)) == len(X)
         for part in (low, high):
-            indices = [position[id(v)] for v in part]
-            assert indices == sorted(indices)
+            assert (np.diff(part) > 0).all()
 
 
 def _oracle_knn(X_train, y_train, queries, k):

@@ -45,6 +45,11 @@ def test_expected_layers_are_called_with_runs_side_by_side(tmp_path, monkeypatch
     expected = json.loads((PERFBENCH / "layers.json").read_text())["experiment-knn"]["expect_calls"]
     called = {span.name for span in tracer.spans}
     assert [name for name in expected if name not in called] == []
+    # the tracer's ROWS lambdas count rows where these layers return them
+    rows = {name: [(s.rows_in, s.rows_out) for s in tracer.spans if s.name == name] for name in called}
+    assert all(rows_out == rows_in > 2 for rows_in, rows_out in rows["features.feature_vectors"])
+    for name in ("rules.strong_rule_filter", "rules.segment"):
+        assert all(0 < rows_out <= rows_in for rows_in, rows_out in rows[name]), name
 
 
 @pytest.mark.parametrize("seed", [13, 0])

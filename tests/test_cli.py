@@ -246,6 +246,14 @@ def _predict_unsorted(tmp_path):
     return _predict(tmp_path, {"denoise": {"window": 2}, "model": _knn_model([[0.0] * 10], mean=[0.0] * 10)})
 
 
+def _predict_scada_not_utf8(tmp_path):
+    _bytes(tmp_path / "B.csv", b"time,\xff\n")
+    return _predict(tmp_path, {"denoise": {"window": 2}, "model": _knn_model([[0.0] * 10], mean=[0.0] * 10)})
+
+
+NAN_BOUND = [{"feature": "x4", "upper": float("nan")}]
+
+
 # (argv builder, exit code, expected part of the message)
 MALFORMED = {
     "knn_k-string": (
@@ -331,11 +339,23 @@ MALFORMED = {
     "ingest-out-directory": (_ingest_out_directory, 3, "Is a directory"),
     "experiment-config-not-utf8": (
         lambda t: ["experiment", "--config", _bytes(t / "e.json", b'{"n_runs": "\xff"}'), "--out-dir", str(t / "o")], 3,
-        "can't decode byte 0xff",
+        "e.json: 'utf-8' codec can't decode byte 0xff",
     ),
     "ingest-scada-not-utf8": (
         lambda t: _ingest(t, _bytes(t / "s.csv", b"time,\xff\n"), _file(t / "w.csv", "start,end,class\n")), 3,
-        "can't decode byte 0xff",
+        "s.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "predict-scada-not-utf8": (_predict_scada_not_utf8, 3, "B.csv: 'utf-8' codec can't decode byte 0xff"),
+    "predict-bundle-not-utf8": (
+        lambda t: ["predict", "--bundle", _bytes(t / "b.json", b'{"format": "\xff"}'), "--scada", "B.csv", "--out",
+                   str(t / "l.csv")], 3,
+        "b.json: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "rule-file-nan-bound": (lambda t: _inspect_rules(t, json.dumps(NAN_BOUND)), 2, "x4: a bound is NaN"),
+    "bundle-rule-nan-bound": (
+        lambda t: _predict(t, {"variant": "reengineered", "denoise": {"window": 10},
+                               "rule": {"id": "nan", "constraints": NAN_BOUND}, "segment_threshold": 0}), 2,
+        "x4: a bound is NaN",
     ),
 }
 
@@ -384,5 +404,5 @@ def test_package_reexports_the_record_types():
     import icewatch
     from icewatch import scada
 
-    for name in ("Frame", "Label", "LabeledDataset", "ScadaRecord"):
+    for name in ("Frame", "Label", "LabeledDataset"):
         assert getattr(icewatch, name) is getattr(scada, name)

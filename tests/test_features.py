@@ -5,16 +5,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dataset_labels, dataset_of, dataset_records, make_fv, make_record, random_record
+from conftest import (
+    FeatureVector,
+    assemble_per_record,
+    dataset_labels,
+    dataset_of,
+    dataset_records,
+    engineer_per_record,
+    fv_matrix,
+    make_fv,
+    make_record,
+    random_record,
+)
 from icewatch.errors import DegenerateDenominator, InvalidLabel, SingleClassDataset
 from icewatch.features import (
     FEATURE_FIELDS,
     FEATURE_IDS,
     assemble_feature_vector,
-    dataset_features,
+    degenerate_mask,
     engineer_record,
     feature_matrix,
-    feature_value,
     feature_vectors,
     fisher_score,
     physical_features,
@@ -23,7 +33,7 @@ from icewatch.features import (
     write_feature_csv,
 )
 from icewatch.preprocess import DenoiseConfig, denoise_dataset, drop_invalid
-from icewatch.scada import Label, apply_label_windows
+from icewatch.scada import LABELS, Label, apply_label_windows
 from icewatch.synthgen import config_from_dict, make_turbine_pair, profile_from_dict
 
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "experiment_smoke.json"
@@ -74,12 +84,10 @@ class TestPhysical:
         assert out["power_coeff"] == 1.0  # (3+5)/(-3+5)^3 = 8/8
 
     def test_denominator_guards(self):
-        with pytest.raises(DegenerateDenominator):
-            physical_features(make_record(wind_speed=-5.0))
-        with pytest.raises(DegenerateDenominator):
-            physical_features(make_record(wind_speed=-5 + 1e-7))
-        with pytest.raises(DegenerateDenominator):
-            physical_features(make_record(generator_speed=-5.0))
+        assert degenerate_mask(make_record(wind_speed=-5.0))
+        assert degenerate_mask(make_record(wind_speed=-5 + 1e-7))
+        assert degenerate_mask(make_record(generator_speed=-5.0))
+        assert not degenerate_mask(make_record(wind_speed=-5 + 2e-6, generator_speed=-5 + 2e-6))
 
     def test_identities_on_random_records(self, rng):
         for i in range(200):
@@ -91,25 +99,32 @@ class TestPhysical:
             assert out["thrust_coeff"] == pytest.approx(out["power_coeff"] / lam, rel=1e-9)
 
 
+def _x(X, feature_id):
+    """The column of feature `feature_id` in X."""
+    return X[:, FEATURE_IDS.index(feature_id)]
+
+
 class TestAssemble:
     def test_projection(self):
         r = make_record(wind_speed=0.7, power=1.25, pitch1_moto_tmp=-0.3)
-        fv = assemble_feature_vector(engineer_record(r), Label.NORMAL)
-        assert fv.wind_speed == 0.7
-        assert fv.power == 1.25
-        assert fv.pitch1_moto_tmp == -0.3
-        assert fv.label is Label.NORMAL
+        X = assemble_feature_vector(r, engineer_record(r))
+        assert X.shape == (1, len(FEATURE_IDS))
+        assert _x(X, "x4") == 0.7
+        assert _x(X, "x7") == 1.25
+        assert _x(X, "x1") == -0.3
+        _, y = feature_matrix(dataset_of([r], [Label.NORMAL]))
+        assert LABELS[y[0]] is Label.NORMAL
 
     def test_torque_projected(self):
-        er = engineer_record(make_record(power=10, generator_speed=5))
-        fv = assemble_feature_vector(er, Label.ABNORMAL)
-        assert fv.torque == 1.5
-        assert feature_value(fv, "x9") == 1.5
+        r = make_record(power=10, generator_speed=5)
+        er = engineer_record(r)
+        X = assemble_feature_vector(r, er)
+        assert er["torque"] == 1.5
+        assert _x(X, "x9") == 1.5
 
     def test_invalid_label_rejected(self):
-        er = engineer_record(make_record())
         with pytest.raises(InvalidLabel):
-            assemble_feature_vector(er, Label.INVALID)
+            feature_vectors(dataset_of([make_record()], [Label.INVALID]))
 
     def test_recomputation_closure(self, rng):
         for i in range(100):
@@ -118,12 +133,12 @@ class TestAssemble:
             stats = statistical_features(r)
             phys = physical_features(r)
             for name, value in {**stats, **phys}.items():
-                assert getattr(er, name) == value
+                assert er[name] == value
 
 
 def _per_record(records, labels):
     """The reference path: engineer and assemble one record at a time."""
-    return [assemble_feature_vector(engineer_record(r), label) for r, label in zip(records, labels)]
+    return [assemble_per_record(r, engineer_per_record(r), label) for r, label in zip(records, labels)]
 
 
 class TestDatasetFeatures:
@@ -136,13 +151,13 @@ class TestDatasetFeatures:
         X_ref = np.array([[getattr(fv, FEATURE_FIELDS[fid]) for fid in FEATURE_IDS] for fv in expected])
         y_ref = np.array([int(fv.label is Label.ABNORMAL) for fv in expected], dtype=np.int8)
 
-        X, y = dataset_features(prep)
+        X, y = feature_matrix(prep)
         assert X.shape == (len(prep), len(FEATURE_IDS))
         assert X.tobytes() == X_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
-        vectors = feature_vectors(prep)
+        vectors = [FeatureVector(*row, LABELS[code]) for row, code in zip(X.tolist(), y.tolist())]
         assert vectors == expected
-        assert feature_matrix(vectors)[0].tobytes() == X_ref.tobytes()
+        assert feature_vectors(prep).tobytes() == X_ref.tobytes()
 
     @pytest.mark.parametrize(
         "bad_rows, channel, value",
@@ -159,7 +174,7 @@ class TestDatasetFeatures:
         with pytest.raises(DegenerateDenominator) as per_record:
             _per_record(records, labels)
         with pytest.raises(DegenerateDenominator) as columnar:
-            dataset_features(dataset_of(records, labels))
+            feature_vectors(dataset_of(records, labels))
         assert columnar.value.channel == per_record.value.channel == channel
         assert str(columnar.value) == str(per_record.value)
         assert repr(value) in str(columnar.value)
@@ -172,10 +187,10 @@ class TestDatasetFeatures:
             with pytest.raises(error):
                 _per_record(records, labels)
             with pytest.raises(error):
-                dataset_features(dataset_of(records, labels))
+                feature_vectors(dataset_of(records, labels))
 
     def test_empty_dataset(self):
-        X, y = dataset_features(dataset_of([], []))
+        X, y = feature_matrix(dataset_of([], []))
         assert X.shape == (0, len(FEATURE_IDS)) and y.shape == (0,)
 
 
@@ -191,31 +206,31 @@ class TestRankFeatures:
 
     def test_separating_feature_ranks_first(self, rng):
         vectors = self._vectors(rng)
-        ranking = rank_features(*feature_matrix(vectors))
+        ranking = rank_features(*fv_matrix(vectors))
         assert ranking[0][0] == "x4"
         # oracle: recompute the Fisher score directly
-        X, y = feature_matrix(vectors)
+        X, y = fv_matrix(vectors)
         expected = fisher_score(X[:, 3], y.astype(bool))
         assert ranking[0][1] == pytest.approx(expected)
         assert expected > 10.0
 
     def test_identical_feature_scores_zero(self):
         vectors = [make_fv(label=Label.NORMAL), make_fv(label=Label.ABNORMAL)]
-        scores = dict(rank_features(*feature_matrix(vectors)))
+        scores = dict(rank_features(*fv_matrix(vectors)))
         assert scores["x7"] == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataset):
-            rank_features(*feature_matrix([make_fv(), make_fv()]))
+            rank_features(*fv_matrix([make_fv(), make_fv()]))
 
     def test_affine_rescale_keeps_order(self, rng):
         vectors = self._vectors(rng, shift=3.0)
-        base_order = [name for name, _ in rank_features(*feature_matrix(vectors))]
+        base_order = [name for name, _ in rank_features(*fv_matrix(vectors))]
         rescaled = [
             make_fv(label=fv.label, wind_speed=5.0 * fv.wind_speed - 7.0, power=fv.power * -0.5 + 1)
             for fv in vectors
         ]
-        assert [name for name, _ in rank_features(*feature_matrix(rescaled))] == base_order
+        assert [name for name, _ in rank_features(*fv_matrix(rescaled))] == base_order
 
 
 def test_feature_csv_export(rng):
@@ -224,7 +239,7 @@ def test_feature_csv_export(rng):
         make_fv(label=Label.ABNORMAL, wind_speed=-0.5),
     ]
     buf = io.StringIO()
-    write_feature_csv(*feature_matrix(vectors), buf)
+    write_feature_csv(*fv_matrix(vectors), buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == ",".join(FEATURE_IDS + ("y",))
     assert lines[1].endswith(",0")

@@ -33,11 +33,10 @@ from icewatch.preprocess import BalanceConfig, DenoiseConfig, denoise_dataset, d
 from icewatch.rules import (
     IntervalConstraint,
     IntervalRule,
-    Segment,
     SegmentationConfig,
     builtin_rule,
 )
-from icewatch.scada import Label, apply_label_windows
+from icewatch.scada import CHANNELS, Label, apply_label_windows
 from icewatch.synthgen import SynthConfig, default_offset_profile, make_turbine_pair
 
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "experiment_smoke.json"
@@ -202,8 +201,6 @@ class TestPredictStream:
         base, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
         healthy = [r for r, label in zip(dataset_records(ds_a), dataset_labels(ds_a)) if label is Label.NORMAL]
-        from icewatch.scada import CHANNELS
-
         medians = np.median(channel_matrix(healthy), axis=0)
         point = {ch: float(medians[i]) for i, ch in enumerate(CHANNELS)}
         stream = frame_of([make_record(time=i * 7, **point) for i in range(50)])
@@ -245,9 +242,10 @@ class TestPredictStream:
         monkeypatch.setattr(pipeline, "engineer_record", spy)
         predict_stream(bundle, stream)
         expected = denoise_dataset(stream, denoise)
-        smoothed = seen[denoise.window - 1 :]
-        assert [r.time for r in smoothed] == expected.time.tolist()
-        assert channel_matrix(smoothed).tobytes() == expected.channels.tobytes()
+        (columns,) = seen  # the smoothed stream, one column per attribute
+        smoothed = np.column_stack([getattr(columns, ch) for ch in CHANNELS])[denoise.window - 1 :]
+        assert columns.time[denoise.window - 1 :].tolist() == expected.time.tolist()
+        assert smoothed.tobytes() == expected.channels.tobytes()
 
     def test_empty_stream(self):
         _, ds_a, _ = small_pair()
@@ -296,7 +294,7 @@ def test_map_runs_equals_the_list_comprehension(cpus, n, w):
     cpus(w)
 
     def one_run(i):
-        return i, i / 7, {Segment.LOW: np.float64(i) ** 0.5}
+        return i, i / 7, {Label.ABNORMAL: np.float64(i) ** 0.5}
 
     assert pipeline._map_runs(one_run, n) == [one_run(i) for i in range(n)]
     assert_no_child_left()

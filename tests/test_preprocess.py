@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,7 +117,7 @@ def per_record_denoise(records, cfg: DenoiseConfig):
     w = cfg.window
     means = sliding_window_view(channel_matrix(records, cfg.channels), w, axis=0).mean(axis=-1)
     return [
-        replace(records[i + w - 1], **{ch: float(means[i, k]) for k, ch in enumerate(cfg.channels)})
+        records[i + w - 1]._replace(**{ch: float(means[i, k]) for k, ch in enumerate(cfg.channels)})
         for i in range(means.shape[0])
     ]
 
