@@ -171,11 +171,11 @@ def _cmd_features(args) -> int:
         draw = undersample_order if args.balance == "under" else oversample_order
         order = draw(y == 1, args.seed)
         X, y = X[order], y[order]
+    ranking = rank_features(X, y) if args.rank else []  # before writing: a failed ranking leaves no file
     write_feature_csv(X, y, args.out)
     print(f"wrote {len(y)} feature rows -> {args.out}")
-    if args.rank:
-        for name, value in rank_features(X, y):
-            print(f"{name:>4}  fisher={value:.4f}")
+    for name, value in ranking:
+        print(f"{name:>4}  fisher={value:.4f}")
     return 0
 
 
@@ -273,14 +273,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = bundle_from_dict(read_json(args.bundle))
-    predictions = predict_stream(bundle, parse_scada_csv(args.scada).require_time_order())
+    predicted = predict_stream(bundle, parse_scada_csv(args.scada).require_time_order())
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("time", "label", "confidence_flag"))
-        for p in predictions:
-            writer.writerow((p.time, p.label.value, int(p.low_confidence)))
-    n_abnormal = sum(1 for p in predictions if p.label.value == "abnormal")
-    print(f"predicted {len(predictions)} records ({n_abnormal} abnormal) -> {args.out}")
+        labels = [LABELS[code].value for code in predicted.label.tolist()]
+        writer.writerows(zip(predicted.time.tolist(), labels, predicted.flagged.astype(int).tolist()))
+    print(f"predicted {len(predicted)} records ({int(predicted.label.sum())} abnormal) -> {args.out}")
     return 0
 
 

@@ -1,10 +1,11 @@
 """From-scratch classifiers: brute-force KNN, Gini CART, and a small MLP.
 
 All three train on a float matrix (n samples x n features) with integer
-labels coded 0=normal, 1=abnormal, and share deterministic contracts:
-identical config, seed, and data produce bit-identical models. KNN and
-the MLP standardize features with statistics fit on the training data;
-CART is scale-free and trains on raw values.
+labels coded 0=normal, 1=abnormal, predict those same codes, and share
+deterministic contracts: identical config, seed, and data produce
+bit-identical models. KNN and the MLP standardize features with
+statistics fit on the training data; CART is scale-free, trains on raw
+values and keeps its tree as one node table.
 
 Tie rules, fixed so behavior is reproducible:
 * KNN distance ties break toward the lower training-row index; a class
@@ -17,13 +18,13 @@ Tie rules, fixed so behavior is reproducible:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyMatrix, InvalidConfig, SingleClassDataset, TooFewSamples
-from .scada import Label
 
 NORMAL, ABNORMAL = 0, 1
 
@@ -154,59 +155,31 @@ def _knn_predict_std(model: KnnModel, Q: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CartNode:
-    n: int
-    impurity: float
-    klass: int
-    proportions: tuple[float, float]  # (p_normal, p_abnormal)
-    feature: int | None = None
-    threshold: float | None = None
-    left: "CartNode | None" = None
-    right: "CartNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-class _FlatTree(NamedTuple):
-    """A tree as parallel node arrays, root at 0; feature -1 marks a leaf."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    klass: np.ndarray
-
-
-def _flatten(root: CartNode) -> _FlatTree:
-    nodes, children = [root], []
-    for node in nodes:  # breadth first: the loop visits the children it appends
-        if node.is_leaf:
-            children.append((0, 0))
-        else:
-            children.append((len(nodes), len(nodes) + 1))
-            nodes += [node.left, node.right]
-    left, right = np.array(children, dtype=np.intp).T
-    return _FlatTree(
-        feature=np.array([-1 if n.is_leaf else n.feature for n in nodes], dtype=np.intp),
-        threshold=np.array([0.0 if n.is_leaf else n.threshold for n in nodes]),
-        left=left,
-        right=right,
-        klass=np.array([n.klass for n in nodes], dtype=np.int8),
-    )
-
-
-@dataclass(frozen=True)
 class CartModel:
-    root: CartNode
+    """A tree as one node table: row i of each array is node i, depth first
+    from the root at row 0. A leaf has feature, left and right -1."""
+
+    n: np.ndarray  # int64 training rows that reach the node
+    impurity: np.ndarray  # Gini impurity of those rows
+    klass: np.ndarray  # int8 majority class, ties to abnormal
+    p_normal: np.ndarray
+    p_abnormal: np.ndarray
+    feature: np.ndarray  # intp split feature, -1 at a leaf
+    threshold: np.ndarray  # value < threshold descends left
+    left: np.ndarray  # intp child rows
+    right: np.ndarray
     max_depth: int
     min_leaf: int
-    # the tree as node arrays, derived from root and never serialized
-    flat: _FlatTree = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "flat", _flatten(self.root))
+
+_NODE_DTYPES = (np.int64, float, np.int8, float, float, np.intp, float, np.intp, np.intp)
+
+
+def _cart_model(rows: list[list], max_depth: int, min_leaf: int) -> CartModel:
+    """The model of node rows (n, impurity, class, p_normal, p_abnormal,
+    feature, threshold, left, right) in table order."""
+    columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), _NODE_DTYPES)]
+    return CartModel(*columns, max_depth=max_depth, min_leaf=min_leaf)
 
 
 def _gini(n_abnormal: float, n: float) -> float:
@@ -246,53 +219,46 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, min_leaf: int):
     return best
 
 
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, cfg: LearnerConfig) -> CartNode:
+def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, cfg: LearnerConfig, rows: list) -> int:
+    """Append the node of training rows idx, then its subtrees, to rows; return its row."""
     n = idx.size
     abn = int(y[idx].sum())
     impurity = _gini(abn, n)
-    klass = ABNORMAL if 2 * abn >= n else NORMAL
-    proportions = ((n - abn) / n, abn / n)
+    at = len(rows)
+    rows.append([n, impurity, ABNORMAL if 2 * abn >= n else NORMAL, (n - abn) / n, abn / n, -1, 0.0, -1, -1])
     if depth >= cfg.cart_max_depth or impurity == 0.0 or n < 2 * cfg.cart_min_leaf:
-        return CartNode(n=n, impurity=impurity, klass=klass, proportions=proportions)
+        return at
     best = _best_split(X, y, idx, cfg.cart_min_leaf)
     if best is None or best[0] >= impurity:
-        return CartNode(n=n, impurity=impurity, klass=klass, proportions=proportions)
+        return at
     _, feature, threshold = best
     goes_left = X[idx, feature] < threshold
-    left = _grow(X, y, idx[goes_left], depth + 1, cfg)
-    right = _grow(X, y, idx[~goes_left], depth + 1, cfg)
-    return CartNode(
-        n=n,
-        impurity=impurity,
-        klass=klass,
-        proportions=proportions,
-        feature=feature,
-        threshold=threshold,
-        left=left,
-        right=right,
-    )
+    left = _grow(X, y, idx[goes_left], depth + 1, cfg, rows)
+    right = _grow(X, y, idx[~goes_left], depth + 1, cfg, rows)
+    rows[at][5:] = feature, threshold, left, right
+    return at
 
 
 def _train_cart(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> CartModel:
     if X.shape[0] < 2 * cfg.cart_min_leaf:
         raise TooFewSamples(2 * cfg.cart_min_leaf, X.shape[0])
-    root = _grow(X, y, np.arange(X.shape[0]), 0, cfg)
-    return CartModel(root=root, max_depth=cfg.cart_max_depth, min_leaf=cfg.cart_min_leaf)
+    rows: list[list] = []
+    _grow(X, y, np.arange(X.shape[0]), 0, cfg, rows)
+    return _cart_model(rows, cfg.cart_max_depth, cfg.cart_min_leaf)
 
 
 def _cart_predict(model: CartModel, X: np.ndarray) -> np.ndarray:
     """Descend all rows one level per step; a row stops at its leaf."""
-    tree = model.flat
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
     while rows.size:
         at = node[rows]
-        feature = tree.feature[at]
+        feature = model.feature[at]
         internal = feature >= 0
         rows, at, feature = rows[internal], at[internal], feature[internal]
-        goes_left = X[rows, feature] < tree.threshold[at]
-        node[rows] = np.where(goes_left, tree.left[at], tree.right[at])
-    return tree.klass[node]
+        goes_left = X[rows, feature] < model.threshold[at]
+        node[rows] = np.where(goes_left, model.left[at], model.right[at])
+    return model.klass[node]
 
 
 # --- MLP ---------------------------------------------------------------------
@@ -467,10 +433,9 @@ def predict_batch(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     return np.where(p >= 0.5, ABNORMAL, NORMAL).astype(np.int8)
 
 
-def predict(model: TrainedModel, fv: np.ndarray) -> Label:
-    """Predict one feature vector."""
-    code = int(predict_batch(model, np.asarray(fv, dtype=float))[0])
-    return Label.ABNORMAL if code == ABNORMAL else Label.NORMAL
+def predict(model: TrainedModel, fv: np.ndarray) -> int:
+    """Predict one feature vector; returns 0=normal or 1=abnormal."""
+    return int(predict_batch(model, np.asarray(fv, dtype=float))[0])
 
 
 # --- serialization -------------------------------------------------------------
@@ -502,50 +467,55 @@ def _params_from_dict(doc: dict) -> StandardizationParams:
     return StandardizationParams(mean=mean, std=std)
 
 
-def _node_to_dict(node: CartNode) -> dict:
+def _node_to_dict(model: CartModel, i: int) -> dict:
     doc = {
-        "n": node.n,
-        "impurity": node.impurity,
-        "class": node.klass,
-        "proportions": list(node.proportions),
+        "n": int(model.n[i]),
+        "impurity": float(model.impurity[i]),
+        "class": int(model.klass[i]),
+        "proportions": [float(model.p_normal[i]), float(model.p_abnormal[i])],
     }
-    if not node.is_leaf:
+    if model.feature[i] >= 0:
         doc.update(
-            feature=node.feature,
-            threshold=node.threshold,
-            left=_node_to_dict(node.left),
-            right=_node_to_dict(node.right),
+            feature=int(model.feature[i]),
+            threshold=float(model.threshold[i]),
+            left=_node_to_dict(model, model.left[i]),
+            right=_node_to_dict(model, model.right[i]),
         )
     return doc
 
 
-def _node_from_dict(doc: dict) -> CartNode:
+def _node_int(value, key: str) -> int:
+    if type(value) is not int:  # a bool is not an integer here
+        raise InvalidConfig(f"cart model: malformed tree node: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _node_number(value, key: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise InvalidConfig(f"cart model: malformed tree node: {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _node_from_dict(doc: dict, rows: list) -> int:
+    """Append the node `doc`, then its subtrees, to rows; return its row."""
     if not isinstance(doc, dict):
         raise InvalidConfig("cart model: a tree node must be an object")
-    try:
-        common = dict(
-            n=int(doc["n"]),
-            impurity=float(doc["impurity"]),
-            klass=int(doc["class"]),
-            proportions=(float(doc["proportions"][0]), float(doc["proportions"][1])),
-        )
-        split = None if "feature" not in doc else (int(doc["feature"]), float(doc["threshold"]))
-    except (TypeError, ValueError, OverflowError, IndexError):
-        raise InvalidConfig("cart model: malformed tree node") from None
-    if common["klass"] not in (NORMAL, ABNORMAL):
-        raise InvalidConfig(f"cart model: node class must be 0 or 1, got {common['klass']}")
-    if split is None:
-        return CartNode(**common)
-    feature, threshold = split
-    if feature < 0:
-        raise InvalidConfig(f"cart model: feature index must be >= 0, got {feature}")
-    return CartNode(
-        **common,
-        feature=feature,
-        threshold=threshold,
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
+    n, klass = _node_int(doc["n"], "n"), _node_int(doc["class"], "class")
+    if klass not in (NORMAL, ABNORMAL):
+        raise InvalidConfig(f"cart model: node class must be 0 or 1, got {klass}")
+    proportions = doc["proportions"]
+    if not isinstance(proportions, list) or len(proportions) != 2:
+        raise InvalidConfig(f"cart model: malformed tree node: proportions must be two numbers, got {proportions!r}")
+    p_normal, p_abnormal = (_node_number(p, "proportions") for p in proportions)
+    at = len(rows)
+    rows.append([n, _node_number(doc["impurity"], "impurity"), klass, p_normal, p_abnormal, -1, 0.0, -1, -1])
+    if "feature" in doc:
+        feature = _node_int(doc["feature"], "feature")
+        if feature < 0:
+            raise InvalidConfig(f"cart model: feature index must be >= 0, got {feature}")
+        threshold = _node_number(doc["threshold"], "threshold")
+        rows[at][5:] = feature, threshold, _node_from_dict(doc["left"], rows), _node_from_dict(doc["right"], rows)
+    return at
 
 
 def model_to_dict(model: TrainedModel) -> dict:
@@ -564,7 +534,7 @@ def model_to_dict(model: TrainedModel) -> dict:
             "kind": "cart",
             "max_depth": model.max_depth,
             "min_leaf": model.min_leaf,
-            "root": _node_to_dict(model.root),
+            "root": _node_to_dict(model, 0),
         }
     return {
         "format": MODEL_FORMAT,
@@ -587,11 +557,12 @@ def model_from_dict(doc: dict) -> TrainedModel:
     if kind == "knn":
         return _knn_from_dict(doc)
     if kind == "cart":
-        root = _node_from_dict(doc["root"])
-        try:
-            return CartModel(root=root, max_depth=int(doc["max_depth"]), min_leaf=int(doc["min_leaf"]))
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidConfig("cart model: max_depth and min_leaf must be integers") from None
+        rows: list[list] = []
+        _node_from_dict(doc["root"], rows)
+        depth, leaf = doc["max_depth"], doc["min_leaf"]
+        if type(depth) is not int or type(leaf) is not int:
+            raise InvalidConfig(f"cart model: max_depth and min_leaf must be integers, got {depth!r} and {leaf!r}")
+        return _cart_model(rows, depth, leaf)
     if kind == "mlp":
         return _mlp_from_dict(doc)
     raise InvalidConfig(f"unknown model kind {kind!r}")
@@ -634,7 +605,7 @@ def _mlp_from_dict(doc: dict) -> MlpModel:
 def check_input_width(model: TrainedModel, width: int) -> None:
     """Raise InvalidConfig unless the model reads rows of `width` features."""
     if isinstance(model, CartModel):
-        needed = int(model.flat.feature.max()) + 1
+        needed = int(model.feature.max()) + 1
         if needed > width:
             raise InvalidConfig(f"cart model splits on feature {needed - 1}, but rows have {width} features")
     elif model.standardization.mean.size != width:

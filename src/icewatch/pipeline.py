@@ -86,7 +86,7 @@ from .rules import (
     segment as segment_vectors,
     strong_rule_filter,
 )
-from .scada import CHANNELS, Frame, Label, LabeledDataset
+from .scada import CHANNELS, Frame, LabeledDataset
 from .schema import from_dict
 
 REPORT_FORMAT = 1
@@ -414,13 +414,18 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
 
 
 @dataclass(frozen=True)
-class StreamPrediction:
-    time: int
-    label: Label
-    low_confidence: bool  # smoothed from a partial window or degenerate features
+class StreamLabels:
+    """The labels of a raw stream, one row per record."""
+
+    time: np.ndarray  # int64, the stream's record times
+    label: np.ndarray  # int8, 0=normal, 1=abnormal
+    flagged: np.ndarray  # bool, low confidence: smoothed from a partial window or degenerate features
+
+    def __len__(self) -> int:
+        return self.time.size
 
 
-def predict_stream(bundle: ModelBundle, frame: Frame) -> list[StreamPrediction]:
+def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
     """Label a raw stream with the bundle's full preprocessing.
 
     Deployment smoothing is the training kernel (preprocess.moving_average)
@@ -433,7 +438,8 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> list[StreamPrediction]:
     The features of all records are computed at once and routed by one
     gate call; each routed record then gets its own one-row
     learners.predict call, so a label never depends on which other rows
-    share a batch.
+    share a batch. The labels come back as arrays; no per-record object
+    is built.
 
     One skew against training remains: training drops invalid records
     before it smooths, so its windows bridge the gaps, while a deployed
@@ -466,12 +472,11 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> list[StreamPrediction]:
         models = {LOW: bundle.models["low"], HIGH: bundle.models["high"]}
     route[degenerate] = AUTO_NORMAL
 
-    out: list[StreamPrediction] = []
-    rows = zip(frame.time.tolist(), route.tolist(), (warm_up | degenerate).tolist())
-    for i, (time, code, flagged) in enumerate(rows):
-        label = Label.NORMAL if code == AUTO_NORMAL else learners.predict(models[code], X[i])
-        out.append(StreamPrediction(time=time, label=label, low_confidence=flagged))
-    return out
+    label = np.zeros(n, dtype=np.int8)  # auto-normal rows stay 0
+    routed = np.flatnonzero(route != AUTO_NORMAL)
+    for i, code in zip(routed.tolist(), route[routed].tolist()):
+        label[i] = learners.predict(models[code], X[i])
+    return StreamLabels(time=frame.time, label=label, flagged=warm_up | degenerate)
 
 
 def bundle_to_dict(bundle: ModelBundle) -> dict:

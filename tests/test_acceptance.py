@@ -197,7 +197,7 @@ def test_c06_cart_separability():
             X, y = X[perm], y[perm]
             model = train(cfg, X, y)
             assert np.array_equal(predict_batch(model, X), y), f"seed {seed}: not 100%"
-            assert neg.max() < model.root.threshold < pos.min(), f"seed {seed}: threshold"
+            assert neg.max() < model.threshold[0] < pos.min(), f"seed {seed}: threshold"
 
 
 def test_c07_mlp_gradient_check():

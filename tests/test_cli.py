@@ -92,6 +92,21 @@ class TestIngestAndFeatures:
         header = out.read_text().splitlines()[0]
         assert header == "x1,x2,x3,x4,x5,x6,x7,x8,x9,x10,y"
 
+    def test_features_rank(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "features.csv"
+        assert main(["features", "--data", str(labeled_csv), "--rank", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("wrote ") and lines[0].endswith(f"feature rows -> {out}")
+        assert len(lines) == 11 and all("fisher=" in line for line in lines[1:])
+        assert out.exists()
+
+    def test_features_rank_of_one_class_writes_nothing(self, tmp_path, capsys):
+        write_labeled_csv(make_dataset([Label.NORMAL] * 12), tmp_path / "d.csv")
+        out = tmp_path / "f.csv"
+        assert main(["features", "--data", str(tmp_path / "d.csv"), "--rank", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "wrote" not in capsys.readouterr().out
+
     def test_inspect_rules(self, labeled_csv, capsys):
         assert main(["inspect-rules", "--data", str(labeled_csv)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -203,6 +218,13 @@ def _knn_model(X, mean):
     return {"format": 1, "kind": "knn", "k": 1, "X": X, "y": [1] * len(X), "standardization": std}
 
 
+def _cart_model(**root):
+    leaf = {"n": 5, "impurity": 0.0, "class": 0, "proportions": [1.0, 0.0]}
+    node = {"n": 10, "impurity": 0.5, "class": 1, "proportions": [0.5, 0.5], "feature": 1, "threshold": 0.0}
+    return {"format": 1, "kind": "cart", "max_depth": 12, "min_leaf": 5,
+            "root": {**node, "left": leaf, "right": leaf, **root}}
+
+
 def _features_ma0(tmp_path):
     write_labeled_csv(make_dataset([Label.NORMAL] * 12), tmp_path / "d.csv")
     return ["features", "--data", str(tmp_path / "d.csv"), "--ma-window", "0", "--out", str(tmp_path / "f.csv")]
@@ -312,6 +334,10 @@ MALFORMED = {
     "bundle-knn-width-mismatch": (
         lambda t: _predict(t, {"denoise": {"window": 10}, "model": _knn_model([[1, 2]], mean=[0])}), 2,
         "knn model: 2 columns but 1 standardized features",
+    ),
+    "bundle-cart-threshold-string": (
+        lambda t: _predict(t, {"denoise": {"window": 10}, "model": _cart_model(threshold="nan")}), 2,
+        "cart model: malformed tree node: threshold must be a finite number, got 'nan'",
     ),
     "bundle-knn-not-ten-features": (
         lambda t: _predict(t, {"denoise": {"window": 10}, "model": _knn_model([[1, 2]], mean=[0, 0])}), 2,

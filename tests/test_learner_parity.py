@@ -3,7 +3,7 @@
 The MLP training loop standardizes once, updates one flat parameter vector
 in place and shares one backward pass with mlp_gradient; the KNN vote works
 in place on row blocks of each distance product; CART descends level by
-level over flat node arrays. Each must give the same bits as the plain
+level over its node table. Each must give the same bits as the plain
 version below: weights and gradients for the MLP, labels for KNN and CART.
 """
 
@@ -102,10 +102,10 @@ def reference_knn_predict(model, Q):
 def reference_cart_predict(model: CartModel, X):
     out = []
     for x in np.atleast_2d(X):
-        node = model.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] < node.threshold else node.right
-        out.append(node.klass)
+        i = 0
+        while model.feature[i] >= 0:
+            i = model.left[i] if x[model.feature[i]] < model.threshold[i] else model.right[i]
+        out.append(model.klass[i])
     return np.array(out, dtype=np.int8)
 
 
@@ -183,10 +183,8 @@ def test_knn_tie_fallback_and_k_equal_to_n_train():
         assert _same_bits(predict_batch(model, Q), reference_knn_predict(model, Q)), k
 
 
-def _thresholds(node):
-    if node.is_leaf:
-        return []
-    return [node.threshold, *_thresholds(node.left), *_thresholds(node.right)]
+def _thresholds(model):
+    return model.threshold[model.feature >= 0].tolist()
 
 
 def test_cart_labels_match_reference():
@@ -194,7 +192,7 @@ def test_cart_labels_match_reference():
     X, y = _labeled(rng, 400)
     model = train(LearnerConfig(algorithm="cart", cart_max_depth=8, cart_min_leaf=3), X, y)
     # rows sitting exactly on split thresholds pin the strict < of the descent
-    on_split = np.repeat(np.array(_thresholds(model.root))[:, None], X.shape[1], axis=1)
+    on_split = np.repeat(np.array(_thresholds(model))[:, None], X.shape[1], axis=1)
     Q = np.vstack([_labeled(rng, 500)[0], X, on_split])
     Q[0, :] = np.nan
     assert _same_bits(predict_batch(model, Q), reference_cart_predict(model, Q))

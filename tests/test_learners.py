@@ -9,7 +9,6 @@ from icewatch.learners import (
     ABNORMAL,
     NORMAL,
     CartModel,
-    CartNode,
     KnnModel,
     LearnerConfig,
     MlpModel,
@@ -25,7 +24,6 @@ from icewatch.learners import (
     standardize_fit,
     train,
 )
-from icewatch.scada import Label
 
 
 def identity_params(d):
@@ -114,7 +112,7 @@ class TestKnn:
         X = np.array([[0, 0], [0, 0.1], [1, 1], [1, 0.9], [1, 1.1]], dtype=float)
         y = np.array([NORMAL, NORMAL, ABNORMAL, ABNORMAL, ABNORMAL], dtype=np.int8)
         model = KnnModel(k=3, X=X, y=y, standardization=identity_params(2))
-        assert predict(model, np.array([0.9, 1.0])) is Label.ABNORMAL
+        assert predict(model, np.array([0.9, 1.0])) == ABNORMAL
 
     def test_memorizes_training_rows(self, rng):
         X = rng.normal(size=(20, 4))
@@ -156,7 +154,14 @@ class TestKnn:
         X = np.array([[-1.0], [1.0]])
         y = np.array([NORMAL, ABNORMAL], dtype=np.int8)
         model = KnnModel(k=2, X=X, y=y, standardization=identity_params(1))
-        assert predict(model, np.array([0.5])) is Label.ABNORMAL
+        assert predict(model, np.array([0.5])) == ABNORMAL
+
+
+def _cart_doc(root, max_depth=12, min_leaf=5):
+    return {"format": 1, "kind": "cart", "max_depth": max_depth, "min_leaf": min_leaf, "root": root}
+
+
+_CART_COLUMNS = ("n", "impurity", "klass", "p_normal", "p_abnormal", "feature", "threshold", "left", "right")
 
 
 class TestCart:
@@ -167,39 +172,35 @@ class TestCart:
             X, y = separable_1d(rng)
             model = train(cfg, X, y)
             assert np.array_equal(predict_batch(model, X), y)
-            root = model.root
-            assert not root.is_leaf
-            assert X[y == 0].max() < root.threshold < X[y == 1].min()
+            assert model.feature[0] >= 0  # the root splits
+            assert X[y == 0].max() < model.threshold[0] < X[y == 1].min()
 
     def test_single_split_tree_descent(self):
-        leaf_n = CartNode(n=5, impurity=0.0, klass=NORMAL, proportions=(1.0, 0.0))
-        leaf_a = CartNode(n=5, impurity=0.0, klass=ABNORMAL, proportions=(0.0, 1.0))
-        root = CartNode(
-            n=10, impurity=0.5, klass=ABNORMAL, proportions=(0.5, 0.5),
-            feature=0, threshold=0.0, left=leaf_n, right=leaf_a,
-        )
-        model = CartModel(root=root, max_depth=12, min_leaf=5)
-        assert predict(model, np.array([-1.0, 9.9])) is Label.NORMAL
-        assert predict(model, np.array([0.0, -9.9])) is Label.ABNORMAL  # value < threshold goes left
+        leaf_n = {"n": 5, "impurity": 0.0, "class": NORMAL, "proportions": [1.0, 0.0]}
+        leaf_a = {"n": 5, "impurity": 0.0, "class": ABNORMAL, "proportions": [0.0, 1.0]}
+        root = {
+            "n": 10, "impurity": 0.5, "class": ABNORMAL, "proportions": [0.5, 0.5],
+            "feature": 0, "threshold": 0.0, "left": leaf_n, "right": leaf_a,
+        }
+        model = model_from_dict(_cart_doc(root))
+        assert isinstance(model, CartModel)
+        assert model.feature.tolist() == [0, -1, -1]
+        assert (model.left[0], model.right[0]) == (1, 2)
+        assert predict(model, np.array([-1.0, 9.9])) == NORMAL
+        assert predict(model, np.array([0.0, -9.9])) == ABNORMAL  # value < threshold goes left
 
     def test_every_point_reaches_a_leaf_and_gini_decreases(self, rng):
         X = rng.normal(size=(200, 4))
         y = (X[:, 1] + 0.3 * rng.normal(size=200) > 0).astype(np.int8)
         y[:2] = [0, 1]
         model = train(LearnerConfig(algorithm="cart", cart_max_depth=6), X, y)
-
-        def walk(node):
-            if node.is_leaf:
-                return
-            weighted = (
-                node.left.n * node.left.impurity + node.right.n * node.right.impurity
-            ) / node.n
-            assert weighted <= node.impurity + 1e-12
-            assert node.left.n >= model.min_leaf and node.right.n >= model.min_leaf
-            walk(node.left)
-            walk(node.right)
-
-        walk(model.root)
+        internal = np.flatnonzero(model.feature >= 0)
+        assert internal.size > 0
+        for i in internal.tolist():
+            left, right = model.left[i], model.right[i]
+            weighted = (model.n[left] * model.impurity[left] + model.n[right] * model.impurity[right]) / model.n[i]
+            assert weighted <= model.impurity[i] + 1e-12
+            assert model.n[left] >= model.min_leaf and model.n[right] >= model.min_leaf
         preds = predict_batch(model, X)
         assert preds.shape == (200,)  # every row routed
 
@@ -208,13 +209,34 @@ class TestCart:
         y = (rng.uniform(size=300) < 0.5).astype(np.int8)
         y[:2] = [0, 1]
         model = train(LearnerConfig(algorithm="cart", cart_max_depth=3), X, y)
+        depth = np.zeros(model.n.size, dtype=int)
+        for i in np.flatnonzero(model.feature >= 0).tolist():  # a parent's row precedes its children's
+            depth[[model.left[i], model.right[i]]] = depth[i] + 1
+        assert depth.max() <= 3
 
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
+    def test_node_table_invariants(self, rng):
+        X = rng.normal(size=(400, 5))
+        y = (X[:, 0] - X[:, 2] + 0.5 * rng.normal(size=400) > 0).astype(np.int8)
+        model = train(LearnerConfig(algorithm="cart", cart_max_depth=7, cart_min_leaf=3), X, y)
+        internal = np.flatnonzero(model.feature >= 0)
+        leaves = np.flatnonzero(model.feature < 0)
+        left, right = model.left[internal], model.right[internal]
+        assert internal.size >= 10 and model.n[0] == 400
+        # depth first, left subtree first: every row but the root is the child of exactly one row before it
+        assert (left == internal + 1).all() and (right > left).all()
+        assert sorted([*left.tolist(), *right.tolist()]) == list(range(1, model.n.size))
+        assert (model.n[left] + model.n[right] == model.n[internal]).all()
+        assert (model.left[leaves] == -1).all() and (model.right[leaves] == -1).all()
+        assert np.abs(model.p_normal + model.p_abnormal - 1.0).max() <= 1e-15
+        assert model.n[leaves].sum() == 400
 
-        assert depth(model.root) <= 3
+        text = json.dumps(model_to_dict(model))
+        back = model_from_dict(json.loads(text))
+        for name in _CART_COLUMNS:
+            a, b = getattr(model, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (back.max_depth, back.min_leaf) == (7, 3)
+        assert json.dumps(model_to_dict(back)) == text
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(100, 4))
@@ -233,7 +255,7 @@ class TestMlp:
         )
         x = np.array([0.3, -0.2, 0.5])
         assert mlp_probability(model, x[None, :])[0] == 0.5
-        assert predict(model, x) is Label.ABNORMAL  # p >= 0.5 rule
+        assert predict(model, x) == ABNORMAL  # p >= 0.5 rule
 
     def test_near_perfect_predictions_have_tiny_gradient(self):
         # hand-built net that saturates to the correct label on x = +-1
@@ -381,6 +403,17 @@ MALFORMED_MODELS = {
     "cart-threshold-list": ("cart", lambda d: d["root"].update(threshold=[0.5]), "malformed tree node"),
     "cart-max-depth-inf": ("cart", lambda d: d.update(max_depth=float("inf")), "max_depth and min_leaf must be integers"),
     "cart-class-3": ("cart", lambda d: d["root"].update({"class": 3}), "node class must be 0 or 1"),
+    # JSON integers and numbers only: nothing is coerced
+    "cart-feature-float": ("cart", lambda d: d["root"].update(feature=1.7), "feature must be an integer, got 1.7"),
+    "cart-threshold-string": ("cart", lambda d: d["root"].update(threshold="nan"), "threshold must be a finite number"),
+    "cart-threshold-nan": ("cart", lambda d: d["root"].update(threshold=float("nan")), "threshold must be a finite number"),
+    "cart-class-bool": ("cart", lambda d: d["root"].update({"class": True}), "class must be an integer, got True"),
+    "cart-n-string": ("cart", lambda d: d["root"].update(n="10"), "n must be an integer, got '10'"),
+    "cart-impurity-string": ("cart", lambda d: d["root"].update(impurity="0.5"), "impurity must be a finite number"),
+    "cart-proportion-bool": ("cart", lambda d: d["root"]["proportions"].__setitem__(0, False), "proportions must be a finite number"),
+    "cart-proportions-one": ("cart", lambda d: d["root"]["proportions"].pop(), "proportions must be two numbers"),
+    "cart-min-leaf-float": ("cart", lambda d: d.update(min_leaf=5.9), "max_depth and min_leaf must be integers"),
+    "cart-max-depth-string": ("cart", lambda d: d.update(max_depth="12"), "max_depth and min_leaf must be integers"),
 }
 
 
@@ -395,8 +428,16 @@ def test_malformed_model_rejected(case):
 
 
 @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
+def test_predict_returns_the_int_code(algorithm):
+    model = model_from_dict(_trained_doc(algorithm))
+    for x in np.random.default_rng(3).normal(size=(8, 3)):
+        code = predict(model, x)
+        assert type(code) is int and code == predict_batch(model, x)[0]
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
 def test_input_width_check(algorithm):
     model = model_from_dict(_trained_doc(algorithm))
     check_input_width(model, 3)
     with pytest.raises(InvalidConfig):
-        check_input_width(model, 2 if algorithm != "cart" else int(model.flat.feature.max()))
+        check_input_width(model, 2 if algorithm != "cart" else int(model.feature.max()))

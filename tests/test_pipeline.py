@@ -14,7 +14,8 @@ from icewatch.errors import EmptyClass, InvalidConfig, SegmentTooSmall
 from icewatch.evaluation import derive_seed
 from icewatch import pipeline
 from icewatch.features import engineer_record, feature_vectors
-from icewatch.learners import LearnerConfig
+from icewatch import learners
+from icewatch.learners import NORMAL, LearnerConfig
 from icewatch.pipeline import (
     ModelBundle,
     PipelineConfig,
@@ -164,13 +165,21 @@ class TestReengineered:
         assert r1 == r2
 
 
+def same_predictions(a, b):
+    """Bitwise-equal time, label and flag arrays."""
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.time, b.time), (a.label, b.label), (a.flagged, b.flagged))
+    )
+
+
 class TestBundle:
     def test_round_trip(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
         back = bundle_from_dict(bundle_to_dict(bundle))
         stream = ds_a.take(slice(200))
-        assert predict_stream(back, stream) == predict_stream(bundle, stream)
+        assert same_predictions(predict_stream(back, stream), predict_stream(bundle, stream))
 
     def test_bundle_json_serializable(self):
         _, ds_a, _ = small_pair()
@@ -185,16 +194,16 @@ class TestPredictStream:
         # constant stream far outside R5 (wind speed 5 violates x4 < 2)
         stream = frame_of([make_record(time=i * 7, wind_speed=5.0) for i in range(30)])
         predictions = predict_stream(bundle, stream)
-        assert all(p.label is Label.NORMAL for p in predictions)
+        assert len(predictions) == 30 and (predictions.label == NORMAL).all()
 
     def test_partial_window_records_flagged(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, reengineered_cfg())
         stream = ds_a.take(slice(25))
         predictions = predict_stream(bundle, stream)
-        assert all(p.low_confidence for p in predictions[:9])
-        assert not any(p.low_confidence for p in predictions[9:])
-        assert [p.time for p in predictions] == [r.time for r in dataset_records(stream)]
+        assert predictions.flagged[:9].all()
+        assert not predictions.flagged[9:].any()
+        assert predictions.time.tolist() == [r.time for r in dataset_records(stream)]
 
     def test_constant_benign_stream_is_all_normal(self):
         # a constant stream pinned at the median healthy operating point
@@ -205,14 +214,14 @@ class TestPredictStream:
         point = {ch: float(medians[i]) for i, ch in enumerate(CHANNELS)}
         stream = frame_of([make_record(time=i * 7, **point) for i in range(50)])
         predictions = predict_stream(bundle, stream)
-        assert all(p.label is Label.NORMAL for p in predictions)
+        assert len(predictions) == 50 and (predictions.label == NORMAL).all()
 
     def test_degenerate_record_predicts_normal_flagged(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
         stream = frame_of([make_record(time=0, wind_speed=-5.0)])
-        (p,) = predict_stream(bundle, stream)
-        assert p.label is Label.NORMAL and p.low_confidence
+        p = predict_stream(bundle, stream)
+        assert len(p) == 1 and p.label[0] == NORMAL and p.flagged[0]
 
     def test_traditional_bundle_ignores_rules(self):
         _, ds_a, ds_b = small_pair()
@@ -221,7 +230,7 @@ class TestPredictStream:
         stream = ds_b.take(slice(100))
         first = predict_stream(bundle, stream)
         second = predict_stream(bundle, stream)
-        assert first == second
+        assert same_predictions(first, second)
 
     @pytest.mark.parametrize(
         "denoise", [DenoiseConfig(), DenoiseConfig(window=7, channels=("power", "wind_speed", "pitch2_angle"))]
@@ -250,7 +259,36 @@ class TestPredictStream:
     def test_empty_stream(self):
         _, ds_a, _ = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
-        assert predict_stream(bundle, frame_of([])) == []
+        predictions = predict_stream(bundle, frame_of([]))
+        assert len(predictions) == 0 and predictions.label.size == predictions.flagged.size == 0
+
+    @pytest.mark.parametrize("variant", ["traditional", "reengineered"])
+    def test_label_arrays_from_one_learner_call_per_routed_row(self, variant, monkeypatch):
+        _, ds_a, ds_b = small_pair()
+        cfg = reengineered_cfg() if variant == "reengineered" else PipelineConfig(variant="traditional", **knn_common())
+        bundle = train_bundle(ds_a, cfg)
+        stream = drop_invalid(ds_b)  # no degenerate record
+        n = len(stream)
+        calls = []
+
+        def spy(model, fv):
+            calls.append(fv.shape)
+            return learners.predict_batch(model, fv)[0]
+
+        unspied = predict_stream(bundle, stream)
+        monkeypatch.setattr(learners, "predict", spy)
+        predictions = predict_stream(bundle, stream)
+        assert same_predictions(predictions, unspied)
+        assert len(predictions) == n
+        assert (predictions.time.dtype, predictions.label.dtype, predictions.flagged.dtype) == (np.int64, np.int8, bool)
+        assert set(predictions.label.tolist()) <= {0, 1}
+        assert predictions.flagged.tolist() == [i < bundle.denoise.window - 1 for i in range(n)]
+        # one one-row call per routed row; rows failing the rule are auto-normal and get none
+        assert calls and set(calls) == {(10,)}
+        if variant == "traditional":
+            assert len(calls) == n
+        else:
+            assert 0 < len(calls) < n
 
 
 def test_traditional_raw_channel_baseline():
