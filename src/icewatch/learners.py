@@ -14,6 +14,18 @@ Tie rules, fixed so behavior is reproducible:
   the lower feature index, then the lower threshold. A leaf's class tie
   breaks toward abnormal. Descent sends value < threshold to the left.
 * MLP output probability >= 0.5 predicts abnormal.
+
+Two prediction entry points share every line but the matrix products.
+`predict_batch`, used by the experiments, multiplies blocks of rows at
+once: a KNN chunk of _KNN_CHUNK queries against the training rows, an MLP
+layer for the whole batch. BLAS may round a row of such a product
+differently from the vector-matrix product of a lone row, so a label can
+depend on the rows that share the batch. `predict`, used by deployment,
+computes each row's product on its own, one np.matmul per row, and runs
+everything else (the KNN clamp, partition, vote and tie fallback, the MLP
+bias add, sigmoid and threshold) on the batch. Every row therefore gets,
+bit for bit, the label of a one-row call. CART compares values exactly, so
+its batch descent is row-exact on either path.
 """
 
 from __future__ import annotations
@@ -113,22 +125,35 @@ def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
     return KnnModel(k=cfg.knn_k, X=params.apply(X), y=y.copy(), standardization=params)
 
 
-def _knn_predict_std(model: KnnModel, Q: np.ndarray) -> np.ndarray:
+def _matmul(A: np.ndarray, B: np.ndarray, row_products: bool) -> np.ndarray:
+    """A @ B; with row_products, one np.matmul per row of A, the
+    vector-matrix product that a one-row A runs."""
+    if not row_products:
+        return A @ B
+    out = np.empty((A.shape[0], B.shape[1]))
+    for r in range(A.shape[0]):
+        np.matmul(A[r : r + 1], B, out=out[r : r + 1])
+    return out
+
+
+def _knn_predict_std(model: KnnModel, Q: np.ndarray, row_products: bool = False) -> np.ndarray:
     """Vote over already standardized queries.
 
     The distance product runs on fixed chunks of _KNN_CHUNK query rows,
-    because BLAS may round differently for another block shape; everything
-    after it runs on _KNN_BLOCK-row slices of the product, in place, with
-    one scratch buffer. -2*G + (|q|^2 + |t|^2) is bitwise the textbook
+    because BLAS may round differently for another block shape, or with
+    row_products on _KNN_BLOCK rows, one row at a time; everything after it
+    runs on _KNN_BLOCK-row slices of the product, in place, with one
+    scratch buffer. -2*G + (|q|^2 + |t|^2) is bitwise the textbook
     |q|^2 + |t|^2 - 2*G: IEEE addition commutes and x - y == x + (-y).
     """
     Xt, yt, k, t_sq = model.X, model.y, model.k, model.sq_norms
     abnormal = yt == ABNORMAL
     out = np.empty(Q.shape[0], dtype=np.int8)
     scratch = np.empty((min(_KNN_BLOCK, Q.shape[0]), Xt.shape[0]))
-    for lo in range(0, Q.shape[0], _KNN_CHUNK):
-        q = Q[lo : lo + _KNN_CHUNK]
-        G = q @ Xt.T
+    chunk = _KNN_BLOCK if row_products else _KNN_CHUNK
+    for lo in range(0, Q.shape[0], chunk):
+        q = Q[lo : lo + chunk]
+        G = _matmul(q, Xt.T, row_products)
         q_sq = (q * q).sum(axis=1)
         for r in range(0, q.shape[0], _KNN_BLOCK):
             d2 = G[r : r + _KNN_BLOCK]
@@ -283,13 +308,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _mlp_forward(
-    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X_std: np.ndarray
+    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X_std: np.ndarray, row_products: bool = False
 ) -> list[np.ndarray]:
     """Activations per layer, input included; last entry is the output
-    probability column."""
+    probability column. row_products runs each layer's product one row at
+    a time."""
     activations = [X_std]
     for W, b in zip(weights, biases):
-        z = activations[-1] @ W
+        z = _matmul(activations[-1], W, row_products)
         z += b
         activations.append(_sigmoid(z))
     return activations
@@ -318,9 +344,11 @@ def _mlp_backward(
             delta *= 1.0 - a
 
 
-def mlp_probability(model: MlpModel, X: np.ndarray) -> np.ndarray:
+def mlp_probability(model: MlpModel, X: np.ndarray, row_products: bool = False) -> np.ndarray:
+    """Output probability of every row; row_products gives each row the
+    bits of its own one-row call."""
     X_std = model.standardization.apply(np.asarray(X, dtype=float))
-    return _mlp_forward(model.weights, model.biases, X_std)[-1][:, 0]
+    return _mlp_forward(model.weights, model.biases, X_std, row_products)[-1][:, 0]
 
 
 def mlp_loss(model: MlpModel, X: np.ndarray, y: Sequence[int]) -> float:
@@ -420,22 +448,26 @@ def train(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> Tr
     return _train_mlp(cfg, X, y)
 
 
-def predict_batch(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Predict many rows at once; returns an int8 array of 0/1 labels."""
+def predict_batch(model: TrainedModel, features: np.ndarray, *, _row_products: bool = False) -> np.ndarray:
+    """Predict many rows at once with block matrix products; returns an
+    int8 array of 0/1 labels. A 1-d input is one row. `predict` sets
+    _row_products for its row-exact products."""
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if isinstance(model, KnnModel):
-        return _knn_predict_std(model, model.standardization.apply(X))
+        return _knn_predict_std(model, model.standardization.apply(X), _row_products)
     if isinstance(model, CartModel):
         return _cart_predict(model, X)
-    p = mlp_probability(model, X)
+    p = mlp_probability(model, X, _row_products)
     return np.where(p >= 0.5, ABNORMAL, NORMAL).astype(np.int8)
 
 
-def predict(model: TrainedModel, fv: np.ndarray) -> int:
-    """Predict one feature vector; returns 0=normal or 1=abnormal."""
-    return int(predict_batch(model, np.asarray(fv, dtype=float))[0])
+def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Predict every row of X; returns an int8 array of 0=normal or
+    1=abnormal. Each row's label is bitwise the one a call on that row
+    alone returns, whatever other rows X holds."""
+    return predict_batch(model, X, _row_products=True)
 
 
 # --- serialization -------------------------------------------------------------
@@ -554,18 +586,25 @@ def model_from_dict(doc: dict) -> TrainedModel:
     if doc.get("format") != MODEL_FORMAT:
         raise InvalidConfig(f"unsupported model format {doc.get('format')!r}")
     kind = doc.get("kind")
-    if kind == "knn":
-        return _knn_from_dict(doc)
-    if kind == "cart":
-        rows: list[list] = []
-        _node_from_dict(doc["root"], rows)
-        depth, leaf = doc["max_depth"], doc["min_leaf"]
-        if type(depth) is not int or type(leaf) is not int:
-            raise InvalidConfig(f"cart model: max_depth and min_leaf must be integers, got {depth!r} and {leaf!r}")
-        return _cart_model(rows, depth, leaf)
-    if kind == "mlp":
-        return _mlp_from_dict(doc)
+    try:
+        if kind == "knn":
+            return _knn_from_dict(doc)
+        if kind == "cart":
+            return _cart_from_dict(doc)
+        if kind == "mlp":
+            return _mlp_from_dict(doc)
+    except KeyError as exc:
+        raise InvalidConfig(f"{kind} model: missing key {exc.args[0]!r}") from None
     raise InvalidConfig(f"unknown model kind {kind!r}")
+
+
+def _cart_from_dict(doc: dict) -> CartModel:
+    rows: list[list] = []
+    _node_from_dict(doc["root"], rows)
+    depth, leaf = doc["max_depth"], doc["min_leaf"]
+    if type(depth) is not int or type(leaf) is not int:
+        raise InvalidConfig(f"cart model: max_depth and min_leaf must be integers, got {depth!r} and {leaf!r}")
+    return _cart_model(rows, depth, leaf)
 
 
 def _knn_from_dict(doc: dict) -> KnnModel:

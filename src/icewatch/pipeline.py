@@ -436,10 +436,10 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
     predicted normal and flagged.
 
     The features of all records are computed at once and routed by one
-    gate call; each routed record then gets its own one-row
-    learners.predict call, so a label never depends on which other rows
-    share a batch. The labels come back as arrays; no per-record object
-    is built.
+    gate call. Each model then gets one learners.predict call on the rows
+    routed to it, in stream order; learners.predict is row-exact, so a
+    label never depends on which other rows share the call. The labels
+    come back as arrays; no per-record object is built.
 
     One skew against training remains: training drops invalid records
     before it smooths, so its windows bridge the gaps, while a deployed
@@ -473,9 +473,10 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
     route[degenerate] = AUTO_NORMAL
 
     label = np.zeros(n, dtype=np.int8)  # auto-normal rows stay 0
-    routed = np.flatnonzero(route != AUTO_NORMAL)
-    for i, code in zip(routed.tolist(), route[routed].tolist()):
-        label[i] = learners.predict(models[code], X[i])
+    for code, model in models.items():
+        rows = np.flatnonzero(route == code)
+        if rows.size:
+            label[rows] = learners.predict(model, X[rows])
     return StreamLabels(time=frame.time, label=label, flagged=warm_up | degenerate)
 
 

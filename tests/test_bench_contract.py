@@ -89,3 +89,57 @@ def test_setup_chain_on_a_short_pair(tmp_path):
         bundle = pipeline.bundle_from_dict(bundle_doc)
         predictions = pipeline.predict_stream(bundle, stream)
         assert rows["pipeline.predict_stream"]((bundle, stream), predictions) == (n, n), variant
+
+
+# the predict-stream layers that one operation calls itself; the rest of
+# its expect_calls belong to the set-up
+PREDICT_OPERATION_LAYERS = [
+    "cli.main",
+    "scada.parse_scada_csv",
+    "pipeline.bundle_from_dict",
+    "pipeline.predict_stream",
+    "features.engineer_record",
+    "features.assemble_feature_vector",
+    "rules.gate",
+    "learners.predict",
+    "learners.predict_batch",
+]
+
+
+def test_predict_operation_calls_every_expected_layer(tmp_path):
+    """A traced predict-stream operation, `icewatch predict` with each
+    short-pair bundle, records a span for every layer of the operation
+    that layers.json expects, and calls the learner once per route (one
+    model, or the low and high models), not once per record."""
+    tracer_module = load_perfbench("tracer")
+    expected = json.loads((PERFBENCH / "layers.json").read_text())["predict-stream"]["expect_calls"]
+    assert set(PREDICT_OPERATION_LAYERS) <= set(expected)
+    doc, _ = load_perfbench("run").workload_config("predict-stream", 13)
+    pair = doc["data"]["pair"]
+    pair["base"]["duration"] = n = 2000
+    turbine_a, turbine_b = synthgen.make_turbine_pair(
+        synthgen.config_from_dict(pair["base"]), synthgen.profile_from_dict(pair["profile"])
+    )
+    scada.write_scada_csv(turbine_b.records, tmp_path / "B.csv")
+    train = scada.apply_label_windows(turbine_a.records, turbine_a.truth_windows, "A")
+    called = set()
+    for variant, cfg in cli._pipeline_configs(doc).items():
+        bundle_path = tmp_path / f"{variant}.bundle.json"
+        bundle_path.write_text(json.dumps(pipeline.bundle_to_dict(pipeline.train_bundle(train, cfg))))
+        argv = ["predict", "--bundle", str(bundle_path), "--scada", str(tmp_path / "B.csv"),
+                "--out", str(tmp_path / f"{variant}.labels.csv")]
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(argv)
+        finally:
+            assert tracer.restore() == []
+        assert code == 0
+        names = [span.name for span in tracer.spans]
+        called.update(names)
+        routes = 1 if variant == "traditional" else 2
+        assert 1 <= names.count("learners.predict") == names.count("learners.predict_batch") <= routes, variant
+        batches = [(s.rows_in, s.rows_out) for s in tracer.spans if s.name == "learners.predict_batch"]
+        assert all(rows_in == rows_out > 0 for rows_in, rows_out in batches)
+        assert sum(rows_in for rows_in, _ in batches) <= n
+    assert [name for name in PREDICT_OPERATION_LAYERS if name not in called] == []

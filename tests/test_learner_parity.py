@@ -5,6 +5,10 @@ in place and shares one backward pass with mlp_gradient; the KNN vote works
 in place on row blocks of each distance product; CART descends level by
 level over its node table. Each must give the same bits as the plain
 version below: weights and gradients for the MLP, labels for KNN and CART.
+
+`predict` labels a whole matrix, and each row must get the bits of a
+one-row call, the way deployment labeled a stream one record at a time:
+the references below run on each row alone.
 """
 
 import numpy as np
@@ -18,6 +22,8 @@ from icewatch.learners import (
     MlpModel,
     _sigmoid,
     mlp_gradient,
+    mlp_probability,
+    predict,
     predict_batch,
     standardize_fit,
     train,
@@ -197,3 +203,121 @@ def test_cart_labels_match_reference():
     Q[0, :] = np.nan
     assert _same_bits(predict_batch(model, Q), reference_cart_predict(model, Q))
     assert _same_bits(predict_batch(model, Q[3]), reference_cart_predict(model, Q[3]))
+
+
+# --- row-exact predict ---------------------------------------------------------
+
+N_ROWS = 20_000
+
+
+def reference_mlp_probability(model, X):
+    a = model.standardization.apply(np.atleast_2d(np.asarray(X, dtype=float)))
+    for W, b in zip(model.weights, model.biases):
+        a = reference_sigmoid(a @ W + b)
+    return a[:, 0]
+
+
+def one_row_at_a_time(reference, model, X):
+    """The reference run on each row of X alone, as a one-row call runs."""
+    return np.concatenate([reference(model, X[r : r + 1]) for r in range(X.shape[0])])
+
+
+def _between_neighbours(model, rng, n_base, per_pair):
+    """Queries near the midpoint of each of the first n_base training rows
+    and its nearest other row, off the line between them: the two
+    distances differ by a few ulps at most, so the rounding of the
+    distance product decides which is nearer."""
+    S = model.X[:n_base]
+    d2 = ((S[:, None] - S[None]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    scale = np.where(model.standardization.std == 0.0, 1.0, model.standardization.std)
+    queries = []
+    for a, b in zip(S, S[d2.argmin(axis=1)]):
+        u = (a - b) / np.linalg.norm(a - b)
+        v = rng.normal(size=(per_pair, S.shape[1]))
+        v -= (v @ u)[:, None] * u
+        v *= rng.uniform(0.0, 0.3, size=(per_pair, 1)) * np.linalg.norm(a - b)
+        queries.append(((a + b) / 2 + v) * scale + model.standardization.mean)
+    return np.vstack(queries)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_knn_predict_is_row_exact(k):
+    rng = np.random.default_rng(30 + k)
+    base, labels = _labeled(rng, 120)
+    # every training row three times with differing labels: a distance tie
+    # straddles the k boundary of every query, and the lower-index fallback
+    # decides
+    X = np.vstack([base, base, base])
+    y = np.concatenate([labels, labels, 1 - labels]).astype(np.int8)
+    model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
+    near_ties = _between_neighbours(model, rng, base.shape[0], 140)
+    Q = np.vstack([near_ties, X, _labeled(rng, N_ROWS - near_ties.shape[0] - X.shape[0])[0]])
+    assert Q.shape[0] == N_ROWS
+    got = predict(model, Q)
+    assert _same_bits(got, one_row_at_a_time(reference_knn_predict, model, Q))
+    assert 0 < got.sum() < N_ROWS
+
+
+def _centered_mlp(rng, hidden):
+    """A trained MLP whose output bias is shifted so that the median
+    probability on random rows is 0.5: its decision boundary crosses them."""
+    X, y = _labeled(rng, 400)
+    model = train(LearnerConfig(algorithm="mlp", mlp_hidden=hidden, mlp_epochs=5, seed=3), X, y)
+    p = np.median(mlp_probability(model, _labeled(rng, 2000)[0]))
+    biases = model.biases[:-1] + (model.biases[-1] - np.log(p / (1.0 - p)),)
+    return MlpModel(weights=model.weights, biases=biases, standardization=model.standardization)
+
+
+def _near_half(model, rng, n):
+    """Up to n rows, on both sides of the decision boundary and within a
+    few ulps of it: bisect between random rows on either side."""
+    lo, hi = _labeled(rng, n // 2)[0], _labeled(rng, n // 2)[0]
+    swap = mlp_probability(model, lo) >= 0.5
+    lo[swap], hi[swap] = hi[swap], lo[swap].copy()
+    straddle = (mlp_probability(model, lo) < 0.5) & (mlp_probability(model, hi) >= 0.5)
+    lo, hi = lo[straddle], hi[straddle]
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        up = mlp_probability(model, mid) >= 0.5
+        hi[up], lo[~up] = mid[up], mid[~up]
+    return np.vstack([lo, hi])
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+def test_mlp_predict_is_row_exact(hidden):
+    rng = np.random.default_rng(len(hidden))
+    model = _centered_mlp(rng, hidden)
+    edge = _near_half(model, rng, N_ROWS)
+    Q = np.vstack([edge, _labeled(rng, N_ROWS - edge.shape[0])[0]])
+    assert edge.shape[0] > N_ROWS // 4 and Q.shape[0] == N_ROWS
+    p = one_row_at_a_time(reference_mlp_probability, model, Q)
+    assert (np.abs(p[: edge.shape[0]] - 0.5) < 1e-12).all()
+    assert _same_bits(mlp_probability(model, Q, row_products=True), p)
+    want = np.where(p >= 0.5, ABNORMAL, NORMAL).astype(np.int8)
+    got = predict(model, Q)
+    assert _same_bits(got, want)
+    assert 0 < got[: edge.shape[0]].sum() < edge.shape[0]
+
+
+def test_cart_predict_is_row_exact():
+    rng = np.random.default_rng(8)
+    X, y = _labeled(rng, 400)
+    model = train(LearnerConfig(algorithm="cart", cart_max_depth=8, cart_min_leaf=3), X, y)
+    # every split's threshold planted in its feature column of a random
+    # quarter of the rows: those rows sit exactly on the split
+    Q = _labeled(rng, N_ROWS)[0]
+    splits = np.flatnonzero(model.feature >= 0)
+    for i in splits:
+        Q[rng.random(N_ROWS) < 0.25, model.feature[i]] = model.threshold[i]
+    on_split = (Q[:, model.feature[splits]] == model.threshold[splits]).any(axis=1)
+    assert on_split.sum() > N_ROWS // 2
+    assert _same_bits(predict(model, Q), one_row_at_a_time(reference_cart_predict, model, Q))
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
+def test_predict_of_zero_rows(algorithm):
+    X, y = _labeled(np.random.default_rng(6), 60)
+    model = train(LearnerConfig(algorithm=algorithm, mlp_epochs=2), X, y)
+    for labels in (predict(model, X[:0]), predict_batch(model, X[:0])):
+        assert labels.dtype == np.int8 and labels.shape == (0,)

@@ -414,6 +414,11 @@ MALFORMED_MODELS = {
     "cart-proportions-one": ("cart", lambda d: d["root"]["proportions"].pop(), "proportions must be two numbers"),
     "cart-min-leaf-float": ("cart", lambda d: d.update(min_leaf=5.9), "max_depth and min_leaf must be integers"),
     "cart-max-depth-string": ("cart", lambda d: d.update(max_depth="12"), "max_depth and min_leaf must be integers"),
+    # a missing key is named, not leaked as a KeyError
+    "cart-no-root": ("cart", lambda d: d.pop("root"), "cart model: missing key 'root'"),
+    "cart-split-without-left": ("cart", lambda d: d["root"].pop("left"), "cart model: missing key 'left'"),
+    "knn-no-X": ("knn", lambda d: d.pop("X"), "knn model: missing key 'X'"),
+    "mlp-no-standardization": ("mlp", lambda d: d.pop("standardization"), "mlp model: missing key 'standardization'"),
 }
 
 
@@ -429,10 +434,16 @@ def test_malformed_model_rejected(case):
 
 @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
 def test_predict_returns_the_int_code(algorithm):
+    """predict labels a matrix with an int8 array holding, per row, the
+    0/1 code that a one-row call returns."""
     model = model_from_dict(_trained_doc(algorithm))
-    for x in np.random.default_rng(3).normal(size=(8, 3)):
-        code = predict(model, x)
-        assert type(code) is int and code == predict_batch(model, x)[0]
+    X = np.random.default_rng(3).normal(size=(8, 3))
+    codes = predict(model, X)
+    assert codes.dtype == np.int8 and codes.shape == (8,)
+    assert set(codes.tolist()) <= {NORMAL, ABNORMAL}
+    assert codes.tolist() == [int(predict_batch(model, x)[0]) for x in X]
+    empty = predict(model, X[:0])
+    assert empty.dtype == np.int8 and empty.shape == (0,)
 
 
 @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])

@@ -32,6 +32,9 @@ from icewatch.pipeline import (
 )
 from icewatch.preprocess import BalanceConfig, DenoiseConfig, denoise_dataset, drop_invalid
 from icewatch.rules import (
+    AUTO_NORMAL,
+    HIGH,
+    LOW,
     IntervalConstraint,
     IntervalRule,
     SegmentationConfig,
@@ -263,32 +266,68 @@ class TestPredictStream:
         assert len(predictions) == 0 and predictions.label.size == predictions.flagged.size == 0
 
     @pytest.mark.parametrize("variant", ["traditional", "reengineered"])
-    def test_label_arrays_from_one_learner_call_per_routed_row(self, variant, monkeypatch):
+    def test_label_arrays_from_one_call_per_route(self, variant, monkeypatch):
         _, ds_a, ds_b = small_pair()
         cfg = reengineered_cfg() if variant == "reengineered" else PipelineConfig(variant="traditional", **knn_common())
         bundle = train_bundle(ds_a, cfg)
         stream = drop_invalid(ds_b)  # no degenerate record
         n = len(stream)
-        calls = []
+        calls, seen = [], {}
+        predict = learners.predict
 
-        def spy(model, fv):
-            calls.append(fv.shape)
-            return learners.predict_batch(model, fv)[0]
+        def spy(model, X):
+            calls.append((model, X.copy()))
+            return predict(model, X)
+
+        def keep(name):  # record what pipeline.<name> returns
+            fn = getattr(pipeline, name)
+
+            def wrapper(*args):
+                seen[name] = out = fn(*args)
+                return out
+
+            monkeypatch.setattr(pipeline, name, wrapper)
 
         unspied = predict_stream(bundle, stream)
         monkeypatch.setattr(learners, "predict", spy)
+        keep("assemble_feature_vector")
+        keep("gate")
         predictions = predict_stream(bundle, stream)
         assert same_predictions(predictions, unspied)
         assert len(predictions) == n
         assert (predictions.time.dtype, predictions.label.dtype, predictions.flagged.dtype) == (np.int64, np.int8, bool)
         assert set(predictions.label.tolist()) <= {0, 1}
         assert predictions.flagged.tolist() == [i < bundle.denoise.window - 1 for i in range(n)]
-        # one one-row call per routed row; rows failing the rule are auto-normal and get none
-        assert calls and set(calls) == {(10,)}
+        # one call per non-empty route, on that route's rows in ascending
+        # order; rows failing the rule are auto-normal and reach no model
+        X = seen["assemble_feature_vector"]
         if variant == "traditional":
-            assert len(calls) == n
+            assert "gate" not in seen
+            routes = [(bundle.models["all"], np.arange(n))]
         else:
-            assert 0 < len(calls) < n
+            route = seen["gate"]
+            routes = [(bundle.models[part], np.flatnonzero(route == code)) for part, code in (("low", LOW), ("high", HIGH))]
+            routes = [(model, rows) for model, rows in routes if rows.size]
+            assert (predictions.label[route == AUTO_NORMAL] == NORMAL).all()
+            assert 0 < sum(rows.size for _, rows in routes) < n
+        assert len(calls) == len(routes)
+        for (model, X_call), (want, rows) in zip(calls, routes):
+            assert model is want
+            assert X_call.shape == (rows.size, 10) and X_call.tobytes() == X[rows].tobytes()
+            # each label is the one today's one-row call gives
+            assert predictions.label[rows].tolist() == [int(learners.predict_batch(model, x)[0]) for x in X[rows]]
+
+    def test_all_auto_normal_stream_makes_no_learner_call(self, monkeypatch):
+        _, ds_a, _ = small_pair()
+        bundle = train_bundle(ds_a, reengineered_cfg())
+        calls = []
+        monkeypatch.setattr(learners, "predict", lambda *args: calls.append(args))
+        monkeypatch.setattr(learners, "predict_batch", lambda *args, **kwargs: calls.append(args))
+        # constant stream far outside R5 (wind speed 5 violates x4 < 2)
+        stream = frame_of([make_record(time=i * 7, wind_speed=5.0) for i in range(30)])
+        predictions = predict_stream(bundle, stream)
+        assert calls == []
+        assert predictions.label.tolist() == [NORMAL] * 30
 
 
 def test_traditional_raw_channel_baseline():

@@ -1,9 +1,10 @@
 import io
 import random
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +17,7 @@ from icewatch.errors import (
     UnexpectedColumn,
     UnparseableTimestamp,
 )
+from icewatch import scada
 from icewatch.scada import (
     CHANNELS,
     COLUMNS,
@@ -273,3 +275,81 @@ def test_frame_csv_round_trip_is_bitwise(ds):
     buf.seek(0)
     back = read_labeled_csv(buf, "T")
     assert all(same_bits(getattr(back, c), getattr(ds, c)) for c in ("time", "channels", "group", "label"))
+
+
+# --- the np.loadtxt fast path of parse_scada_csv --------------------------------
+
+TIME_CELLS = INT64.map(str)
+VALUE_CELLS = FINITE.map(repr) | st.sampled_from(["-0.0", "5e-324", "1e308", "-1e308", "7", "-0"])
+GROUP_CELLS = INT64.map(str)
+# cells the row reader takes or rejects that a plain loadtxt pass may not
+ODD_TIMES = [
+    "2015-11-01 00:00:07", str(2**63 - 1), str(-(2**63)), str(2**63), " 42 ", "+42", "4_2", "\u0664\u0662",
+    "\uff14\uff12", "42.0", "#42", '"42"', "",
+]
+ODD_VALUES = [
+    "1_000", "\uff11", "\u0661\u0662", "nan", "inf", "-inf", "NaN", "1e309", " 1.5 ", "\t2", '"1.5"', "#1.5", "",
+    "0x10", "1.5e",
+]
+ODD_GROUPS = ["3.0", '"3"', " 3 ", "3e0", "\u0663", "1_0", str(2**63)]
+
+
+@st.composite
+def scada_files(draw):
+    """The text of a raw SCADA CSV, and whether every row is plain: integer
+    times and groups, float channels, one cell per column."""
+    header = draw(st.permutations(COLUMNS))
+    n = draw(st.integers(0, 5))
+    iso = n > 0 and draw(st.integers(0, 5)) == 0
+    rows = []
+    for i in range(n):
+        time = f"2015-11-01 00:{i:02d}:07" if iso else draw(TIME_CELLS)
+        rows.append({"time": time, "group": draw(GROUP_CELLS), **{ch: draw(VALUE_CELLS) for ch in CHANNELS}})
+    odd = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from(COLUMNS)), max_size=2)) if n else []
+    for r, name in odd:
+        rows[r][name] = draw(st.sampled_from(ODD_TIMES if name == "time" else ODD_GROUPS if name == "group" else ODD_VALUES))
+    lines = [",".join(header)] + [",".join(row[name] for name in header) for row in rows]
+    # whole-line edits: an extra cell, a missing cell, blank and blank-looking lines
+    edits = draw(st.lists(st.tuples(st.integers(1, len(lines)), st.sampled_from(["extra", "short", "", "   "])), max_size=2))
+    for at, edit in edits:
+        if edit == "extra" and at < len(lines):
+            lines[at] += ",0"
+        elif edit == "short" and at < len(lines):
+            lines[at] = lines[at].rsplit(",", 1)[0]
+        elif edit in ("", "   "):
+            lines.insert(at, edit)
+    plain = n > 0 and not iso and not odd and all(edit == "" for _, edit in edits)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""])), plain
+
+
+def _outcome(parse):
+    """A parse's frame as bytes, or its exception type and message; it
+    must not warn."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            frame = parse()
+            result = ("frame", frame.time.dtype, frame.time.tobytes(), frame.channels.dtype, frame.channels.shape,
+                      frame.channels.tobytes(), frame.group.dtype, frame.group.tobytes(), frame.channels.flags.c_contiguous)
+        except Exception as exc:  # compared below, type and message
+            result = ("error", type(exc), str(exc))
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(scada_files())
+@example((",".join(COLUMNS) + "\n", False))  # header only: EmptyFile, and no loadtxt warning
+@example(("\n".join(",".join(r) for r in [COLUMNS, full_row(str(-(2**63)), "-0.0", "3.0"), full_row(str(2**63 - 1))]), False))
+@example(("\n".join(",".join(r) for r in [COLUMNS, full_row("7"), full_row(str(2**63))]), False))
+@example(("\n".join(",".join(r) for r in [COLUMNS, full_row("2015-11-01 00:00:07", "1_000")]), False))
+def test_path_fast_path_matches_row_reader(tmp_path_factory, case):
+    text, plain = case
+    path = tmp_path_factory.getbasetemp() / "fast_path.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    by_path = _outcome(lambda: parse_scada_csv(path))
+    by_rows = _outcome(lambda: parse_scada_csv(io.BytesIO(text.encode("utf-8"))))  # a stream takes the row reader
+    assert by_path == by_rows
+    if plain:  # the fast path itself read the file
+        assert by_path[0] == "frame" and _outcome(lambda: scada._loadtxt_frame(path)) == by_rows
