@@ -24,6 +24,8 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
+
 from . import synthgen  # noqa: E402
 from .errors import ConfigError, DataError, InvalidConfig  # noqa: E402
 from .features import feature_vectors, rank_features, write_feature_csv  # noqa: E402
@@ -277,7 +279,7 @@ def _cmd_predict(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("time", "label", "confidence_flag"))
-        labels = [LABELS[code].value for code in predicted.label.tolist()]
+        labels = np.array([label.value for label in LABELS])[predicted.label].tolist()
         writer.writerows(zip(predicted.time.tolist(), labels, predicted.flagged.astype(int).tolist()))
     print(f"predicted {len(predicted)} records ({int(predicted.label.sum())} abnormal) -> {args.out}")
     return 0

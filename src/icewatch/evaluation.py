@@ -119,7 +119,8 @@ def _draw_folds(y: np.ndarray, k: int, seed: int, attempts: int = 10) -> list[np
         ok = True
         for i in range(k):
             train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-            if len(np.unique(y[train_idx])) < 2:
+            train_y = y[train_idx]
+            if (train_y == train_y[0]).all():  # one class only
                 ok = False
                 break
         if ok:

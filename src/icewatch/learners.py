@@ -15,6 +15,13 @@ Tie rules, fixed so behavior is reproducible:
   breaks toward abnormal. Descent sends value < threshold to the left.
 * MLP output probability >= 0.5 predicts abnormal.
 
+CART sorts each feature once per tree (the presorted attribute lists of
+SLIQ, Mehta, Agrawal & Rissanen, EDBT 1996): a (features, rows) table of
+row indices in (value, row index) order, which each split filters into
+its children's tables without reordering. A node scores every split
+position of every feature in one array pass, and one argmin over the
+flattened scores applies the tie rule above.
+
 Two prediction entry points share every line but the matrix products.
 `predict_batch`, used by the experiments, multiplies blocks of rows at
 once: a KNN chunk of _KNN_CHUNK queries against the training rows, an MLP
@@ -212,63 +219,88 @@ def _gini(n_abnormal: float, n: float) -> float:
     return 1.0 - (p * p + (1.0 - p) * (1.0 - p))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, min_leaf: int):
-    n = idx.size
-    total_abn = int(y[idx].sum())
-    best = None  # (weighted impurity, feature, threshold)
-    for f in range(X.shape[1]):
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = y[idx][order]
-        prefix_abn = np.cumsum(sy)
-        pos = np.arange(min_leaf - 1, n - min_leaf)  # left part is sv[:pos+1]
-        if pos.size == 0:
-            continue
-        distinct = sv[pos] < sv[pos + 1]
-        pos = pos[distinct]
-        if pos.size == 0:
-            continue
-        n_l = (pos + 1).astype(float)
-        n_r = n - n_l
-        a_l = prefix_abn[pos].astype(float)
-        a_r = total_abn - a_l
-        p_l = a_l / n_l
-        p_r = a_r / n_r
-        g_l = 1.0 - (p_l * p_l + (1.0 - p_l) * (1.0 - p_l))
-        g_r = 1.0 - (p_r * p_r + (1.0 - p_r) * (1.0 - p_r))
-        weighted = (n_l * g_l + n_r * g_r) / n
-        j = int(np.argmin(weighted))  # first minimum: lowest threshold wins ties
-        if best is None or weighted[j] < best[0]:
-            best = (float(weighted[j]), f, float((sv[pos[j]] + sv[pos[j] + 1]) / 2.0))
-    return best
+def _threshold(a: float, b: float) -> float:
+    """A split value t with a < t <= b: their midpoint, or b where the
+    midpoint rounds down to a (adjacent doubles) or overflows."""
+    t = (a + b) / 2.0
+    return t if a < t <= b else b
 
 
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, cfg: LearnerConfig, rows: list) -> int:
-    """Append the node of training rows idx, then its subtrees, to rows; return its row."""
-    n = idx.size
-    abn = int(y[idx].sum())
+def _best_split(XT: np.ndarray, y: np.ndarray, order: np.ndarray, min_leaf: int):
+    """The split of a node with the lowest weighted Gini impurity, as
+    (weighted impurity, feature, threshold, left size), or None.
+
+    order is the node's presorted table: row f holds its training rows in
+    (X[:, f], row index) order. Split position p of feature f sends the
+    first p + 1 rows of row f left. Every position of every feature is
+    scored at once, a position whose next value is not larger scores +inf,
+    and the first minimum of the flattened scores is the lowest feature,
+    then the lowest threshold.
+    """
+    n = order.shape[1]
+    sv = np.take_along_axis(XT, order, axis=1)
+    prefix_abn = np.cumsum(y[order], axis=1)
+    total_abn = int(prefix_abn[0, -1])
+    lo, hi = min_leaf - 1, n - min_leaf  # positions lo..hi-1
+    n_l = np.arange(lo + 1, hi + 1, dtype=float)
+    n_r = n - n_l
+    a_l = prefix_abn[:, lo:hi].astype(float)
+    a_r = total_abn - a_l
+    p_l = a_l / n_l
+    p_r = a_r / n_r
+    g_l = 1.0 - (p_l * p_l + (1.0 - p_l) * (1.0 - p_l))
+    g_r = 1.0 - (p_r * p_r + (1.0 - p_r) * (1.0 - p_r))
+    weighted = (n_l * g_l + n_r * g_r) / n
+    weighted[~(sv[:, lo:hi] < sv[:, lo + 1 : hi + 1])] = np.inf
+    feature, j = divmod(int(np.argmin(weighted)), hi - lo)
+    if weighted[feature, j] == np.inf:
+        return None
+    at = lo + j
+    threshold = _threshold(float(sv[feature, at]), float(sv[feature, at + 1]))
+    return float(weighted[feature, j]), feature, threshold, at + 1
+
+
+def _grow(
+    XT: np.ndarray, y: np.ndarray, order: np.ndarray, depth: int, cfg: LearnerConfig, rows: list, goes_left: np.ndarray
+) -> int:
+    """Append the node of the presorted table order, then its subtrees, to
+    rows; return its row. goes_left is an all-False scratch mask over the
+    training rows."""
+    n = order.shape[1]
+    abn = int(y[order[0]].sum())
     impurity = _gini(abn, n)
     at = len(rows)
     rows.append([n, impurity, ABNORMAL if 2 * abn >= n else NORMAL, (n - abn) / n, abn / n, -1, 0.0, -1, -1])
     if depth >= cfg.cart_max_depth or impurity == 0.0 or n < 2 * cfg.cart_min_leaf:
         return at
-    best = _best_split(X, y, idx, cfg.cart_min_leaf)
+    best = _best_split(XT, y, order, cfg.cart_min_leaf)
     if best is None or best[0] >= impurity:
         return at
-    _, feature, threshold = best
-    goes_left = X[idx, feature] < threshold
-    left = _grow(X, y, idx[goes_left], depth + 1, cfg, rows)
-    right = _grow(X, y, idx[~goes_left], depth + 1, cfg, rows)
+    _, feature, threshold, n_left = best
+    # the split feature's first n_left rows are those below the threshold;
+    # masking every row of the table keeps each feature's order
+    left_rows = order[feature, :n_left]
+    goes_left[left_rows] = True
+    mask = goes_left[order]
+    goes_left[left_rows] = False
+    features = order.shape[0]
+    left_order = order[mask].reshape(features, n_left)
+    right_order = order[~mask].reshape(features, n - n_left)
+    left = _grow(XT, y, left_order, depth + 1, cfg, rows, goes_left)
+    right = _grow(XT, y, right_order, depth + 1, cfg, rows, goes_left)
     rows[at][5:] = feature, threshold, left, right
     return at
 
 
 def _train_cart(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> CartModel:
+    """Grow the tree from one presorted table: each feature's row indices
+    sorted by (value, row index), the order a stable sort of any node's
+    ascending rows gives, so no node sorts again."""
     if X.shape[0] < 2 * cfg.cart_min_leaf:
         raise TooFewSamples(2 * cfg.cart_min_leaf, X.shape[0])
     rows: list[list] = []
-    _grow(X, y, np.arange(X.shape[0]), 0, cfg, rows)
+    order = np.argsort(X, axis=0, kind="stable").T
+    _grow(np.ascontiguousarray(X.T), y, order, 0, cfg, rows, np.zeros(X.shape[0], dtype=bool))
     return _cart_model(rows, cfg.cart_max_depth, cfg.cart_min_leaf)
 
 
@@ -436,10 +468,9 @@ def train(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> Tr
         raise EmptyMatrix()
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} rows but {y.shape[0]} labels")
-    present = set(np.unique(y).tolist())
-    if not present <= {NORMAL, ABNORMAL}:
-        raise ValueError(f"labels must be 0 or 1, got {sorted(present)}")
-    if len(present) < 2:
+    if ((y != NORMAL) & (y != ABNORMAL)).any():
+        raise ValueError(f"labels must be 0 or 1, got {sorted(set(y.tolist()))}")
+    if not np.bincount(y, minlength=2).all():
         raise SingleClassDataset()
     if cfg.algorithm == "knn":
         return _train_knn(cfg, X, y)

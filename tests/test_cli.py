@@ -426,6 +426,28 @@ def test_package_import_loads_no_numpy_and_sets_nothing():
     assert _python(code) == "False False"
 
 
+def test_experiments_and_predict_never_import_numpy_ma(tmp_path, turbine_dir):
+    # numpy.ma costs an experiment process about 13 ms to import; np.unique
+    # loads it, so label checks count with comparisons and np.bincount
+    learners = {"knn": {"knn_k": 3}, "cart": {}, "mlp": {"mlp_epochs": 2}}
+    argv = []
+    for algorithm, options in learners.items():
+        run_dir = tmp_path / algorithm
+        run_dir.mkdir()
+        cfg = tiny_experiment_config(run_dir)
+        doc = json.loads(cfg.read_text())
+        doc["learner"] = {"algorithm": algorithm, **options}
+        cfg.write_text(json.dumps(doc))
+        out_dir = run_dir / "out"
+        argv.append(["experiment", "--config", str(cfg), "--out-dir", str(out_dir), "--bundles"])
+        for variant in ("traditional", "reengineered"):
+            bundle, labels = out_dir / f"{variant}.bundle.json", out_dir / f"{variant}.labels.csv"
+            scada = turbine_dir / "B" / "scada.csv"
+            argv.append(["predict", "--bundle", str(bundle), "--scada", str(scada), "--out", str(labels)])
+    code = f"import sys; from icewatch.cli import main; print([main(a) for a in {argv!r}], 'numpy.ma' in sys.modules)"
+    assert _python(code).splitlines()[-1] == f"{[0] * len(argv)} False"
+
+
 def test_package_reexports_the_record_types():
     import icewatch
     from icewatch import scada

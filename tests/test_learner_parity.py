@@ -3,8 +3,9 @@
 The MLP training loop standardizes once, updates one flat parameter vector
 in place and shares one backward pass with mlp_gradient; the KNN vote works
 in place on row blocks of each distance product; CART descends level by
-level over its node table. Each must give the same bits as the plain
-version below: weights and gradients for the MLP, labels for KNN and CART.
+level over its node table and grows it from one presorted table per
+tree. Each must give the same bits as the plain version below: weights and
+gradients for the MLP, labels for KNN, labels and node tables for CART.
 
 `predict` labels a whole matrix, and each row must get the bits of a
 one-row call, the way deployment labeled a stream one record at a time:
@@ -187,6 +188,114 @@ def test_knn_tie_fallback_and_k_equal_to_n_train():
     for k in (1, 2, 3, 4, X.shape[0]):
         model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
         assert _same_bits(predict_batch(model, Q), reference_knn_predict(model, Q)), k
+
+
+def reference_best_split(X, y, idx, min_leaf):
+    """Each feature sorted on its own at every node, one feature at a time."""
+    n = idx.size
+    total_abn = int(y[idx].sum())
+    best = None  # (weighted impurity, feature, threshold)
+    for f in range(X.shape[1]):
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        prefix_abn = np.cumsum(y[idx][order])
+        pos = np.arange(min_leaf - 1, n - min_leaf)  # left part is sv[:pos+1]
+        pos = pos[sv[pos] < sv[pos + 1]]
+        if pos.size == 0:
+            continue
+        n_l = (pos + 1).astype(float)
+        n_r = n - n_l
+        a_l = prefix_abn[pos].astype(float)
+        a_r = total_abn - a_l
+        p_l = a_l / n_l
+        p_r = a_r / n_r
+        g_l = 1.0 - (p_l * p_l + (1.0 - p_l) * (1.0 - p_l))
+        g_r = 1.0 - (p_r * p_r + (1.0 - p_r) * (1.0 - p_r))
+        weighted = (n_l * g_l + n_r * g_r) / n
+        j = int(np.argmin(weighted))  # first minimum: lowest threshold wins ties
+        if best is None or weighted[j] < best[0]:
+            a, b = float(sv[pos[j]]), float(sv[pos[j] + 1])
+            mid = (a + b) / 2.0
+            best = (float(weighted[j]), f, mid if a < mid <= b else b)
+    return best
+
+
+def reference_grow(X, y, idx, depth, cfg, rows):
+    """Append the node of ascending training rows idx, then its subtrees."""
+    n = idx.size
+    abn = int(y[idx].sum())
+    p = abn / n
+    impurity = 1.0 - (p * p + (1.0 - p) * (1.0 - p))
+    at = len(rows)
+    rows.append([n, impurity, ABNORMAL if 2 * abn >= n else NORMAL, (n - abn) / n, abn / n, -1, 0.0, -1, -1])
+    if depth >= cfg.cart_max_depth or impurity == 0.0 or n < 2 * cfg.cart_min_leaf:
+        return at
+    best = reference_best_split(X, y, idx, cfg.cart_min_leaf)
+    if best is None or best[0] >= impurity:
+        return at
+    _, feature, threshold = best
+    goes_left = X[idx, feature] < threshold
+    left = reference_grow(X, y, idx[goes_left], depth + 1, cfg, rows)
+    right = reference_grow(X, y, idx[~goes_left], depth + 1, cfg, rows)
+    rows[at][5:] = feature, threshold, left, right
+    return at
+
+
+def reference_train_cart(cfg, X, y):
+    """Node rows (n, impurity, class, p_normal, p_abnormal, feature,
+    threshold, left, right), depth first."""
+    rows = []
+    reference_grow(X, y, np.arange(X.shape[0]), 0, cfg, rows)
+    return rows
+
+
+_CART_COLUMNS = ("n", "impurity", "klass", "p_normal", "p_abnormal", "feature", "threshold", "left", "right")
+
+
+def _cart_case(rng):
+    """A small data set with what stresses split search: values rounded to
+    a few levels (many ties), constant columns, a few infinite or NaN
+    values, and duplicated rows with flipped labels."""
+    n, d = int(rng.integers(2, 160)), int(rng.integers(1, 7))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+    for f in range(d):
+        kind = rng.integers(4)
+        if kind == 0:
+            X[:, f] = np.round(X[:, f] / X[:, f].std())
+        elif kind == 1:
+            X[:, f] = rng.integers(0, 3, size=n)
+        elif kind == 2:
+            X[:, f] = X[0, f]
+        if rng.random() < 0.1:
+            X[rng.integers(0, n, size=3), f] = rng.choice([np.inf, -np.inf, np.nan])
+    y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int8)
+    if rng.random() < 0.5:
+        dup = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+        X, y = np.vstack([X, X[dup]]), np.concatenate([y, 1 - y[dup]]).astype(np.int8)
+    y[:2] = [0, 1]
+    return X, y
+
+
+def test_cart_node_table_matches_reference_grower():
+    """The presorted grower builds the per-node-sort tree, bit for bit."""
+    rng = np.random.default_rng(13)
+    trained = splits = 0
+    for case in range(320):
+        X, y = _cart_case(rng)
+        cfg = LearnerConfig(
+            algorithm="cart", cart_min_leaf=int(rng.integers(1, 6)), cart_max_depth=int(rng.integers(1, 21))
+        )
+        if X.shape[0] < 2 * cfg.cart_min_leaf:
+            continue
+        model = train(cfg, X, y)
+        want = reference_train_cart(cfg, X, y)
+        for name, column in zip(_CART_COLUMNS, zip(*want)):
+            got = getattr(model, name)
+            assert _same_bits(got, np.array(column, dtype=got.dtype)), (case, name)
+        trained += 1
+        splits += int((model.feature >= 0).sum())
+    assert trained >= 300 and splits > 3000
 
 
 def _thresholds(model):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,8 +83,14 @@ class TestConfigValidation:
 class TestTrainChecks:
     def test_single_class(self, rng):
         X = rng.normal(size=(20, 3))
-        with pytest.raises(SingleClassDataset):
-            train(LearnerConfig(algorithm="knn"), X, np.zeros(20, dtype=int))
+        for labels in (np.zeros(20, dtype=int), np.ones(20, dtype=int)):
+            with pytest.raises(SingleClassDataset):
+                train(LearnerConfig(algorithm="knn"), X, labels)
+
+    def test_labels_outside_0_1_listed(self, rng):
+        X = rng.normal(size=(6, 3))
+        with pytest.raises(ValueError, match=re.escape("labels must be 0 or 1, got [-1, 0, 1, 2]")):
+            train(LearnerConfig(algorithm="knn", knn_k=1), X, [2, 0, 1, -1, 2, 0])
 
     def test_too_few_for_knn(self, rng):
         X = rng.normal(size=(2, 3))
@@ -237,6 +244,24 @@ class TestCart:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert (back.max_depth, back.min_leaf) == (7, 3)
         assert json.dumps(model_to_dict(back)) == text
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1.0, np.nextafter(1.0, 2.0)), (1e308, 1.5e308), (-1.5e308, -1e308)],
+        ids=["adjacent", "huge", "huge-negative"],
+    )
+    def test_split_between_adjacent_or_huge_values(self, a, b):
+        # the midpoint of a and b rounds to a, or overflows to +-inf: the
+        # threshold must still fall in (a, b] so that neither child is empty
+        X = np.array([[a], [a], [a], [b], [b], [b]])
+        y = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(LearnerConfig(algorithm="cart", cart_min_leaf=1), X, y)
+        assert model.feature.tolist() == [0, -1, -1]
+        assert a < model.threshold[0] <= b
+        assert model.n.tolist() == [6, 3, 3] and model.impurity[1:].tolist() == [0.0, 0.0]
+        assert np.array_equal(predict_batch(model, X), y)
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(100, 4))
