@@ -8,8 +8,12 @@ statistics fit on the training data; CART is scale-free, trains on raw
 values and keeps its tree as one node table.
 
 Tie rules, fixed so behavior is reproducible:
-* KNN distance ties break toward the lower training-row index; a class
-  tie in the vote (even k) breaks toward abnormal.
+* KNN votes over the first k training rows in (distance, row index)
+  order, found by k first-minimum passes: each pass takes a row's first
+  minimum distance and sets it aside, so a distance tie breaks toward the
+  lower training-row index. A row with a NaN or infinite distance takes a
+  stable sort, which ranks NaN last. A class tie in the vote (even k)
+  breaks toward abnormal.
 * CART splits minimize weighted Gini impurity; equal splits break toward
   the lower feature index, then the lower threshold. A leaf's class tie
   breaks toward abnormal. Descent sends value < threshold to the left.
@@ -29,7 +33,7 @@ layer for the whole batch. BLAS may round a row of such a product
 differently from the vector-matrix product of a lone row, so a label can
 depend on the rows that share the batch. `predict`, used by deployment,
 computes each row's product on its own, one np.matmul per row, and runs
-everything else (the KNN clamp, partition, vote and tie fallback, the MLP
+everything else (the KNN clamp, passes, vote and sort fallback, the MLP
 bias add, sigmoid and threshold) on the batch. Every row therefore gets,
 bit for bit, the label of a one-row call. CART compares values exactly, so
 its batch descent is row-exact on either path.
@@ -152,35 +156,63 @@ def _knn_predict_std(model: KnnModel, Q: np.ndarray, row_products: bool = False)
     runs on _KNN_BLOCK-row slices of the product, in place, with one
     scratch buffer. -2*G + (|q|^2 + |t|^2) is bitwise the textbook
     |q|^2 + |t|^2 - 2*G: IEEE addition commutes and x - y == x + (-y).
+    After the clamp at zero, k first-minimum passes over each slice pick
+    every row's k nearest training rows in (distance, row index) order
+    (_knn_votes). Huge or infinite query values overflow to inf or NaN
+    distances without a warning; a row whose pass meets one takes the
+    stable sort of _knn_sorted_votes instead.
     """
     Xt, yt, k, t_sq = model.X, model.y, model.k, model.sq_norms
-    abnormal = yt == ABNORMAL
     out = np.empty(Q.shape[0], dtype=np.int8)
     scratch = np.empty((min(_KNN_BLOCK, Q.shape[0]), Xt.shape[0]))
     chunk = _KNN_BLOCK if row_products else _KNN_CHUNK
-    for lo in range(0, Q.shape[0], chunk):
-        q = Q[lo : lo + chunk]
-        G = _matmul(q, Xt.T, row_products)
-        q_sq = (q * q).sum(axis=1)
-        for r in range(0, q.shape[0], _KNN_BLOCK):
-            d2 = G[r : r + _KNN_BLOCK]
-            buf = scratch[: d2.shape[0]]
-            np.add(q_sq[r : r + _KNN_BLOCK, None], t_sq, out=buf)
-            d2 *= -2.0
-            d2 += buf
-            np.maximum(d2, 0.0, out=d2)
-            buf[...] = d2
-            buf.partition(k - 1, axis=1)
-            mask = d2 <= buf[:, k - 1 : k]
-            counts = mask.sum(axis=1)
-            mask &= abnormal
-            block = out[lo + r : lo + r + d2.shape[0]]
-            block[...] = 2 * mask.sum(axis=1) >= k  # True is ABNORMAL
-            # distance ties straddling the k boundary: resolve by lower row index
-            for row in np.flatnonzero(counts != k):
-                nearest = np.argsort(d2[row], kind="stable")[:k]
-                block[row] = 2 * int(yt[nearest].sum()) >= k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, Q.shape[0], chunk):
+            q = Q[lo : lo + chunk]
+            G = _matmul(q, Xt.T, row_products)
+            q_sq = (q * q).sum(axis=1)
+            for r in range(0, q.shape[0], _KNN_BLOCK):
+                d2 = G[r : r + _KNN_BLOCK]
+                buf = scratch[: d2.shape[0]]
+                np.add(q_sq[r : r + _KNN_BLOCK, None], t_sq, out=buf)
+                d2 *= -2.0
+                d2 += buf
+                np.maximum(d2, 0.0, out=d2)
+                out[lo + r : lo + r + d2.shape[0]] = 2 * _knn_votes(d2, yt, k) >= k  # True is ABNORMAL
     return out
+
+
+def _knn_votes(d2: np.ndarray, yt: np.ndarray, k: int) -> np.ndarray:
+    """The abnormal labels among each row's k nearest training rows, from
+    the clamped distances d2 (overwritten).
+
+    Each of k passes takes every row's first minimum, counts its label and
+    sets it to +inf, so the passes pick the first k cells in (distance, row
+    index) order. That order fails only on a non-finite distance: argmin
+    picks a NaN first, where the sort ranks it last, and a +inf cannot be
+    set aside again. A row whose pass picks one gets its cells back and
+    takes _knn_sorted_votes.
+    """
+    rows = np.arange(d2.shape[0])
+    nearest = np.empty((k, rows.size), dtype=np.intp)
+    picked = np.empty((k, rows.size))
+    for p in range(k):
+        d2.argmin(axis=1, out=nearest[p])
+        picked[p] = d2[rows, nearest[p]]
+        d2[rows, nearest[p]] = np.inf
+    votes = yt[nearest].sum(axis=0)
+    bad = np.flatnonzero(~np.isfinite(picked).all(axis=0))
+    if bad.size:
+        for p in range(k - 1, -1, -1):  # a cell picked twice gets its first value back last
+            d2[bad, nearest[p, bad]] = picked[p, bad]
+        votes[bad] = _knn_sorted_votes(d2[bad], yt, k)
+    return votes
+
+
+def _knn_sorted_votes(d2: np.ndarray, yt: np.ndarray, k: int) -> np.ndarray:
+    """The abnormal labels among each row's first k cells of a stable
+    sort: (distance, row index) order with NaN last."""
+    return yt[np.argsort(d2, axis=1, kind="stable")[:, :k]].sum(axis=1)
 
 
 # --- CART --------------------------------------------------------------------

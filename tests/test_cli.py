@@ -5,11 +5,24 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import frame_of, make_dataset, make_record
+from test_learner_parity import one_row_at_a_time, reference_knn_predict
+from icewatch import learners
 from icewatch.cli import main
-from icewatch.scada import COLUMNS, Label, write_labeled_csv, write_scada_csv
+from icewatch.pipeline import bundle_from_dict, predict_stream
+from icewatch.scada import (
+    CHANNELS,
+    COLUMNS,
+    LABELS,
+    Frame,
+    Label,
+    parse_scada_csv,
+    write_labeled_csv,
+    write_scada_csv,
+)
 from icewatch.synthgen import SynthConfig, default_offset_profile
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -45,6 +58,15 @@ def labeled_csv(tmp_path_factory, turbine_dir):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def knn_bundles(tmp_path_factory):
+    """The output directory of a one-run KNN experiment with --bundles."""
+    tmp = tmp_path_factory.mktemp("knn")
+    out_dir = tmp / "reports"
+    assert main(["experiment", "--config", str(tiny_experiment_config(tmp)), "--out-dir", str(out_dir), "--bundles"]) == 0
+    return out_dir
 
 
 def tiny_experiment_config(tmp_path, n_runs=1, duration=6000, seed=1):
@@ -128,15 +150,12 @@ class TestExperiment:
         segments = [c["segment"] for r in report["reports"] for c in r["results"]]
         assert segments == ["all", "low", "high", "pooled"]
 
-    def test_predict_round_trip(self, tmp_path, turbine_dir):
-        cfg = tiny_experiment_config(tmp_path)
-        out_dir = tmp_path / "reports"
-        main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir), "--bundles"])
+    def test_predict_round_trip(self, tmp_path, turbine_dir, knn_bundles):
         labels_out = tmp_path / "labels.csv"
         code = main(
             [
                 "predict",
-                "--bundle", str(out_dir / "reengineered.bundle.json"),
+                "--bundle", str(knn_bundles / "reengineered.bundle.json"),
                 "--scada", str(turbine_dir / "B" / "scada.csv"),
                 "--out", str(labels_out),
             ]
@@ -145,6 +164,28 @@ class TestExperiment:
         lines = labels_out.read_text().splitlines()
         assert lines[0] == "time,label,confidence_flag"
         assert len(lines) == 6001
+
+    def test_predict_knn_on_huge_channel_values(self, tmp_path, turbine_dir, knn_bundles, monkeypatch):
+        # power = 1e300 in three records: the squared norm of every query
+        # smoothed over one of them overflows, and its distances are inf or NaN
+        frame = parse_scada_csv(str(turbine_dir / "B" / "scada.csv"))
+        channels = frame.channels.copy()
+        channels[[1000, 2500, 4000], CHANNELS.index("power")] = 1e300
+        scada, labels = tmp_path / "B.csv", tmp_path / "labels.csv"
+        write_scada_csv(Frame(frame.time, channels, frame.group), scada)
+        bundle = knn_bundles / "traditional.bundle.json"
+        argv = ["predict", "--bundle", str(bundle), "--scada", str(scada), "--out", str(labels)]
+        done = subprocess.run([sys.executable, "-m", "icewatch.cli", *argv], env=_environ(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+
+        def reference(model, X):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return one_row_at_a_time(reference_knn_predict, model, X)
+
+        monkeypatch.setattr(learners, "predict", reference)
+        want = predict_stream(bundle_from_dict(json.loads(bundle.read_text())), parse_scada_csv(str(scada)))
+        got = [line.split(",")[1] for line in labels.read_text().splitlines()[1:]]
+        assert got == [LABELS[code].value for code in want.label]
 
 
 class TestExitCodes:
@@ -402,13 +443,19 @@ def test_malformed_input_exits_with_one_line(case, tmp_path, capsys):
 # --- BLAS threads ---------------------------------------------------------------
 
 
-def _python(code: str, **env) -> str:
-    """Run `code` in a fresh interpreter that sees icewatch and no BLAS thread
-    setting beyond `env`; return its standard output, stripped."""
+def _environ(**env) -> dict:
+    """The environment of a fresh interpreter that sees icewatch and no BLAS
+    thread setting beyond `env`."""
     environ = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, environ.get("PYTHONPATH")) if p)
     environ.update(env)
-    done = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True)
+    return environ
+
+
+def _python(code: str, **env) -> str:
+    """Run `code` in a fresh interpreter (see _environ); return its standard
+    output, stripped."""
+    done = subprocess.run([sys.executable, "-c", code], env=_environ(**env), capture_output=True, text=True, check=True)
     return done.stdout.strip()
 
 

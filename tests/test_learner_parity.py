@@ -15,10 +15,12 @@ the references below run on each row alone.
 import numpy as np
 import pytest
 
+from icewatch import learners
 from icewatch.learners import (
     ABNORMAL,
     NORMAL,
     CartModel,
+    KnnModel,
     LearnerConfig,
     MlpModel,
     _sigmoid,
@@ -181,13 +183,103 @@ def test_knn_tie_fallback_and_k_equal_to_n_train():
     rng = np.random.default_rng(9)
     base, labels = _labeled(rng, 40)
     # every training row three times, with differing labels: distance ties
-    # straddle the k boundary and the lower-index fallback decides
+    # straddle the k boundary and the lower row index decides
     X = np.vstack([base, base, base])
     y = np.concatenate([labels, 1 - labels, labels]).astype(np.int8)
     Q = np.vstack([base, _labeled(rng, 60)[0]])
     for k in (1, 2, 3, 4, X.shape[0]):
         model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
         assert _same_bits(predict_batch(model, Q), reference_knn_predict(model, Q)), k
+
+
+EXTREMES = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 1e300, -1e300])
+
+
+def _knn_tied_case(rng, rounded):
+    """60 training rows and 200 queries whose distances tie: 60 queries are
+    exact copies of training rows, whose negative distances clamp to zero
+    ties; with rounded, every value lies on a coarse grid, so the training
+    rows repeat with differing labels and many distances are equal."""
+    X, y = _labeled(rng, 60)
+    Q = _labeled(rng, 200)[0]
+    if rounded:
+        X, Q = np.round(X), np.round(Q)
+    Q[:60] = X[rng.integers(0, X.shape[0], size=60)]
+    return X, y, Q
+
+
+def _with_extremes(rng, Q):
+    """Q with one to three cells of 80 rows set to NaN, +-inf, +-1e200 or
+    +-1e300: their distances overflow to inf, or mix inf with NaN."""
+    Q = Q.copy()
+    for row in rng.choice(Q.shape[0], size=80, replace=False):
+        cells = rng.choice(Q.shape[1], size=int(rng.integers(1, 4)), replace=False)
+        Q[row, cells] = rng.choice(EXTREMES, size=cells.size)
+    return Q
+
+
+def _with_huge_training_rows(rng, model):
+    """The model with column 0 of about 90% of its training rows set to
+    +-1e200. A bundle may hold such rows: a query's distances to them are
+    inf, so finite and infinite distances share a row, and k can exceed
+    the finite ones."""
+    X = model.X.copy()
+    huge = rng.random(X.shape[0]) < 0.9
+    X[huge, 0] = rng.choice([1e200, -1e200], size=int(huge.sum()))
+    return KnnModel(k=model.k, X=X, y=model.y, standardization=model.standardization)
+
+
+@pytest.mark.parametrize("case", ["spread", "rounded", "huge-training-rows"])
+def test_knn_labels_with_non_finite_and_tied_distances(case):
+    rng = np.random.default_rng(17)
+    X, y, Q = _knn_tied_case(rng, rounded=case == "rounded")
+    Q = _with_extremes(rng, Q)
+    for k in (1, 2, 3, 4, 5, 7, X.shape[0]):
+        model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
+        if case == "huge-training-rows":
+            model = _with_huge_training_rows(np.random.default_rng(k), model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_batch = reference_knn_predict(model, Q)
+            want_rows = one_row_at_a_time(reference_knn_predict, model, Q)
+        assert _same_bits(predict_batch(model, Q), want_batch), k
+        assert _same_bits(predict(model, Q), want_rows), k
+
+
+def test_knn_votes_on_rows_mixing_finite_inf_and_nan():
+    """With k past a row's finite and NaN cells, a pass picks a cell it set
+    to +inf again; the sort must still rank the cell by its first value."""
+    rng = np.random.default_rng(29)
+    d2 = rng.choice([0.0, 1.0, 2.0, np.inf, np.nan, -np.nan], size=(400, 8))
+    yt = rng.integers(0, 2, size=8).astype(np.int8)
+    for k in range(1, 9):
+        want = [
+            int(yt[sorted(range(8), key=lambda j: (np.isnan(row[j]), np.nan_to_num(row[j]), j))[:k]].sum())
+            for row in d2
+        ]
+        assert learners._knn_votes(d2.copy(), yt, k).tolist() == want, k
+
+
+def test_knn_sorts_only_rows_with_a_non_finite_distance(monkeypatch):
+    """Ties and zero distances stay on the first-minimum passes; the stable
+    sort runs for no finite query."""
+    sorted_rows, sort = [], learners._knn_sorted_votes
+
+    def spy(d2, yt, k):
+        sorted_rows.append(d2.shape[0])
+        return sort(d2, yt, k)
+
+    monkeypatch.setattr(learners, "_knn_sorted_votes", spy)
+    rng = np.random.default_rng(23)
+    for rounded in (False, True):
+        X, y, Q = _knn_tied_case(rng, rounded)
+        for k in (1, 2, 3, 4, 5, 7, X.shape[0]):
+            model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
+            predict_batch(model, Q)
+            predict(model, Q)
+    assert sorted_rows == []
+    Q[5, 0] = np.nan
+    predict_batch(model, Q)
+    assert sorted_rows == [1]
 
 
 def reference_best_split(X, y, idx, min_leaf):
@@ -355,7 +447,7 @@ def test_knn_predict_is_row_exact(k):
     rng = np.random.default_rng(30 + k)
     base, labels = _labeled(rng, 120)
     # every training row three times with differing labels: a distance tie
-    # straddles the k boundary of every query, and the lower-index fallback
+    # straddles the k boundary of every query, and the lower row index
     # decides
     X = np.vstack([base, base, base])
     y = np.concatenate([labels, labels, 1 - labels]).astype(np.int8)
