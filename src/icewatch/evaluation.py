@@ -131,16 +131,16 @@ def _draw_folds(y: np.ndarray, k: int, seed: int, attempts: int = 10) -> list[np
 def crossval_fold_scores(
     features: np.ndarray, labels: Sequence[int], cfg: LearnerConfig, k: int, seed: int
 ) -> list[float]:
-    """Per-fold scores: train on k-1 folds, score the held-out fold."""
+    """Per-fold scores: train on k-1 folds, score the held-out fold.
+
+    The k fold models come from one learners.train_many call, which checks
+    every fold's training rows, in fold order, before it trains any, and
+    trains MLPs in lockstep; each model is bitwise the one learners.train
+    gives on its fold alone. Fold 0 has the fewest training rows, so a
+    fold too small to train raises before any scoring, as fold by fold."""
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=np.int8)
     folds = _draw_folds(y, k, seed)
-    fold_scores: list[float] = []
-    for i in range(k):
-        test_idx = folds[i]
-        train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-        model = learners.train(cfg, X[train_idx], y[train_idx])
-        predicted = learners.predict_batch(model, X[test_idx])
-        fold_scores.append(score(confusion(y[test_idx], predicted)))
-    return fold_scores
-
+    train_rows = [np.concatenate([folds[j] for j in range(k) if j != i]) for i in range(k)]
+    models = learners.train_many(cfg, [(X[rows], y[rows]) for rows in train_rows])
+    return [score(confusion(y[test], learners.predict_batch(model, X[test]))) for test, model in zip(folds, models)]

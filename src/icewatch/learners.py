@@ -26,6 +26,11 @@ its children's tables without reordering. A node scores every split
 position of every feature in one array pass, and one argmin over the
 flattened scores applies the tie rule above.
 
+`train_many` trains one model per training set, as cross-validation
+needs one per fold, and checks every set before it trains any. MLPs train
+in lockstep on stacked arrays (_train_mlps), each model bitwise the one
+`train` gives on its set alone; `train` of an MLP is the one-set case.
+
 Two prediction entry points share every line but the matrix products.
 `predict_batch`, used by the experiments, multiplies blocks of rows at
 once: a KNN chunk of _KNN_CHUNK queries against the training rows, an MLP
@@ -99,14 +104,14 @@ class LearnerConfig:
             raise InvalidConfig(f"cart_min_leaf must be >= 1, got {self.cart_min_leaf}")
         if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
             raise InvalidConfig(f"mlp_hidden sizes must be positive, got {self.mlp_hidden}")
-        if self.mlp_learning_rate <= 0:
-            raise InvalidConfig("mlp_learning_rate must be positive")
+        if not (math.isfinite(self.mlp_learning_rate) and self.mlp_learning_rate > 0):
+            raise InvalidConfig(f"mlp_learning_rate must be finite and positive, got {self.mlp_learning_rate}")
         if self.mlp_epochs < 1:
             raise InvalidConfig(f"mlp_epochs must be >= 1, got {self.mlp_epochs}")
         if self.mlp_batch_size < 1:
             raise InvalidConfig("mlp_batch_size must be >= 1")
-        if self.mlp_init_scale <= 0:
-            raise InvalidConfig("mlp_init_scale must be positive")
+        if not (math.isfinite(self.mlp_init_scale) and self.mlp_init_scale > 0):
+            raise InvalidConfig(f"mlp_init_scale must be finite and positive, got {self.mlp_init_scale}")
 
     def seeded(self, seed: int) -> LearnerConfig:
         """The same learner, initialized from `seed`."""
@@ -130,8 +135,6 @@ class KnnModel:
 
 
 def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
-    if X.shape[0] < cfg.knn_k:
-        raise TooFewSamples(cfg.knn_k, X.shape[0])
     params = standardize_fit(X)
     return KnnModel(k=cfg.knn_k, X=params.apply(X), y=y.copy(), standardization=params)
 
@@ -328,8 +331,6 @@ def _train_cart(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> CartModel:
     """Grow the tree from one presorted table: each feature's row indices
     sorted by (value, row index), the order a stable sort of any node's
     ascending rows gives, so no node sorts again."""
-    if X.shape[0] < 2 * cfg.cart_min_leaf:
-        raise TooFewSamples(2 * cfg.cart_min_leaf, X.shape[0])
     rows: list[list] = []
     order = np.argsort(X, axis=0, kind="stable").T
     _grow(np.ascontiguousarray(X.T), y, order, 0, cfg, rows, np.zeros(X.shape[0], dtype=bool))
@@ -375,12 +376,14 @@ def _mlp_forward(
     weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X_std: np.ndarray, row_products: bool = False
 ) -> list[np.ndarray]:
     """Activations per layer, input included; last entry is the output
-    probability column. row_products runs each layer's product one row at
+    probability column. The arrays may carry a leading stack axis of
+    models: weights (F, fan_in, fan_out), biases (F, fan_out) and X_std
+    (F, rows, features). row_products runs each layer's product one row at
     a time."""
     activations = [X_std]
     for W, b in zip(weights, biases):
         z = _matmul(activations[-1], W, row_products)
-        z += b
+        z += b[..., None, :]
         activations.append(_sigmoid(z))
     return activations
 
@@ -394,16 +397,18 @@ def _mlp_backward(
 ) -> None:
     """Write the gradient of the mean cross-entropy for every weight and
     bias into grads_w and grads_b, from the activations of one forward pass
-    and the float targets t."""
+    and the float targets t, (rows,) or (F, rows) for a stack. Each model
+    of a stack gets its own matrix products and its own sums down axis -2,
+    so its gradient is bitwise the one of a call on that model alone."""
     # logistic output + cross-entropy collapses to (p - y) / m
-    delta = acts[-1] - t[:, None]
-    delta /= t.shape[0]
+    delta = acts[-1] - t[..., None]
+    delta /= t.shape[-1]
     for layer in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[layer].T, delta, out=grads_w[layer])
-        np.add.reduce(delta, axis=0, out=grads_b[layer])
+        np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads_w[layer])
+        np.add.reduce(delta, axis=-2, out=grads_b[layer])
         if layer > 0:
             a = acts[layer]
-            delta = delta @ weights[layer].T
+            delta = delta @ weights[layer].swapaxes(-1, -2)
             delta *= a
             delta *= 1.0 - a
 
@@ -443,48 +448,81 @@ def mlp_gradient(
 
 
 def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weight matrices and bias vectors of a layer stack, as views into one
-    flat array: each layer's weights, then its biases."""
+    """Weight matrices and bias vectors of a layer stack, as views into the
+    last axis of flat: each layer's weights, then its biases. A (F, n)
+    flat gives (F, fan_in, fan_out) weights and (F, fan_out) biases."""
+    lead = flat.shape[:-1]
     weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights.append(flat[..., at : at + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
         at += fan_in * fan_out
-        biases.append(flat[at : at + fan_out])
+        biases.append(flat[..., at : at + fan_out])
         at += fan_out
     return weights, biases
 
 
-def _train_mlp(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> MlpModel:
-    """Minibatch SGD, with the weights of the plain loop bit for bit:
-    standardizing once and then gathering rows gives the values of
-    standardizing each batch (the transform is elementwise), and
-    g *= lr; theta -= g is theta - lr * g. All weights and biases are views
-    into one parameter vector and all gradients into one gradient vector,
-    so a step's update is two array operations."""
-    n = X.shape[0]
-    if n < cfg.mlp_batch_size:
-        raise TooFewSamples(cfg.mlp_batch_size, n)
-    params = standardize_fit(X)
-    sizes = [X.shape[1], *cfg.mlp_hidden, 1]
+def _train_mlps(cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[MlpModel]:
+    """Minibatch SGD of one model per checked (X, y) set, every model in
+    lockstep on stacked arrays and bit for bit the model of a loop of its
+    own.
+
+    Model f's weights and biases are views into row f of theta
+    (F, n_params), and its gradient into row f of grad, so a step's update
+    is two array operations. Each model keeps its own default_rng(cfg.seed)
+    and so its own initial weights, epoch permutations and step order. The
+    sets are ordered by row count, most first: the models that still have a
+    full batch at a step are then a prefix of the stack and take the step
+    together. Their products are one np.matmul, which hands BLAS each
+    model's matrices on their own with the strides a lone model has, and
+    the elementwise work runs on the whole prefix. A model whose rows end
+    inside a step takes that partial batch alone, as a one-model slice.
+
+    Per model, standardizing once and then gathering rows gives the values
+    of standardizing each batch (the transform is elementwise), and
+    g *= lr; theta -= g is theta - lr * g."""
+    order = sorted(range(len(sets)), key=lambda i: -sets[i][0].shape[0])
+    sets = [sets[i] for i in order]
+    n = [X.shape[0] for X, _ in sets]
+    params = [standardize_fit(X) for X, _ in sets]
+    sizes = [sets[0][0].shape[1], *cfg.mlp_hidden, 1]
     n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-    theta, grad = np.zeros(n_params), np.empty(n_params)
+    theta, grad = np.zeros((len(sets), n_params)), np.empty((len(sets), n_params))
     weights, biases = _layer_views(theta, sizes)
     grads_w, grads_b = _layer_views(grad, sizes)
-    rng = np.random.default_rng(cfg.seed)
-    for W in weights:
-        W[...] = rng.normal(0.0, cfg.mlp_init_scale, size=W.shape)
-    X_std = params.apply(X)
-    targets = y.astype(float)
+    rngs = [np.random.default_rng(cfg.seed) for _ in sets]
+    for f, rng in enumerate(rngs):
+        for W in weights:
+            W[f] = rng.normal(0.0, cfg.mlp_init_scale, size=W.shape[1:])
+    X_std = [p.apply(X) for p, (X, _) in zip(params, sets)]
+    targets = [y.astype(float) for _, y in sets]
+    # model f's shuffled rows of an epoch fill X_epoch[f, :n[f]] and t_epoch[f, :n[f]]
+    X_epoch, t_epoch = np.empty((len(sets), n[0], sizes[0])), np.empty((len(sets), n[0]))
     lr, size = cfg.mlp_learning_rate, cfg.mlp_batch_size
+
+    def step(models: slice, lo: int, hi: int) -> None:
+        stack_w = [W[models] for W in weights]
+        acts = _mlp_forward(stack_w, [b[models] for b in biases], X_epoch[models, lo:hi])
+        _mlp_backward(stack_w, acts, t_epoch[models, lo:hi], [g[models] for g in grads_w], [g[models] for g in grads_b])
+        g = grad[models]
+        g *= lr
+        theta[models] -= g
+
     for _ in range(cfg.mlp_epochs):
-        perm = rng.permutation(n)
-        X_epoch, t_epoch = X_std[perm], targets[perm]
-        for lo in range(0, n, size):
-            acts = _mlp_forward(weights, biases, X_epoch[lo : lo + size])
-            _mlp_backward(weights, acts, t_epoch[lo : lo + size], grads_w, grads_b)
-            grad *= lr
-            theta -= grad
-    return MlpModel(weights=tuple(weights), biases=tuple(biases), standardization=params)
+        for f, rng in enumerate(rngs):
+            perm = rng.permutation(n[f])
+            X_epoch[f, : n[f]] = X_std[f][perm]
+            t_epoch[f, : n[f]] = targets[f][perm]
+        for lo in range(0, n[0], size):
+            full = sum(rows >= lo + size for rows in n)
+            if full:
+                step(slice(0, full), lo, lo + size)
+            for f in range(full, len(n)):
+                if n[f] > lo:
+                    step(slice(f, f + 1), lo, n[f])
+    return [
+        MlpModel(weights=tuple(W[f] for W in weights), biases=tuple(b[f] for b in biases), standardization=params[f])
+        for f in np.argsort(order)
+    ]
 
 
 # --- shared contract -----------------------------------------------------------
@@ -492,8 +530,9 @@ def _train_mlp(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> MlpModel:
 TrainedModel = KnnModel | CartModel | MlpModel
 
 
-def train(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> TrainedModel:
-    """Train per cfg.algorithm. Deterministic in (cfg, data)."""
+def _checked(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One training set as float features and int8 labels, or the error
+    that training cfg's learner on it raises."""
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=np.int8)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -504,11 +543,34 @@ def train(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> Tr
         raise ValueError(f"labels must be 0 or 1, got {sorted(set(y.tolist()))}")
     if not np.bincount(y, minlength=2).all():
         raise SingleClassDataset()
+    needed = {"knn": cfg.knn_k, "cart": 2 * cfg.cart_min_leaf, "mlp": cfg.mlp_batch_size}[cfg.algorithm]
+    if X.shape[0] < needed:
+        raise TooFewSamples(needed, X.shape[0])
+    return X, y
+
+
+def train(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> TrainedModel:
+    """Train per cfg.algorithm. Deterministic in (cfg, data)."""
+    X, y = _checked(cfg, features, labels)
     if cfg.algorithm == "knn":
         return _train_knn(cfg, X, y)
     if cfg.algorithm == "cart":
         return _train_cart(cfg, X, y)
-    return _train_mlp(cfg, X, y)
+    return _train_mlps(cfg, [(X, y)])[0]
+
+
+def train_many(
+    cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, Sequence[int]]]
+) -> list[TrainedModel]:
+    """One model per (features, labels) set, in order, each bitwise the
+    model `train` gives on that set alone. Every set is checked, in order,
+    before any is trained, so a bad set raises what `train` raises on it.
+    MLPs train in lockstep (_train_mlps), so their sets share one feature
+    width; KNN and CART train one set after the other."""
+    checked = [_checked(cfg, X, y) for X, y in sets]
+    if cfg.algorithm != "mlp" or not checked:
+        return [train(cfg, X, y) for X, y in checked]
+    return _train_mlps(cfg, checked)
 
 
 def predict_batch(model: TrainedModel, features: np.ndarray, *, _row_products: bool = False) -> np.ndarray:

@@ -6,6 +6,7 @@ here instead of first inside a traced benchmark run."""
 import importlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -29,20 +30,18 @@ def test_traced_bindings_resolve():
             assert set(spec["expect_calls"]) <= spans, workload
 
 
-def test_expected_layers_are_called_with_runs_side_by_side(tmp_path, monkeypatch):
-    """Seeded runs fork (pipeline._map_runs), and a child's spans stay in the
-    child. The parent computes a share of the runs itself, so a traced run
-    still records every layer experiment-knn expects; a pool whose parent
-    only waits would fail here."""
+def _assert_expected_layers_called(config: Path, workload: str, tmp_path, monkeypatch):
+    """A traced two-run experiment of `config` records a span for every
+    layer that layers.json expects of `workload`."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two processes for the two runs
     tracer = load_perfbench("tracer").Tracer()
     tracer.install()
     try:
-        code = cli.main(["experiment", "--config", str(SMOKE), "--out-dir", str(tmp_path), "--bundles"])
+        code = cli.main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--bundles"])
     finally:
         assert tracer.restore() == []
     assert code == 0
-    expected = json.loads((PERFBENCH / "layers.json").read_text())["experiment-knn"]["expect_calls"]
+    expected = json.loads((PERFBENCH / "layers.json").read_text())[workload]["expect_calls"]
     called = {span.name for span in tracer.spans}
     assert [name for name in expected if name not in called] == []
     # the tracer's ROWS lambdas count rows where these layers return them
@@ -50,6 +49,25 @@ def test_expected_layers_are_called_with_runs_side_by_side(tmp_path, monkeypatch
     assert all(rows_out == rows_in > 2 for rows_in, rows_out in rows["features.feature_vectors"])
     for name in ("rules.strong_rule_filter", "rules.segment"):
         assert all(0 < rows_out <= rows_in for rows_in, rows_out in rows[name]), name
+
+
+def test_expected_layers_are_called_with_runs_side_by_side(tmp_path, monkeypatch):
+    """Seeded runs fork (pipeline._map_runs), and a child's spans stay in the
+    child. The parent computes a share of the runs itself, so a traced run
+    still records every layer experiment-knn expects; a pool whose parent
+    only waits would fail here."""
+    _assert_expected_layers_called(SMOKE, "experiment-knn", tmp_path, monkeypatch)
+
+
+def test_expected_mlp_layers_are_called_with_runs_side_by_side(tmp_path, monkeypatch):
+    """The same on the smoke config with a 2-epoch MLP, against
+    experiment-mlp's expected layers: an MLP path that bypasses
+    learners.train or crossval_fold_scores fails here."""
+    doc = json.loads(SMOKE.read_text())
+    doc["learner"].update(algorithm="mlp", mlp_epochs=2)
+    config = tmp_path / "experiment_smoke_mlp.json"
+    config.write_text(json.dumps(doc))
+    _assert_expected_layers_called(config, "experiment-mlp", tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [13, 0])

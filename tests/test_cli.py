@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -330,6 +331,14 @@ MALFORMED = {
     ),
     "top-level-n_run": (lambda t: _experiment(t, n_run=2), 2, "n_run: unknown key"),
     "cv_k-string": (lambda t: _experiment(t, cv_k="5"), 2, "cv_k: expected int, got '5'"),
+    "mlp-learning-rate-nan": (
+        lambda t: _experiment(t, learner={"algorithm": "mlp", "mlp_learning_rate": math.nan}), 2,
+        "learner: mlp_learning_rate must be finite and positive, got nan",
+    ),
+    "mlp-init-scale-inf": (
+        lambda t: _experiment(t, learner={"algorithm": "mlp", "mlp_init_scale": math.inf}), 2,
+        "learner: mlp_init_scale must be finite and positive, got inf",
+    ),
     "rule-x99": (
         lambda t: _experiment(t, ["--rule", _file(t / "x99.json", '[{"feature": "x99", "upper": 1.0}]')]), 2,
         "unknown feature id 'x99'",

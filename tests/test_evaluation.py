@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from icewatch.errors import (
     EmptyClassInTest,
     InvalidK,
     LengthMismatch,
+    TooFewSamples,
 )
 from icewatch.evaluation import (
     ConfusionCounts,
@@ -172,6 +174,16 @@ class TestCrossValidate:
         X, y = self._separable(rng, n=8)
         with pytest.raises(InvalidK):
             crossval_fold_scores(X, y, LearnerConfig(algorithm="knn"), k=10, seed=0)
+
+    @pytest.mark.parametrize("batch", [20, 40])
+    def test_batch_larger_than_fold_training_rows(self, rng, batch):
+        """24 rows in 5 folds train on 19, 19, 19, 19 and 20 rows. Fold 0 is
+        the first that cannot fill a batch, and its error is the one a
+        fold-by-fold loop raises."""
+        X, y = self._separable(rng, n=24)
+        cfg = LearnerConfig(algorithm="mlp", mlp_batch_size=batch, mlp_epochs=1)
+        with pytest.raises(TooFewSamples, match=re.escape(f"training needs at least {batch} samples, got 19")):
+            crossval_fold_scores(X, y, cfg, k=5, seed=0)
 
     def test_degenerate_folds(self):
         # two samples, two folds: every training fold is single-class

@@ -2,7 +2,7 @@
 its two bundles give turbine B's raw stream, the files `ingest` and
 `features --balance under` write for turbine A, what `inspect-rules` prints
 for turbine A, and the report.json and bundles of the benchmark's MLP and
-CART experiments are pinned. A change that moves them
+CART experiments (and of the MLP one at a second seed) are pinned. A change that moves them
 on purpose regenerates the golden file and the digests and says why."""
 
 import hashlib
@@ -56,6 +56,14 @@ WORKLOAD_BUNDLE_SHA256 = {
         "86987f5e3e0f072d82ff8b27077ee690709e83097dc76a8864bef64de85012ea",
     ),
 }
+
+# report.json, then the traditional and re-engineered bundles, of the MLP
+# workload at seed 0, a seed the lockstep fold training was not tuned on
+MLP_SEED_0_SHA256 = (
+    "59daf3730d48efded41cfb301914bc3c9ccebab67b93ef1c3527df154ea88b1a",
+    "60d8f0a95825f3effdcca0d3d13aeac37d09ac511f5011299e66254220e24c09",
+    "0a9b0e073d186b10c94fd94f4eee7d230a7a0c1d03c53166cd1020a31bcd4979",
+)
 
 # `inspect-rules` on turbine A's labeled CSV
 INSPECT_RULES_STDOUT = """\
@@ -117,13 +125,23 @@ def test_smoke_inspect_rules_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == INSPECT_RULES_STDOUT
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_REPORT_SHA256))
-def test_benchmark_workload_report_unchanged(workload, tmp_path):
-    doc, _ = load_perfbench("run").workload_config(workload, 13)
+def _workload_digests(workload: str, seed: int, tmp_path: Path) -> tuple[str, str, str]:
+    """sha256 of report.json and of the two bundles of a benchmark workload."""
+    doc, _ = load_perfbench("run").workload_config(workload, seed)
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(config), "--out-dir", str(out), "--bundles"]) == 0
-    assert _sha256(out / "report.json") == WORKLOAD_REPORT_SHA256[workload]
-    bundles = tuple(_sha256(out / f"{variant}.bundle.json") for variant in ("traditional", "reengineered"))
-    assert bundles == WORKLOAD_BUNDLE_SHA256[workload]
+    names = ("report.json", "traditional.bundle.json", "reengineered.bundle.json")
+    return tuple(_sha256(out / name) for name in names)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_REPORT_SHA256))
+def test_benchmark_workload_report_unchanged(workload, tmp_path):
+    report, *bundles = _workload_digests(workload, 13, tmp_path)
+    assert report == WORKLOAD_REPORT_SHA256[workload]
+    assert tuple(bundles) == WORKLOAD_BUNDLE_SHA256[workload]
+
+
+def test_mlp_workload_at_seed_0_unchanged(tmp_path):
+    assert _workload_digests("experiment-mlp", 0, tmp_path) == MLP_SEED_0_SHA256

@@ -1,7 +1,8 @@
 """Parity of the learner kernels with their plain forms.
 
-The MLP training loop standardizes once, updates one flat parameter vector
-in place and shares one backward pass with mlp_gradient; the KNN vote works
+The MLP training loop standardizes once, updates one parameter row per model
+in place, trains many models in lockstep (train_many) and shares one
+backward pass with mlp_gradient; the KNN vote works
 in place on row blocks of each distance product; CART descends level by
 level over its node table and grows it from one presorted table per
 tree. Each must give the same bits as the plain version below: weights and
@@ -11,6 +12,8 @@ gradients for the MLP, labels for KNN, labels and node tables for CART.
 one-row call, the way deployment labeled a stream one record at a time:
 the references below run on each row alone.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -29,7 +32,9 @@ from icewatch.learners import (
     predict,
     predict_batch,
     standardize_fit,
+    model_to_dict,
     train,
+    train_many,
 )
 
 _KNN_CHUNK = 1024
@@ -155,6 +160,39 @@ def test_mlp_training_bitwise(hidden, epochs):
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         assert _same_bits(a, b)
     assert _same_bits(got.standardization.mean, want.standardization.mean)
+
+
+# training-set sizes for train_many at batch 32: five folds of 203 rows,
+# whose sizes differ by one and end in 2- and 3-row remainder batches; and
+# remainders of 13 and 1 rows beside sets of exactly one and two batches
+TRAIN_MANY_SIZES = {"folds": [162, 162, 162, 163, 163], "mixed": [45, 32, 203, 64, 33]}
+
+
+@pytest.mark.parametrize("sizes", sorted(TRAIN_MANY_SIZES))
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_many_mlps_bitwise(sizes, hidden, epochs):
+    """Every lockstep model is bitwise the plain loop's on its own set."""
+    rng = np.random.default_rng(len(hidden) * 10 + epochs)
+    sets = [_labeled(rng, n) for n in TRAIN_MANY_SIZES[sizes]]
+    cfg = LearnerConfig(algorithm="mlp", mlp_hidden=hidden, mlp_epochs=epochs, mlp_batch_size=32, seed=7)
+    models = train_many(cfg, sets)
+    assert len(models) == len(sets)
+    for (X, y), got in zip(sets, models):
+        want = reference_train_mlp(cfg, X, y)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+            assert _same_bits(a, b)
+        assert _same_bits(got.standardization.mean, want.standardization.mean)
+        assert _same_bits(got.standardization.std, want.standardization.std)
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
+def test_train_many_of_one_set_is_train(algorithm):
+    X, y = _labeled(np.random.default_rng(3), 203)
+    cfg = LearnerConfig(algorithm=algorithm, mlp_epochs=3, seed=5)
+    (got,) = train_many(cfg, [(X, y)])
+    # float repr round-trips, so equal JSON text is equal bits
+    assert json.dumps(model_to_dict(got)) == json.dumps(model_to_dict(train(cfg, X, y)))
 
 
 def test_mlp_gradient_bitwise():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from icewatch import learners
 from icewatch.errors import EmptyMatrix, InvalidConfig, SingleClassDataset, TooFewSamples
 from icewatch.learners import (
     ABNORMAL,
@@ -24,6 +25,7 @@ from icewatch.learners import (
     predict_batch,
     standardize_fit,
     train,
+    train_many,
 )
 
 
@@ -110,6 +112,24 @@ class TestTrainChecks:
     def test_empty(self):
         with pytest.raises(EmptyMatrix):
             train(LearnerConfig(algorithm="knn"), np.empty((0, 3)), [])
+
+    @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
+    def test_train_many_checks_every_set_before_training(self, rng, monkeypatch, algorithm):
+        """The third set is single-class and the fourth too small: the third
+        set's error comes first, before any model trains."""
+        def fail(*args):
+            raise AssertionError("trained before every set was checked")
+
+        monkeypatch.setattr(learners, "train", fail)
+        monkeypatch.setattr(learners, "_train_mlps", fail)
+        X = rng.normal(size=(40, 3))
+        good = (X, np.array([0, 1] * 20))
+        sets = [good, good, (X, np.zeros(40, dtype=int)), (X[:4], np.array([0, 1] * 2))]
+        with pytest.raises(SingleClassDataset):
+            train_many(LearnerConfig(algorithm=algorithm, mlp_batch_size=8), sets)
+
+    def test_train_many_of_no_sets(self):
+        assert train_many(LearnerConfig(algorithm="mlp"), []) == []
 
 
 class TestKnn:
