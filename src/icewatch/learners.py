@@ -8,12 +8,18 @@ statistics fit on the training data; CART is scale-free, trains on raw
 values and keeps its tree as one node table.
 
 Tie rules, fixed so behavior is reproducible:
-* KNN votes over the first k training rows in (distance, row index)
-  order, found by k first-minimum passes: each pass takes a row's first
-  minimum distance and sets it aside, so a distance tie breaks toward the
-  lower training-row index. A row with a NaN or infinite distance takes a
-  stable sort, which ranks NaN last. A class tie in the vote (even k)
-  breaks toward abnormal.
+* KNN votes over the first k training rows in (exact distance, row index)
+  order, where the exact distance is sum (q_f - t_f)^2 over the
+  standardized doubles without rounding, so an exact distance tie breaks
+  toward the lower training-row index. The label therefore depends neither
+  on the BLAS build nor on the other rows of a batch (_knn_predict_std).
+  A row with a NaN or infinite standardized cell, or whose |q|^2 plus the
+  training rows' largest |t|^2 reaches a quarter of the largest double
+  (about 4.5e307, where a sum inside the distance product could overflow),
+  has no finite rounding bound; it keeps the stable sort of its float64
+  distances, NaN last: the exact tier would have to score every training
+  row for it. A class tie in the vote
+  (even k) breaks toward abnormal.
 * CART splits minimize weighted Gini impurity; equal splits break toward
   the lower feature index, then the lower threshold. A leaf's class tie
   breaks toward abnormal. Descent sends value < threshold to the left.
@@ -31,17 +37,17 @@ needs one per fold, and checks every set before it trains any. MLPs train
 in lockstep on stacked arrays (_train_mlps), each model bitwise the one
 `train` gives on its set alone; `train` of an MLP is the one-set case.
 
-Two prediction entry points share every line but the matrix products.
-`predict_batch`, used by the experiments, multiplies blocks of rows at
-once: a KNN chunk of _KNN_CHUNK queries against the training rows, an MLP
-layer for the whole batch. BLAS may round a row of such a product
-differently from the vector-matrix product of a lone row, so a label can
-depend on the rows that share the batch. `predict`, used by deployment,
-computes each row's product on its own, one np.matmul per row, and runs
-everything else (the KNN clamp, passes, vote and sort fallback, the MLP
-bias add, sigmoid and threshold) on the batch. Every row therefore gets,
-bit for bit, the label of a one-row call. CART compares values exactly, so
-its batch descent is row-exact on either path.
+`predict_batch`, used by the experiments, and `predict`, used by
+deployment, share one KNN path, which labels every row as a call on that
+row alone would. For the MLP they share every line but the matrix
+products: `predict_batch` multiplies each layer for the whole batch, and
+BLAS may round a row of such a product differently from the
+vector-matrix product of a lone row, so a label can depend on the rows
+that share the batch. `predict` computes each row's product on its own,
+one np.matmul per row, and runs the bias add, sigmoid and threshold on the
+batch. Every row therefore gets, bit for bit, the label of a one-row call.
+CART compares values exactly, so its batch descent is row-exact on either
+path.
 """
 
 from __future__ import annotations
@@ -56,8 +62,7 @@ from .errors import EmptyMatrix, InvalidConfig, SingleClassDataset, TooFewSample
 
 NORMAL, ABNORMAL = 0, 1
 
-_KNN_CHUNK = 1024
-_KNN_BLOCK = 64
+_KNN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -127,11 +132,24 @@ class KnnModel:
     X: np.ndarray  # standardized training rows
     y: np.ndarray
     standardization: StandardizationParams
-    # squared norm of every training row, derived from X and never serialized
+    # derived from X and never serialized: every row's squared norm, the
+    # largest of them, and the screens' training side [-2t, 1, |t|^2] in
+    # float64 and float32, which a query's [q, |q|^2, 1] multiplies into
+    # |q|^2 + |t|^2 - 2 q.t in one product
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    max_sq_norm: float = field(init=False, repr=False, compare=False)
+    screen64: np.ndarray = field(init=False, repr=False, compare=False)
+    screen32: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sq_norms", np.einsum("ij,ij->i", self.X, self.X))
+        sq_norms = np.einsum("ij,ij->i", self.X, self.X)
+        with np.errstate(over="ignore"):
+            screen64 = np.hstack([-2.0 * self.X, np.ones((self.X.shape[0], 1)), sq_norms[:, None]])
+            screen32 = screen64.astype(np.float32)
+        object.__setattr__(self, "sq_norms", sq_norms)
+        object.__setattr__(self, "max_sq_norm", float(sq_norms.max()))
+        object.__setattr__(self, "screen64", screen64)
+        object.__setattr__(self, "screen32", screen32)
 
 
 def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
@@ -150,64 +168,171 @@ def _matmul(A: np.ndarray, B: np.ndarray, row_products: bool) -> np.ndarray:
     return out
 
 
-def _knn_predict_std(model: KnnModel, Q: np.ndarray, row_products: bool = False) -> np.ndarray:
-    """Vote over already standardized queries.
+def _rounding_bound(n_features: int, dtype) -> tuple[float, float]:
+    """(c, a) such that a screen's distance in `dtype` lies within
+    B = c * (|q|^2 + |t|^2) + a of the exact squared distance |q - t|^2.
 
-    The distance product runs on fixed chunks of _KNN_CHUNK query rows,
-    because BLAS may round differently for another block shape, or with
-    row_products on _KNN_BLOCK rows, one row at a time; everything after it
-    runs on _KNN_BLOCK-row slices of the product, in place, with one
-    scratch buffer. -2*G + (|q|^2 + |t|^2) is bitwise the textbook
-    |q|^2 + |t|^2 - 2*G: IEEE addition commutes and x - y == x + (-y).
-    After the clamp at zero, k first-minimum passes over each slice pick
-    every row's k nearest training rows in (distance, row index) order
-    (_knn_votes). Huge or infinite query values overflow to inf or NaN
-    distances without a warning; a row whose pass meets one takes the
-    stable sort of _knn_sorted_votes instead.
+    The screen rounds [q, |q|^2, 1] and [-2t, 1, |t|^2] to dtype (relative
+    error u each, the float64 norms themselves within gamma_F of the exact
+    ones) and sums their F + 2 products in any order, within
+    gamma_{F+2} * sum|products| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.1), where
+    gamma_n = n u / (1 - n u). With 2 sum|q_f t_f| <= |q|^2 + |t|^2 = P
+    the terms add up to (3u + u^2 + gamma_F + 2 gamma_{F+2} (1 + 3u +
+    gamma_F)) * P. The 1% margin covers the second-order terms and the
+    rounding of B itself, and a covers every product, conversion and norm
+    that underflows (at most one subnormal spacing each). A dtype too coarse
+    for F features gets an infinite bound and certifies nothing."""
+    u = float(np.finfo(dtype).eps) / 2
+    n = n_features + 2
+    if n * u >= 0.01:
+        return math.inf, math.inf
+    gamma = n * u / (1.0 - n * u)
+    gamma_sq = n_features * 2.0**-53 / (1.0 - n_features * 2.0**-53)
+    c = 1.01 * (3 * u + u * u + gamma_sq + 2 * gamma * (1 + 3 * u + gamma_sq))
+    return c, 8 * n * float(np.finfo(dtype).smallest_subnormal)
+
+
+def _knn_predict_std(model: KnnModel, Q: np.ndarray) -> np.ndarray:
+    """Labels of already standardized queries: the vote of each row's
+    first k training rows in (exact distance, row index) order.
+
+    A row's bound B = c * (|q|^2 + max|t|^2) + a covers the rounding of
+    every one of its computed distances (_rounding_bound). The float32
+    screen, then the float64 one, label every row whose computed k-th and
+    (k+1)-th distances lie more than 2B apart, so that the k rows picked
+    are the k exactly nearest whatever the rounding, or whose training rows
+    within 2B of the k-th distance carry one label (_knn_screen). The exact
+    tier scores the rest (_knn_exact_votes). A row without a float64 bound
+    (_bounded), because it has a NaN or infinite cell or because
+    |q|^2 + max|t|^2 is huge, instead takes the stable sort of its float64
+    distances -2 q.t + (|q|^2 + |t|^2), clamped at zero, each computed one
+    row at a time so that no label depends on the rest of the batch
+    (_knn_votes).
     """
-    Xt, yt, k, t_sq = model.X, model.y, model.k, model.sq_norms
-    out = np.empty(Q.shape[0], dtype=np.int8)
-    scratch = np.empty((min(_KNN_BLOCK, Q.shape[0]), Xt.shape[0]))
-    chunk = _KNN_BLOCK if row_products else _KNN_CHUNK
+    votes = np.empty(Q.shape[0], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, Q.shape[0], chunk):
-            q = Q[lo : lo + chunk]
-            G = _matmul(q, Xt.T, row_products)
-            q_sq = (q * q).sum(axis=1)
-            for r in range(0, q.shape[0], _KNN_BLOCK):
-                d2 = G[r : r + _KNN_BLOCK]
-                buf = scratch[: d2.shape[0]]
-                np.add(q_sq[r : r + _KNN_BLOCK, None], t_sq, out=buf)
-                d2 *= -2.0
-                d2 += buf
-                np.maximum(d2, 0.0, out=d2)
-                out[lo + r : lo + r + d2.shape[0]] = 2 * _knn_votes(d2, yt, k) >= k  # True is ABNORMAL
-    return out
+        q_sq = (Q * Q).sum(axis=1)
+        reach = q_sq + model.max_sq_norm
+        Qa = np.hstack([Q, q_sq[:, None], np.ones((Q.shape[0], 1))])
+        bounded = _bounded(reach, np.float64)
+        rows = _knn_screen(model, Qa, reach, np.flatnonzero(bounded), model.screen32, votes)
+        _knn_screen(model, Qa, reach, rows, model.screen64, votes, exact=Q)
+        for block in _blocks(np.flatnonzero(~bounded)):
+            d2 = _matmul(Q[block], model.X.T, row_products=True)
+            d2 *= -2.0
+            d2 += q_sq[block, None] + model.sq_norms
+            np.maximum(d2, 0.0, out=d2)
+            votes[block] = _knn_votes(d2, model.y, model.k)
+    return (2 * votes >= model.k).astype(np.int8)  # True is ABNORMAL
 
 
-def _knn_votes(d2: np.ndarray, yt: np.ndarray, k: int) -> np.ndarray:
-    """The abnormal labels among each row's k nearest training rows, from
-    the clamped distances d2 (overwritten).
+def _bounded(reach: np.ndarray, dtype) -> np.ndarray:
+    """The rows whose distances have a rounding bound in dtype: those with
+    |q|^2 + max|t|^2 below a quarter of the largest value, so that no
+    product, norm or partial sum of the screen's product can overflow
+    (each sum of magnitudes is at most twice |q|^2 + max|t|^2). NaN is
+    not."""
+    return 4.0 * reach < np.finfo(dtype).max
 
-    Each of k passes takes every row's first minimum, counts its label and
-    sets it to +inf, so the passes pick the first k cells in (distance, row
-    index) order. That order fails only on a non-finite distance: argmin
-    picks a NaN first, where the sort ranks it last, and a +inf cannot be
-    set aside again. A row whose pass picks one gets its cells back and
-    takes _knn_sorted_votes.
-    """
+
+def _blocks(rows: np.ndarray) -> list[np.ndarray]:
+    return [rows[lo : lo + _KNN_BLOCK] for lo in range(0, rows.size, _KNN_BLOCK)]
+
+
+def _knn_screen(
+    model: KnnModel,
+    Qa: np.ndarray,
+    reach: np.ndarray,
+    rows: np.ndarray,
+    screen: np.ndarray,
+    votes: np.ndarray,
+    exact: np.ndarray | None = None,
+) -> np.ndarray:
+    """Vote the given rows of Qa ([q, |q|^2, 1] per query) in the dtype of
+    `screen` and write the votes of the rows it certifies; return the rest.
+
+    Per block of _KNN_BLOCK rows: one product Qa @ screen.T into one
+    scratch buffer, then k + 1 first-minimum passes (_first_minima). The
+    distances are not clamped at zero: the bound B holds for them as they
+    are. A row is certified when its (k+1)-th distance exceeds d(k) + 2B.
+    Failing that, every training row below d(k) - 2B is exactly among the
+    first k and every one above d(k) + 2B exactly outside them, so the row
+    is still certified when all the rows in between, which fill the
+    remaining places, carry one label: copies of a training row, as
+    over-sampling makes, tie exactly and need no exact tier. With `exact`,
+    the standardized queries, the exact tier votes the rows left, on their
+    training rows up to d(k) + 2B. Comparisons run in float64 against
+    d(k) +- 2B rounded to float64, which decide as the exact sums would,
+    because no float lies between a sum and its rounding."""
+    k, m = model.k, model.X.shape[0]
+    abnormal = model.y == ABNORMAL
+    c, a = _rounding_bound(Qa.shape[1] - 2, screen.dtype)
+    margin = np.where(_bounded(reach, screen.dtype), 2.0 * (c * reach + a), np.inf)
+    scratch = np.empty((min(_KNN_BLOCK, rows.size), m), dtype=screen.dtype)
+    unsure = []
+    for block in _blocks(rows):
+        d2 = np.matmul(Qa[block].astype(screen.dtype, copy=False), screen.T, out=scratch[: block.size])
+        nearest, picked = _first_minima(d2, min(k + 1, m))
+        votes[block] = model.y[nearest[:k]].sum(axis=0)
+        limit = picked[k - 1] + margin[block]
+        sure = np.isfinite(limit)
+        if k < m:
+            sure &= picked[k] > limit
+        left = np.flatnonzero(~sure)
+        if left.size:
+            _restore(d2, nearest, picked, left)
+            d2 = d2[left]
+            inside = d2 < (picked[k - 1, left] - margin[block[left]])[:, None]
+            band = ~inside & (d2 <= limit[left, None])
+            band_abnormal = np.count_nonzero(band & abnormal, axis=1)
+            one_label = (band_abnormal == 0) | (band_abnormal == np.count_nonzero(band, axis=1))
+            agree = np.isfinite(limit[left]) & one_label
+            in_abnormal = np.count_nonzero(inside & abnormal, axis=1)
+            votes[block[left]] = in_abnormal + (band_abnormal > 0) * (k - np.count_nonzero(inside, axis=1))
+            left, d2, limit = left[~agree], d2[~agree], limit[left[~agree]]
+            if exact is not None and left.size:
+                candidates = [np.flatnonzero(row <= at) for row, at in zip(d2, limit)]
+                votes[block[left]] = _knn_exact_votes(exact[block[left]], model.X, model.y, k, candidates)
+        unsure.append(block[left])
+    return np.concatenate(unsure) if unsure else rows
+
+
+def _first_minima(d2: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first `passes` cells in (value, index) order, as
+    (passes, rows) column indices and values: each pass takes every row's
+    first minimum and sets it to +inf in d2. A NaN is picked first, and a
+    cell already set to +inf may be picked again once only +inf is left."""
     rows = np.arange(d2.shape[0])
-    nearest = np.empty((k, rows.size), dtype=np.intp)
-    picked = np.empty((k, rows.size))
-    for p in range(k):
+    nearest = np.empty((passes, rows.size), dtype=np.intp)
+    picked = np.empty((passes, rows.size), dtype=d2.dtype)
+    for p in range(passes):
         d2.argmin(axis=1, out=nearest[p])
         picked[p] = d2[rows, nearest[p]]
         d2[rows, nearest[p]] = np.inf
+    return nearest, picked
+
+
+def _restore(d2: np.ndarray, nearest: np.ndarray, picked: np.ndarray, rows: np.ndarray) -> None:
+    """Put back the cells _first_minima set aside in the given rows; a cell
+    picked twice gets its first value back last."""
+    for p in range(nearest.shape[0] - 1, -1, -1):
+        d2[rows, nearest[p, rows]] = picked[p, rows]
+
+
+def _knn_votes(d2: np.ndarray, yt: np.ndarray, k: int) -> np.ndarray:
+    """The abnormal labels among each row's first k cells of the distances
+    d2 (overwritten) in (distance, row index) order with NaN last.
+
+    k first-minimum passes give that order unless a pass picks a
+    non-finite distance: argmin picks a NaN first, where the order ranks it
+    last, and a +inf cannot be set aside again. Such a row gets its cells
+    back and takes _knn_sorted_votes."""
+    nearest, picked = _first_minima(d2, k)
     votes = yt[nearest].sum(axis=0)
     bad = np.flatnonzero(~np.isfinite(picked).all(axis=0))
     if bad.size:
-        for p in range(k - 1, -1, -1):  # a cell picked twice gets its first value back last
-            d2[bad, nearest[p, bad]] = picked[p, bad]
+        _restore(d2, nearest, picked, bad)
         votes[bad] = _knn_sorted_votes(d2[bad], yt, k)
     return votes
 
@@ -216,6 +341,30 @@ def _knn_sorted_votes(d2: np.ndarray, yt: np.ndarray, k: int) -> np.ndarray:
     """The abnormal labels among each row's first k cells of a stable
     sort: (distance, row index) order with NaN last."""
     return yt[np.argsort(d2, axis=1, kind="stable")[:, :k]].sum(axis=1)
+
+
+def _knn_exact_votes(Q: np.ndarray, Xt: np.ndarray, yt: np.ndarray, k: int, candidates: list) -> np.ndarray:
+    """The abnormal labels among the first k of each query's candidate
+    training rows (ascending indices) in (exact distance, row index) order.
+
+    Every finite double is an integer over a power of two, the pair that
+    float.as_integer_ratio gives and fractions.Fraction holds. Over the
+    largest denominator among a query and its candidates all of them are
+    integers, so sum (q_f - t_f)^2 is computed exactly, in Python integers,
+    without a Fraction object's normalization at every step."""
+    votes = np.empty(Q.shape[0], dtype=np.intp)
+    width = Q.shape[1]
+    for i, (q, rows) in enumerate(zip(Q, candidates)):
+        ratios = [v.as_integer_ratio() for v in np.concatenate([q, Xt[rows].ravel()]).tolist()]
+        den = max((d for _, d in ratios), default=1)
+        ints = [n * (den // d) for n, d in ratios]
+        q = ints[:width]
+        dist = [
+            sum((a - b) ** 2 for a, b in zip(q, ints[width * j : width * (j + 1)])) for j in range(1, rows.size + 1)
+        ]
+        order = sorted(range(rows.size), key=dist.__getitem__)  # stable: ties keep the lower row index first
+        votes[i] = yt[rows[order[:k]]].sum()
+    return votes
 
 
 # --- CART --------------------------------------------------------------------
@@ -576,12 +725,13 @@ def train_many(
 def predict_batch(model: TrainedModel, features: np.ndarray, *, _row_products: bool = False) -> np.ndarray:
     """Predict many rows at once with block matrix products; returns an
     int8 array of 0/1 labels. A 1-d input is one row. `predict` sets
-    _row_products for its row-exact products."""
+    _row_products for the MLP's row-exact products; KNN labels are
+    row-exact either way."""
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if isinstance(model, KnnModel):
-        return _knn_predict_std(model, model.standardization.apply(X), _row_products)
+        return _knn_predict_std(model, model.standardization.apply(X))
     if isinstance(model, CartModel):
         return _cart_predict(model, X)
     p = mlp_probability(model, X, _row_products)

@@ -160,6 +160,28 @@ def gate_per_record(fv: FeatureVector, rule, cfg) -> int:
     return LOW if fv.wind_speed < cfg.threshold else HIGH
 
 
+def forbid_exact_knn(monkeypatch) -> list[int]:
+    """Make the exact KNN tier raise on any call that scores a row, and
+    return the list of row counts it was called with.
+
+    A seeded run in a forked child that raises ends the child without its
+    results; the parent then computes that share itself and raises in
+    turn, so a row scored anywhere fails the caller."""
+    from icewatch import learners
+
+    scored: list[int] = []
+    exact = learners._knn_exact_votes
+
+    def spy(Q, *args):
+        scored.append(Q.shape[0])
+        if Q.shape[0]:
+            raise AssertionError(f"the exact KNN tier scored {Q.shape[0]} rows")
+        return exact(Q, *args)
+
+    monkeypatch.setattr(learners, "_knn_exact_votes", spy)
+    return scored
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fv_matrix, make_fv, random_record
+from conftest import forbid_exact_knn, fv_matrix, make_fv, random_record
 from icewatch.cli import main as cli_main
 from icewatch.evaluation import ConfusionCounts, crossval_fold_scores, score
 from icewatch.features import physical_features
@@ -264,22 +264,36 @@ def test_c08_chance_calibration():
 
 @pytest.fixture(scope="module")
 def shipped_experiment():
-    """Run the shipped two-turbine experiment once; C9 reads it."""
+    """Run the shipped two-turbine experiment once, then label turbine B's
+    stream with both of its bundles; C9 reads the reports. Any row that
+    reaches the exact KNN tier fails the fixture (forbid_exact_knn)."""
     from icewatch.cli import _load_datasets, _pipeline_configs
-    from icewatch.pipeline import run_reengineered, run_traditional
+    from icewatch.pipeline import predict_stream, run_reengineered, run_traditional, train_bundle
 
     doc = json.loads((CONFIG_DIR / "experiment_default.json").read_text())
     train_ds, test_ds = _load_datasets(doc)
     configs = _pipeline_configs(doc)
-    start = time.perf_counter()
-    trad = run_traditional(train_ds, test_ds, configs["traditional"])
-    reeng = run_reengineered(train_ds, test_ds, configs["reengineered"])
-    return trad, reeng, time.perf_counter() - start
+    with pytest.MonkeyPatch.context() as mp:
+        scored = forbid_exact_knn(mp)
+        start = time.perf_counter()
+        trad = run_traditional(train_ds, test_ds, configs["traditional"])
+        reeng = run_reengineered(train_ds, test_ds, configs["reengineered"])
+        elapsed = time.perf_counter() - start
+        for cfg in configs.values():
+            predict_stream(train_bundle(train_ds, cfg), test_ds)
+    return trad, reeng, elapsed, scored
+
+
+def test_shipped_knn_labels_never_reach_the_exact_tier(shipped_experiment):
+    """Every KNN label of the default experiment and of `predict` on its
+    turbine B is certified by a float screen, so none depends on this
+    host's BLAS."""
+    assert shipped_experiment[3] == []
 
 
 def test_c09_directional_reproduction(shipped_experiment):
     with criterion("C9 re-engineered beats traditional cross-turbine", 300.0):
-        trad, reeng, elapsed = shipped_experiment
+        trad, reeng, elapsed, _ = shipped_experiment
         assert elapsed < 300.0, f"experiment took {elapsed:.0f}s"
         trad_cell = {c.segment: c for c in trad.cells}["all"]
         pooled = {c.segment: c for c in reeng.cells}["pooled"]

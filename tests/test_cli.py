@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import frame_of, make_dataset, make_record
-from test_learner_parity import one_row_at_a_time, reference_knn_predict
+from knn_oracle import knn_oracle
 from icewatch import learners
 from icewatch.cli import main
 from icewatch.pipeline import bundle_from_dict, predict_stream
@@ -179,11 +179,7 @@ class TestExperiment:
         done = subprocess.run([sys.executable, "-m", "icewatch.cli", *argv], env=_environ(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
 
-        def reference(model, X):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return one_row_at_a_time(reference_knn_predict, model, X)
-
-        monkeypatch.setattr(learners, "predict", reference)
+        monkeypatch.setattr(learners, "predict", knn_oracle)
         want = predict_stream(bundle_from_dict(json.loads(bundle.read_text())), parse_scada_csv(str(scada)))
         got = [line.split(",")[1] for line in labels.read_text().splitlines()[1:]]
         assert got == [LABELS[code].value for code in want.label]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_perfbench
+from conftest import forbid_exact_knn, load_perfbench
 from icewatch.cli import main
 from icewatch.scada import write_label_windows_csv, write_scada_csv
 from icewatch.synthgen import config_from_dict, make_turbine_pair, profile_from_dict
@@ -84,7 +84,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_smoke_report_and_predict_labels_unchanged(tmp_path):
+def test_smoke_report_and_predict_labels_unchanged(tmp_path, monkeypatch):
+    # no label reaches the exact KNN tier, so none depends on this host's BLAS
+    scored = forbid_exact_knn(monkeypatch)
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(SMOKE), "--out-dir", str(out), "--bundles"]) == 0
     assert (out / "report.json").read_bytes() == GOLDEN_REPORT.read_bytes()
@@ -99,6 +101,7 @@ def test_smoke_report_and_predict_labels_unchanged(tmp_path):
         argv = ["predict", "--bundle", str(out / f"{variant}.bundle.json"), "--scada", str(scada), "--out", str(labels)]
         assert main(argv) == 0
         assert _sha256(labels) == digest, variant
+    assert scored == []
 
 
 def _ingest_turbine_a(tmp_path) -> Path:

@@ -2,11 +2,11 @@
 
 The MLP training loop standardizes once, updates one parameter row per model
 in place, trains many models in lockstep (train_many) and shares one
-backward pass with mlp_gradient; the KNN vote works
-in place on row blocks of each distance product; CART descends level by
-level over its node table and grows it from one presorted table per
-tree. Each must give the same bits as the plain version below: weights and
-gradients for the MLP, labels for KNN, labels and node tables for CART.
+backward pass with mlp_gradient; CART descends level by level over its
+node table and grows it from one presorted table per tree. Each must give
+the same bits as the plain version below: weights and gradients for the
+MLP, labels and node tables for CART. KNN labels must be those of the
+exact oracle (knn_oracle.py), on data full of exact and near ties.
 
 `predict` labels a whole matrix, and each row must get the bits of a
 one-row call, the way deployment labeled a stream one record at a time:
@@ -14,9 +14,13 @@ the references below run on each row alone.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from icewatch import learners
 from icewatch.learners import (
@@ -26,6 +30,7 @@ from icewatch.learners import (
     KnnModel,
     LearnerConfig,
     MlpModel,
+    StandardizationParams,
     _sigmoid,
     mlp_gradient,
     mlp_probability,
@@ -37,7 +42,7 @@ from icewatch.learners import (
     train_many,
 )
 
-_KNN_CHUNK = 1024
+from knn_oracle import knn_oracle
 
 
 def reference_sigmoid(z):
@@ -89,28 +94,6 @@ def reference_gradient(model, X, y):
             a = acts[layer]
             delta = (delta @ model.weights[layer].T) * a * (1.0 - a)
     return grads_w[::-1], grads_b[::-1]
-
-
-def reference_knn_predict(model, Q):
-    """Whole-chunk distance matrices, a partitioned copy, the same tie rules."""
-    Q = model.standardization.apply(np.atleast_2d(np.asarray(Q, dtype=float)))
-    Xt, yt, k, t_sq = model.X, model.y, model.k, model.sq_norms
-    out = np.empty(Q.shape[0], dtype=np.int8)
-    for lo in range(0, Q.shape[0], _KNN_CHUNK):
-        q = Q[lo : lo + _KNN_CHUNK]
-        d2 = (q * q).sum(axis=1)[:, None] + t_sq[None, :] - 2.0 * (q @ Xt.T)
-        np.maximum(d2, 0.0, out=d2)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        mask = d2 <= kth[:, None]
-        counts = mask.sum(axis=1)
-        votes = (mask & (yt == ABNORMAL)).sum(axis=1)
-        block = np.where(2 * votes >= k, ABNORMAL, NORMAL).astype(np.int8)
-        for row in np.flatnonzero(counts != k):
-            nearest = np.argsort(d2[row], kind="stable")[:k]
-            v = int(yt[nearest].sum())
-            block[row] = ABNORMAL if 2 * v >= k else NORMAL
-        out[lo : lo + _KNN_CHUNK] = block
-    return out
 
 
 def reference_cart_predict(model: CartModel, X):
@@ -209,12 +192,11 @@ def test_knn_labels_match_reference(k):
     rng = np.random.default_rng(k)
     X, y = _labeled(rng, 300)
     model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
-    # 1500 queries: one full chunk and a remainder chunk, each split in
-    # row blocks with a short last block
+    # 1500 queries: five full row blocks and a short last block
     Q = np.vstack([_labeled(rng, 1500 - 40)[0], X[:40]])
-    assert _same_bits(predict_batch(model, Q), reference_knn_predict(model, Q))
+    assert _same_bits(predict_batch(model, Q), knn_oracle(model, Q))
     for row in Q[:25]:
-        assert _same_bits(predict_batch(model, row), reference_knn_predict(model, row))
+        assert _same_bits(predict_batch(model, row), knn_oracle(model, row))
 
 
 def test_knn_tie_fallback_and_k_equal_to_n_train():
@@ -227,7 +209,7 @@ def test_knn_tie_fallback_and_k_equal_to_n_train():
     Q = np.vstack([base, _labeled(rng, 60)[0]])
     for k in (1, 2, 3, 4, X.shape[0]):
         model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
-        assert _same_bits(predict_batch(model, Q), reference_knn_predict(model, Q)), k
+        assert _same_bits(predict_batch(model, Q), knn_oracle(model, Q)), k
 
 
 EXTREMES = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 1e300, -1e300])
@@ -276,11 +258,62 @@ def test_knn_labels_with_non_finite_and_tied_distances(case):
         model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
         if case == "huge-training-rows":
             model = _with_huge_training_rows(np.random.default_rng(k), model)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want_batch = reference_knn_predict(model, Q)
-            want_rows = one_row_at_a_time(reference_knn_predict, model, Q)
-        assert _same_bits(predict_batch(model, Q), want_batch), k
-        assert _same_bits(predict(model, Q), want_rows), k
+        want = knn_oracle(model, Q)
+        assert _same_bits(predict_batch(model, Q), want), k
+        assert _same_bits(predict(model, Q), want), k
+
+
+BEYOND_FLOAT32 = np.array([3.5e38, -3.5e38, 1e39, -1e39, 1e100, -1e100])
+
+
+@pytest.mark.parametrize("case", ["spread", "huge-training-rows"])
+def test_knn_finite_cells_beyond_float32_are_silent(case):
+    """A finite query cell beyond the float32 range overflows the float32
+    screen; its row falls through to the float64 screen and the exact tier
+    without a RuntimeWarning. With about 90% of the training rows at
+    +-1e200, max|t|^2 overflows and every row takes the stable sort."""
+    rng = np.random.default_rng(41)
+    X, y, Q = _knn_tied_case(rng, rounded=False)
+    rows = rng.choice(Q.shape[0], size=60, replace=False)
+    Q[rows, rng.integers(0, Q.shape[1], size=60)] = rng.choice(BEYOND_FLOAT32, size=60)
+    for k in (1, 2, 3, 7):
+        model = train(LearnerConfig(algorithm="knn", knn_k=k), X, y)
+        if case == "huge-training-rows":
+            model = _with_huge_training_rows(np.random.default_rng(k), model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_batch, got_rows = predict_batch(model, Q), predict(model, Q)
+        want = knn_oracle(model, Q)
+        assert _same_bits(got_batch, want), k
+        assert _same_bits(got_rows, want), k
+
+
+def test_knn_distance_that_overflows_float32_is_not_taken_as_far():
+    """The nearest training row's |t|^2 = 3.4e38 overflows float32, so
+    the float32 product reads its distance, 1.7e38, as +inf, past two
+    finite picks at 1.82e38 and 1.96e38; the exact distances say it is the
+    nearest."""
+    X = np.array([[-5e17, 0.0], [-1e18, 0.0], [1.305e19, 1.305e19]])
+    identity = StandardizationParams(mean=np.zeros(2), std=np.ones(2))
+    model = KnnModel(k=1, X=X, y=np.array([0, 0, 1], dtype=np.int8), standardization=identity)
+    Q = np.array([[1.3e19, 0.0]])
+    assert knn_oracle(model, Q).tolist() == [1]
+    assert predict_batch(model, Q).tolist() == [1]
+    assert predict(model, Q).tolist() == [1]
+
+
+def test_knn_three_distances_inside_the_float32_bound():
+    """Three training rows lie within 1e-9 of the same distance from the
+    query, far inside the float32 bound: the float32 picks may come in any
+    order, and only the rows below d(k) - 2B may be counted in for sure: a
+    screen that counted every row below d(k) in mislabels this query."""
+    X = np.array([[0.22082680550798894], [1.7595592278021324], [0.22082680563167797], [3.990193010470648]])
+    identity = StandardizationParams(mean=np.zeros(1), std=np.ones(1))
+    model = KnnModel(k=2, X=X, y=np.array([0, 1, 0, 1], dtype=np.int8), standardization=identity)
+    Q = np.array([[0.9901930104706482]])
+    want = knn_oracle(model, Q)
+    assert _same_bits(predict_batch(model, Q), want)
+    assert _same_bits(predict(model, Q), want)
 
 
 def test_knn_votes_on_rows_mixing_finite_inf_and_nan():
@@ -318,6 +351,51 @@ def test_knn_sorts_only_rows_with_a_non_finite_distance(monkeypatch):
     Q[5, 0] = np.nan
     predict_batch(model, Q)
     assert sorted_rows == [1]
+
+
+HUGE = [1e39, -1e39, 1e200, -1e200, 1e300, -1e300]
+
+
+@st.composite
+def knn_near_ties(draw):
+    """A KNN model and queries full of exact and near ties.
+
+    The training rows are n base rows on a grid, then the same
+    rows again with the other label, then each moved by one double ulp and
+    by one float32 ulp. The queries are grid points, whose distances to the
+    grid rows tie at many indices, base rows and midpoints of two base rows
+    moved by less than a float32 ulp, and rows with one cell at +-1e39,
+    +-1e200 or +-1e300. The grid is of halves, or of 5e-23, where float32
+    products underflow. The model's standardization is the identity, so
+    the queries are used as drawn."""
+    width = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([0.5, 5e-23]))
+    cell = st.integers(-4, 4).map(lambda v: v * scale)
+    base = draw(arrays(np.float64, (draw(st.integers(2, 5)), width), elements=cell))
+    up32 = np.nextafter(base.astype(np.float32), np.float32(np.inf)).astype(np.float64)
+    X = np.vstack([base, base, np.nextafter(base, np.inf), up32])
+    labels = draw(arrays(np.int8, base.shape[0], elements=st.integers(0, 1)))
+    y = np.concatenate([labels, 1 - labels, draw(arrays(np.int8, 2 * base.shape[0], elements=st.integers(0, 1)))])
+    grid = draw(arrays(np.float64, (draw(st.integers(1, 6)), width), elements=cell))
+    nudge = draw(arrays(np.float64, base.shape, elements=st.floats(-1e-7, 1e-7))) * scale
+    midpoints = (base + np.roll(base, 1, axis=0)) / 2 + np.roll(nudge, 1)
+    huge = base.copy()
+    cells = draw(arrays(np.intp, base.shape[0], elements=st.integers(0, width - 1)))
+    huge[np.arange(base.shape[0]), cells] = draw(arrays(np.float64, base.shape[0], elements=st.sampled_from(HUGE)))
+    k = draw(st.sampled_from([1, 2, 3, 4, 7, X.shape[0]]))
+    identity = StandardizationParams(mean=np.zeros(width), std=np.ones(width))
+    return KnnModel(k=k, X=X, y=y, standardization=identity), np.vstack([grid, base + nudge, midpoints, huge])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(knn_near_ties())
+def test_knn_labels_match_the_exact_oracle_on_near_ties(case):
+    model, Q = case
+    want = knn_oracle(model, Q)
+    assert _same_bits(predict_batch(model, Q), want)
+    assert _same_bits(predict(model, Q), want)
+    for r in range(Q.shape[0]):
+        assert _same_bits(predict(model, Q[r : r + 1]), want[r : r + 1])
 
 
 def reference_best_split(X, y, idx, min_leaf):
@@ -494,7 +572,7 @@ def test_knn_predict_is_row_exact(k):
     Q = np.vstack([near_ties, X, _labeled(rng, N_ROWS - near_ties.shape[0] - X.shape[0])[0]])
     assert Q.shape[0] == N_ROWS
     got = predict(model, Q)
-    assert _same_bits(got, one_row_at_a_time(reference_knn_predict, model, Q))
+    assert _same_bits(got, knn_oracle(model, Q))
     assert 0 < got.sum() < N_ROWS
 
 
@@ -560,3 +638,13 @@ def test_predict_of_zero_rows(algorithm):
     model = train(LearnerConfig(algorithm=algorithm, mlp_epochs=2), X, y)
     for labels in (predict(model, X[:0]), predict_batch(model, X[:0])):
         assert labels.dtype == np.int8 and labels.shape == (0,)
+
+
+def test_knn_of_zero_features():
+    """With no features every distance is exactly zero: the exact tier
+    takes every row, and the first k training rows by index vote."""
+    y = np.array([0, 1, 0, 1, 1], dtype=np.int8)
+    for k, want in ((1, 0), (2, 1), (3, 0), (5, 1)):
+        model = train(LearnerConfig(algorithm="knn", knn_k=k), np.zeros((5, 0)), y)
+        assert predict_batch(model, np.zeros((3, 0))).tolist() == [want] * 3, k
+        assert predict(model, np.zeros((2, 0))).tolist() == [want] * 2, k

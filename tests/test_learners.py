@@ -406,6 +406,11 @@ class TestSerialization:
         assert set(doc) == {"format", "kind", "k", "X", "y", "standardization"}
         back = model_from_dict(json.loads(json.dumps(doc)))
         assert back.sq_norms.tobytes() == model.sq_norms.tobytes()
+        # the screens' training side, [-2t, 1, |t|^2], is derived the same way
+        assert model.screen32.dtype == np.float32 and model.screen32.shape == (64, 6)
+        assert back.screen32.tobytes() == model.screen32.tobytes()
+        assert back.screen64.tobytes() == model.screen64.tobytes()
+        assert back.max_sq_norm == model.max_sq_norm == model.sq_norms.max()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig):
