@@ -35,6 +35,7 @@ from .pipeline import (  # noqa: E402
     bundle_from_dict,
     bundle_to_dict,
     predict_stream,
+    prepare,
     render_report_text,
     report_to_dict,
     run_reengineered,
@@ -44,8 +45,6 @@ from .pipeline import (  # noqa: E402
 from .preprocess import (  # noqa: E402
     BalanceConfig,
     DenoiseConfig,
-    denoise_dataset,
-    drop_invalid,
     oversample_order,
     undersample_order,
 )
@@ -162,8 +161,7 @@ def _cmd_synth(args) -> int:
 
 def _preprocessed(args):
     denoise = DenoiseConfig(window=args.ma_window)
-    dataset = drop_invalid(read_labeled_csv(args.data, Path(args.data).stem).require_time_order())
-    return denoise_dataset(dataset, denoise)
+    return prepare(read_labeled_csv(args.data, Path(args.data).stem).require_time_order(), denoise)
 
 
 def _cmd_features(args) -> int:

@@ -113,17 +113,13 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 
 def _draw_folds(y: np.ndarray, k: int, seed: int, attempts: int = 10) -> list[np.ndarray]:
-    n = y.shape[0]
+    """The first of `attempts` seeded k-fold splits whose every training
+    set holds both classes of the 0/1 codes y. A training set holds the
+    classes whose totals its held-out fold does not exhaust."""
+    totals = np.bincount(y, minlength=2)
     for attempt in range(attempts):
-        folds = kfold_split(n, k, derive_seed(seed, attempt))
-        ok = True
-        for i in range(k):
-            train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-            train_y = y[train_idx]
-            if (train_y == train_y[0]).all():  # one class only
-                ok = False
-                break
-        if ok:
+        folds = kfold_split(y.shape[0], k, derive_seed(seed, attempt))
+        if all(np.count_nonzero(totals - np.bincount(y[fold], minlength=2)) == 2 for fold in folds):
             return folds
     raise DegenerateFolds(attempts)
 
@@ -139,7 +135,7 @@ def crossval_fold_scores(
     gives on its fold alone. Fold 0 has the fewest training rows, so a
     fold too small to train raises before any scoring, as fold by fold."""
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=np.int8)
+    y = _as_codes(labels)
     folds = _draw_folds(y, k, seed)
     train_rows = [np.concatenate([folds[j] for j in range(k) if j != i]) for i in range(k)]
     models = learners.train_many(cfg, [(X[rows], y[rows]) for rows in train_rows])

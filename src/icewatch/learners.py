@@ -38,16 +38,13 @@ in lockstep on stacked arrays (_train_mlps), each model bitwise the one
 `train` gives on its set alone; `train` of an MLP is the one-set case.
 
 `predict_batch`, used by the experiments, and `predict`, used by
-deployment, share one KNN path, which labels every row as a call on that
-row alone would. For the MLP they share every line but the matrix
-products: `predict_batch` multiplies each layer for the whole batch, and
-BLAS may round a row of such a product differently from the
-vector-matrix product of a lone row, so a label can depend on the rows
-that share the batch. `predict` computes each row's product on its own,
-one np.matmul per row, and runs the bias add, sigmoid and threshold on the
-batch. Every row therefore gets, bit for bit, the label of a one-row call.
-CART compares values exactly, so its batch descent is row-exact on either
-path.
+deployment, run one path for every learner, and every row gets, bit for
+bit, the label of a call on that row alone. KNN labels are defined by
+exact distances. The MLP multiplies each layer as one stacked np.matmul
+whose items are the rows' one-row products (_mlp_forward on rows of
+shape (1, features)): numpy hands BLAS each item on its own, so a row's
+product does not depend on the rows that share the call, as the rows of
+one matrix-matrix product may. CART compares values exactly.
 """
 
 from __future__ import annotations
@@ -157,17 +154,6 @@ def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
     return KnnModel(k=cfg.knn_k, X=params.apply(X), y=y.copy(), standardization=params)
 
 
-def _matmul(A: np.ndarray, B: np.ndarray, row_products: bool) -> np.ndarray:
-    """A @ B; with row_products, one np.matmul per row of A, the
-    vector-matrix product that a one-row A runs."""
-    if not row_products:
-        return A @ B
-    out = np.empty((A.shape[0], B.shape[1]))
-    for r in range(A.shape[0]):
-        np.matmul(A[r : r + 1], B, out=out[r : r + 1])
-    return out
-
-
 def _rounding_bound(n_features: int, dtype) -> tuple[float, float]:
     """(c, a) such that a screen's distance in `dtype` lies within
     B = c * (|q|^2 + |t|^2) + a of the exact squared distance |q - t|^2.
@@ -206,9 +192,9 @@ def _knn_predict_std(model: KnnModel, Q: np.ndarray) -> np.ndarray:
     tier scores the rest (_knn_exact_votes). A row without a float64 bound
     (_bounded), because it has a NaN or infinite cell or because
     |q|^2 + max|t|^2 is huge, instead takes the stable sort of its float64
-    distances -2 q.t + (|q|^2 + |t|^2), clamped at zero, each computed one
-    row at a time so that no label depends on the rest of the batch
-    (_knn_votes).
+    distances -2 q.t + (|q|^2 + |t|^2), clamped at zero, with q.t one
+    stacked one-row product per query so that no label depends on the rest
+    of the batch (_knn_sorted_votes).
     """
     votes = np.empty(Q.shape[0], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,11 +205,11 @@ def _knn_predict_std(model: KnnModel, Q: np.ndarray) -> np.ndarray:
         rows = _knn_screen(model, Qa, reach, np.flatnonzero(bounded), model.screen32, votes)
         _knn_screen(model, Qa, reach, rows, model.screen64, votes, exact=Q)
         for block in _blocks(np.flatnonzero(~bounded)):
-            d2 = _matmul(Q[block], model.X.T, row_products=True)
+            d2 = np.matmul(Q[block, None], model.X.T)[:, 0]
             d2 *= -2.0
             d2 += q_sq[block, None] + model.sq_norms
             np.maximum(d2, 0.0, out=d2)
-            votes[block] = _knn_votes(d2, model.y, model.k)
+            votes[block] = _knn_sorted_votes(d2, model.y, model.k)
     return (2 * votes >= model.k).astype(np.int8)  # True is ABNORMAL
 
 
@@ -320,26 +306,10 @@ def _restore(d2: np.ndarray, nearest: np.ndarray, picked: np.ndarray, rows: np.n
         d2[rows, nearest[p, rows]] = picked[p, rows]
 
 
-def _knn_votes(d2: np.ndarray, yt: np.ndarray, k: int) -> np.ndarray:
-    """The abnormal labels among each row's first k cells of the distances
-    d2 (overwritten) in (distance, row index) order with NaN last.
-
-    k first-minimum passes give that order unless a pass picks a
-    non-finite distance: argmin picks a NaN first, where the order ranks it
-    last, and a +inf cannot be set aside again. Such a row gets its cells
-    back and takes _knn_sorted_votes."""
-    nearest, picked = _first_minima(d2, k)
-    votes = yt[nearest].sum(axis=0)
-    bad = np.flatnonzero(~np.isfinite(picked).all(axis=0))
-    if bad.size:
-        _restore(d2, nearest, picked, bad)
-        votes[bad] = _knn_sorted_votes(d2[bad], yt, k)
-    return votes
-
-
 def _knn_sorted_votes(d2: np.ndarray, yt: np.ndarray, k: int) -> np.ndarray:
     """The abnormal labels among each row's first k cells of a stable
-    sort: (distance, row index) order with NaN last."""
+    sort: (distance, row index) order with +inf after every finite
+    distance and NaN last."""
     return yt[np.argsort(d2, axis=1, kind="stable")[:, :k]].sum(axis=1)
 
 
@@ -521,17 +491,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return p
 
 
-def _mlp_forward(
-    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X_std: np.ndarray, row_products: bool = False
-) -> list[np.ndarray]:
+def _mlp_forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X_std: np.ndarray) -> list[np.ndarray]:
     """Activations per layer, input included; last entry is the output
     probability column. The arrays may carry a leading stack axis of
     models: weights (F, fan_in, fan_out), biases (F, fan_out) and X_std
-    (F, rows, features). row_products runs each layer's product one row at
-    a time."""
+    (F, rows, features). X_std may instead stack one-row inputs,
+    (rows, 1, features), against one model's weights."""
     activations = [X_std]
     for W, b in zip(weights, biases):
-        z = _matmul(activations[-1], W, row_products)
+        z = activations[-1] @ W
         z += b[..., None, :]
         activations.append(_sigmoid(z))
     return activations
@@ -562,11 +530,12 @@ def _mlp_backward(
             delta *= 1.0 - a
 
 
-def mlp_probability(model: MlpModel, X: np.ndarray, row_products: bool = False) -> np.ndarray:
-    """Output probability of every row; row_products gives each row the
-    bits of its own one-row call."""
+def mlp_probability(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Output probability of every row of X, bitwise that of a call on the
+    row alone: the rows go through _mlp_forward as a stack of one-row
+    inputs."""
     X_std = model.standardization.apply(np.asarray(X, dtype=float))
-    return _mlp_forward(model.weights, model.biases, X_std, row_products)[-1][:, 0]
+    return _mlp_forward(model.weights, model.biases, X_std[:, None, :])[-1][:, 0, 0]
 
 
 def mlp_loss(model: MlpModel, X: np.ndarray, y: Sequence[int]) -> float:
@@ -722,11 +691,10 @@ def train_many(
     return _train_mlps(cfg, checked)
 
 
-def predict_batch(model: TrainedModel, features: np.ndarray, *, _row_products: bool = False) -> np.ndarray:
-    """Predict many rows at once with block matrix products; returns an
-    int8 array of 0/1 labels. A 1-d input is one row. `predict` sets
-    _row_products for the MLP's row-exact products; KNN labels are
-    row-exact either way."""
+def predict_batch(model: TrainedModel, features: np.ndarray) -> np.ndarray:
+    """Predict many rows at once; returns an int8 array of 0/1 labels. A
+    1-d input is one row. Each row's label is bitwise the one a call on
+    that row alone returns."""
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
@@ -734,15 +702,17 @@ def predict_batch(model: TrainedModel, features: np.ndarray, *, _row_products: b
         return _knn_predict_std(model, model.standardization.apply(X))
     if isinstance(model, CartModel):
         return _cart_predict(model, X)
-    p = mlp_probability(model, X, _row_products)
+    p = mlp_probability(model, X)
     return np.where(p >= 0.5, ABNORMAL, NORMAL).astype(np.int8)
 
 
 def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Predict every row of X; returns an int8 array of 0=normal or
     1=abnormal. Each row's label is bitwise the one a call on that row
-    alone returns, whatever other rows X holds."""
-    return predict_batch(model, X, _row_products=True)
+    alone returns, whatever other rows X holds. Deployment's entry point:
+    the same code as predict_batch under its own name, by which
+    perfbench/tracer.py times each."""
+    return predict_batch(model, X)
 
 
 # --- serialization -------------------------------------------------------------

@@ -170,14 +170,17 @@ def pipeline_config_to_dict(cfg: PipelineConfig) -> dict:
 # --- shared preparation ---------------------------------------------------------
 
 
-def _prepare(dataset: LabeledDataset, denoise: DenoiseConfig) -> LabeledDataset:
+def prepare(dataset: LabeledDataset, denoise: DenoiseConfig) -> LabeledDataset:
+    """A labeled turbine as the learners see it: invalid records dropped,
+    then the rest smoothed. The experiments, `features` and
+    `inspect-rules` all prepare through here."""
     return denoise_dataset(drop_invalid(dataset), denoise)
 
 
 def _matrix(dataset: LabeledDataset, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) of a turbine after preprocessing: its feature rows, or for the
     raw-channel baseline its channel rows, and its label codes."""
-    prep = _prepare(dataset, cfg.denoise)
+    prep = prepare(dataset, cfg.denoise)
     # each flow calls its own features function through this module, where
     # perfbench/tracer.py times both by name
     if cfg.variant == "traditional":

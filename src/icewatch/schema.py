@@ -21,12 +21,16 @@ from .errors import DataError, InvalidConfig
 
 def read_json(path):
     """The parsed JSON of the file at `path`; a byte that is not UTF-8
-    raises a DataError naming the file."""
+    raises a DataError naming the file, and nesting deeper than the
+    decoder's recursion limit an InvalidConfig."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InvalidConfig(f"{path}: nested too deeply") from None
 
 
 def from_dict(cls, doc):

@@ -161,3 +161,14 @@ def test_predict_operation_calls_every_expected_layer(tmp_path):
         assert all(rows_in == rows_out > 0 for rows_in, rows_out in batches)
         assert sum(rows_in for rows_in, _ in batches) <= n
     assert [name for name in PREDICT_OPERATION_LAYERS if name not in called] == []
+
+
+def test_layer_metrics_match_benchmark_json(monkeypatch):
+    """perfbench/run.py refuses to start unless the per-layer metrics it
+    derives from the traced bindings, names and order, are BENCHMARK.json's
+    per_layer list: a renamed or aliased bound function changes a span
+    name and fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracer as a sibling script
+    run = load_perfbench("run")
+    bench = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [n for n, _, _ in run.layer_metric_spec()] == [m["name"] for m in bench["per_layer"]]

@@ -263,6 +263,19 @@ def _cart_model(**root):
             "root": {**node, "left": leaf, "right": leaf, **root}}
 
 
+def _deep_cart_bundle(tmp_path, depth):
+    """`predict` with a bundle whose CART tree descends `depth` levels to
+    the left, written as text: json.dumps would recurse once per level."""
+    leaf = json.dumps(_cart_model()["root"]["left"])
+    node = json.dumps({**_cart_model()["root"], "right": "RIGHT", "left": "LEFT"})
+    node = node.replace('"RIGHT"', leaf).split('"LEFT"')
+    root = node[0] * depth + leaf + node[1] * depth
+    argv = _predict(tmp_path, {"denoise": {"window": 10}, "model": {**_cart_model(), "root": "ROOT"}})
+    path = Path(argv[2])
+    path.write_text(path.read_text().replace('"ROOT"', root))
+    return argv
+
+
 def _features_ma0(tmp_path):
     write_labeled_csv(make_dataset([Label.NORMAL] * 12), tmp_path / "d.csv")
     return ["features", "--data", str(tmp_path / "d.csv"), "--ma-window", "0", "--out", str(tmp_path / "f.csv")]
@@ -423,6 +436,11 @@ MALFORMED = {
                    str(t / "l.csv")], 3,
         "b.json: 'utf-8' codec can't decode byte 0xff",
     ),
+    "config-nested-too-deeply": (
+        lambda t: ["experiment", "--config", _file(t / "e.json", "[" * 5000 + "]" * 5000), "--out-dir", str(t / "o")],
+        2, "e.json: nested too deeply",
+    ),
+    "bundle-tree-nested-too-deeply": (lambda t: _deep_cart_bundle(t, 995), 2, "bundle.json: nested too deeply"),
     "rule-file-nan-bound": (lambda t: _inspect_rules(t, json.dumps(NAN_BOUND)), 2, "x4: a bound is NaN"),
     "bundle-rule-nan-bound": (
         lambda t: _predict(t, {"variant": "reengineered", "denoise": {"window": 10},

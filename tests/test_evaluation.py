@@ -192,6 +192,14 @@ class TestCrossValidate:
         with pytest.raises(DegenerateFolds):
             crossval_fold_scores(X, y, LearnerConfig(algorithm="knn", knn_k=1), k=2, seed=0)
 
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_label_codes_checked_before_folds_are_drawn(self, rng, bad):
+        # 256 would wrap to 0 as int8, -1 has no np.bincount bin
+        X, y = self._separable(rng, n=20)
+        y[3] = bad
+        with pytest.raises(ValueError, match=f"label code must be 0 or 1, got {bad}"):
+            crossval_fold_scores(X, y, LearnerConfig(algorithm="knn"), k=5, seed=0)
+
 
 class TestRepeatedRuns:
     def test_constant_experiment(self):

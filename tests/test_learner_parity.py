@@ -316,9 +316,10 @@ def test_knn_three_distances_inside_the_float32_bound():
     assert _same_bits(predict(model, Q), want)
 
 
-def test_knn_votes_on_rows_mixing_finite_inf_and_nan():
-    """With k past a row's finite and NaN cells, a pass picks a cell it set
-    to +inf again; the sort must still rank the cell by its first value."""
+def test_knn_sorted_votes_on_rows_mixing_finite_inf_and_nan():
+    """The stable sort that labels a query without a finite rounding bound
+    ranks each row's cells by (distance, index), +inf after every finite
+    distance and NaN, of either sign, last."""
     rng = np.random.default_rng(29)
     d2 = rng.choice([0.0, 1.0, 2.0, np.inf, np.nan, -np.nan], size=(400, 8))
     yt = rng.integers(0, 2, size=8).astype(np.int8)
@@ -327,7 +328,7 @@ def test_knn_votes_on_rows_mixing_finite_inf_and_nan():
             int(yt[sorted(range(8), key=lambda j: (np.isnan(row[j]), np.nan_to_num(row[j]), j))[:k]].sum())
             for row in d2
         ]
-        assert learners._knn_votes(d2.copy(), yt, k).tolist() == want, k
+        assert learners._knn_sorted_votes(d2, yt, k).tolist() == want, k
 
 
 def test_knn_sorts_only_rows_with_a_non_finite_distance(monkeypatch):
@@ -573,6 +574,7 @@ def test_knn_predict_is_row_exact(k):
     assert Q.shape[0] == N_ROWS
     got = predict(model, Q)
     assert _same_bits(got, knn_oracle(model, Q))
+    assert _same_bits(predict_batch(model, Q), got)
     assert 0 < got.sum() < N_ROWS
 
 
@@ -610,10 +612,11 @@ def test_mlp_predict_is_row_exact(hidden):
     assert edge.shape[0] > N_ROWS // 4 and Q.shape[0] == N_ROWS
     p = one_row_at_a_time(reference_mlp_probability, model, Q)
     assert (np.abs(p[: edge.shape[0]] - 0.5) < 1e-12).all()
-    assert _same_bits(mlp_probability(model, Q, row_products=True), p)
+    assert _same_bits(mlp_probability(model, Q), p)
     want = np.where(p >= 0.5, ABNORMAL, NORMAL).astype(np.int8)
     got = predict(model, Q)
     assert _same_bits(got, want)
+    assert _same_bits(predict_batch(model, Q), want)
     assert 0 < got[: edge.shape[0]].sum() < edge.shape[0]
 
 
@@ -629,7 +632,9 @@ def test_cart_predict_is_row_exact():
         Q[rng.random(N_ROWS) < 0.25, model.feature[i]] = model.threshold[i]
     on_split = (Q[:, model.feature[splits]] == model.threshold[splits]).any(axis=1)
     assert on_split.sum() > N_ROWS // 2
-    assert _same_bits(predict(model, Q), one_row_at_a_time(reference_cart_predict, model, Q))
+    want = one_row_at_a_time(reference_cart_predict, model, Q)
+    assert _same_bits(predict(model, Q), want)
+    assert _same_bits(predict_batch(model, Q), want)
 
 
 @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])

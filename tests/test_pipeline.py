@@ -19,11 +19,11 @@ from icewatch.learners import NORMAL, LearnerConfig
 from icewatch.pipeline import (
     ModelBundle,
     PipelineConfig,
-    _prepare,
     _test_parts,
     bundle_from_dict,
     bundle_to_dict,
     predict_stream,
+    prepare,
     render_report_text,
     report_to_dict,
     run_reengineered,
@@ -156,7 +156,7 @@ class TestReengineered:
 
     def test_gate_partition_conserves_flow(self):
         _, ds_a, _ = small_pair()
-        vectors = feature_vectors(_prepare(ds_a, DenoiseConfig()))
+        vectors = feature_vectors(prepare(ds_a, DenoiseConfig()))
         auto_labels, parts = _test_parts(ds_a, reengineered_cfg())
         total = len(auto_labels) + sum(len(y) for _, y in parts.values())
         assert total == len(vectors)
