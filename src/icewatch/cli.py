@@ -165,6 +165,8 @@ def _preprocessed(args):
 
 
 def _cmd_features(args) -> int:
+    if args.seed < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
     prep = _preprocessed(args)
     X, y = feature_vectors(prep), prep.label
     if args.balance != "none":
@@ -209,11 +211,8 @@ def _load_datasets(doc: dict):
 
 def _pipeline_configs(doc: dict) -> dict[str, PipelineConfig]:
     exp = from_dict(ExperimentConfig, doc)
-    # fields the experiment sets itself: run seeds derive from master_seed,
-    # and every channel is denoised
-    for section, key in (("learner", "seed"), ("denoise", "channels")):
-        if key in doc.get(section, {}):
-            raise InvalidConfig(f"{section}.{key}: unknown key")
+    if "seed" in doc["learner"]:  # the experiment derives each run's learner seed from master_seed
+        raise InvalidConfig("learner.seed: unknown key")
     common = dict(
         denoise=exp.denoise,
         balance=exp.balance,

@@ -114,6 +114,8 @@ class LearnerConfig:
             raise InvalidConfig("mlp_batch_size must be >= 1")
         if not (math.isfinite(self.mlp_init_scale) and self.mlp_init_scale > 0):
             raise InvalidConfig(f"mlp_init_scale must be finite and positive, got {self.mlp_init_scale}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
     def seeded(self, seed: int) -> LearnerConfig:
         """The same learner, initialized from `seed`."""

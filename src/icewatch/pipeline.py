@@ -16,10 +16,11 @@ feature matrix. After the same preprocessing, the strong rule filters
 training rows down to icing candidates (rules.strong_rule_filter;
 everything else is excluded from training), and rules.segment splits the
 candidates by wind speed into the parts "low" (seed key (0,)) and "high"
-(seed key (1,)), each in row order. At test time rules.gate gives every
-row one route: rule failures are predicted normal outright, candidates
-go to their part. Scores are reported per part and pooled over the whole
-test set; the pooled CV score is the mean of the parts' CV scores.
+(seed key (1,)), each in row order. The test turbine is routed and
+labeled by _route and _label, as predict_stream labels a stream: rule
+failures are predicted normal outright, candidates by their part's model.
+Scores are reported per part, on the rows routed to it, and pooled over
+the whole test set; the pooled CV score is the mean of the parts'.
 
 Seed derivation, recorded in every report: run i uses
 run_seed = derive_seed(master_seed, i); a part with seed key `key`
@@ -47,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .errors import InvalidConfig, SegmentTooSmall
+from .errors import DataError, InvalidConfig, SegmentTooSmall
 from .evaluation import (
     RunStatistics,
     confusion,
@@ -122,6 +123,8 @@ class PipelineConfig:
             raise InvalidConfig(f"cv_k must be >= 2, got {self.cv_k}")
         if self.n_runs < 1:
             raise InvalidConfig(f"n_runs must be >= 1, got {self.n_runs}")
+        if self.master_seed < 0:
+            raise InvalidConfig(f"master_seed must be >= 0, got {self.master_seed}")
         if self.min_segment_size < 1:
             raise InvalidConfig("min_segment_size must be positive")
 
@@ -131,7 +134,7 @@ class ReportCell:
     pipeline: str
     algorithm: str
     segment: str  # "all", "low", "high", or "pooled"
-    cv: RunStatistics | None
+    cv: RunStatistics
     test: RunStatistics
 
 
@@ -160,6 +163,7 @@ def pipeline_config_to_dict(cfg: PipelineConfig) -> dict:
     segmentation as a top-level segment_threshold, both only when set."""
     doc = asdict(cfg)
     del doc["learner"]["seed"], doc["rule"], doc["segmentation"]
+    doc["denoise"]["channels"] = list(CHANNELS)  # every channel is smoothed; the echo keeps its bytes and hash
     if cfg.rule is not None:
         doc["rule"] = _rule_to_dict(cfg.rule)
     if cfg.segmentation is not None:
@@ -282,8 +286,9 @@ def _collect(pid: int, pending: dict[int, int]) -> list | None:
 # --- both flows -----------------------------------------------------------------
 
 
-# part name -> the bundle key of its model
+# part name -> the bundle key of its model, and the route code of its rows
 _BUNDLE_KEYS = {"all": "model", "low": "low_model", "high": "high_model"}
+_ROUTES = {"all": LOW, "low": LOW, "high": HIGH}
 
 
 def _training_parts(
@@ -304,17 +309,23 @@ def _training_parts(
     return {name: (key, X[rows], y[rows]) for name, (key, rows) in parts.items()}
 
 
-def _test_parts(
-    test: LabeledDataset, cfg: PipelineConfig
-) -> tuple[np.ndarray | None, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The actual labels of the records the gate predicts normal outright
-    (None without a gate), and per part name its test rows."""
-    X, y = _matrix(test, cfg)
-    if cfg.variant == "traditional":
-        return None, {"all": (X, y)}
-    route = gate(X, cfg.rule, cfg.segmentation)
-    parts = {"low": route == LOW, "high": route == HIGH}
-    return y[route == AUTO_NORMAL], {name: (X[rows], y[rows]) for name, rows in parts.items()}
+def _route(X: np.ndarray, rule: IntervalRule | None, segmentation: SegmentationConfig | None) -> np.ndarray:
+    """int8[n]: the route code of each row, rules.gate's, or LOW for every
+    row when there is no rule."""
+    if rule is None:
+        return np.full(len(X), LOW, dtype=np.int8)
+    return gate(X, rule, segmentation)
+
+
+def _label(X: np.ndarray, route: np.ndarray, models: dict[int, TrainedModel]) -> np.ndarray:
+    """int8[n]: one learners.predict call per route code's model on that
+    code's rows; rows of a code without a model (AUTO_NORMAL) are normal."""
+    label = np.zeros(len(X), dtype=np.int8)
+    for code, model in models.items():
+        rows = np.flatnonzero(route == code)
+        if rows.size:
+            label[rows] = learners.predict(model, X[rows])
+    return label
 
 
 def _balanced(
@@ -328,26 +339,26 @@ def _balanced(
 
 def _run(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> ExperimentReport:
     train_parts = _training_parts(train, cfg)
-    auto_labels, test_parts = _test_parts(test, cfg)
+    X_test, y_test = _matrix(test, cfg)
+    route = _route(X_test, cfg.rule, cfg.segmentation)
+    test_rows = {name: route == _ROUTES[name] for name in train_parts}
+    for name, rows in test_rows.items():
+        if not rows.any():
+            raise DataError(f"{name} segment has no test rows")
     seeds = _run_seeds(cfg)
 
     def one_run(i: int) -> tuple[dict[str, float], dict[str, float]]:
         cv: dict[str, float] = {}
-        test_scores: dict[str, float] = {}
-        predicted: dict[str, np.ndarray] = {}
+        models: dict[int, TrainedModel] = {}
         for name, (key, X, y) in train_parts.items():
-            X_test, y_test = test_parts[name]
             Xb, yb, lcfg = _balanced(X, y, cfg, i, seeds[i], key)
             cv[name] = float(np.mean(crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(seeds[i], 1, *key))))
-            model = learners.train(lcfg, Xb, yb)
-            predicted[name] = learners.predict_batch(model, X_test)
-            test_scores[name] = score(confusion(y_test, predicted[name]))
-        if auto_labels is not None:
+            models[_ROUTES[name]] = learners.train(lcfg, Xb, yb)
+        label = _label(X_test, route, models)
+        test_scores = {name: score(confusion(y_test[rows], label[rows])) for name, rows in test_rows.items()}
+        if cfg.rule is not None:
             cv["pooled"] = float(np.mean(list(cv.values())))
-            # auto-normal records are predicted normal
-            actual = np.concatenate([auto_labels, *(y for _, y in test_parts.values())])
-            pooled = np.concatenate([np.zeros_like(auto_labels), *predicted.values()])
-            test_scores["pooled"] = score(confusion(actual, pooled))
+            test_scores["pooled"] = score(confusion(y_test, label))
         return cv, test_scores
 
     results = _map_runs(one_run, cfg.n_runs)
@@ -432,17 +443,17 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
     """Label a raw stream with the bundle's full preprocessing.
 
     Deployment smoothing is the training kernel (preprocess.moving_average)
-    from record window-1 on. The first window-1 records are averaged over
-    the partial prefix and flagged low-confidence instead of being dropped,
-    because a deployed predictor must answer from the first record.
-    Records whose physics features are degenerate (channels at -5) are
-    predicted normal and flagged.
+    over every channel from record window-1 on. The first window-1 records
+    are averaged over the partial prefix and flagged low-confidence instead
+    of being dropped, because a deployed predictor must answer from the
+    first record. Records whose physics features are degenerate (channels
+    at -5) are predicted normal and flagged.
 
-    The features of all records are computed at once and routed by one
-    gate call. Each model then gets one learners.predict call on the rows
-    routed to it, in stream order; learners.predict is row-exact, so a
-    label never depends on which other rows share the call. The labels
-    come back as arrays; no per-record object is built.
+    The features of all records are computed at once, then routed and
+    labeled by _route and _label, as the experiments' test turbine is: one
+    gate call, then one learners.predict call per model on the rows routed
+    to it. learners.predict is row-exact, so a label never depends on which
+    other rows share the call. No per-record object is built.
 
     One skew against training remains: training drops invalid records
     before it smooths, so its windows bridge the gaps, while a deployed
@@ -451,12 +462,10 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
     n = len(frame)
     w = bundle.denoise.window
     head = min(w - 1, n)
-    columns = [CHANNELS.index(ch) for ch in bundle.denoise.channels]
-    smoothed = frame.channels.copy()
-    prefix_sums = np.cumsum(frame.channels[:head].take(columns, axis=1), axis=0)
-    smoothed[:head, columns] = prefix_sums / np.arange(1, head + 1)[:, None]
+    smoothed = np.empty(frame.channels.shape)
+    smoothed[:head] = np.cumsum(frame.channels[:head], axis=0) / np.arange(1, head + 1)[:, None]
     if n >= w:
-        smoothed[w - 1 :] = moving_average(frame.channels, bundle.denoise)
+        smoothed[w - 1 :] = moving_average(frame.channels, w)
 
     warm_up = np.arange(n) < w - 1
     degenerate = np.zeros(n, dtype=bool)
@@ -467,19 +476,9 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # degenerate rows, set aside below
             X = assemble_feature_vector(record, engineer_record(record))
         degenerate = degenerate_mask(record)
-    # the model of each route code; without a gate every row goes to the one model
-    if bundle.rule is None:
-        route, models = np.full(n, LOW, dtype=np.int8), {LOW: bundle.models["all"]}
-    else:
-        route = gate(X, bundle.rule, bundle.segmentation)
-        models = {LOW: bundle.models["low"], HIGH: bundle.models["high"]}
+    route = _route(X, bundle.rule, bundle.segmentation)
     route[degenerate] = AUTO_NORMAL
-
-    label = np.zeros(n, dtype=np.int8)  # auto-normal rows stay 0
-    for code, model in models.items():
-        rows = np.flatnonzero(route == code)
-        if rows.size:
-            label[rows] = learners.predict(model, X[rows])
+    label = _label(X, route, {_ROUTES[name]: model for name, model in bundle.models.items()})
     return StreamLabels(time=frame.time, label=label, flagged=warm_up | degenerate)
 
 
@@ -487,7 +486,7 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
     doc = {
         "format": BUNDLE_FORMAT,
         "variant": bundle.variant,
-        "denoise": asdict(bundle.denoise),
+        "denoise": {**asdict(bundle.denoise), "channels": list(CHANNELS)},  # the format keeps its bytes
         "raw_features": bundle.raw_features,
     }
     if bundle.rule is not None:
@@ -504,7 +503,12 @@ def bundle_from_dict(doc: dict) -> ModelBundle:
     if doc.get("format") != BUNDLE_FORMAT:
         raise InvalidConfig(f"unsupported bundle format {doc.get('format')!r}")
     try:
-        denoise = from_dict(DenoiseConfig, doc["denoise"])
+        denoise = doc["denoise"]
+        if isinstance(denoise, dict) and "channels" in denoise:  # as bundle_to_dict writes it, or absent
+            if denoise["channels"] != list(CHANNELS):
+                raise InvalidConfig(f"denoise.channels: a bundle smooths every channel, got {denoise['channels']!r}")
+            denoise = {key: value for key, value in denoise.items() if key != "channels"}
+        denoise = from_dict(DenoiseConfig, denoise)
         variant = doc["variant"]
         rule = segmentation = None
         if variant == "reengineered":
@@ -536,8 +540,8 @@ def report_to_dict(report: ExperimentReport) -> dict:
                 "pipeline": c.pipeline,
                 "algorithm": c.algorithm,
                 "segment": c.segment,
-                "cv_mean": None if c.cv is None else c.cv.mean,
-                "cv_std": None if c.cv is None else c.cv.std,
+                "cv_mean": c.cv.mean,
+                "cv_std": c.cv.std,
                 "test_mean": c.test.mean,
                 "test_std": c.test.std,
                 "n_runs": c.test.runs,
@@ -563,10 +567,9 @@ def render_report_text(reports: Sequence[ExperimentReport]) -> str:
         lines.append(header)
         lines.append("-" * len(header))
         for c in report.cells:
-            if c.cv is not None:
-                lines.append(
-                    f"{c.pipeline:<14}{c.algorithm:<11}{c.segment:<9}{'cv':<10}{c.cv.mean:>9.2f}{c.cv.std:>9.2f}"
-                )
+            lines.append(
+                f"{c.pipeline:<14}{c.algorithm:<11}{c.segment:<9}{'cv':<10}{c.cv.mean:>9.2f}{c.cv.std:>9.2f}"
+            )
             lines.append(
                 f"{c.pipeline:<14}{c.algorithm:<11}{c.segment:<9}{'test':<10}{c.test.mean:>9.2f}{c.test.std:>9.2f}"
             )

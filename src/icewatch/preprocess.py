@@ -1,9 +1,10 @@
 """Preprocessing: invalid removal, moving-average denoising, class balancing.
 
-The pipeline order is drop_invalid -> denoise -> balance. Denoising uses a
-trailing (causal) moving average and drops the first window-1 records so
-that every surviving record is backed by a full window; the survivor keeps
-the time, group, and label of the window's most recent raw record. All
+The pipeline order is drop_invalid -> denoise -> balance. Denoising
+smooths all 26 continuous channels (time and group never) with a trailing
+(causal) moving average and drops the first window-1 records so that
+every surviving record is backed by a full window; the survivor keeps the
+time, group, and label of the window's most recent raw record. All
 randomness is injected through explicit seeds.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyClass, InvalidConfig, TooFewNormal, WindowLargerThanSeries
-from .scada import CHANNELS, INVALID_CODE, LabeledDataset
+from .scada import INVALID_CODE, LabeledDataset
 
 log = logging.getLogger(__name__)
 
@@ -24,14 +25,10 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class DenoiseConfig:
     window: int = 10
-    channels: tuple[str, ...] = CHANNELS  # every continuous channel; time and group are never smoothed
 
     def __post_init__(self):
         if self.window < 1:
             raise InvalidConfig(f"window must be >= 1, got {self.window}")
-        unknown = set(self.channels) - set(CHANNELS)
-        if unknown:
-            raise InvalidConfig(f"unknown channels: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +39,8 @@ class BalanceConfig:
     def __post_init__(self):
         if self.method not in ("under", "over"):
             raise InvalidConfig(f"balance method must be 'under' or 'over', got {self.method!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def drop_invalid(dataset: LabeledDataset) -> LabeledDataset:
@@ -49,27 +48,18 @@ def drop_invalid(dataset: LabeledDataset) -> LabeledDataset:
     return dataset.take(dataset.label != INVALID_CODE)
 
 
-def moving_average(channels: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+def moving_average(channels: np.ndarray, window: int) -> np.ndarray:
     """The smoothing kernel of training and prediction, over a channel
-    matrix float64[n, 26] with n >= window: row i of the result is row
-    i+window-1 of `channels` with each configured channel replaced by its
-    mean over rows i .. i+window-1."""
-    w = cfg.window
-    columns = [CHANNELS.index(ch) for ch in cfg.channels]
-    # take() returns C order, where [:, columns] would not: the memory
-    # layout sets the summation order of the mean, and the pinned outputs
-    # depend on its last bit
-    means = sliding_window_view(channels.take(columns, axis=1), w, axis=0).mean(axis=-1)
-    if tuple(cfg.channels) == CHANNELS:
-        return means
-    out = channels[w - 1 :].copy()
-    out[:, columns] = means
-    return out
+    matrix float64[n, 26] with n >= window: row i of the result is the
+    mean of rows i .. i+window-1 of `channels`."""
+    # C order: the memory layout sets the summation order of the mean, and
+    # the pinned outputs depend on its last bit
+    return sliding_window_view(np.ascontiguousarray(channels), window, axis=0).mean(axis=-1)
 
 
 def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDataset:
-    """Replace configured channels by their trailing moving average:
-    output record i carries mean(channel[i : i+window]).
+    """Replace every channel by its trailing moving average: output
+    record i carries mean(channel[i : i+window]).
 
     The first window-1 records are dropped; a window larger than the
     dataset raises WindowLargerThanSeries instead of returning nothing.
@@ -89,7 +79,7 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     if mixed:
         log.debug("denoise: %d of %d windows mix labels", mixed, windows.shape[0])
 
-    return replace(dataset.take(slice(w - 1, None)), channels=moving_average(dataset.channels, cfg))
+    return replace(dataset.take(slice(w - 1, None)), channels=moving_average(dataset.channels, w))
 
 
 def undersample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:

@@ -101,6 +101,8 @@ class SynthConfig:
             raise InvalidConfig("cut_in must be below rated wind speed")
         if self.label_buffer < 0:
             raise InvalidConfig("label_buffer must be non-negative")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for ch, (scale, _) in self.desensitize.items():
             if ch not in CHANNELS:
                 raise InvalidConfig(f"unknown channel in desensitize map: {ch!r}")

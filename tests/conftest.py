@@ -59,11 +59,11 @@ def make_fv(label: Label = Label.NORMAL, **fields) -> FeatureVector:
     return FeatureVector(label=label, **values)
 
 
-def channel_matrix(records, channels=CHANNELS) -> np.ndarray:
-    """The given channels of `records` as a float matrix of shape
-    (n, len(channels)): the per-record reference for frame columns."""
-    rows = [[getattr(r, ch) for ch in channels] for r in records]
-    return np.array(rows, dtype=float).reshape(len(records), len(channels))
+def channel_matrix(records) -> np.ndarray:
+    """The channels of `records` as a float matrix of shape (n, 26): the
+    per-record reference for frame columns."""
+    rows = [[getattr(r, ch) for ch in CHANNELS] for r in records]
+    return np.array(rows, dtype=float).reshape(len(records), len(CHANNELS))
 
 
 def frame_of(records) -> Frame:

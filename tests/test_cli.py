@@ -20,11 +20,12 @@ from icewatch.scada import (
     LABELS,
     Frame,
     Label,
+    apply_label_windows,
     parse_scada_csv,
     write_labeled_csv,
     write_scada_csv,
 )
-from icewatch.synthgen import SynthConfig, default_offset_profile
+from icewatch.synthgen import SynthConfig, WindModel, default_offset_profile, generate_turbine
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -324,6 +325,33 @@ def _predict_scada_not_utf8(tmp_path):
     return _predict(tmp_path, {"denoise": {"window": 2}, "model": _knn_model([[0.0] * 10], mean=[0.0] * 10)})
 
 
+def _labeled_turbine(path, **synth):
+    out = generate_turbine(SynthConfig(duration=6000, **synth))
+    write_labeled_csv(apply_label_windows(out.records, out.truth_windows, path.stem), path)
+    return str(path)
+
+
+def _calm_test_turbine(tmp_path):
+    """A re-engineered experiment tested on a turbine whose wind never
+    reaches the high segment."""
+    train = _labeled_turbine(tmp_path / "A.csv", seed=1)
+    test = _labeled_turbine(tmp_path / "B.csv", seed=2, wind=WindModel(mean=1.0, noise=0.05))
+    return _experiment(tmp_path, data={"train": train, "test": test}, variants=["reengineered"], n_runs=1)
+
+
+def _features_negative_seed(tmp_path):
+    labels = [Label.NORMAL] * 20 + [Label.ABNORMAL] * 5 + [Label.NORMAL] * 10
+    write_labeled_csv(make_dataset(labels), tmp_path / "d.csv")
+    return ["features", "--data", str(tmp_path / "d.csv"), "--balance", "under", "--seed", "-1", "--out",
+            str(tmp_path / "f.csv")]
+
+
+def _predict_power_only_bundle(tmp_path):
+    _scada(tmp_path / "B.csv", [0, 7, 14])
+    model = _knn_model([[0.0] * 10], mean=[0.0] * 10)
+    return _predict(tmp_path, {"denoise": {"window": 2, "channels": ["power"]}, "model": model})
+
+
 NAN_BOUND = [{"feature": "x4", "upper": float("nan")}]
 
 
@@ -446,6 +474,30 @@ MALFORMED = {
         lambda t: _predict(t, {"variant": "reengineered", "denoise": {"window": 10},
                                "rule": {"id": "nan", "constraints": NAN_BOUND}, "segment_threshold": 0}), 2,
         "x4: a bound is NaN",
+    ),
+    "synth-seed-negative": (
+        lambda t: ["synth", "--out", str(t / "o"), "--seed", "-1"], 2, "seed must be >= 0, got -1",
+    ),
+    "synth-pair-seed-offset-negative": (
+        lambda t: ["synth", "--pair", "--out", str(t / "o"), "--config",
+                   _file(t / "p.json", '{"base": {"duration": 100}, "profile": {"seed_offset": -1}}')], 2,
+        "seed must be >= 0, got -1",
+    ),
+    "master-seed-negative": (lambda t: _experiment(t, master_seed=-3), 2, "master_seed must be >= 0, got -3"),
+    "balance-seed-negative": (
+        lambda t: _experiment(t, balance={"seed": -1}), 2, "balance: seed must be >= 0, got -1",
+    ),
+    "pair-base-seed-negative": (
+        lambda t: _experiment(t, data={"pair": {"base": {"seed": -5}}}), 2,
+        "data.pair.base: seed must be >= 0, got -5",
+    ),
+    "features-seed-negative": (_features_negative_seed, 2, "--seed must be >= 0, got -1"),
+    "test-turbine-without-high-rows": (_calm_test_turbine, 3, "high segment has no test rows"),
+    "bundle-denoise-power-only": (
+        _predict_power_only_bundle, 2, "denoise.channels: a bundle smooths every channel, got ['power']",
+    ),
+    "experiment-denoise-channels": (
+        lambda t: _experiment(t, denoise={"channels": ["power"]}), 2, "denoise.channels: unknown key",
     ),
 }
 

@@ -19,7 +19,6 @@ from icewatch.learners import NORMAL, LearnerConfig
 from icewatch.pipeline import (
     ModelBundle,
     PipelineConfig,
-    _test_parts,
     bundle_from_dict,
     bundle_to_dict,
     predict_stream,
@@ -156,10 +155,15 @@ class TestReengineered:
 
     def test_gate_partition_conserves_flow(self):
         _, ds_a, _ = small_pair()
-        vectors = feature_vectors(prepare(ds_a, DenoiseConfig()))
-        auto_labels, parts = _test_parts(ds_a, reengineered_cfg())
-        total = len(auto_labels) + sum(len(y) for _, y in parts.values())
-        assert total == len(vectors)
+        cfg = reengineered_cfg()
+        vectors = feature_vectors(prepare(ds_a, cfg.denoise))
+        route = pipeline._route(vectors, cfg.rule, cfg.segmentation)
+        # every row takes exactly one route, and each route holds rows
+        assert route.dtype == np.int8 and route.shape == (len(vectors),)
+        counts = {code: int(np.sum(route == code)) for code in (AUTO_NORMAL, LOW, HIGH)}
+        assert sum(counts.values()) == len(vectors) and min(counts.values()) > 0
+        # without a rule every row goes to the one model
+        assert pipeline._route(vectors, None, None).tolist() == [LOW] * len(vectors)
 
     def test_deterministic(self):
         _, ds_a, ds_b = small_pair()
@@ -183,6 +187,13 @@ class TestBundle:
         back = bundle_from_dict(bundle_to_dict(bundle))
         stream = ds_a.take(slice(200))
         assert same_predictions(predict_stream(back, stream), predict_stream(bundle, stream))
+
+    def test_bundle_without_denoise_channels_loads(self):
+        _, ds_a, _ = small_pair()
+        doc = bundle_to_dict(train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common())))
+        assert doc["denoise"] == {"window": 10, "channels": list(CHANNELS)}
+        del doc["denoise"]["channels"]
+        assert bundle_from_dict(doc).denoise == DenoiseConfig()
 
     def test_bundle_json_serializable(self):
         _, ds_a, _ = small_pair()
@@ -235,9 +246,7 @@ class TestPredictStream:
         second = predict_stream(bundle, stream)
         assert same_predictions(first, second)
 
-    @pytest.mark.parametrize(
-        "denoise", [DenoiseConfig(), DenoiseConfig(window=7, channels=("power", "wind_speed", "pitch2_angle"))]
-    )
+    @pytest.mark.parametrize("denoise", [DenoiseConfig(), DenoiseConfig(window=7)])
     def test_smoothing_matches_training_kernel(self, denoise, monkeypatch):
         # past warm-up, predict smooths an all-valid stream bitwise as
         # training's denoise_dataset does

@@ -41,7 +41,7 @@ class TestDropInvalid:
 def moving_average(series, window: int) -> np.ndarray:
     """denoise_dataset's trailing mean over a series carried in one channel."""
     ds = dataset_of([make_record(time=i, power=float(v)) for i, v in enumerate(series)], [N] * len(series))
-    out = denoise_dataset(ds, DenoiseConfig(window=window, channels=("power",)))
+    out = denoise_dataset(ds, DenoiseConfig(window=window))
     return np.array([r.power for r in dataset_records(out)])
 
 
@@ -104,29 +104,29 @@ class TestDenoise:
         with pytest.raises(WindowLargerThanSeries):
             denoise_dataset(make_dataset([N, A]), DenoiseConfig(window=10))
 
-    def test_only_configured_channels_smoothed(self):
-        ds = dataset_of([make_record(time=i, power=float(i), wind_speed=float(i)) for i in range(4)], [N] * 4)
-        out = denoise_dataset(ds, DenoiseConfig(window=2, channels=("power",)))
+    def test_every_channel_smoothed(self):
+        ds = dataset_of([make_record(time=i, power=float(i), wind_speed=float(-i)) for i in range(4)], [N] * 4)
+        out = denoise_dataset(ds, DenoiseConfig(window=2))
         assert dataset_records(out)[0].power == 0.5
-        assert dataset_records(out)[0].wind_speed == 1.0  # untouched
+        assert dataset_records(out)[0].wind_speed == -0.5
+        assert dataset_records(out)[0].time == 1  # time is never smoothed
 
 
 def per_record_denoise(records, cfg: DenoiseConfig):
     """The per-record reference: stack the records, take the trailing
     window mean, and rebuild each surviving record around its means."""
     w = cfg.window
-    means = sliding_window_view(channel_matrix(records, cfg.channels), w, axis=0).mean(axis=-1)
+    means = sliding_window_view(channel_matrix(records), w, axis=0).mean(axis=-1)
     return [
-        records[i + w - 1]._replace(**{ch: float(means[i, k]) for k, ch in enumerate(cfg.channels)})
+        records[i + w - 1]._replace(**{ch: float(means[i, k]) for k, ch in enumerate(CHANNELS)})
         for i in range(means.shape[0])
     ]
 
 
-@pytest.mark.parametrize("channels", [CHANNELS, ("power",), ("pitch3_ng5_DC", "wind_speed", "acc_x")])
-def test_denoise_matches_per_record_path(channels, rng):
+def test_denoise_matches_per_record_path(rng):
     records = [random_record(rng, time=i * 7) for i in range(120)]
     labels = [A if 40 <= i < 70 else N for i in range(120)]
-    cfg = DenoiseConfig(window=10, channels=channels)
+    cfg = DenoiseConfig(window=10)
     out = denoise_dataset(dataset_of(records, labels), cfg)
     expected = per_record_denoise(records, cfg)
     assert dataset_records(out) == expected
@@ -197,6 +197,6 @@ def test_balance_config_validation():
     with pytest.raises(InvalidConfig):
         BalanceConfig(method="hybrid")
     with pytest.raises(InvalidConfig):
-        DenoiseConfig(window=0)
+        BalanceConfig(seed=-1)
     with pytest.raises(InvalidConfig):
-        DenoiseConfig(channels=("nope",))
+        DenoiseConfig(window=0)
