@@ -107,8 +107,12 @@ def _read_config(path: str) -> dict:
     return doc
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _dump_json(doc, path: Path) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_json_text(doc), encoding="utf-8")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -248,18 +252,23 @@ def _cmd_experiment(args) -> int:
         doc["segment_threshold"] = args.segment_threshold
     configs = _pipeline_configs(doc)
     train, test = _load_datasets(doc)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    reports = []
+    # every variant runs before any output is written, so a failing variant
+    # leaves no partial set; a bundle is held as its file's text, which
+    # takes no more memory than the file
+    reports, bundles = [], {}
     for variant, cfg in configs.items():
         if variant == "traditional":
             reports.append(run_traditional(train, test, cfg))
         else:
             reports.append(run_reengineered(train, test, cfg))
         if args.bundles:
-            _dump_json(bundle_to_dict(train_bundle(train, cfg)), out_dir / f"{variant}.bundle.json")
+            bundles[f"{variant}.bundle.json"] = _json_text(bundle_to_dict(train_bundle(train, cfg)))
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in bundles.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
     _dump_json(
         {"format": 1, "reports": [report_to_dict(r) for r in reports]},
         out_dir / "report.json",

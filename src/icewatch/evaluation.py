@@ -26,7 +26,7 @@ import numpy as np
 
 from . import learners
 from .errors import DegenerateFolds, EmptyClassInTest, InvalidK, LengthMismatch
-from .learners import ABNORMAL, NORMAL, LearnerConfig
+from .learners import ABNORMAL, NORMAL, LearnerConfig, TrainedModel
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,21 @@ def _draw_folds(y: np.ndarray, k: int, seed: int, attempts: int = 10) -> list[np
 
 def crossval_fold_scores(
     features: np.ndarray, labels: Sequence[int], cfg: LearnerConfig, k: int, seed: int
-) -> list[float]:
-    """Per-fold scores: train on k-1 folds, score the held-out fold.
+) -> tuple[list[float], TrainedModel]:
+    """Per-fold scores (train on k-1 folds, score the held-out fold), and
+    the model trained on all rows.
 
-    The k fold models come from one learners.train_many call, which checks
-    every fold's training rows, in fold order, before it trains any, and
-    trains MLPs in lockstep; each model is bitwise the one learners.train
-    gives on its fold alone. Fold 0 has the fewest training rows, so a
-    fold too small to train raises before any scoring, as fold by fold."""
+    The k fold models and the all-rows model come from one
+    learners.train_many call, which checks every fold's training rows, in
+    fold order, and then all rows, before it trains any, and trains MLPs in
+    lockstep; each model is bitwise the one learners.train gives on its
+    rows alone. Fold 0 has the fewest training rows, so a fold too small to
+    train raises before any scoring, as fold by fold; all rows are a
+    superset of every fold's, so they raise nothing the folds did not."""
     X = np.asarray(features, dtype=float)
     y = _as_codes(labels)
     folds = _draw_folds(y, k, seed)
     train_rows = [np.concatenate([folds[j] for j in range(k) if j != i]) for i in range(k)]
-    models = learners.train_many(cfg, [(X[rows], y[rows]) for rows in train_rows])
-    return [score(confusion(y[test], learners.predict_batch(model, X[test]))) for test, model in zip(folds, models)]
+    *fold_models, model = learners.train_many(cfg, [(X[rows], y[rows]) for rows in train_rows] + [(X, y)])
+    scores = [score(confusion(y[test], learners.predict_batch(m, X[test]))) for test, m in zip(folds, fold_models)]
+    return scores, model

@@ -33,9 +33,10 @@ position of every feature in one array pass, and one argmin over the
 flattened scores applies the tie rule above.
 
 `train_many` trains one model per training set, as cross-validation
-needs one per fold, and checks every set before it trains any. MLPs train
-in lockstep on stacked arrays (_train_mlps), each model bitwise the one
-`train` gives on its set alone; `train` of an MLP is the one-set case.
+needs one per fold and one on all rows, and checks every set before it
+trains any. MLPs train in lockstep on stacked arrays (_train_mlps), each
+model bitwise the one `train` gives on its set alone; `train` of an MLP is
+the one-set case.
 
 `predict_batch`, used by the experiments, and `predict`, used by
 deployment, run one path for every learner, and every row gets, bit for
@@ -595,7 +596,9 @@ def _train_mlps(cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, np.ndarray]
     together. Their products are one np.matmul, which hands BLAS each
     model's matrices on their own with the strides a lone model has, and
     the elementwise work runs on the whole prefix. A model whose rows end
-    inside a step takes that partial batch alone, as a one-model slice.
+    inside a step takes that partial batch alone, as a one-model slice, as
+    does the largest set (in cross-validation, all rows) at the steps past
+    the other sets' ends.
 
     Per model, standardizing once and then gathering rows gives the values
     of standardizing each batch (the transform is elementwise), and

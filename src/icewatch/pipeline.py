@@ -3,9 +3,10 @@ physics-gated pipeline, plus the deployable model bundle.
 
 Both flows run one loop over named parts. A part is the training rows,
 test rows and seed key of one model. Per seeded run, every part is
-balanced by the configured under- or over-sampling, cross-validated on
-its balanced training set, trained on all of it and scored on its test
-rows.
+balanced by the configured under- or over-sampling; one
+crossval_fold_scores call cross-validates it on its balanced training set
+and trains its model on all of that set, and the model is scored on the
+part's test rows.
 
 Traditional flow: after dropping invalid records and denoising, the single
 part "all" (seed key ()) trains on the whole training turbine and is
@@ -352,8 +353,8 @@ def _run(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> Ex
         models: dict[int, TrainedModel] = {}
         for name, (key, X, y) in train_parts.items():
             Xb, yb, lcfg = _balanced(X, y, cfg, i, seeds[i], key)
-            cv[name] = float(np.mean(crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(seeds[i], 1, *key))))
-            models[_ROUTES[name]] = learners.train(lcfg, Xb, yb)
+            scores, models[_ROUTES[name]] = crossval_fold_scores(Xb, yb, lcfg, cfg.cv_k, derive_seed(seeds[i], 1, *key))
+            cv[name] = float(np.mean(scores))
         label = _label(X_test, route, models)
         test_scores = {name: score(confusion(y_test[rows], label[rows])) for name, rows in test_rows.items()}
         if cfg.rule is not None:

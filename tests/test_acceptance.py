@@ -257,7 +257,8 @@ def test_c08_chance_calibration():
                 y = np.zeros(1000, dtype=np.int8)
                 y[:500] = 1
                 y = y[np.random.default_rng(seed).permutation(1000)]  # label shuffle
-                means.append(np.mean(crossval_fold_scores(X, y, cfg, k=5, seed=seed)))
+                scores, _ = crossval_fold_scores(X, y, cfg, k=5, seed=seed)
+                means.append(np.mean(scores))
             mean = float(np.mean(means))
             assert 40.0 <= mean <= 60.0, f"{name}: chance CV mean {mean:.2f} outside [40, 60]"
 

@@ -331,12 +331,12 @@ def _labeled_turbine(path, **synth):
     return str(path)
 
 
-def _calm_test_turbine(tmp_path):
+def _calm_test_turbine(tmp_path, variants=("reengineered",), extra_argv=()):
     """A re-engineered experiment tested on a turbine whose wind never
     reaches the high segment."""
     train = _labeled_turbine(tmp_path / "A.csv", seed=1)
     test = _labeled_turbine(tmp_path / "B.csv", seed=2, wind=WindModel(mean=1.0, noise=0.05))
-    return _experiment(tmp_path, data={"train": train, "test": test}, variants=["reengineered"], n_runs=1)
+    return _experiment(tmp_path, extra_argv, data={"train": train, "test": test}, variants=list(variants), n_runs=1)
 
 
 def _features_negative_seed(tmp_path):
@@ -493,6 +493,11 @@ MALFORMED = {
     ),
     "features-seed-negative": (_features_negative_seed, 2, "--seed must be >= 0, got -1"),
     "test-turbine-without-high-rows": (_calm_test_turbine, 3, "high segment has no test rows"),
+    # the traditional variant runs and trains its bundle before the failure
+    "bundles-then-test-turbine-without-high-rows": (
+        lambda t: _calm_test_turbine(t, ["traditional", "reengineered"], ["--bundles"]), 3,
+        "high segment has no test rows",
+    ),
     "bundle-denoise-power-only": (
         _predict_power_only_bundle, 2, "denoise.channels: a bundle smooths every channel, got ['power']",
     ),
@@ -508,6 +513,7 @@ def test_malformed_input_exits_with_one_line(case, tmp_path, capsys):
     argv = build(tmp_path)
     capsys.readouterr()
     assert main(argv) == expected_code
+    assert not (tmp_path / "out").exists()  # a failed experiment writes nothing to its --out-dir
     err = capsys.readouterr().err
     assert "Traceback" not in err
     (line,) = err.splitlines()

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from icewatch import learners
 from icewatch.errors import (
     DegenerateFolds,
     EmptyClassInTest,
@@ -154,21 +155,42 @@ class TestCrossValidate:
 
     def test_separable_scores_100(self, rng):
         X, y = self._separable(rng)
-        assert np.mean(crossval_fold_scores(X, y, LearnerConfig(algorithm="cart"), k=5, seed=1)) == 100.0
+        scores, _ = crossval_fold_scores(X, y, LearnerConfig(algorithm="cart"), k=5, seed=1)
+        assert np.mean(scores) == 100.0
 
     def test_fold_scores_reproducible(self, rng):
         X, y = self._separable(rng)
         cfg = LearnerConfig(algorithm="knn")
-        a = crossval_fold_scores(X, y, cfg, k=5, seed=7)
-        b = crossval_fold_scores(X, y, cfg, k=5, seed=7)
+        a, _ = crossval_fold_scores(X, y, cfg, k=5, seed=7)
+        b, _ = crossval_fold_scores(X, y, cfg, k=5, seed=7)
         assert a == b and len(a) == 5
 
     def test_chance_labels_score_near_50(self, rng):
         X = rng.normal(size=(400, 4))
         y = (rng.uniform(size=400) < 0.5).astype(int)
         y[:2] = [0, 1]
-        value = np.mean(crossval_fold_scores(X, y, LearnerConfig(algorithm="knn"), k=5, seed=3))
+        scores, _ = crossval_fold_scores(X, y, LearnerConfig(algorithm="knn"), k=5, seed=3)
+        value = np.mean(scores)
         assert 35.0 <= value <= 65.0
+
+    MODEL_ARRAYS = {
+        "knn": lambda m: [m.X, m.y, m.standardization.mean, m.standardization.std],
+        "cart": lambda m: [m.n, m.impurity, m.klass, m.p_normal, m.p_abnormal, m.feature, m.threshold, m.left, m.right],
+        "mlp": lambda m: [*m.weights, *m.biases, m.standardization.mean, m.standardization.std],
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(MODEL_ARRAYS))
+    def test_model_is_train_on_all_rows(self, algorithm):
+        """The returned model is bitwise learners.train's on all rows: the
+        MLP's trains in its folds' lockstep, where all rows lead the stack."""
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(203, 4)) * [1.0, 2.0, 0.5, 3.0]
+        y = (X[:, 0] + rng.normal(scale=0.7, size=203) > 0).astype(np.int8)
+        cfg = LearnerConfig(algorithm=algorithm, mlp_epochs=3, seed=5)
+        _, got = crossval_fold_scores(X, y, cfg, k=5, seed=2)
+        want = learners.train(cfg, X, y)
+        for a, b in zip(self.MODEL_ARRAYS[algorithm](got), self.MODEL_ARRAYS[algorithm](want), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_invalid_k_propagates(self, rng):
         X, y = self._separable(rng, n=8)

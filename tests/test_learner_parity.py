@@ -146,9 +146,15 @@ def test_mlp_training_bitwise(hidden, epochs):
 
 
 # training-set sizes for train_many at batch 32: five folds of 203 rows,
-# whose sizes differ by one and end in 2- and 3-row remainder batches; and
+# whose sizes differ by one and end in 2- and 3-row remainder batches; the
+# same folds followed by all 203 rows, as crossval_fold_scores stacks them,
+# where all rows lead the stack and take their last steps alone; and
 # remainders of 13 and 1 rows beside sets of exactly one and two batches
-TRAIN_MANY_SIZES = {"folds": [162, 162, 162, 163, 163], "mixed": [45, 32, 203, 64, 33]}
+TRAIN_MANY_SIZES = {
+    "folds": [162, 162, 162, 163, 163],
+    "folds_and_all": [162, 162, 162, 163, 163, 203],
+    "mixed": [45, 32, 203, 64, 33],
+}
 
 
 @pytest.mark.parametrize("sizes", sorted(TRAIN_MANY_SIZES))
