@@ -27,10 +27,13 @@ Tie rules, fixed so behavior is reproducible:
 
 CART sorts each feature once per tree (the presorted attribute lists of
 SLIQ, Mehta, Agrawal & Rissanen, EDBT 1996): a (features, rows) table of
-row indices in (value, row index) order, which each split filters into
-its children's tables without reordering. A node scores every split
-position of every feature in one array pass, and one argmin over the
-flattened scores applies the tie rule above.
+row indices in value order, ties in any order, never read, because a
+split position needs a strictly larger next value, so equal values never
+fall on both sides. Each split filters the table into its children's
+tables without reordering, and gives each child its abnormal count from
+the split's prefix sums. A node scores every split position of every
+feature in one array pass, and one argmin over the flattened scores
+applies the tie rule above.
 
 `train_many` trains one model per training set, as cross-validation
 needs one per fold and one on all rows, and checks every set before it
@@ -378,62 +381,73 @@ def _gini(n_abnormal: float, n: float) -> float:
 
 def _threshold(a: float, b: float) -> float:
     """A split value t with a < t <= b: their midpoint, or b where the
-    midpoint rounds down to a (adjacent doubles) or overflows."""
+    midpoint rounds down to a (adjacent doubles, or a = -inf) or overflows.
+    A zero b is returned as +0.0: the run of equal values it starts may
+    hold zeros of both signs, in any order."""
     t = (a + b) / 2.0
-    return t if a < t <= b else b
+    return t if a < t <= b else b + 0.0
 
 
-def _best_split(XT: np.ndarray, y: np.ndarray, order: np.ndarray, min_leaf: int):
-    """The split of a node with the lowest weighted Gini impurity, as
-    (weighted impurity, feature, threshold, left size), or None.
+def _best_split(XT: np.ndarray, y: np.ndarray, order: np.ndarray, abn: int, min_leaf: int):
+    """The split of a node with abn abnormal rows that has the lowest
+    weighted Gini impurity, as (weighted impurity, feature, threshold,
+    left size, left abnormal count), or None.
 
     order is the node's presorted table: row f holds its training rows in
-    (X[:, f], row index) order. Split position p of feature f sends the
-    first p + 1 rows of row f left. Every position of every feature is
-    scored at once, a position whose next value is not larger scores +inf,
-    and the first minimum of the flattened scores is the lowest feature,
-    then the lowest threshold.
+    X[:, f] value order, ties in any order. Split position p of feature f
+    sends the first p + 1 rows of row f left. Every position of every
+    feature is scored at once, a position whose next value is not larger
+    scores +inf, and the first minimum of the flattened scores is the
+    lowest feature, then the lowest threshold. Ties in any order, never
+    read, because a scored position ends a run of equal values: its
+    counts and values, and the rows on each side, are those of any order.
+    The left child's abnormal count is the split's prefix sum, the right
+    child's abn minus it.
     """
-    n = order.shape[1]
-    sv = np.take_along_axis(XT, order, axis=1)
+    features, n = order.shape
+    sv = XT[np.arange(features)[:, None], order]
     prefix_abn = np.cumsum(y[order], axis=1)
-    total_abn = int(prefix_abn[0, -1])
     lo, hi = min_leaf - 1, n - min_leaf  # positions lo..hi-1
     n_l = np.arange(lo + 1, hi + 1, dtype=float)
     n_r = n - n_l
-    a_l = prefix_abn[:, lo:hi].astype(float)
-    a_r = total_abn - a_l
-    p_l = a_l / n_l
-    p_r = a_r / n_r
-    g_l = 1.0 - (p_l * p_l + (1.0 - p_l) * (1.0 - p_l))
-    g_r = 1.0 - (p_r * p_r + (1.0 - p_r) * (1.0 - p_r))
-    weighted = (n_l * g_l + n_r * g_r) / n
+    p_l = prefix_abn[:, lo:hi].astype(float)
+    p_r = abn - p_l
+    # n_side * (1 - (p * p + (1 - p) * (1 - p))) for each side, in place
+    for p, count in ((p_l, n_l), (p_r, n_r)):
+        p /= count
+        q = 1.0 - p
+        p *= p
+        p += q * q
+        np.subtract(1.0, p, out=p)
+        p *= count
+    weighted = np.add(p_l, p_r, out=p_l)
+    weighted /= n
     weighted[~(sv[:, lo:hi] < sv[:, lo + 1 : hi + 1])] = np.inf
     feature, j = divmod(int(np.argmin(weighted)), hi - lo)
     if weighted[feature, j] == np.inf:
         return None
     at = lo + j
     threshold = _threshold(float(sv[feature, at]), float(sv[feature, at + 1]))
-    return float(weighted[feature, j]), feature, threshold, at + 1
+    return float(weighted[feature, j]), feature, threshold, at + 1, int(prefix_abn[feature, at])
 
 
 def _grow(
-    XT: np.ndarray, y: np.ndarray, order: np.ndarray, depth: int, cfg: LearnerConfig, rows: list, goes_left: np.ndarray
+    XT: np.ndarray, y: np.ndarray, order: np.ndarray, abn: int, depth: int, cfg: LearnerConfig, rows: list,
+    goes_left: np.ndarray,
 ) -> int:
-    """Append the node of the presorted table order, then its subtrees, to
-    rows; return its row. goes_left is an all-False scratch mask over the
-    training rows."""
+    """Append the node of the presorted table order, whose rows hold abn
+    abnormal labels, then its subtrees, to rows; return its row. goes_left
+    is an all-False scratch mask over the training rows."""
     n = order.shape[1]
-    abn = int(y[order[0]].sum())
     impurity = _gini(abn, n)
     at = len(rows)
     rows.append([n, impurity, ABNORMAL if 2 * abn >= n else NORMAL, (n - abn) / n, abn / n, -1, 0.0, -1, -1])
     if depth >= cfg.cart_max_depth or impurity == 0.0 or n < 2 * cfg.cart_min_leaf:
         return at
-    best = _best_split(XT, y, order, cfg.cart_min_leaf)
+    best = _best_split(XT, y, order, abn, cfg.cart_min_leaf)
     if best is None or best[0] >= impurity:
         return at
-    _, feature, threshold, n_left = best
+    _, feature, threshold, n_left, abn_left = best
     # the split feature's first n_left rows are those below the threshold;
     # masking every row of the table keeps each feature's order
     left_rows = order[feature, :n_left]
@@ -443,19 +457,21 @@ def _grow(
     features = order.shape[0]
     left_order = order[mask].reshape(features, n_left)
     right_order = order[~mask].reshape(features, n - n_left)
-    left = _grow(XT, y, left_order, depth + 1, cfg, rows, goes_left)
-    right = _grow(XT, y, right_order, depth + 1, cfg, rows, goes_left)
+    left = _grow(XT, y, left_order, abn_left, depth + 1, cfg, rows, goes_left)
+    right = _grow(XT, y, right_order, abn - abn_left, depth + 1, cfg, rows, goes_left)
     rows[at][5:] = feature, threshold, left, right
     return at
 
 
 def _train_cart(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> CartModel:
     """Grow the tree from one presorted table: each feature's row indices
-    sorted by (value, row index), the order a stable sort of any node's
-    ascending rows gives, so no node sorts again."""
+    in value order; ties in any order, never read, because no split falls
+    inside a run of equal values. Each split filters the table into its
+    children's tables, so no node sorts again, and each child's abnormal
+    count comes from the split's prefix sums."""
     rows: list[list] = []
-    order = np.argsort(X, axis=0, kind="stable").T
-    _grow(np.ascontiguousarray(X.T), y, order, 0, cfg, rows, np.zeros(X.shape[0], dtype=bool))
+    XT = np.ascontiguousarray(X.T)
+    _grow(XT, y, np.argsort(XT, axis=1), int(y.sum()), 0, cfg, rows, np.zeros(X.shape[0], dtype=bool))
     return _cart_model(rows, cfg.cart_max_depth, cfg.cart_min_leaf)
 
 

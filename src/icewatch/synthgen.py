@@ -20,6 +20,7 @@ these calibration affines and in noise seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -79,6 +80,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        parts = ("wind", "temperature", "trigger", "effect")
+        named = {f"{part}.{key}": v for part in parts for key, v in vars(getattr(self, part)).items()}
+        named |= {f"desensitize.{ch}[{i}]": v for ch, pair in self.desensitize.items() for i, v in enumerate(pair)}
+        _require_finite(named | {"cut_in": self.cut_in, "rated": self.rated})
+        if self.wind.noise < 0.0 or self.temperature.noise < 0.0:
+            raise InvalidConfig("wind and temperature noise must be >= 0")
         if self.duration < 1:
             raise InvalidConfig("duration must be positive")
         if self.nominal_dt < 2:
@@ -108,6 +115,13 @@ class SynthConfig:
                 raise InvalidConfig(f"unknown channel in desensitize map: {ch!r}")
             if scale == 0.0:
                 raise InvalidConfig(f"desensitize scale for {ch} must be nonzero")
+
+
+def _require_finite(named: dict[str, float]) -> None:
+    """Raise InvalidConfig naming the first float that is NaN or infinite."""
+    for name, value in named.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"{name} must be a finite number, got {value}")
 
 
 # Default calibration: maps truth units onto the desensitized scale where
@@ -159,6 +173,20 @@ class SynthOutput:
     truth_labels: tuple[Label, ...]  # per-record ground truth, buffers included
 
 
+def _wind_speeds(wm: WindModel, n: int, rng) -> np.ndarray:
+    """n AR(1) wind speeds around the mean, never below 0.05. The recurrence
+    overwrites the shocks in place through a memoryview, on Python floats:
+    the same double operations as on numpy scalars, without their
+    per-element cost or a list of n float objects."""
+    wind = rng.normal(0.0, wm.noise, size=n)
+    speeds = memoryview(wind)
+    mean, persistence = wm.mean, wm.persistence
+    speed = speeds[0] = mean + speeds[0]
+    for i in range(1, n):
+        speed = speeds[i] = mean + persistence * (speed - mean) + speeds[i]
+    return np.clip(wind, 0.05, None, out=wind)
+
+
 def _simulate_episodes(cfg: SynthConfig, temp: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, float]]]:
     """Per-record icing flag and severity plus (start, end, severity) index spans."""
     n = cfg.duration
@@ -166,18 +194,18 @@ def _simulate_episodes(cfg: SynthConfig, temp: np.ndarray, rng) -> tuple[np.ndar
     in_icing = np.zeros(n, dtype=bool)
     severity = np.zeros(n)
     spans: list[tuple[int, int, float]] = []
-    i = 0
-    while i < n:
-        if temp[i] < cfg.trigger.temp_threshold and hazard_draw[i] < cfg.trigger.hazard:
-            length = int(rng.integers(cfg.trigger.min_len, cfg.trigger.max_len + 1))
-            sev = float(rng.uniform(cfg.effect.severity_min, cfg.effect.severity_max))
-            end = min(i + length, n)
-            in_icing[i:end] = True
-            severity[i:end] = sev
-            spans.append((i, end - 1, sev))
-            i = end
-        else:
-            i += 1
+    end = 0
+    # an episode starts at each cold record that draws the hazard, unless
+    # it falls inside the previous episode
+    for i in np.flatnonzero((temp < cfg.trigger.temp_threshold) & (hazard_draw < cfg.trigger.hazard)).tolist():
+        if i < end:
+            continue
+        length = int(rng.integers(cfg.trigger.min_len, cfg.trigger.max_len + 1))
+        sev = float(rng.uniform(cfg.effect.severity_min, cfg.effect.severity_max))
+        end = min(i + length, n)
+        in_icing[i:end] = True
+        severity[i:end] = sev
+        spans.append((i, end - 1, sev))
     return in_icing, severity, spans
 
 
@@ -213,14 +241,7 @@ def generate_turbine(cfg: SynthConfig) -> SynthOutput:
     dt = cfg.nominal_dt
     times = cfg.start_epoch + dt * np.arange(n, dtype=np.int64)
 
-    # wind: AR(1) around the mean, never negative
-    wm = cfg.wind
-    shocks = rng.normal(0.0, wm.noise, size=n)
-    wind = np.empty(n)
-    wind[0] = wm.mean + shocks[0]
-    for i in range(1, n):
-        wind[i] = wm.mean + wm.persistence * (wind[i - 1] - wm.mean) + shocks[i]
-    np.clip(wind, 0.05, None, out=wind)
+    wind = _wind_speeds(cfg.wind, n, rng)
 
     # ambient temperature: diurnal cycle plus noise; the campaign starts in
     # the cold half of the cycle so short streams can still ice up
@@ -326,6 +347,7 @@ class OffsetProfile:
     seed_offset: int = 1
 
     def __post_init__(self):
+        _require_finite({f"{kind}.{ch}": v for kind in ("scale", "offset") for ch, v in getattr(self, kind).items()})
         unknown = (set(self.scale) | set(self.offset)) - set(CHANNELS)
         if unknown:
             raise InvalidConfig(f"unknown channels in offset profile: {sorted(unknown)}")

@@ -507,6 +507,42 @@ MALFORMED = {
 }
 
 
+# a pair config's base and profile with one synthesis parameter out of range:
+# a negative noise scale, or a NaN or infinity, which json reads and writes
+BAD_SYNTH = {
+    "wind-noise-negative": ({"wind": {"noise": -0.5}}, {}, "wind and temperature noise must be >= 0"),
+    "temperature-noise-negative": ({"temperature": {"noise": -1}}, {}, "wind and temperature noise must be >= 0"),
+    "wind-mean-nan": ({"wind": {"mean": math.nan}}, {}, "wind.mean must be a finite number, got nan"),
+    "wind-mean-inf": ({"wind": {"mean": math.inf}}, {}, "wind.mean must be a finite number, got inf"),
+    "amplitude-inf": (
+        {"temperature": {"diurnal_amplitude": -math.inf}}, {}, "temperature.diurnal_amplitude must be a finite number",
+    ),
+    "threshold-nan": ({"trigger": {"temp_threshold": math.nan}}, {}, "trigger.temp_threshold must be a finite number"),
+    "hazard-nan": ({"trigger": {"hazard": math.nan}}, {}, "trigger.hazard must be a finite number"),
+    "pitch-shift-inf": ({"effect": {"pitch_shift": math.inf}}, {}, "effect.pitch_shift must be a finite number"),
+    "cut-in-nan": ({"cut_in": math.nan}, {}, "cut_in must be a finite number"),
+    "rated-inf": ({"rated": math.inf}, {}, "rated must be a finite number"),
+    "desensitize-scale-nan": ({"desensitize": {"power": [math.nan, 0.0]}}, {}, "desensitize.power[0] must be a finite"),
+    "desensitize-offset-inf": ({"desensitize": {"power": [1.0, math.inf]}}, {}, "desensitize.power[1] must be a finite"),
+    "profile-scale-nan": ({}, {"scale": {"power": math.nan}}, "scale.power must be a finite number, got nan"),
+    "profile-offset-inf": ({}, {"offset": {"power": -math.inf}}, "offset.power must be a finite number, got -inf"),
+}
+
+
+def _bad_synth(command, base, profile):
+    pair = {"base": {"duration": 200, **base}, "profile": profile}
+    if command == "experiment":
+        return lambda t: _experiment(t, data={"pair": pair})
+    return lambda t: ["synth", "--pair", "--config", _file(t / "p.json", json.dumps(pair)), "--out", str(t / "out")]
+
+
+MALFORMED |= {
+    f"{command}-{case}": (_bad_synth(command, base, profile), 2, message)
+    for case, (base, profile, message) in BAD_SYNTH.items()
+    for command in ("synth", "experiment")
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_with_one_line(case, tmp_path, capsys):
     build, expected_code, message = MALFORMED[case]

@@ -2,8 +2,8 @@
 its two bundles give turbine B's raw stream, the files `ingest` and
 `features --balance under` write for turbine A, what `inspect-rules` prints
 for turbine A, and the report.json and bundles of the benchmark's MLP and
-CART experiments (and of the MLP one at a second seed) are pinned. A change that moves them
-on purpose regenerates the golden file and the digests and says why."""
+CART experiments, at seed 13 and at seed 0, are pinned. A change that moves
+them on purpose regenerates the golden file and the digests and says why."""
 
 import hashlib
 import json
@@ -63,6 +63,14 @@ MLP_SEED_0_SHA256 = (
     "59daf3730d48efded41cfb301914bc3c9ccebab67b93ef1c3527df154ea88b1a",
     "60d8f0a95825f3effdcca0d3d13aeac37d09ac511f5011299e66254220e24c09",
     "0a9b0e073d186b10c94fd94f4eee7d230a7a0c1d03c53166cd1020a31bcd4979",
+)
+
+# the same of the CART workload at seed 0, a seed the unstable presort and
+# the split's own child counts were not tuned on
+CART_SEED_0_SHA256 = (
+    "7d863a985c35596503b60fd07bffef027e8d4057b3e8390b35a6acd3a829ddc8",
+    "9ac514ba77bd1b5978a4a121621a0a32f388bb4807f5f00939fa383de315cf79",
+    "40b7d3dbbb08086596b50f4b949c74b8c12e76feb7483c892499a8f589742e0d",
 )
 
 # `inspect-rules` on turbine A's labeled CSV
@@ -148,3 +156,7 @@ def test_benchmark_workload_report_unchanged(workload, tmp_path):
 
 def test_mlp_workload_at_seed_0_unchanged(tmp_path):
     assert _workload_digests("experiment-mlp", 0, tmp_path) == MLP_SEED_0_SHA256
+
+
+def test_cart_workload_at_seed_0_unchanged(tmp_path):
+    assert _workload_digests("experiment-cart", 0, tmp_path) == CART_SEED_0_SHA256

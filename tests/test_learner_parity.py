@@ -513,6 +513,36 @@ def test_cart_node_table_matches_reference_grower():
     assert trained >= 300 and splits > 3000
 
 
+def _same_tree(a, b):
+    return all(_same_bits(getattr(a, name), getattr(b, name)) for name in _CART_COLUMNS)
+
+
+def test_cart_tree_ignores_row_order():
+    """Permuting the training rows permutes the order among equal values;
+    the node table must not move a bit. The last case splits -inf from a
+    run of zeros of both signs: the threshold is +0.0 whichever zero comes
+    first."""
+    rng = np.random.default_rng(29)
+    trained = 0
+    for case in range(320):
+        X, y = _cart_case(rng)
+        cfg = LearnerConfig(
+            algorithm="cart", cart_min_leaf=int(rng.integers(1, 6)), cart_max_depth=int(rng.integers(1, 21))
+        )
+        if X.shape[0] < 2 * cfg.cart_min_leaf:
+            continue
+        perm = rng.permutation(X.shape[0])
+        assert _same_tree(train(cfg, X[perm], y[perm]), train(cfg, X, y)), case
+        trained += 1
+    assert trained >= 300
+    X = np.array([[-np.inf]] * 4 + [[-0.0], [0.0]] * 4)
+    y = np.array([1] * 4 + [0] * 8, dtype=np.int8)
+    cfg = LearnerConfig(algorithm="cart", cart_min_leaf=1)
+    model = train(cfg, X, y)
+    assert model.threshold[0] == 0.0 and not np.signbit(model.threshold[0])
+    assert _same_tree(train(cfg, X[::-1], y[::-1]), model)
+
+
 def _thresholds(model):
     return model.threshold[model.feature >= 0].tolist()
 

@@ -1,9 +1,12 @@
+import json
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import dataset_labels, dataset_records
+from icewatch import synthgen
 from icewatch.errors import InvalidConfig
 from icewatch.scada import CHANNELS, Label, apply_label_windows
 from icewatch.synthgen import (
@@ -18,6 +21,8 @@ from icewatch.synthgen import (
     make_turbine_pair,
     profile_from_dict,
 )
+
+SMOKE = Path(__file__).resolve().parent.parent / "configs" / "experiment_smoke.json"
 
 
 class TestGenerate:
@@ -144,3 +149,75 @@ class TestConfigIo:
 
     def test_defaults_from_empty_dict(self):
         assert config_from_dict({}) == SynthConfig()
+
+
+# --- the per-record loops as a reference ----------------------------------------
+
+
+def reference_wind_speeds(wm, n, rng):
+    """The AR(1) recurrence on numpy scalars, one record at a time."""
+    shocks = rng.normal(0.0, wm.noise, size=n)
+    wind = np.empty(n)
+    wind[0] = wm.mean + shocks[0]
+    for i in range(1, n):
+        wind[i] = wm.mean + wm.persistence * (wind[i - 1] - wm.mean) + shocks[i]
+    np.clip(wind, 0.05, None, out=wind)
+    return wind
+
+
+def reference_simulate_episodes(cfg, temp, rng):
+    """Every record tested in turn; an episode's records are skipped."""
+    n = cfg.duration
+    hazard_draw = rng.uniform(size=n)
+    in_icing = np.zeros(n, dtype=bool)
+    severity = np.zeros(n)
+    spans = []
+    i = 0
+    while i < n:
+        if temp[i] < cfg.trigger.temp_threshold and hazard_draw[i] < cfg.trigger.hazard:
+            length = int(rng.integers(cfg.trigger.min_len, cfg.trigger.max_len + 1))
+            sev = float(rng.uniform(cfg.effect.severity_min, cfg.effect.severity_max))
+            end = min(i + length, n)
+            in_icing[i:end] = True
+            severity[i:end] = sev
+            spans.append((i, end - 1, sev))
+            i = end
+        else:
+            i += 1
+    return in_icing, severity, spans
+
+
+def _smoke_base():
+    return config_from_dict(json.loads(SMOKE.read_text())["data"]["pair"]["base"])
+
+
+REFERENCE_CASES = {
+    "smoke": _smoke_base,
+    "smoke-turbine-b": lambda: apply_offset_profile(_smoke_base(), default_offset_profile()),
+    "hazard-0.05": lambda: SynthConfig(duration=3000, seed=4, trigger=IcingTrigger(hazard=0.05, min_len=40, max_len=40)),
+    "hazard-1": lambda: SynthConfig(duration=3000, seed=4, trigger=IcingTrigger(hazard=1.0, min_len=70, max_len=70)),
+    "always-cold": lambda: SynthConfig(duration=3000, seed=8, trigger=IcingTrigger(temp_threshold=1e9, hazard=0.01)),
+    "shorter-than-an-episode": lambda: SynthConfig(
+        duration=100, seed=2, trigger=IcingTrigger(temp_threshold=1e9, hazard=0.2, min_len=150, max_len=600)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_generator_matches_per_record_loops(case, monkeypatch):
+    """generate_turbine gives the bits of the per-record loops: the same
+    draws in the same order, the same double operations."""
+    cfg = REFERENCE_CASES[case]()
+    got = generate_turbine(cfg)
+    calls = []
+    for name, reference in (("_wind_speeds", reference_wind_speeds), ("_simulate_episodes", reference_simulate_episodes)):
+        monkeypatch.setattr(synthgen, name, lambda *args, ref=reference: calls.append(ref) or ref(*args))
+    want = generate_turbine(cfg)
+    assert len(calls) == 2
+    for column in ("time", "channels", "group"):
+        a, b = getattr(got.records, column), getattr(want.records, column)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), column
+    assert got.truth_windows == want.truth_windows
+    assert got.episode_ledger == want.episode_ledger
+    assert got.truth_labels == want.truth_labels
+    assert got.episode_ledger  # every case starts at least one episode
