@@ -6,6 +6,10 @@ Subcommands: ingest (raw CSV + windows -> labeled dataset), synth
 CSV -> labels CSV), inspect-rules (rule pass rates on a dataset).
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error.
+
+Each command imports only what it runs: synth and experiment load the
+synthetic generator (icewatch.synthgen) on first use, and the other
+commands, predict among them, never do.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from . import synthgen  # noqa: E402
 from .errors import ConfigError, DataError, InvalidConfig  # noqa: E402
 from .features import feature_vectors, rank_features, write_feature_csv  # noqa: E402
 from .learners import LearnerConfig  # noqa: E402
@@ -69,7 +72,7 @@ class DataConfig:
     """Where an experiment's train and test turbines come from: a synthetic
     pair generated on the fly, or two labeled CSV files."""
 
-    pair: synthgen.PairConfig | None = None
+    pair: synthgen.PairConfig | None = None  # resolved once _experiment_config loads synthgen
     direction: str = "AB"  # "BA" trains on turbine B and tests on A
     train: str | None = None
     test: str | None = None
@@ -99,6 +102,16 @@ class ExperimentConfig:
     segment_threshold: float = -0.25
 
 
+def _experiment_config(doc: dict) -> ExperimentConfig:
+    """The experiment config decoded from `doc`. DataConfig.pair's
+    annotation names synthgen, which from_dict resolves in this module's
+    globals, so the module is loaded there first."""
+    global synthgen
+    from . import synthgen
+
+    return from_dict(ExperimentConfig, doc)
+
+
 def _read_config(path: str) -> dict:
     """The top-level JSON object of a config file."""
     doc = read_json(path)
@@ -107,8 +120,48 @@ def _read_config(path: str) -> dict:
     return doc
 
 
+def _float_rows(rows: list) -> str:
+    """json.dumps(rows, indent=2) for a non-empty list of non-empty lists of
+    floats, by joins of float.__repr__; TypeError for any other value."""
+    if not rows:
+        raise TypeError("no rows")
+    lines = []
+    for row in rows:
+        if type(row) is not list or not row:
+            raise TypeError("not a row")
+        line = ",\n    ".join(map(float.__repr__, row))  # TypeError on a value that is not a float
+        if "n" in line:  # nan or inf, which json writes NaN, Infinity or -Infinity
+            line = ",\n    ".join(map(json.dumps, row))
+        lines.append(line)
+    return "[\n  [\n    " + "\n  ],\n  [\n    ".join(lines) + "\n  ]\n]"
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\\n", byte for byte.
+    json's indenting encoder runs in Python, one call per value, so each
+    list of float rows (a KNN model's X, an MLP's weights) is rendered by
+    _float_rows and spliced in, re-indented, where a "\\0" stands for it."""
+    blocks = []
+
+    def cut(value):
+        if type(value) is dict:  # in json's key order, which is the blocks' order
+            return {key: cut(value[key]) for key in sorted(value)}
+        if type(value) is list:
+            try:
+                blocks.append(_float_rows(value))
+                return "\0"
+            except TypeError:
+                return [cut(v) for v in value]
+        return value
+
+    parts = json.dumps(cut(doc), sort_keys=True, indent=2).split('"\\u0000"')
+    if len(parts) != len(blocks) + 1:  # the document holds a "\\0" string of its own
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = parts[0]
+    for block, part in zip(blocks, parts[1:]):
+        line = text[text.rfind("\n") + 1 :]
+        text += block.replace("\n", "\n" + " " * (len(line) - len(line.lstrip(" ")))) + part
+    return text + "\n"
 
 
 def _dump_json(doc, path: Path) -> None:
@@ -143,6 +196,8 @@ def _write_turbine(out: synthgen.SynthOutput, directory: Path) -> None:
 
 
 def _cmd_synth(args) -> int:
+    from . import synthgen
+
     out_dir = Path(args.out)
     doc = _read_config(args.config) if args.config else {}
     if args.pair:
@@ -204,7 +259,7 @@ def _cmd_inspect_rules(args) -> int:
 
 
 def _load_datasets(doc: dict):
-    data = from_dict(ExperimentConfig, doc).data
+    data = _experiment_config(doc).data
     if data.pair is None:
         return tuple(read_labeled_csv(path, Path(path).stem).require_time_order() for path in (data.train, data.test))
     turbine_a, turbine_b = synthgen.make_turbine_pair(data.pair.base, data.pair.profile)
@@ -214,7 +269,7 @@ def _load_datasets(doc: dict):
 
 
 def _pipeline_configs(doc: dict) -> dict[str, PipelineConfig]:
-    exp = from_dict(ExperimentConfig, doc)
+    exp = _experiment_config(doc)
     if "seed" in doc["learner"]:  # the experiment derives each run's learner seed from master_seed
         raise InvalidConfig("learner.seed: unknown key")
     common = dict(

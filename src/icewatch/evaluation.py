@@ -19,8 +19,7 @@ centers at 50 for a chance predictor regardless of class imbalance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .errors import DegenerateFolds, EmptyClassInTest, InvalidK, LengthMismatch
 from .learners import ABNORMAL, NORMAL, LearnerConfig, TrainedModel
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     fn: int
     fp: int
@@ -82,8 +80,7 @@ def score(counts: ConfusionCounts) -> float:
     return 100.0 - 50.0 * counts.fn / counts.n_normal - 50.0 * counts.fp / counts.n_fault
 
 
-@dataclass(frozen=True)
-class RunStatistics:
+class RunStatistics(NamedTuple):
     runs: int
     mean: float
     std: float  # sample standard deviation (n-1); 0 for a single run

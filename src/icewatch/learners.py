@@ -54,8 +54,8 @@ one matrix-matrix product may. CART compares values exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +66,7 @@ NORMAL, ABNORMAL = 0, 1
 _KNN_BLOCK = 128
 
 
-@dataclass(frozen=True)
-class StandardizationParams:
+class StandardizationParams(NamedTuple):
     """Per-feature mean and population standard deviation. Zero-std
     features pass through unscaled."""
 
@@ -129,30 +128,27 @@ class LearnerConfig:
 # --- KNN ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class KnnModel:
-    k: int
-    X: np.ndarray  # standardized training rows
-    y: np.ndarray
-    standardization: StandardizationParams
-    # derived from X and never serialized: every row's squared norm, the
-    # largest of them, and the screens' training side [-2t, 1, |t|^2] in
-    # float64 and float32, which a query's [q, |q|^2, 1] multiplies into
-    # |q|^2 + |t|^2 - 2 q.t in one product
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    max_sq_norm: float = field(init=False, repr=False, compare=False)
-    screen64: np.ndarray = field(init=False, repr=False, compare=False)
-    screen32: np.ndarray = field(init=False, repr=False, compare=False)
+    """k, the standardized training rows X, their labels y and the
+    standardization; immutable. The rest is derived from X and never
+    serialized: every row's squared norm, the largest of them, and the
+    screens' training side [-2t, 1, |t|^2] in float64 and float32, which a
+    query's [q, |q|^2, 1] multiplies into |q|^2 + |t|^2 - 2 q.t in one
+    product."""
 
-    def __post_init__(self):
-        sq_norms = np.einsum("ij,ij->i", self.X, self.X)
+    __slots__ = ("k", "X", "y", "standardization", "sq_norms", "max_sq_norm", "screen64", "screen32")
+
+    def __init__(self, k: int, X: np.ndarray, y: np.ndarray, standardization: StandardizationParams):
+        sq_norms = np.einsum("ij,ij->i", X, X)
         with np.errstate(over="ignore"):
-            screen64 = np.hstack([-2.0 * self.X, np.ones((self.X.shape[0], 1)), sq_norms[:, None]])
+            screen64 = np.hstack([-2.0 * X, np.ones((X.shape[0], 1)), sq_norms[:, None]])
             screen32 = screen64.astype(np.float32)
-        object.__setattr__(self, "sq_norms", sq_norms)
-        object.__setattr__(self, "max_sq_norm", float(sq_norms.max()))
-        object.__setattr__(self, "screen64", screen64)
-        object.__setattr__(self, "screen32", screen32)
+        values = (k, X, y, standardization, sq_norms, float(sq_norms.max()), screen64, screen32)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
@@ -346,8 +342,7 @@ def _knn_exact_votes(Q: np.ndarray, Xt: np.ndarray, yt: np.ndarray, k: int, cand
 # --- CART --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CartModel:
+class CartModel(NamedTuple):
     """A tree as one node table: row i of each array is node i, depth first
     from the root at row 0. A leaf has feature, left and right -1."""
 
@@ -492,8 +487,7 @@ def _cart_predict(model: CartModel, X: np.ndarray) -> np.ndarray:
 # --- MLP ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MlpModel:
+class MlpModel(NamedTuple):
     weights: tuple[np.ndarray, ...]  # layer l: (fan_in, fan_out)
     biases: tuple[np.ndarray, ...]
     standardization: StandardizationParams
@@ -555,33 +549,6 @@ def mlp_probability(model: MlpModel, X: np.ndarray) -> np.ndarray:
     inputs."""
     X_std = model.standardization.apply(np.asarray(X, dtype=float))
     return _mlp_forward(model.weights, model.biases, X_std[:, None, :])[-1][:, 0, 0]
-
-
-def mlp_loss(model: MlpModel, X: np.ndarray, y: Sequence[int]) -> float:
-    """Mean cross-entropy of the batch."""
-    p = mlp_probability(model, X)
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    t = np.asarray(y, dtype=float)
-    return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)))
-
-
-def mlp_gradient(
-    model: MlpModel, X: np.ndarray, y: Sequence[int]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Analytic gradient of the mean cross-entropy for every weight and bias.
-
-    X is raw (unstandardized); the model's own standardization is applied,
-    matching mlp_loss, so finite differences of mlp_loss check this exactly.
-    Training runs the same backward pass.
-    """
-    t = np.asarray(y, dtype=float)
-    if t.size == 0:
-        raise EmptyMatrix()
-    X_std = model.standardization.apply(np.asarray(X, dtype=float))
-    grads_w = [np.empty_like(W) for W in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
-    _mlp_backward(model.weights, _mlp_forward(model.weights, model.biases, X_std), t, grads_w, grads_b)
-    return grads_w, grads_b
 
 
 def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:

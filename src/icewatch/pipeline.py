@@ -38,13 +38,10 @@ A bundle stores the model of each part under a fixed key: "all" as
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
-import pickle
-import signal
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,8 +127,7 @@ class PipelineConfig:
             raise InvalidConfig("min_segment_size must be positive")
 
 
-@dataclass(frozen=True)
-class ReportCell:
+class ReportCell(NamedTuple):
     pipeline: str
     algorithm: str
     segment: str  # "all", "low", "high", or "pooled"
@@ -139,8 +135,7 @@ class ReportCell:
     test: RunStatistics
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     train_id: str
     test_id: str
     config: dict
@@ -150,6 +145,8 @@ class ExperimentReport:
 
 
 def config_hash(doc: dict) -> str:
+    import hashlib  # here, as pickle and signal below: predict needs none of them
+
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -225,6 +222,8 @@ def _map_runs(one_run: Callable[[int], object], n: int) -> list:
     and pins BLAS to one thread per process (see icewatch.cli), so the
     processes fill the CPUs without BLAS threads competing for them.
     """
+    import signal
+
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(n, len(os.sched_getaffinity(0)))
@@ -262,6 +261,8 @@ def _fork_share(one_run: Callable[[int], object], share: range, pending: dict[in
     if pid == 0:
         code = 1
         try:
+            import pickle
+
             os.close(read_end)
             data = pickle.dumps([one_run(i) for i in share])
             with open(write_end, "wb") as pipe:
@@ -277,6 +278,8 @@ def _fork_share(one_run: Callable[[int], object], share: range, pending: dict[in
 def _collect(pid: int, pending: dict[int, int]) -> list | None:
     """A child's results, or None if it ended without them. The pipe is read
     to its end before the wait, so a child never blocks on a full pipe."""
+    import pickle
+
     with open(pending[pid], "rb", closefd=False) as pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
@@ -399,8 +402,7 @@ def run_reengineered(train: LabeledDataset, test: LabeledDataset, cfg: PipelineC
 # --- deployable bundle ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelBundle:
+class ModelBundle(NamedTuple):
     variant: str
     denoise: DenoiseConfig
     models: dict[str, TrainedModel]  # by part name
@@ -428,13 +430,20 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
     )
 
 
-@dataclass(frozen=True)
 class StreamLabels:
-    """The labels of a raw stream, one row per record."""
+    """The labels of a raw stream, one row per record: `time`, int64, the
+    stream's record times; `label`, int8, 0=normal, 1=abnormal; `flagged`,
+    bool, low confidence: smoothed from a partial window or degenerate
+    features. Immutable; len() is the record count."""
 
-    time: np.ndarray  # int64, the stream's record times
-    label: np.ndarray  # int8, 0=normal, 1=abnormal
-    flagged: np.ndarray  # bool, low confidence: smoothed from a partial window or degenerate features
+    __slots__ = ("time", "label", "flagged")
+
+    def __init__(self, time: np.ndarray, label: np.ndarray, flagged: np.ndarray):
+        for name, value in zip(self.__slots__, (time, label, flagged)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
         return self.time.size

@@ -10,7 +10,6 @@ randomness is injected through explicit seeds.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,8 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyClass, InvalidConfig, TooFewNormal, WindowLargerThanSeries
 from .scada import INVALID_CODE, LabeledDataset
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,9 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     windows = sliding_window_view(dataset.label, w)
     mixed = int(np.sum(np.any(windows != windows[:, -1:], axis=1)))
     if mixed:
-        log.debug("denoise: %d of %d windows mix labels", mixed, windows.shape[0])
+        import logging  # loaded only here: most processes never log
+
+        logging.getLogger(__name__).debug("denoise: %d of %d windows mix labels", mixed, windows.shape[0])
 
     return replace(dataset.take(slice(w - 1, None)), channels=moving_average(dataset.channels, w))
 

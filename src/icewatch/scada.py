@@ -35,7 +35,7 @@ from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,8 +158,7 @@ class LabeledDataset(Frame):
         return {label: int(counts[code]) for code, label in enumerate(LABELS)}
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     turbine_id: str
     n_normal: int
     n_abnormal: int

@@ -3,7 +3,8 @@
 The field annotations are the schema: an unknown key, a missing required
 key or a value of the wrong type raises InvalidConfig naming the dotted
 path of the offending value, e.g. ``learner.knn_k: expected int, got '3'``.
-A float field accepts a JSON integer and stores it as a float. Nested
+A float field accepts a JSON integer within the double range and stores
+it as a float; an int field takes an integer that fits in int64. Nested
 dataclasses, ``X | None``, ``tuple[T, ...]``, fixed-length tuples and
 ``dict[str, T]`` are supported.
 """
@@ -80,7 +81,12 @@ def _decode(tp, value, path: str):
             raise _fail(path, f"expected object, got {value!r}")
         return {key: _decode(args[1], v, f"{path}.{key}") for key, v in value.items()}
     if tp is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise _fail(path, "integer beyond the double range") from None
     if type(value) is not tp:
         raise _fail(path, f"expected {tp.__name__}, got {value!r}")
+    if tp is int and not -(2**63) <= value < 2**63:
+        raise _fail(path, f"integer outside int64, got {value}")
     return value

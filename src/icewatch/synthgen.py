@@ -90,6 +90,8 @@ class SynthConfig:
             raise InvalidConfig("duration must be positive")
         if self.nominal_dt < 2:
             raise InvalidConfig("nominal_dt must be at least 2 seconds")
+        if not -(2**63) <= self.start_epoch + self.duration * self.nominal_dt < 2**63:
+            raise InvalidConfig("start_epoch + duration * nominal_dt must fit in int64")
         if not 0.0 <= self.wind.persistence < 1.0:
             raise InvalidConfig("wind persistence must be in [0, 1)")
         if not 0.0 < self.effect.power_derating < 1.0:

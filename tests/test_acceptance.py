@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import forbid_exact_knn, fv_matrix, make_fv, random_record
+from mlp_objective import mlp_gradient, mlp_loss
 from icewatch.cli import main as cli_main
 from icewatch.evaluation import ConfusionCounts, crossval_fold_scores, score
 from icewatch.features import physical_features
@@ -23,8 +24,6 @@ from icewatch.learners import (
     LearnerConfig,
     MlpModel,
     StandardizationParams,
-    mlp_gradient,
-    mlp_loss,
     predict_batch,
     train,
 )

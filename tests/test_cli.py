@@ -12,7 +12,7 @@ import pytest
 from conftest import frame_of, make_dataset, make_record
 from knn_oracle import knn_oracle
 from icewatch import learners
-from icewatch.cli import main
+from icewatch.cli import _json_text, main
 from icewatch.pipeline import bundle_from_dict, predict_stream
 from icewatch.scada import (
     CHANNELS,
@@ -69,6 +69,19 @@ def knn_bundles(tmp_path_factory):
     out_dir = tmp / "reports"
     assert main(["experiment", "--config", str(tiny_experiment_config(tmp)), "--out-dir", str(out_dir), "--bundles"]) == 0
     return out_dir
+
+
+@pytest.fixture(scope="module")
+def learner_bundles(tmp_path_factory, knn_bundles):
+    """Per learner, the output directory of a one-run experiment with --bundles."""
+    dirs = {"knn": knn_bundles}
+    for algorithm, options in {"cart": {}, "mlp": {"mlp_epochs": 2}}.items():
+        tmp = tmp_path_factory.mktemp(algorithm)
+        cfg = tiny_experiment_config(tmp)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "learner": {"algorithm": algorithm, **options}}))
+        dirs[algorithm] = tmp / "reports"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(dirs[algorithm]), "--bundles"]) == 0
+    return dirs
 
 
 def tiny_experiment_config(tmp_path, n_runs=1, duration=6000, seed=1):
@@ -526,6 +539,12 @@ BAD_SYNTH = {
     "desensitize-offset-inf": ({"desensitize": {"power": [1.0, math.inf]}}, {}, "desensitize.power[1] must be a finite"),
     "profile-scale-nan": ({}, {"scale": {"power": math.nan}}, "scale.power must be a finite number, got nan"),
     "profile-offset-inf": ({}, {"offset": {"power": -math.inf}}, "offset.power must be a finite number, got -inf"),
+    # integers that do not fit the field's machine type
+    "wind-mean-beyond-double": ({"wind": {"mean": 10**400}}, {}, "wind.mean: integer beyond the double range"),
+    "start-epoch-beyond-int64": ({"start_epoch": 2**70}, {}, f"start_epoch: integer outside int64, got {2**70}"),
+    "timestamps-beyond-int64": (
+        {"nominal_dt": 2**62}, {}, "start_epoch + duration * nominal_dt must fit in int64",
+    ),
 }
 
 
@@ -610,6 +629,60 @@ def test_experiments_and_predict_never_import_numpy_ma(tmp_path, turbine_dir):
             argv.append(["predict", "--bundle", str(bundle), "--scada", str(scada), "--out", str(labels)])
     code = f"import sys; from icewatch.cli import main; print([main(a) for a in {argv!r}], 'numpy.ma' in sys.modules)"
     assert _python(code).splitlines()[-1] == f"{[0] * len(argv)} False"
+
+
+def test_predict_never_imports_synthgen_logging_or_hashlib(tmp_path, turbine_dir, learner_bundles):
+    # synthgen, logging and hashlib cost a predict process about 25 ms to
+    # import; only synth and experiment load the generator
+    scada = turbine_dir / "B" / "scada.csv"
+    argv = [
+        ["predict", "--bundle", str(out_dir / f"{variant}.bundle.json"), "--scada", str(scada),
+         "--out", str(tmp_path / f"{algorithm}.{variant}.csv")]
+        for algorithm, out_dir in learner_bundles.items()
+        for variant in ("traditional", "reengineered")
+    ]
+    unused = ("icewatch.synthgen", "logging", "hashlib")
+    code = f"import sys; from icewatch.cli import main; print([main(a) for a in {argv!r}], [m for m in {unused!r} if m in sys.modules])"
+    assert _python(code).splitlines()[-1] == f"{[0] * len(argv)} []"
+    code = "import sys; from icewatch.cli import main; print(main(['--help']), 'icewatch.synthgen' in sys.modules)"
+    assert _python(code).splitlines()[-1] == "0 False"
+
+
+def _is_json_text(text: str, doc) -> bool:
+    """Whether `text` is json.dumps(doc, sort_keys=True, indent=2) plus a
+    newline. A bare bool: pytest would diff two texts of half a megabyte."""
+    return text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _reversed_keys(value):
+    """`value` with the keys of every object in reverse order, which
+    json.dumps with sort_keys=True does not see."""
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+def test_written_json_is_the_text_of_json_dumps(learner_bundles):
+    for out_dir in learner_bundles.values():
+        for name in ("report.json", "traditional.bundle.json", "reengineered.bundle.json"):
+            text = (out_dir / name).read_text(encoding="utf-8")
+            doc = json.loads(text)
+            assert _is_json_text(text, doc), name
+            assert _is_json_text(_json_text(_reversed_keys(doc)), doc), name
+
+
+def test_json_text_renders_every_float_and_shape_as_json_does(knn_bundles):
+    doc = json.loads((knn_bundles / "traditional.bundle.json").read_text(encoding="utf-8"))
+    doc["model"]["X"][0][:7] = [0.0, -0.0, 5e-324, 1e300, -1e300, math.nan, math.inf]
+    doc["model"]["X"][1][0] = -math.inf
+    # empty lists, ints and bools in rows, nested blocks, and "\0" strings,
+    # which stand for a block inside _json_text
+    odd = [[], [[]], [[1.0, 2]], [[True]], [[[1.0]], [[2.0, -0.0]]], {"a": [[1.5]], "\0": [[1.0]]}, "\0", [[1.5]]]
+    assert _is_json_text(_json_text(doc), doc)
+    for value in odd:
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n", value
 
 
 def test_package_reexports_the_record_types():

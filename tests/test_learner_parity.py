@@ -32,7 +32,6 @@ from icewatch.learners import (
     MlpModel,
     StandardizationParams,
     _sigmoid,
-    mlp_gradient,
     mlp_probability,
     predict,
     predict_batch,
@@ -43,6 +42,7 @@ from icewatch.learners import (
 )
 
 from knn_oracle import knn_oracle
+from mlp_objective import mlp_gradient
 
 
 def reference_sigmoid(z):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mlp_objective import mlp_gradient, mlp_loss
 from icewatch import learners
 from icewatch.errors import EmptyMatrix, InvalidConfig, SingleClassDataset, TooFewSamples
 from icewatch.learners import (
@@ -16,8 +17,6 @@ from icewatch.learners import (
     MlpModel,
     StandardizationParams,
     check_input_width,
-    mlp_gradient,
-    mlp_loss,
     mlp_probability,
     model_from_dict,
     model_to_dict,

@@ -200,6 +200,15 @@ class TestBundle:
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
         json.dumps(bundle_to_dict(bundle))
 
+    def test_bundle_model_and_labels_are_immutable(self):
+        _, ds_a, ds_b = small_pair()
+        bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
+        model, labels = bundle.models["all"], predict_stream(bundle, ds_b.take(slice(20)))
+        for obj, name in ((bundle, "variant"), (model, "k"), (model, "screen32"), (model.standardization, "mean"),
+                          (labels, "label")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
 
 class TestPredictStream:
     def test_rule_failure_predicts_normal(self):
@@ -252,7 +261,7 @@ class TestPredictStream:
         # training's denoise_dataset does
         _, ds_a, ds_b = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
-        bundle = dataclasses.replace(bundle, denoise=denoise)
+        bundle = bundle._replace(denoise=denoise)
         stream = drop_invalid(ds_b)
         seen = []
 
