@@ -19,7 +19,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 # One BLAS thread per process, set before numpy loads: the seeded runs go
@@ -34,6 +34,7 @@ from .errors import ConfigError, DataError, InvalidConfig  # noqa: E402
 from .features import feature_vectors, rank_features, write_feature_csv  # noqa: E402
 from .learners import LearnerConfig  # noqa: E402
 from .pipeline import (  # noqa: E402
+    VARIANTS,
     PipelineConfig,
     bundle_from_dict,
     bundle_to_dict,
@@ -64,7 +65,7 @@ from .scada import (  # noqa: E402
     write_labeled_csv,
     write_scada_csv,
 )
-from .schema import from_dict, read_json  # noqa: E402
+from .schema import ANY, check, from_dict, one_of, read_json  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,14 @@ class DataConfig:
     pair generated on the fly, or two labeled CSV files."""
 
     pair: synthgen.PairConfig | None = None  # resolved once _experiment_config loads synthgen
-    direction: str = "AB"  # "BA" trains on turbine B and tests on A
+    direction: str = field(default="AB", metadata=one_of("AB", "BA"))  # "BA" trains on turbine B and tests on A
     train: str | None = None
     test: str | None = None
 
     def __post_init__(self):
         if self.pair is None and (self.train is None or self.test is None):
             raise InvalidConfig("data must contain either 'pair' or 'train'+'test'")
-        if self.direction not in ("AB", "BA"):
-            raise InvalidConfig(f"direction must be 'AB' or 'BA', got {self.direction!r}")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,21 @@ class ExperimentConfig:
 
     data: DataConfig
     learner: LearnerConfig
-    variants: tuple[str, ...] = ("traditional", "reengineered")
+    variants: tuple[str, ...] = field(default=VARIANTS, metadata=one_of(*VARIANTS))
     denoise: DenoiseConfig = DenoiseConfig()
     balance: BalanceConfig = BalanceConfig()
+    # cv_k, n_runs, master_seed and min_segment_size are checked where they
+    # land, in PipelineConfig
     cv_k: int = 5
     n_runs: int = 10
     master_seed: int = 0
     min_segment_size: int = 50
     traditional_raw_features: bool = False
     rule: str = "R5"  # builtin id or rule JSON path
-    segment_threshold: float = -0.25
+    segment_threshold: float = field(default=-0.25, metadata=ANY)
+
+    def __post_init__(self):
+        check(self)
 
 
 def _experiment_config(doc: dict) -> ExperimentConfig:
@@ -109,7 +114,10 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
     global synthgen
     from . import synthgen
 
-    return from_dict(ExperimentConfig, doc)
+    exp = from_dict(ExperimentConfig, doc)
+    if "seed" in doc["learner"]:  # the experiment derives each run's learner seed from master_seed
+        raise InvalidConfig("learner.seed: unknown key")
+    return exp
 
 
 def _read_config(path: str) -> dict:
@@ -258,8 +266,7 @@ def _cmd_inspect_rules(args) -> int:
     return 0
 
 
-def _load_datasets(doc: dict):
-    data = _experiment_config(doc).data
+def _load_datasets(data: DataConfig):
     if data.pair is None:
         return tuple(read_labeled_csv(path, Path(path).stem).require_time_order() for path in (data.train, data.test))
     turbine_a, turbine_b = synthgen.make_turbine_pair(data.pair.base, data.pair.profile)
@@ -268,10 +275,11 @@ def _load_datasets(doc: dict):
     return (ds_b, ds_a) if data.direction == "BA" else (ds_a, ds_b)
 
 
-def _pipeline_configs(doc: dict) -> dict[str, PipelineConfig]:
-    exp = _experiment_config(doc)
-    if "seed" in doc["learner"]:  # the experiment derives each run's learner seed from master_seed
-        raise InvalidConfig("learner.seed: unknown key")
+def _pipeline_configs(exp: ExperimentConfig | dict) -> dict[str, PipelineConfig]:
+    """The pipeline config of each variant of the experiment config `exp`,
+    decoded first if it is the JSON document."""
+    if isinstance(exp, dict):
+        exp = _experiment_config(exp)
     common = dict(
         denoise=exp.denoise,
         balance=exp.balance,
@@ -287,15 +295,13 @@ def _pipeline_configs(doc: dict) -> dict[str, PipelineConfig]:
             configs[variant] = PipelineConfig(
                 variant="traditional", traditional_raw_features=exp.traditional_raw_features, **common
             )
-        elif variant == "reengineered":
+        else:
             configs[variant] = PipelineConfig(
                 variant="reengineered",
                 rule=load_rule(exp.rule),
                 segmentation=SegmentationConfig(threshold=exp.segment_threshold),
                 **common,
             )
-        else:
-            raise InvalidConfig(f"unknown variant {variant!r}")
     return configs
 
 
@@ -305,8 +311,9 @@ def _cmd_experiment(args) -> int:
         doc["rule"] = args.rule
     if args.segment_threshold is not None:
         doc["segment_threshold"] = args.segment_threshold
-    configs = _pipeline_configs(doc)
-    train, test = _load_datasets(doc)
+    exp = _experiment_config(doc)
+    configs = _pipeline_configs(exp)
+    train, test = _load_datasets(exp.data)
 
     # every variant runs before any output is written, so a failing variant
     # leaves no partial set; a bundle is held as its file's text, which

@@ -54,12 +54,13 @@ one matrix-matrix product may. CART compares values exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyMatrix, InvalidConfig, SingleClassDataset, TooFewSamples
+from .schema import POSITIVE, at_least, check, one_of
 
 NORMAL, ABNORMAL = 0, 1
 
@@ -87,38 +88,21 @@ def standardize_fit(matrix: np.ndarray) -> StandardizationParams:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    algorithm: str  # "knn", "cart", or "mlp"
-    knn_k: int = 3
-    cart_max_depth: int = 12
-    cart_min_leaf: int = 5
-    mlp_hidden: tuple[int, ...] = (16,)
-    mlp_learning_rate: float = 0.01
-    mlp_epochs: int = 200
-    mlp_batch_size: int = 32
-    mlp_init_scale: float = 0.1
-    seed: int = 0
+    algorithm: str = field(metadata=one_of("knn", "cart", "mlp"))
+    knn_k: int = field(default=3, metadata=at_least(1))
+    cart_max_depth: int = field(default=12, metadata=at_least(1))
+    cart_min_leaf: int = field(default=5, metadata=at_least(1))
+    mlp_hidden: tuple[int, ...] = field(default=(16,), metadata=at_least(1))
+    mlp_learning_rate: float = field(default=0.01, metadata=POSITIVE)
+    mlp_epochs: int = field(default=200, metadata=at_least(1))
+    mlp_batch_size: int = field(default=32, metadata=at_least(1))
+    mlp_init_scale: float = field(default=0.1, metadata=POSITIVE)
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
-        if self.algorithm not in ("knn", "cart", "mlp"):
-            raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
-        if self.knn_k < 1:
-            raise InvalidConfig(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.cart_max_depth < 1:
-            raise InvalidConfig(f"cart_max_depth must be >= 1, got {self.cart_max_depth}")
-        if self.cart_min_leaf < 1:
-            raise InvalidConfig(f"cart_min_leaf must be >= 1, got {self.cart_min_leaf}")
-        if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
-            raise InvalidConfig(f"mlp_hidden sizes must be positive, got {self.mlp_hidden}")
-        if not (math.isfinite(self.mlp_learning_rate) and self.mlp_learning_rate > 0):
-            raise InvalidConfig(f"mlp_learning_rate must be finite and positive, got {self.mlp_learning_rate}")
-        if self.mlp_epochs < 1:
-            raise InvalidConfig(f"mlp_epochs must be >= 1, got {self.mlp_epochs}")
-        if self.mlp_batch_size < 1:
-            raise InvalidConfig("mlp_batch_size must be >= 1")
-        if not (math.isfinite(self.mlp_init_scale) and self.mlp_init_scale > 0):
-            raise InvalidConfig(f"mlp_init_scale must be finite and positive, got {self.mlp_init_scale}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        check(self)
+        if not self.mlp_hidden:
+            raise InvalidConfig("mlp_hidden must name at least one layer")
 
     def seeded(self, seed: int) -> LearnerConfig:
         """The same learner, initialized from `seed`."""

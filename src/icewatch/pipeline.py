@@ -40,7 +40,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,45 +86,36 @@ from .rules import (
     strong_rule_filter,
 )
 from .scada import CHANNELS, Frame, LabeledDataset
-from .schema import from_dict
+from .schema import at_least, check, from_dict, one_of
 
 REPORT_FORMAT = 1
 BUNDLE_FORMAT = 1
+VARIANTS = ("traditional", "reengineered")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    variant: str  # "traditional" or "reengineered"
+    variant: str = field(metadata=one_of(*VARIANTS))
     learner: LearnerConfig
     denoise: DenoiseConfig = DenoiseConfig()
     balance: BalanceConfig = BalanceConfig()
     rule: IntervalRule | None = None
     segmentation: SegmentationConfig | None = None
-    cv_k: int = 5
-    n_runs: int = 10
-    master_seed: int = 0
-    min_segment_size: int = 50
+    cv_k: int = field(default=5, metadata=at_least(2))
+    n_runs: int = field(default=10, metadata=at_least(1))
+    master_seed: int = field(default=0, metadata=at_least(0))
+    min_segment_size: int = field(default=50, metadata=at_least(1))
     traditional_raw_features: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("traditional", "reengineered"):
-            raise InvalidConfig(f"unknown pipeline variant {self.variant!r}")
+        check(self)
         if self.variant == "reengineered":
             if self.rule is None or self.segmentation is None:
                 raise InvalidConfig("reengineered pipeline requires rule and segmentation")
             if self.traditional_raw_features:
                 raise InvalidConfig("raw-channel features apply to the traditional variant only")
-        else:
-            if self.rule is not None or self.segmentation is not None:
-                raise InvalidConfig("traditional pipeline forbids rule and segmentation")
-        if self.cv_k < 2:
-            raise InvalidConfig(f"cv_k must be >= 2, got {self.cv_k}")
-        if self.n_runs < 1:
-            raise InvalidConfig(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.master_seed < 0:
-            raise InvalidConfig(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.min_segment_size < 1:
-            raise InvalidConfig("min_segment_size must be positive")
+        elif self.rule is not None or self.segmentation is not None:
+            raise InvalidConfig("traditional pipeline forbids rule and segmentation")
 
 
 class ReportCell(NamedTuple):

@@ -10,34 +10,31 @@ randomness is injected through explicit seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyClass, InvalidConfig, TooFewNormal, WindowLargerThanSeries
+from .errors import EmptyClass, TooFewNormal, WindowLargerThanSeries
 from .scada import INVALID_CODE, LabeledDataset
+from .schema import at_least, check, one_of
 
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    window: int = 10
+    window: int = field(default=10, metadata=at_least(1))
 
     def __post_init__(self):
-        if self.window < 1:
-            raise InvalidConfig(f"window must be >= 1, got {self.window}")
+        check(self)
 
 
 @dataclass(frozen=True)
 class BalanceConfig:
-    method: str = "under"  # "under" or "over"
-    seed: int = 0
+    method: str = field(default="under", metadata=one_of("under", "over"))
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
-        if self.method not in ("under", "over"):
-            raise InvalidConfig(f"balance method must be 'under' or 'over', got {self.method!r}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        check(self)
 
 
 def drop_invalid(dataset: LabeledDataset) -> LabeledDataset:

@@ -27,14 +27,14 @@ Training, test gating, inspect-rules and predict all route through them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidConfig, UnknownRule
 from .features import FEATURE_IDS
-from .schema import from_dict, read_json
+from .schema import ANY, EXTENDED, check, from_dict, read_json
 
 INF = math.inf
 
@@ -47,8 +47,8 @@ _WIND = FEATURE_IDS.index("x4")
 @dataclass(frozen=True, slots=True)
 class IntervalConstraint:
     feature: str
-    lower: float = -INF
-    upper: float = INF
+    lower: float = field(default=-INF, metadata=EXTENDED)
+    upper: float = field(default=INF, metadata=EXTENDED)
     lower_inclusive: bool = False
     upper_inclusive: bool = False
 
@@ -125,11 +125,10 @@ def strong_rule_filter(X: np.ndarray, rule: IntervalRule) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    threshold: float = -0.25  # applied to x4
+    threshold: float = field(default=-0.25, metadata=ANY)  # applied to x4
 
     def __post_init__(self):
-        if not math.isfinite(self.threshold):
-            raise InvalidConfig("segmentation threshold must be finite")
+        check(self)
 
 
 def segment(X: np.ndarray, cfg: SegmentationConfig) -> tuple[np.ndarray, np.ndarray]:

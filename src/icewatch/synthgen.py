@@ -20,7 +20,6 @@ these calibration affines and in noise seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -28,102 +27,72 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .scada import CHANNELS, LABELS, Frame, Label, LabelWindow, WindowKind
-from .schema import from_dict
+from .schema import ANY, NONZERO, at_least, check, from_dict, within
 
 START_EPOCH = 1446336000  # 2015-11-01T00:00:00Z, a winter campaign start
 
 
 @dataclass(frozen=True)
 class WindModel:
-    mean: float = 5.5
-    persistence: float = 0.98  # AR(1) coefficient, in [0, 1)
-    noise: float = 0.5
+    mean: float = field(default=5.5, metadata=ANY)
+    persistence: float = field(default=0.98, metadata=within("[0, 1)"))  # AR(1) coefficient
+    noise: float = field(default=0.5, metadata=at_least(0))
 
 
 @dataclass(frozen=True)
 class TemperatureModel:
-    mean: float = 0.0
-    diurnal_amplitude: float = 4.0
-    noise: float = 0.8
+    mean: float = field(default=0.0, metadata=ANY)
+    diurnal_amplitude: float = field(default=4.0, metadata=ANY)
+    noise: float = field(default=0.8, metadata=at_least(0))
 
 
 @dataclass(frozen=True)
 class IcingTrigger:
-    temp_threshold: float = -1.0
-    hazard: float = 0.0005  # per-record start probability while cold
-    min_len: int = 150
-    max_len: int = 600
+    temp_threshold: float = field(default=-1.0, metadata=ANY)
+    hazard: float = field(default=0.0005, metadata=within("[0, 1]"))  # per-record start probability while cold
+    min_len: int = field(default=150, metadata=at_least(1))
+    max_len: int = field(default=600, metadata=at_least(1))
 
 
 @dataclass(frozen=True)
 class IcingEffect:
-    power_derating: float = 0.35  # fraction of power retained at severity 1
-    generator_droop: float = 0.78
-    pitch_shift: float = -0.15  # truth-degrees bias of the iced pitch band
-    severity_min: float = 0.75  # per-episode severity drawn uniformly
-    severity_max: float = 1.0
+    power_derating: float = field(default=0.35, metadata=within("(0, 1)"))  # fraction of power retained at severity 1
+    generator_droop: float = field(default=0.78, metadata=within("(0, 1)"))
+    pitch_shift: float = field(default=-0.15, metadata=ANY)  # truth-degrees bias of the iced pitch band
+    severity_min: float = field(default=0.75, metadata=within("(0, 1]"))  # per-episode severity drawn uniformly
+    severity_max: float = field(default=1.0, metadata=within("(0, 1]"))
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    duration: int = 20000
-    nominal_dt: int = 7
-    start_epoch: int = START_EPOCH
+    duration: int = field(default=20000, metadata=at_least(1))
+    nominal_dt: int = field(default=7, metadata=at_least(2))
+    start_epoch: int = field(default=START_EPOCH, metadata=ANY)
     wind: WindModel = field(default_factory=WindModel)
     temperature: TemperatureModel = field(default_factory=TemperatureModel)
     trigger: IcingTrigger = field(default_factory=IcingTrigger)
     effect: IcingEffect = field(default_factory=IcingEffect)
-    cut_in: float = 3.0
-    rated: float = 8.0
-    label_buffer: int = 20  # records near episode edges left unlabeled
-    desensitize: dict[str, tuple[float, float]] = field(default_factory=dict)
-    seed: int = 0
+    cut_in: float = field(default=3.0, metadata=ANY)
+    rated: float = field(default=8.0, metadata=ANY)
+    label_buffer: int = field(default=20, metadata=at_least(0))  # records near episode edges left unlabeled
+    desensitize: dict[str, tuple[float, float]] = field(default_factory=dict, metadata=ANY)
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
-        parts = ("wind", "temperature", "trigger", "effect")
-        named = {f"{part}.{key}": v for part in parts for key, v in vars(getattr(self, part)).items()}
-        named |= {f"desensitize.{ch}[{i}]": v for ch, pair in self.desensitize.items() for i, v in enumerate(pair)}
-        _require_finite(named | {"cut_in": self.cut_in, "rated": self.rated})
-        if self.wind.noise < 0.0 or self.temperature.noise < 0.0:
-            raise InvalidConfig("wind and temperature noise must be >= 0")
-        if self.duration < 1:
-            raise InvalidConfig("duration must be positive")
-        if self.nominal_dt < 2:
-            raise InvalidConfig("nominal_dt must be at least 2 seconds")
+        check(self)
         if not -(2**63) <= self.start_epoch + self.duration * self.nominal_dt < 2**63:
             raise InvalidConfig("start_epoch + duration * nominal_dt must fit in int64")
-        if not 0.0 <= self.wind.persistence < 1.0:
-            raise InvalidConfig("wind persistence must be in [0, 1)")
-        if not 0.0 < self.effect.power_derating < 1.0:
-            raise InvalidConfig("power derating factor must be in (0, 1)")
-        if not 0.0 < self.effect.generator_droop < 1.0:
-            raise InvalidConfig("generator droop factor must be in (0, 1)")
         if self.trigger.min_len > self.trigger.max_len:
             raise InvalidConfig("icing min_len exceeds max_len")
-        if not 0.0 < self.effect.severity_min <= self.effect.severity_max <= 1.0:
-            raise InvalidConfig("severity range must satisfy 0 < min <= max <= 1")
-        if self.trigger.min_len < 1:
-            raise InvalidConfig("icing min_len must be positive")
-        if not 0.0 <= self.trigger.hazard <= 1.0:
-            raise InvalidConfig("hazard must be a probability")
+        if self.effect.severity_min > self.effect.severity_max:
+            raise InvalidConfig("icing severity_min exceeds severity_max")
         if self.cut_in >= self.rated:
             raise InvalidConfig("cut_in must be below rated wind speed")
-        if self.label_buffer < 0:
-            raise InvalidConfig("label_buffer must be non-negative")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for ch, (scale, _) in self.desensitize.items():
             if ch not in CHANNELS:
                 raise InvalidConfig(f"unknown channel in desensitize map: {ch!r}")
             if scale == 0.0:
                 raise InvalidConfig(f"desensitize scale for {ch} must be nonzero")
-
-
-def _require_finite(named: dict[str, float]) -> None:
-    """Raise InvalidConfig naming the first float that is NaN or infinite."""
-    for name, value in named.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidConfig(f"{name} must be a finite number, got {value}")
 
 
 # Default calibration: maps truth units onto the desensitized scale where
@@ -344,17 +313,15 @@ class OffsetProfile:
     Physics parameters are never touched, so truth labels for a given seed
     are unaffected."""
 
-    scale: dict[str, float] = field(default_factory=dict)
-    offset: dict[str, float] = field(default_factory=dict)
-    seed_offset: int = 1
+    scale: dict[str, float] = field(default_factory=dict, metadata=NONZERO)
+    offset: dict[str, float] = field(default_factory=dict, metadata=ANY)
+    seed_offset: int = field(default=1, metadata=ANY)
 
     def __post_init__(self):
-        _require_finite({f"{kind}.{ch}": v for kind in ("scale", "offset") for ch, v in getattr(self, kind).items()})
+        check(self)
         unknown = (set(self.scale) | set(self.offset)) - set(CHANNELS)
         if unknown:
             raise InvalidConfig(f"unknown channels in offset profile: {sorted(unknown)}")
-        if any(s == 0.0 for s in self.scale.values()):
-            raise InvalidConfig("offset profile scale factors must be nonzero")
 
 
 def apply_offset_profile(cfg: SynthConfig, profile: OffsetProfile) -> SynthConfig:

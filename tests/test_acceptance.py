@@ -267,12 +267,13 @@ def shipped_experiment():
     """Run the shipped two-turbine experiment once, then label turbine B's
     stream with both of its bundles; C9 reads the reports. Any row that
     reaches the exact KNN tier fails the fixture (forbid_exact_knn)."""
-    from icewatch.cli import _load_datasets, _pipeline_configs
+    from icewatch.cli import _experiment_config, _load_datasets, _pipeline_configs
     from icewatch.pipeline import predict_stream, run_reengineered, run_traditional, train_bundle
 
     doc = json.loads((CONFIG_DIR / "experiment_default.json").read_text())
-    train_ds, test_ds = _load_datasets(doc)
-    configs = _pipeline_configs(doc)
+    exp = _experiment_config(doc)
+    train_ds, test_ds = _load_datasets(exp.data)
+    configs = _pipeline_configs(exp)
     with pytest.MonkeyPatch.context() as mp:
         scored = forbid_exact_knn(mp)
         start = time.perf_counter()

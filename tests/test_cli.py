@@ -374,7 +374,7 @@ MALFORMED = {
         lambda t: _experiment(t, learner={"algorithm": "knn", "knn_k": "3"}), 2,
         "learner.knn_k: expected int, got '3'",
     ),
-    "balance-smote": (lambda t: _experiment(t, balance={"method": "smote"}), 2, "balance: balance method"),
+    "balance-smote": (lambda t: _experiment(t, balance={"method": "smote"}), 2, "balance: method must be one of"),
     "unknown-wind-key": (
         lambda t: _experiment(t, data={"pair": {"base": {"wind": {"gusts": 1.0}}}}), 2,
         "data.pair.base.wind.gusts: unknown key",
@@ -383,11 +383,11 @@ MALFORMED = {
     "cv_k-string": (lambda t: _experiment(t, cv_k="5"), 2, "cv_k: expected int, got '5'"),
     "mlp-learning-rate-nan": (
         lambda t: _experiment(t, learner={"algorithm": "mlp", "mlp_learning_rate": math.nan}), 2,
-        "learner: mlp_learning_rate must be finite and positive, got nan",
+        "learner: mlp_learning_rate must be a finite number, got nan",
     ),
     "mlp-init-scale-inf": (
         lambda t: _experiment(t, learner={"algorithm": "mlp", "mlp_init_scale": math.inf}), 2,
-        "learner: mlp_init_scale must be finite and positive, got inf",
+        "learner: mlp_init_scale must be a finite number, got inf",
     ),
     "rule-x99": (
         lambda t: _experiment(t, ["--rule", _file(t / "x99.json", '[{"feature": "x99", "upper": 1.0}]')]), 2,
@@ -517,14 +517,23 @@ MALFORMED = {
     "experiment-denoise-channels": (
         lambda t: _experiment(t, denoise={"channels": ["power"]}), 2, "denoise.channels: unknown key",
     ),
+    "experiment-unknown-variant": (
+        lambda t: _experiment(t, variants=["traditional", "hybrid"]), 2,
+        "config error: variants[1] must be one of 'traditional', 'reengineered', got 'hybrid'",
+    ),
+    # checked though no variant segments the turbines
+    "experiment-segment-threshold-nan": (
+        lambda t: _experiment(t, variants=["traditional"], segment_threshold=math.nan), 2,
+        "config error: segment_threshold must be a finite number, got nan",
+    ),
 }
 
 
 # a pair config's base and profile with one synthesis parameter out of range:
 # a negative noise scale, or a NaN or infinity, which json reads and writes
 BAD_SYNTH = {
-    "wind-noise-negative": ({"wind": {"noise": -0.5}}, {}, "wind and temperature noise must be >= 0"),
-    "temperature-noise-negative": ({"temperature": {"noise": -1}}, {}, "wind and temperature noise must be >= 0"),
+    "wind-noise-negative": ({"wind": {"noise": -0.5}}, {}, "wind.noise must be >= 0, got -0.5"),
+    "temperature-noise-negative": ({"temperature": {"noise": -1}}, {}, "temperature.noise must be >= 0, got -1.0"),
     "wind-mean-nan": ({"wind": {"mean": math.nan}}, {}, "wind.mean must be a finite number, got nan"),
     "wind-mean-inf": ({"wind": {"mean": math.inf}}, {}, "wind.mean must be a finite number, got inf"),
     "amplitude-inf": (
