@@ -41,7 +41,6 @@ from .pipeline import (  # noqa: E402
     predict_stream,
     prepare,
     render_report_text,
-    report_to_dict,
     run_reengineered,
     run_traditional,
     train_bundle,
@@ -60,7 +59,6 @@ from .scada import (  # noqa: E402
     parse_label_windows_csv,
     parse_scada_csv,
     read_labeled_csv,
-    summarize,
     write_label_windows_csv,
     write_labeled_csv,
     write_scada_csv,
@@ -105,6 +103,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check(self)
+        if not self.variants or len(set(self.variants)) < len(self.variants):
+            raise InvalidConfig(f"variants must be one or more distinct variants, got {list(self.variants)}")
 
 
 def _experiment_config(doc: dict) -> ExperimentConfig:
@@ -184,11 +184,8 @@ def _cmd_ingest(args) -> int:
     windows = parse_label_windows_csv(args.windows)
     dataset = apply_label_windows(frame, windows, args.turbine_id).require_time_order()
     write_labeled_csv(dataset, args.out)
-    s = summarize(dataset)
-    print(
-        f"{s.turbine_id}: {len(dataset)} records "
-        f"({s.n_normal} normal, {s.n_abnormal} abnormal, {s.n_invalid} invalid) -> {args.out}"
-    )
+    counts = ", ".join(f"{n} {label.value}" for label, n in dataset.label_counts().items())
+    print(f"{dataset.turbine_id}: {len(dataset)} records ({counts}) -> {args.out}")
     return 0
 
 
@@ -331,10 +328,7 @@ def _cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in bundles.items():
         (out_dir / name).write_text(text, encoding="utf-8")
-    _dump_json(
-        {"format": 1, "reports": [report_to_dict(r) for r in reports]},
-        out_dir / "report.json",
-    )
+    _dump_json({"format": 1, "reports": reports}, out_dir / "report.json")
     text = render_report_text(reports)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     print(text)

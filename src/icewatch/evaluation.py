@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import learners
-from .errors import DegenerateFolds, EmptyClassInTest, InvalidK, LengthMismatch
+from .errors import DataError, InvalidConfig
 from .learners import ABNORMAL, NORMAL, LearnerConfig, TrainedModel
 
 
@@ -56,7 +56,7 @@ def _as_codes(labels: Sequence[int]) -> np.ndarray:
 def confusion(actual: Sequence[int], predicted: Sequence[int]) -> ConfusionCounts:
     """Count the four cells of 0/1 label codes (learners.NORMAL, ABNORMAL)."""
     if len(actual) != len(predicted):
-        raise LengthMismatch(len(actual), len(predicted))
+        raise DataError(f"actual has {len(actual)} labels, predicted has {len(predicted)}")
     if len(actual) == 0:
         raise ValueError("cannot build a confusion matrix from zero labels")
     a = _as_codes(actual)
@@ -73,10 +73,9 @@ def confusion(actual: Sequence[int], predicted: Sequence[int]) -> ConfusionCount
 
 def score(counts: ConfusionCounts) -> float:
     """Competition score in [0, 100]; see the module docstring."""
-    if counts.n_normal < 1:
-        raise EmptyClassInTest("normal")
-    if counts.n_fault < 1:
-        raise EmptyClassInTest("fault")
+    if counts.n_normal < 1 or counts.n_fault < 1:
+        which = "normal" if counts.n_normal < 1 else "fault"
+        raise DataError(f"test set has no {which} samples; score undefined")
     return 100.0 - 50.0 * counts.fn / counts.n_normal - 50.0 * counts.fp / counts.n_fault
 
 
@@ -104,21 +103,24 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle then contiguous split into k folds whose sizes
     differ by at most one."""
     if not 2 <= k <= n:
-        raise InvalidK(k, n)
+        raise InvalidConfig(f"k={k} invalid for n={n} (need 2 <= k <= n)")
     perm = np.random.default_rng(seed).permutation(n)
     return list(np.array_split(perm, k))
 
 
-def _draw_folds(y: np.ndarray, k: int, seed: int, attempts: int = 10) -> list[np.ndarray]:
-    """The first of `attempts` seeded k-fold splits whose every training
+_FOLD_ATTEMPTS = 10
+
+
+def _draw_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
+    """The first of _FOLD_ATTEMPTS seeded k-fold splits whose every training
     set holds both classes of the 0/1 codes y. A training set holds the
     classes whose totals its held-out fold does not exhaust."""
     totals = np.bincount(y, minlength=2)
-    for attempt in range(attempts):
+    for attempt in range(_FOLD_ATTEMPTS):
         folds = kfold_split(y.shape[0], k, derive_seed(seed, attempt))
         if all(np.count_nonzero(totals - np.bincount(y[fold], minlength=2)) == 2 for fold in folds):
             return folds
-    raise DegenerateFolds(attempts)
+    raise DataError(f"could not draw folds with both classes in every training fold after {_FOLD_ATTEMPTS} attempts")
 
 
 def crossval_fold_scores(

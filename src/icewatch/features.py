@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvalidLabel, SingleClassDataset
+from .errors import DataError
 from .scada import INVALID_CODE, Label, LabeledDataset, open_sink
 
 # Inputs must exceed -5 by this margin for the offset denominators.
@@ -111,9 +111,9 @@ def degenerate_mask(record):
 def feature_vectors(dataset: LabeledDataset) -> np.ndarray:
     """X float64[n, 10] of an invalid-free dataset, in FEATURE_IDS order.
 
-    A bad dataset raises for its first bad row: DegenerateDenominator if
-    that row is degenerate (naming wind_speed before generator_speed),
-    InvalidLabel if it is invalid.
+    A bad dataset raises a DataError for its first bad row: a degenerate
+    denominator if that row is degenerate (naming wind_speed before
+    generator_speed), an invalid label otherwise.
     """
     columns = dataset.columns()
     bad = degenerate_mask(columns) | (dataset.label == INVALID_CODE)
@@ -122,8 +122,8 @@ def feature_vectors(dataset: LabeledDataset) -> np.ndarray:
         for channel in ("wind_speed", "generator_speed"):
             value = float(getattr(columns, channel)[i])
             if value <= _DENOMINATOR_FLOOR:
-                raise DegenerateDenominator(channel, value)
-        raise InvalidLabel(Label.INVALID)
+                raise DataError(f"{channel}={value!r} too close to -5; offset denominator degenerate")
+        raise DataError(f"label {Label.INVALID!r} not allowed here (expected normal or abnormal)")
     return assemble_feature_vector(columns, engineer_record(columns))
 
 
@@ -150,7 +150,7 @@ def rank_features(X: np.ndarray, y: np.ndarray) -> list[tuple[str, float]]:
     """Rank the ten model features of a feature matrix (y coded 0/1) by
     Fisher score, descending; ties break by name."""
     if X.shape[0] == 0 or len(set(y.tolist())) < 2:
-        raise SingleClassDataset()
+        raise DataError("dataset contains only one class")
     is_abnormal = y.astype(bool)
 
     scored: list[tuple[str, float]] = []

@@ -54,12 +54,12 @@ one matrix-matrix product may. CART compares values exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyMatrix, InvalidConfig, SingleClassDataset, TooFewSamples
+from .errors import DataError, InvalidConfig
 from .schema import POSITIVE, at_least, check, one_of
 
 NORMAL, ABNORMAL = 0, 1
@@ -79,10 +79,16 @@ class StandardizationParams(NamedTuple):
         return (X - self.mean) / scale
 
 
-def standardize_fit(matrix: np.ndarray) -> StandardizationParams:
+def _float_matrix(matrix) -> np.ndarray:
+    """`matrix` as a float64 matrix of at least one row."""
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
-        raise EmptyMatrix()
+        raise DataError("matrix has no rows")
+    return X
+
+
+def standardize_fit(matrix: np.ndarray) -> StandardizationParams:
+    X = _float_matrix(matrix)
     return StandardizationParams(mean=X.mean(axis=0), std=X.std(axis=0))
 
 
@@ -103,10 +109,6 @@ class LearnerConfig:
         check(self)
         if not self.mlp_hidden:
             raise InvalidConfig("mlp_hidden must name at least one layer")
-
-    def seeded(self, seed: int) -> LearnerConfig:
-        """The same learner, initialized from `seed`."""
-        return replace(self, seed=seed)
 
 
 # --- KNN ---------------------------------------------------------------------
@@ -623,19 +625,17 @@ TrainedModel = KnnModel | CartModel | MlpModel
 def _checked(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """One training set as float features and int8 labels, or the error
     that training cfg's learner on it raises."""
-    X = np.asarray(features, dtype=float)
+    X = _float_matrix(features)
     y = np.asarray(labels, dtype=np.int8)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyMatrix()
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} rows but {y.shape[0]} labels")
     if ((y != NORMAL) & (y != ABNORMAL)).any():
         raise ValueError(f"labels must be 0 or 1, got {sorted(set(y.tolist()))}")
     if not np.bincount(y, minlength=2).all():
-        raise SingleClassDataset()
+        raise DataError("dataset contains only one class")
     needed = {"knn": cfg.knn_k, "cart": 2 * cfg.cart_min_leaf, "mlp": cfg.mlp_batch_size}[cfg.algorithm]
     if X.shape[0] < needed:
-        raise TooFewSamples(needed, X.shape[0])
+        raise DataError(f"training needs at least {needed} samples, got {X.shape[0]}")
     return X, y
 
 

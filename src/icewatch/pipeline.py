@@ -40,15 +40,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import learners
-from .errors import DataError, InvalidConfig, SegmentTooSmall
+from .errors import DataError, InvalidConfig
 from .evaluation import (
-    RunStatistics,
     confusion,
     crossval_fold_scores,
     derive_seed,
@@ -116,23 +115,6 @@ class PipelineConfig:
                 raise InvalidConfig("raw-channel features apply to the traditional variant only")
         elif self.rule is not None or self.segmentation is not None:
             raise InvalidConfig("traditional pipeline forbids rule and segmentation")
-
-
-class ReportCell(NamedTuple):
-    pipeline: str
-    algorithm: str
-    segment: str  # "all", "low", "high", or "pooled"
-    cv: RunStatistics
-    test: RunStatistics
-
-
-class ExperimentReport(NamedTuple):
-    train_id: str
-    test_id: str
-    config: dict
-    config_hash: str
-    run_seeds: tuple[int, ...]
-    cells: tuple[ReportCell, ...]
 
 
 def config_hash(doc: dict) -> str:
@@ -203,11 +185,11 @@ def _map_runs(one_run: Callable[[int], object], n: int) -> list:
     computes the first share itself, so every call it makes, traced or not,
     still happens in this process. A child that ends without its results
     (an exception, a signal, lack of memory) has its share computed again
-    here: runs are deterministic, so an error is raised by the parent, in
-    run order, as the sequential loop would raise it. Errors are never
-    pickled, because most icewatch errors do not survive a pickle round
-    trip. Where fork is unavailable, or one process suffices, the runs
-    execute one after another in this process.
+    here. Errors are never pickled, because that recomputation is what
+    raises them: runs are deterministic, so the parent raises the first
+    error in run order, as the sequential loop would. Where fork is
+    unavailable, or one process suffices, the runs execute one after
+    another in this process.
 
     A fork copies only the calling thread. The CLI starts no other thread
     and pins BLAS to one thread per process (see icewatch.cli), so the
@@ -300,7 +282,7 @@ def _training_parts(
     parts = {"low": ((0,), candidates[low]), "high": ((1,), candidates[high])}
     for name, (_, rows) in parts.items():
         if len(rows) < cfg.min_segment_size:
-            raise SegmentTooSmall(name, len(rows), cfg.min_segment_size)
+            raise DataError(f"{name} segment has {len(rows)} training candidates, below minimum {cfg.min_segment_size}")
     return {name: (key, X[rows], y[rows]) for name, (key, rows) in parts.items()}
 
 
@@ -329,10 +311,13 @@ def _balanced(
     """Run i's balance draw of one part's rows, and the part's learner
     config seeded from the run seed."""
     order = _balance_order(y, cfg.balance, derive_seed(cfg.balance.seed, i, *key))
-    return X[order], y[order], cfg.learner.seeded(derive_seed(run_seed, 2, *key))
+    return X[order], y[order], replace(cfg.learner, seed=derive_seed(run_seed, 2, *key))
 
 
-def _run(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> ExperimentReport:
+def _run(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> dict:
+    """The report of cfg's runs, as report.json holds it under "reports":
+    the turbine ids, the config echo and its hash, the run seeds, and per
+    part the mean and deviation of its CV and test scores over the runs."""
     train_parts = _training_parts(train, cfg)
     X_test, y_test = _matrix(test, cfg)
     route = _route(X_test, cfg.rule, cfg.segmentation)
@@ -357,34 +342,39 @@ def _run(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> Ex
         return cv, test_scores
 
     results = _map_runs(one_run, cfg.n_runs)
-    cells = tuple(
-        ReportCell(
-            pipeline=cfg.variant,
-            algorithm=cfg.learner.algorithm,
-            segment=name,
-            cv=run_statistics([cv[name] for cv, _ in results]),
-            test=run_statistics([t[name] for _, t in results]),
-        )
-        for name in results[0][0]
-    )
+    cells = []
+    for name in results[0][0]:  # "all", or "low", "high" and "pooled"
+        cv = run_statistics([run_cv[name] for run_cv, _ in results])
+        tested = run_statistics([run_test[name] for _, run_test in results])
+        cells.append({
+            "pipeline": cfg.variant,
+            "algorithm": cfg.learner.algorithm,
+            "segment": name,
+            "cv_mean": cv.mean,
+            "cv_std": cv.std,
+            "test_mean": tested.mean,
+            "test_std": tested.std,
+            "n_runs": tested.runs,
+        })
     doc = pipeline_config_to_dict(cfg)
-    return ExperimentReport(
-        train_id=train.turbine_id,
-        test_id=test.turbine_id,
-        config=doc,
-        config_hash=config_hash(doc),
-        run_seeds=tuple(seeds),
-        cells=cells,
-    )
+    return {
+        "format": REPORT_FORMAT,
+        "train_dataset": train.turbine_id,
+        "test_dataset": test.turbine_id,
+        "config": doc,
+        "config_hash": config_hash(doc),
+        "run_seeds": seeds,
+        "results": cells,
+    }
 
 
-def run_traditional(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> ExperimentReport:
+def run_traditional(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> dict:
     if cfg.variant != "traditional":
         raise InvalidConfig("run_traditional needs a traditional config")
     return _run(train, test, cfg)
 
 
-def run_reengineered(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> ExperimentReport:
+def run_reengineered(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> dict:
     if cfg.variant != "reengineered":
         raise InvalidConfig("run_reengineered needs a reengineered config")
     return _run(train, test, cfg)
@@ -533,46 +523,22 @@ def bundle_from_dict(doc: dict) -> ModelBundle:
 # --- report output --------------------------------------------------------------
 
 
-def report_to_dict(report: ExperimentReport) -> dict:
-    cells = []
-    for c in report.cells:
-        cells.append(
-            {
-                "pipeline": c.pipeline,
-                "algorithm": c.algorithm,
-                "segment": c.segment,
-                "cv_mean": c.cv.mean,
-                "cv_std": c.cv.std,
-                "test_mean": c.test.mean,
-                "test_std": c.test.std,
-                "n_runs": c.test.runs,
-            }
-        )
-    return {
-        "format": REPORT_FORMAT,
-        "train_dataset": report.train_id,
-        "test_dataset": report.test_id,
-        "config": report.config,
-        "config_hash": report.config_hash,
-        "run_seeds": list(report.run_seeds),
-        "results": cells,
-    }
-
-
-def render_report_text(reports: Sequence[ExperimentReport]) -> str:
-    """Aligned plain-text table over one or more reports."""
+def render_report_text(reports: Sequence[dict]) -> str:
+    """Aligned plain-text table over one or more reports, each as _run
+    returns it."""
     lines = []
     header = f"{'pipeline':<14}{'algorithm':<11}{'segment':<9}{'metric':<10}{'mean':>9}{'std':>9}"
     for report in reports:
-        lines.append(f"Train: {report.train_id}  Test: {report.test_id}  (runs: {len(report.run_seeds)})")
+        lines.append(
+            f"Train: {report['train_dataset']}  Test: {report['test_dataset']}  (runs: {len(report['run_seeds'])})"
+        )
         lines.append(header)
         lines.append("-" * len(header))
-        for c in report.cells:
-            lines.append(
-                f"{c.pipeline:<14}{c.algorithm:<11}{c.segment:<9}{'cv':<10}{c.cv.mean:>9.2f}{c.cv.std:>9.2f}"
-            )
-            lines.append(
-                f"{c.pipeline:<14}{c.algorithm:<11}{c.segment:<9}{'test':<10}{c.test.mean:>9.2f}{c.test.std:>9.2f}"
-            )
+        for c in report["results"]:
+            for metric in ("cv", "test"):
+                lines.append(
+                    f"{c['pipeline']:<14}{c['algorithm']:<11}{c['segment']:<9}{metric:<10}"
+                    f"{c[metric + '_mean']:>9.2f}{c[metric + '_std']:>9.2f}"
+                )
         lines.append("")
     return "\n".join(lines)

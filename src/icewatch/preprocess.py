@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyClass, TooFewNormal, WindowLargerThanSeries
+from .errors import DataError
 from .scada import INVALID_CODE, LabeledDataset
 from .schema import at_least, check, one_of
 
@@ -56,7 +56,7 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     record i carries mean(channel[i : i+window]).
 
     The first window-1 records are dropped; a window larger than the
-    dataset raises WindowLargerThanSeries instead of returning nothing.
+    dataset raises a DataError instead of returning nothing.
     Each surviving record keeps the time, group and label of the most
     recent raw record in its window (causal semantics); windows mixing
     labels are counted and logged.
@@ -64,7 +64,7 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     n = len(dataset)
     w = cfg.window
     if w > n:
-        raise WindowLargerThanSeries(w, n)
+        raise DataError(f"moving-average window {w} exceeds series length {n}")
     if w == 1:
         return dataset
 
@@ -78,18 +78,24 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     return replace(dataset.take(slice(w - 1, None)), channels=moving_average(dataset.channels, w))
 
 
-def undersample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:
-    """Index order for under-sampling: all abnormal rows plus an equal-size
-    uniform sample of normal rows (without replacement), shuffled."""
+def _class_rows(is_abnormal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The abnormal and the normal row indices of a mask; a class without
+    rows raises."""
     is_abnormal = np.asarray(is_abnormal, dtype=bool)
     abnormal = np.flatnonzero(is_abnormal)
     normal = np.flatnonzero(~is_abnormal)
-    if abnormal.size == 0:
-        raise EmptyClass("abnormal")
-    if normal.size == 0:
-        raise EmptyClass("normal")
+    for label, rows in (("abnormal", abnormal), ("normal", normal)):
+        if rows.size == 0:
+            raise DataError(f"dataset has no {label} records")
+    return abnormal, normal
+
+
+def undersample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:
+    """Index order for under-sampling: all abnormal rows plus an equal-size
+    uniform sample of normal rows (without replacement), shuffled."""
+    abnormal, normal = _class_rows(is_abnormal)
     if normal.size < abnormal.size:
-        raise TooFewNormal(normal.size, abnormal.size)
+        raise DataError(f"cannot under-sample: {normal.size} normal < {abnormal.size} abnormal")
     rng = np.random.default_rng(seed)
     chosen = normal[rng.choice(normal.size, size=abnormal.size, replace=False)]
     combined = np.concatenate([abnormal, chosen])
@@ -100,18 +106,12 @@ def oversample_order(is_abnormal: np.ndarray, seed: int) -> np.ndarray:
     """Index order for over-sampling: original rows followed by minority
     rows re-drawn with replacement until the classes balance. Already
     balanced input comes back unchanged."""
-    is_abnormal = np.asarray(is_abnormal, dtype=bool)
-    abnormal = np.flatnonzero(is_abnormal)
-    normal = np.flatnonzero(~is_abnormal)
-    if abnormal.size == 0:
-        raise EmptyClass("abnormal")
-    if normal.size == 0:
-        raise EmptyClass("normal")
+    abnormal, normal = _class_rows(is_abnormal)
     if abnormal.size == normal.size:
-        return np.arange(is_abnormal.size)
+        return np.arange(len(is_abnormal))
     minority = abnormal if abnormal.size < normal.size else normal
     need = abs(normal.size - abnormal.size)
     rng = np.random.default_rng(seed)
     extra = minority[rng.integers(0, minority.size, size=need)]
-    return np.concatenate([np.arange(is_abnormal.size), extra])
+    return np.concatenate([np.arange(len(is_abnormal)), extra])
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, UnknownRule
+from .errors import InvalidConfig
 from .features import FEATURE_IDS
 from .schema import ANY, EXTENDED, check, from_dict, read_json
 
@@ -99,7 +99,7 @@ def builtin_rule(rule_id: str) -> IntervalRule:
     try:
         constraints = _BUILTIN[rule_id]
     except KeyError:
-        raise UnknownRule(rule_id) from None
+        raise InvalidConfig(f"unknown builtin rule: {rule_id!r} (expected R1..R5)") from None
     return IntervalRule(rule_id=rule_id, constraints=constraints)
 
 
@@ -175,9 +175,7 @@ def rule_from_json(doc: list[dict], rule_id: str = "custom") -> IntervalRule:
 
 def load_rule(spec: str) -> IntervalRule:
     """Resolve a CLI rule argument: a builtin id (R1..R5) or a JSON path."""
-    if spec in _BUILTIN:
-        return builtin_rule(spec)
     path = Path(spec)
-    if not path.exists():
-        raise UnknownRule(spec)
+    if spec in _BUILTIN or not path.exists():
+        return builtin_rule(spec)  # raises for an unknown id
     return rule_from_json(read_json(path), rule_id=path.stem)

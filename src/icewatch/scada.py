@@ -35,20 +35,11 @@ from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyFile,
-    MissingColumn,
-    NonNumericCell,
-    OverlappingWindows,
-    ShortRow,
-    UnexpectedColumn,
-    UnparseableTimestamp,
-)
+from .errors import DataError
 
 # The 26 continuous channels, in canonical export order.
 CHANNELS = (
@@ -158,14 +149,6 @@ class LabeledDataset(Frame):
         return {label: int(counts[code]) for code, label in enumerate(LABELS)}
 
 
-class DatasetSummary(NamedTuple):
-    turbine_id: str
-    n_normal: int
-    n_abnormal: int
-    n_invalid: int
-    time_span: tuple[int, int] | None  # None for an empty dataset
-
-
 @contextmanager
 def _open_source(source) -> Iterator[IO[str]]:
     """A text stream over `source`; a path is opened here and closed on exit.
@@ -194,11 +177,26 @@ def open_sink(sink) -> Iterator[IO[str]]:
         yield sink
 
 
+# the messages that several readers raise, each built here once
+
+
+def _bad_timestamp(row: int, cell: str) -> DataError:
+    return DataError(f"row {row}: cannot parse timestamp {cell!r}")
+
+
+def _not_a_number(row: int, column: str, cell: str) -> DataError:
+    return DataError(f"row {row}, column {column!r}: not a finite number: {cell!r}")
+
+
+def _no_rows(what: str) -> DataError:
+    return DataError(f"{what} contains no data rows")
+
+
 def _parse_iso_timestamp(cell: str, row: int) -> int:
     try:
         dt = datetime.fromisoformat(cell.strip())
     except ValueError:
-        raise UnparseableTimestamp(row, cell) from None
+        raise _bad_timestamp(row, cell) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -211,9 +209,9 @@ def _parse_epoch_timestamp(cell: str, row: int) -> int:
     try:
         value = int(cell.strip())
     except ValueError:
-        raise UnparseableTimestamp(row, cell) from None
+        raise _bad_timestamp(row, cell) from None
     if value not in _INT64:
-        raise UnparseableTimestamp(row, cell)
+        raise _bad_timestamp(row, cell)
     return value
 
 
@@ -229,9 +227,9 @@ def _parse_float(cell: str, row: int, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise NonNumericCell(row, column, cell) from None
+        value = math.nan
     if not math.isfinite(value):
-        raise NonNumericCell(row, column, cell)
+        raise _not_a_number(row, column, cell)
     return value
 
 
@@ -241,10 +239,10 @@ def _parse_group(cell: str, row: int) -> int:
     except ValueError:
         number = _parse_float(cell, row, "group")
         if number != int(number):
-            raise NonNumericCell(row, "group", cell) from None
+            raise _not_a_number(row, "group", cell) from None
         value = int(number)
     if value not in _INT64:
-        raise NonNumericCell(row, "group", cell)
+        raise _not_a_number(row, "group", cell)
     return value
 
 
@@ -252,14 +250,14 @@ def _check_header(header: Sequence[str], expected: Sequence[str]) -> dict[str, i
     names = [h.strip() for h in header]
     positions: dict[str, int] = {}
     for i, name in enumerate(names):
-        if name not in expected:
-            raise UnexpectedColumn(name)
         if name in positions:
-            raise UnexpectedColumn(f"{name} (duplicated)")
+            name += " (duplicated)"  # never an expected name, so it raises below
+        if name not in expected:
+            raise DataError(f"unexpected column in header: {name!r}")
         positions[name] = i
     for name in expected:
         if name not in positions:
-            raise MissingColumn(name)
+            raise DataError(f"missing required column: {name!r}")
     return positions
 
 
@@ -272,7 +270,7 @@ def _csv_rows(source, expected: tuple[str, ...], what: str) -> Iterator[tuple[in
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
-            raise EmptyFile(what)
+            raise _no_rows(what)
         positions = _check_header(header, expected)
         ordered = itemgetter(*(positions[name] for name in expected))
         time_parser = None
@@ -280,7 +278,7 @@ def _csv_rows(source, expected: tuple[str, ...], what: str) -> Iterator[tuple[in
             if not row:
                 continue
             if len(row) < len(header):
-                raise ShortRow(row_no, len(row), len(header))
+                raise DataError(f"row {row_no}: {len(row)} cells, header has {len(header)}")
             cells = ordered(row)
             if time_parser is None:
                 time_parser = _detect_time_parser(cells[0])
@@ -291,7 +289,7 @@ def _parse_label(cell: str, row: int) -> int:
     try:
         return LABELS.index(Label(cell.strip()))
     except ValueError:
-        raise NonNumericCell(row, "label", cell) from None
+        raise _not_a_number(row, "label", cell) from None
 
 
 def _read_frame(source, what: str, labeled: bool) -> tuple[Frame, np.ndarray]:
@@ -346,8 +344,9 @@ def parse_scada_csv(source, turbine_id: str = "") -> Frame:
 
     `source` may be a path or an open text/binary stream. The header must
     contain exactly the 28 expected column names, in any order. Raises
-    MissingColumn, UnexpectedColumn, ShortRow, NonNumericCell,
-    UnparseableTimestamp, or EmptyFile.
+    DataError for a missing, unexpected or repeated column, a short row, a
+    cell that is not a finite number, an unparseable timestamp, or a file
+    without data rows.
 
     A path is first read by one np.loadtxt pass (see _loadtxt_frame). A
     file that pass does not take, and every stream, goes through the row
@@ -359,7 +358,7 @@ def parse_scada_csv(source, turbine_id: str = "") -> Frame:
         return frame
     frame, _ = _read_frame(source, what, labeled=False)
     if not len(frame):
-        raise EmptyFile(what)
+        raise _no_rows(what)
     return frame
 
 
@@ -388,7 +387,7 @@ def parse_label_windows_csv(source) -> list[LabelWindow]:
         try:
             kind = WindowKind(kind_cell.strip())
         except ValueError:
-            raise NonNumericCell(row_no, "class", kind_cell.strip()) from None
+            raise _not_a_number(row_no, "class", kind_cell.strip()) from None
         windows.append(LabelWindow(start=parse_time(start, row_no), end=parse_time(end, row_no), kind=kind))
     return windows
 
@@ -406,7 +405,7 @@ def _check_disjoint(windows: Sequence[LabelWindow]) -> None:
     for a, b in zip(order, order[1:]):
         # half-open intervals: touching windows do not overlap
         if windows[a].end > windows[b].start:
-            raise OverlappingWindows(a, b)
+            raise DataError(f"label windows {a} and {b} overlap")
 
 
 def apply_label_windows(
@@ -433,21 +432,6 @@ def apply_label_windows(
         inside = (i >= 0) & (frame.time < ends[i])
         label[inside] = codes[i[inside]]
     return LabeledDataset(frame.time, frame.channels, frame.group, turbine_id, label)
-
-
-def summarize(dataset: LabeledDataset) -> DatasetSummary:
-    """Per-class counts and the covered time span."""
-    counts = dataset.label_counts()
-    span = None
-    if len(dataset) > 0:
-        span = (int(dataset.time[0]), int(dataset.time[-1]))
-    return DatasetSummary(
-        turbine_id=dataset.turbine_id,
-        n_normal=counts[Label.NORMAL],
-        n_abnormal=counts[Label.ABNORMAL],
-        n_invalid=counts[Label.INVALID],
-        time_span=span,
-    )
 
 
 def write_labeled_csv(dataset: LabeledDataset, sink) -> None:

@@ -13,7 +13,7 @@ import icewatch.cli  # noqa: F401
 import numpy as np
 import pytest
 
-from icewatch.errors import DegenerateDenominator, InvalidLabel
+from icewatch.errors import DataError
 from icewatch.features import DENOMINATOR_MARGIN, FEATURE_FIELDS, OFFSET, physical_features, statistical_features
 from icewatch.rules import AUTO_NORMAL, HIGH, LOW
 from icewatch.scada import CHANNELS, COLUMNS, LABELS, Frame, Label, LabeledDataset
@@ -116,18 +116,18 @@ def fv_matrix(vectors) -> tuple[np.ndarray, np.ndarray]:
 
 
 def engineer_per_record(record) -> dict:
-    """Every derived feature of one record; DegenerateDenominator when
-    wind_speed, then generator_speed, sits within the margin of -5."""
+    """Every derived feature of one record; a DataError when wind_speed,
+    then generator_speed, sits within the margin of -5."""
     for channel in ("wind_speed", "generator_speed"):
         value = getattr(record, channel)
         if value <= -OFFSET + DENOMINATOR_MARGIN:
-            raise DegenerateDenominator(channel, value)
+            raise DataError(f"{channel}={value!r} too close to -5; offset denominator degenerate")
     return {**statistical_features(record), **physical_features(record)}
 
 
 def assemble_per_record(record, engineered: dict, label: Label) -> FeatureVector:
     if label not in (Label.NORMAL, Label.ABNORMAL):
-        raise InvalidLabel(label)
+        raise DataError(f"label {label!r} not allowed here (expected normal or abnormal)")
     values = {**record._asdict(), **engineered}
     return FeatureVector(*(values[name] for name in FEATURE_FIELDS.values()), label)
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from icewatch.errors import EmptyMatrix
+from icewatch.errors import DataError
 from icewatch.learners import MlpModel, _mlp_backward, _mlp_forward, mlp_probability
 
 
@@ -30,7 +30,7 @@ def mlp_gradient(
     """
     t = np.asarray(y, dtype=float)
     if t.size == 0:
-        raise EmptyMatrix()
+        raise DataError("matrix has no rows")
     X_std = model.standardization.apply(np.asarray(X, dtype=float))
     grads_w = [np.empty_like(W) for W in model.weights]
     grads_b = [np.empty_like(b) for b in model.biases]

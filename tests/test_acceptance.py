@@ -296,16 +296,16 @@ def test_c09_directional_reproduction(shipped_experiment):
     with criterion("C9 re-engineered beats traditional cross-turbine", 300.0):
         trad, reeng, elapsed, _ = shipped_experiment
         assert elapsed < 300.0, f"experiment took {elapsed:.0f}s"
-        trad_cell = {c.segment: c for c in trad.cells}["all"]
-        pooled = {c.segment: c for c in reeng.cells}["pooled"]
-        assert trad_cell.cv.runs == 10 and pooled.test.runs == 10
+        trad_cell = {c["segment"]: c for c in trad["results"]}["all"]
+        pooled = {c["segment"]: c for c in reeng["results"]}["pooled"]
+        assert trad_cell["n_runs"] == 10 and pooled["n_runs"] == 10
 
-        delta = pooled.test.mean - trad_cell.test.mean
+        delta = pooled["test_mean"] - trad_cell["test_mean"]
         assert delta >= 5.0, f"pooled-vs-traditional test delta {delta:.2f} < 5"
 
         # generalization gap: CV mean minus cross-turbine test mean
-        trad_gap = trad_cell.cv.mean - trad_cell.test.mean
-        reeng_gap = pooled.cv.mean - pooled.test.mean
+        trad_gap = trad_cell["cv_mean"] - trad_cell["test_mean"]
+        reeng_gap = pooled["cv_mean"] - pooled["test_mean"]
         assert trad_gap > reeng_gap, f"gaps: traditional {trad_gap:.2f} <= re-engineered {reeng_gap:.2f}"
 
         # the generator's documented calibration target for the default pair

@@ -12,8 +12,8 @@ import pytest
 from conftest import frame_of, make_dataset, make_record
 from knn_oracle import knn_oracle
 from icewatch import learners
-from icewatch.cli import _json_text, main
-from icewatch.pipeline import bundle_from_dict, predict_stream
+from icewatch.cli import _experiment_config, _json_text, _load_datasets, _pipeline_configs, main
+from icewatch.pipeline import bundle_from_dict, predict_stream, run_traditional
 from icewatch.scada import (
     CHANNELS,
     COLUMNS,
@@ -28,6 +28,7 @@ from icewatch.scada import (
 from icewatch.synthgen import SynthConfig, WindModel, default_offset_profile, generate_turbine
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+SMOKE = Path(__file__).resolve().parent.parent / "configs" / "experiment_smoke.json"
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,18 @@ class TestSynth:
 
 
 class TestIngestAndFeatures:
+    def test_ingest_prints_the_label_counts(self, turbine_dir, tmp_path, capsys):
+        out = tmp_path / "A.labeled.csv"
+        argv = ["ingest", "--scada", str(turbine_dir / "A" / "scada.csv"), "--windows",
+                str(turbine_dir / "A" / "windows.csv"), "--turbine-id", "A", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        counts = json.loads((turbine_dir / "A" / "ledger.json").read_text())["counts"]
+        assert capsys.readouterr().out == (
+            f"A: 6000 records ({counts['normal']} normal, {counts['abnormal']} abnormal, "
+            f"{counts['invalid']} invalid) -> {out}\n"
+        )
+
     def test_features_export(self, labeled_csv, tmp_path):
         out = tmp_path / "features.csv"
         assert main(["features", "--data", str(labeled_csv), "--out", str(out)]) == 0
@@ -197,6 +210,17 @@ class TestExperiment:
         want = predict_stream(bundle_from_dict(json.loads(bundle.read_text())), parse_scada_csv(str(scada)))
         got = [line.split(",")[1] for line in labels.read_text().splitlines()[1:]]
         assert got == [LABELS[code].value for code in want.label]
+
+
+def test_direction_ba_trains_on_turbine_b():
+    doc = json.loads(SMOKE.read_text())
+    doc["data"]["direction"] = "BA"
+    doc.update(variants=["traditional"], n_runs=1, learner={"algorithm": "cart"})
+    exp = _experiment_config(doc)
+    train, test = _load_datasets(exp.data)
+    assert (train.turbine_id, test.turbine_id) == ("B", "A")
+    report = run_traditional(train, test, _pipeline_configs(exp)["traditional"])
+    assert (report["train_dataset"], report["test_dataset"]) == ("B", "A")
 
 
 class TestExitCodes:
@@ -520,6 +544,14 @@ MALFORMED = {
     "experiment-unknown-variant": (
         lambda t: _experiment(t, variants=["traditional", "hybrid"]), 2,
         "config error: variants[1] must be one of 'traditional', 'reengineered', got 'hybrid'",
+    ),
+    "experiment-no-variants": (
+        lambda t: _experiment(t, variants=[]), 2,
+        "config error: variants must be one or more distinct variants, got []",
+    ),
+    "experiment-repeated-variant": (
+        lambda t: _experiment(t, variants=["traditional", "traditional"]), 2,
+        "config error: variants must be one or more distinct variants, got ['traditional', 'traditional']",
     ),
     # checked though no variant segments the turbines
     "experiment-segment-threshold-nan": (

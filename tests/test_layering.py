@@ -1,8 +1,10 @@
-"""The package's import layers, read from the source with ast.
+"""The package's import layers and error classes, read from the source
+with ast.
 
 errors and schema sit at the bottom, the learners know nothing of SCADA
 records, evaluation sits on the learners alone, and only the CLI drives
-the pipeline."""
+the pipeline. errors defines the package's four exception classes, and
+no other module defines one."""
 
 import ast
 from pathlib import Path
@@ -64,3 +66,53 @@ def test_the_guard_sees_every_import_form(tmp_path):
         "def f():\n    from .pipeline import run\n"
     )
     assert package_imports(probe) == {"learners", "scada", "rules", "schema", "errors", "pipeline"}
+
+
+# --- error classes ----------------------------------------------------------------
+
+ERROR_CLASSES = {
+    "IcewatchError": ["Exception"],
+    "ConfigError": ["IcewatchError"],
+    "InvalidConfig": ["ConfigError"],
+    "DataError": ["IcewatchError"],
+}
+
+
+def class_bases(path: Path) -> dict[str, list[str]]:
+    """Each class the source at `path` defines, at any depth, with the last
+    name of each of its bases (``errors.DataError`` is ``DataError``)."""
+    classes = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef):
+            classes[node.name] = [b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", "") for b in node.bases]
+    return classes
+
+
+def exception_classes(path: Path) -> set[str]:
+    """The classes at `path` whose base is an exception: a builtin one, an
+    icewatch one, or any name ending in Error or Exception."""
+    return {
+        name
+        for name, bases in class_bases(path).items()
+        if any(b in ERROR_CLASSES or b.endswith(("Error", "Exception")) for b in bases)
+    }
+
+
+def test_errors_defines_the_two_kinds_and_nothing_else():
+    assert class_bases(PACKAGE / "errors.py") == ERROR_CLASSES
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "errors"])
+def test_no_other_module_defines_an_exception_class(module):
+    """An error is told apart by its message, not by a class of its own."""
+    assert exception_classes(PACKAGE / f"{module}.py") == set()
+
+
+def test_the_guard_sees_every_exception_base(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import errors\nfrom .errors import DataError\n"
+        "class A(DataError): pass\nclass B(errors.InvalidConfig): pass\nclass C(ValueError): pass\n"
+        "class D(Exception): pass\nclass E(object): pass\ndef f():\n    class F(KeyError): pass\n"
+    )
+    assert exception_classes(probe) == {"A", "B", "C", "D", "F"}

@@ -7,7 +7,7 @@ import pytest
 
 from mlp_objective import mlp_gradient, mlp_loss
 from icewatch import learners
-from icewatch.errors import EmptyMatrix, InvalidConfig, SingleClassDataset, TooFewSamples
+from icewatch.errors import DataError, InvalidConfig
 from icewatch.learners import (
     ABNORMAL,
     NORMAL,
@@ -59,7 +59,7 @@ class TestStandardize:
         assert np.allclose(out.std(axis=0), 1.0, atol=1e-9)
 
     def test_empty(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(DataError, match="^matrix has no rows$"):
             standardize_fit(np.empty((0, 3)))
 
 
@@ -85,7 +85,7 @@ class TestTrainChecks:
     def test_single_class(self, rng):
         X = rng.normal(size=(20, 3))
         for labels in (np.zeros(20, dtype=int), np.ones(20, dtype=int)):
-            with pytest.raises(SingleClassDataset):
+            with pytest.raises(DataError, match="^dataset contains only one class$"):
                 train(LearnerConfig(algorithm="knn"), X, labels)
 
     def test_labels_outside_0_1_listed(self, rng):
@@ -95,21 +95,21 @@ class TestTrainChecks:
 
     def test_too_few_for_knn(self, rng):
         X = rng.normal(size=(2, 3))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="^training needs at least 3 samples, got 2$"):
             train(LearnerConfig(algorithm="knn", knn_k=3), X, np.array([0, 1]))
 
     def test_too_few_for_cart(self, rng):
         X = rng.normal(size=(6, 2))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="^training needs at least 10 samples, got 6$"):
             train(LearnerConfig(algorithm="cart", cart_min_leaf=5), X, np.array([0, 1] * 3))
 
     def test_too_few_for_mlp(self, rng):
         X = rng.normal(size=(8, 2))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="^training needs at least 32 samples, got 8$"):
             train(LearnerConfig(algorithm="mlp", mlp_batch_size=32), X, np.array([0, 1] * 4))
 
     def test_empty(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(DataError, match="^matrix has no rows$"):
             train(LearnerConfig(algorithm="knn"), np.empty((0, 3)), [])
 
     @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
@@ -124,7 +124,7 @@ class TestTrainChecks:
         X = rng.normal(size=(40, 3))
         good = (X, np.array([0, 1] * 20))
         sets = [good, good, (X, np.zeros(40, dtype=int)), (X[:4], np.array([0, 1] * 2))]
-        with pytest.raises(SingleClassDataset):
+        with pytest.raises(DataError, match="^dataset contains only one class$"):
             train_many(LearnerConfig(algorithm=algorithm, mlp_batch_size=8), sets)
 
     def test_train_many_of_no_sets(self):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import channel_matrix, dataset_labels, dataset_records, frame_of, make_record
 from icewatch.cli import main
-from icewatch.errors import EmptyClass, InvalidConfig, SegmentTooSmall
+from icewatch.errors import DataError, InvalidConfig
 from icewatch.evaluation import derive_seed
 from icewatch import pipeline
 from icewatch.features import engineer_record, feature_vectors
@@ -24,7 +24,6 @@ from icewatch.pipeline import (
     predict_stream,
     prepare,
     render_report_text,
-    report_to_dict,
     run_reengineered,
     run_traditional,
     train_bundle,
@@ -100,30 +99,29 @@ class TestTraditional:
         _, ds_a, ds_b = small_pair()
         cfg = PipelineConfig(variant="traditional", **knn_common(n_runs=1))
         report = run_traditional(ds_a, ds_b, cfg)
-        (cell,) = report.cells
-        assert cell.segment == "all"
-        assert cell.cv.std == 0.0 and cell.test.std == 0.0
-        assert cell.cv.runs == 1
+        (cell,) = report["results"]
+        assert cell["segment"] == "all"
+        assert cell["cv_std"] == 0.0 and cell["test_std"] == 0.0
+        assert cell["n_runs"] == 1
 
     def test_same_dataset_test_close_to_cv(self):
         _, ds_a, _ = small_pair()
         cfg = PipelineConfig(variant="traditional", **knn_common(n_runs=2))
         report = run_traditional(ds_a, ds_a, cfg)
-        (cell,) = report.cells
-        assert cell.test.mean >= cell.cv.mean - 5.0
+        (cell,) = report["results"]
+        assert cell["test_mean"] >= cell["cv_mean"] - 5.0
 
     def test_deterministic_reports(self):
         _, ds_a, ds_b = small_pair()
         cfg = PipelineConfig(variant="traditional", **knn_common())
-        r1 = report_to_dict(run_traditional(ds_a, ds_b, cfg))
-        r2 = report_to_dict(run_traditional(ds_a, ds_b, cfg))
+        r1 = run_traditional(ds_a, ds_b, cfg)
+        r2 = run_traditional(ds_a, ds_b, cfg)
         assert r1 == r2
 
     def test_provenance_block(self):
         _, ds_a, ds_b = small_pair()
         cfg = PipelineConfig(variant="traditional", **knn_common(n_runs=1))
-        report = run_traditional(ds_a, ds_b, cfg)
-        doc = report_to_dict(report)
+        doc = run_traditional(ds_a, ds_b, cfg)
         assert doc["train_dataset"] == "A" and doc["test_dataset"] == "B"
         assert len(doc["run_seeds"]) == 1
         assert doc["config_hash"]
@@ -134,9 +132,9 @@ class TestReengineered:
     def test_cells_present(self):
         _, ds_a, ds_b = small_pair()
         report = run_reengineered(ds_a, ds_b, reengineered_cfg())
-        segments = [c.segment for c in report.cells]
+        segments = [c["segment"] for c in report["results"]]
         assert segments == ["low", "high", "pooled"]
-        assert all(c.pipeline == "reengineered" for c in report.cells)
+        assert all(c["pipeline"] == "reengineered" for c in report["results"])
 
     def test_impossible_rule_raises_segment_too_small(self):
         _, ds_a, ds_b = small_pair(duration=2000)
@@ -150,7 +148,7 @@ class TestReengineered:
             segmentation=SegmentationConfig(),
             **knn_common(),
         )
-        with pytest.raises(SegmentTooSmall):
+        with pytest.raises(DataError, match="^low segment has 0 training candidates, below minimum 50$"):
             run_reengineered(ds_a, ds_b, cfg)
 
     def test_gate_partition_conserves_flow(self):
@@ -167,8 +165,8 @@ class TestReengineered:
 
     def test_deterministic(self):
         _, ds_a, ds_b = small_pair()
-        r1 = report_to_dict(run_reengineered(ds_a, ds_b, reengineered_cfg()))
-        r2 = report_to_dict(run_reengineered(ds_a, ds_b, reengineered_cfg()))
+        r1 = run_reengineered(ds_a, ds_b, reengineered_cfg())
+        r2 = run_reengineered(ds_a, ds_b, reengineered_cfg())
         assert r1 == r2
 
 
@@ -355,9 +353,9 @@ def test_traditional_raw_channel_baseline():
     raw = run_traditional(
         ds_a, ds_b, PipelineConfig(variant="traditional", traditional_raw_features=True, **common)
     )
-    assert raw.cells[0].test.runs == 1
-    assert raw.config["traditional_raw_features"] is True
-    assert raw.config_hash != engineered.config_hash
+    assert raw["results"][0]["n_runs"] == 1
+    assert raw["config"]["traditional_raw_features"] is True
+    assert raw["config_hash"] != engineered["config_hash"]
 
 
 def test_render_report_text():
@@ -454,7 +452,7 @@ def test_an_error_in_a_childs_share_exits_as_the_sequential_loop_does(cpus, monk
         if seed == failing_seed:
             with open(calls, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            raise EmptyClass("abnormal")
+            raise DataError("dataset has no abnormal records")
         return balance_order(y, cfg, seed)
 
     monkeypatch.setattr(pipeline, "_balance_order", failing_on_run_1)

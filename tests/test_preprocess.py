@@ -12,7 +12,7 @@ from conftest import (
     make_record,
     random_record,
 )
-from icewatch.errors import EmptyClass, InvalidConfig, TooFewNormal, WindowLargerThanSeries
+from icewatch.errors import DataError, InvalidConfig
 from icewatch.preprocess import (
     BalanceConfig,
     DenoiseConfig,
@@ -54,7 +54,7 @@ class TestMovingAverage:
         assert moving_average([5, 5, 5, 5, 5], 2).tolist() == [5.0] * 4
 
     def test_window_larger_than_series(self):
-        with pytest.raises(WindowLargerThanSeries):
+        with pytest.raises(DataError, match="^moving-average window 10 exceeds series length 2$"):
             moving_average([1, 2], 10)
 
     def test_window_one_is_identity(self):
@@ -101,7 +101,7 @@ class TestDenoise:
         assert dataset_labels(out) == [N, A, A]
 
     def test_window_larger_than_dataset(self):
-        with pytest.raises(WindowLargerThanSeries):
+        with pytest.raises(DataError, match="^moving-average window 10 exceeds series length 2$"):
             denoise_dataset(make_dataset([N, A]), DenoiseConfig(window=10))
 
     def test_every_channel_smoothed(self):
@@ -160,13 +160,13 @@ class TestUnderSample:
         assert not np.array_equal(undersample_order(m, seed=9), undersample_order(m, seed=10))
 
     def test_empty_class(self):
-        with pytest.raises(EmptyClass):
+        with pytest.raises(DataError, match="^dataset has no abnormal records$"):
             undersample_order(mask(2, 0), seed=0)
-        with pytest.raises(EmptyClass):
+        with pytest.raises(DataError, match="^dataset has no normal records$"):
             undersample_order(mask(0, 2), seed=0)
 
     def test_fewer_normal_than_abnormal_rejected(self):
-        with pytest.raises(TooFewNormal, match="cannot under-sample: 1 normal < 2 abnormal"):
+        with pytest.raises(DataError, match="^cannot under-sample: 1 normal < 2 abnormal$"):
             undersample_order(mask(1, 2), seed=0)
 
     def test_competition_scale_counts(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import FeatureVector, fv_matrix, gate_per_record, make_fv
-from icewatch.errors import InvalidConfig, UnknownRule
+from icewatch.errors import InvalidConfig
 from icewatch.features import FEATURE_IDS
 from icewatch.rules import (
     AUTO_NORMAL,
@@ -85,7 +86,7 @@ class TestBuiltins:
         assert {c.feature for c in rule.constraints} == {"x4", "x5", "x7", "x10"}
 
     def test_unknown_rule(self):
-        with pytest.raises(UnknownRule):
+        with pytest.raises(InvalidConfig, match=re.escape("unknown builtin rule: 'R6' (expected R1..R5)")):
             builtin_rule("R6")
 
 
@@ -261,7 +262,8 @@ class TestSerialization:
         path.write_text(json.dumps(rule_to_json(builtin_rule("R4"))))
         loaded = load_rule(str(path))
         assert loaded.constraints == builtin_rule("R4").constraints
-        with pytest.raises(UnknownRule):
+        message = "unknown builtin rule: 'nonexistent.json' (expected R1..R5)"
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
             load_rule("nonexistent.json")
 
     def test_validation(self):

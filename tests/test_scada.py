@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import dataset_labels, dataset_of, dataset_records, frame_of, make_record, random_record
-from icewatch.errors import (
-    EmptyFile,
-    MissingColumn,
-    NonNumericCell,
-    OverlappingWindows,
-    UnexpectedColumn,
-    UnparseableTimestamp,
-)
+from icewatch.errors import DataError
 from icewatch import scada
 from icewatch.scada import (
     CHANNELS,
@@ -30,7 +23,6 @@ from icewatch.scada import (
     parse_label_windows_csv,
     parse_scada_csv,
     read_labeled_csv,
-    summarize,
     write_label_windows_csv,
     write_labeled_csv,
     write_scada_csv,
@@ -77,35 +69,34 @@ class TestParse:
 
     def test_missing_column(self):
         header = [c for c in COLUMNS if c != "wind_speed"]
-        with pytest.raises(MissingColumn) as err:
+        with pytest.raises(DataError, match="^missing required column: 'wind_speed'$"):
             parse_scada_csv(csv_text(header, [full_row()[:-1]]))
-        assert err.value.name == "wind_speed"
 
     def test_unexpected_column(self):
         header = list(COLUMNS) + ["humidity"]
-        with pytest.raises(UnexpectedColumn):
+        with pytest.raises(DataError, match="^unexpected column in header: 'humidity'$"):
             parse_scada_csv(csv_text(header, [full_row() + ["0"]]))
 
     def test_non_numeric_cell(self):
         row = full_row()
         row[1 + CHANNELS.index("power")] = "abc"
-        with pytest.raises(NonNumericCell):
+        with pytest.raises(DataError, match="^row 1, column 'power': not a finite number: 'abc'$"):
             parse_scada_csv(csv_text(COLUMNS, [row]))
 
     def test_nan_cell_rejected(self):
         row = full_row()
         row[1 + CHANNELS.index("acc_x")] = "nan"
-        with pytest.raises(NonNumericCell):
+        with pytest.raises(DataError, match="^row 1, column 'acc_x': not a finite number: 'nan'$"):
             parse_scada_csv(csv_text(COLUMNS, [row]))
 
     def test_bad_timestamp(self):
-        with pytest.raises(UnparseableTimestamp):
+        with pytest.raises(DataError, match="^row 1: cannot parse timestamp 'not-a-time'$"):
             parse_scada_csv(csv_text(COLUMNS, [full_row("not-a-time")]))
 
     def test_empty_file(self):
-        with pytest.raises(EmptyFile):
+        with pytest.raises(DataError, match="^SCADA file for turbine contains no data rows$"):
             parse_scada_csv(io.StringIO(""))
-        with pytest.raises(EmptyFile):
+        with pytest.raises(DataError, match="^SCADA file for turbine contains no data rows$"):
             parse_scada_csv(csv_text(COLUMNS, []))
 
     def test_round_trip_bitwise(self, rng):
@@ -146,7 +137,7 @@ class TestWindows:
             LabelWindow(50, 150, WindowKind.ICING),
             LabelWindow(140, 190, WindowKind.NORMAL),
         ]
-        with pytest.raises(OverlappingWindows):
+        with pytest.raises(DataError, match="^label windows 0 and 1 overlap$"):
             apply_label_windows(frame_of([make_record(time=10)]), windows)
 
     def test_touching_windows_allowed(self):
@@ -193,7 +184,7 @@ class TestWindows:
         assert parse_label_windows_csv(buf) == windows
 
 
-class TestSummarize:
+class TestLabelCounts:
     def test_counts(self):
         records = [make_record(time=t) for t in (0, 10, 20)]
         ds = apply_label_windows(
@@ -201,15 +192,11 @@ class TestSummarize:
             [LabelWindow(0, 5, WindowKind.NORMAL), LabelWindow(8, 12, WindowKind.ICING)],
             "T1",
         )
-        s = summarize(ds)
-        assert (s.n_normal, s.n_abnormal, s.n_invalid) == (1, 1, 1)
-        assert s.time_span == (0, 20)
-        assert s.turbine_id == "T1"
+        assert ds.label_counts() == {Label.NORMAL: 1, Label.ABNORMAL: 1, Label.INVALID: 1}
+        assert ds.turbine_id == "T1"
 
     def test_empty(self):
-        s = summarize(dataset_of([], [], "x"))
-        assert (s.n_normal, s.n_abnormal, s.n_invalid) == (0, 0, 0)
-        assert s.time_span is None
+        assert dataset_of([], [], "x").label_counts() == {Label.NORMAL: 0, Label.ABNORMAL: 0, Label.INVALID: 0}
 
     def test_matches_generator_truth(self):
         # counts must equal the generator's own episode bookkeeping
@@ -217,13 +204,13 @@ class TestSummarize:
 
         out = generate_turbine(SynthConfig(duration=6000, seed=7))
         ds = apply_label_windows(out.records, out.truth_windows, "synth")
-        s = summarize(ds)
+        counts = ds.label_counts()
         truth = {label: 0 for label in Label}
         for label in out.truth_labels:
             truth[label] += 1
-        assert s.n_normal == truth[Label.NORMAL]
-        assert s.n_abnormal == truth[Label.ABNORMAL]
-        assert s.n_invalid == truth[Label.INVALID]
+        assert counts[Label.NORMAL] == truth[Label.NORMAL]
+        assert counts[Label.ABNORMAL] == truth[Label.ABNORMAL]
+        assert counts[Label.INVALID] == truth[Label.INVALID]
 
 
 def test_labeled_csv_round_trip(rng):
@@ -340,7 +327,7 @@ def _outcome(parse):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(scada_files())
-@example((",".join(COLUMNS) + "\n", False))  # header only: EmptyFile, and no loadtxt warning
+@example((",".join(COLUMNS) + "\n", False))  # header only: no data rows, and no loadtxt warning
 @example(("\n".join(",".join(r) for r in [COLUMNS, full_row(str(-(2**63)), "-0.0", "3.0"), full_row(str(2**63 - 1))]), False))
 @example(("\n".join(",".join(r) for r in [COLUMNS, full_row("7"), full_row(str(2**63))]), False))
 @example(("\n".join(",".join(r) for r in [COLUMNS, full_row("2015-11-01 00:00:07", "1_000")]), False))
