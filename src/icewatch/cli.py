@@ -182,7 +182,7 @@ def _dump_json(doc, path: Path) -> None:
 def _cmd_ingest(args) -> int:
     frame = parse_scada_csv(args.scada, args.turbine_id)
     windows = parse_label_windows_csv(args.windows)
-    dataset = apply_label_windows(frame, windows, args.turbine_id).require_time_order()
+    dataset = apply_label_windows(frame, windows, args.turbine_id)
     write_labeled_csv(dataset, args.out)
     counts = ", ".join(f"{n} {label.value}" for label, n in dataset.label_counts().items())
     print(f"{dataset.turbine_id}: {len(dataset)} records ({counts}) -> {args.out}")
@@ -225,7 +225,7 @@ def _cmd_synth(args) -> int:
 
 def _preprocessed(args):
     denoise = DenoiseConfig(window=args.ma_window)
-    return prepare(read_labeled_csv(args.data, Path(args.data).stem).require_time_order(), denoise)
+    return prepare(read_labeled_csv(args.data, Path(args.data).stem), denoise)
 
 
 def _cmd_features(args) -> int:
@@ -265,7 +265,7 @@ def _cmd_inspect_rules(args) -> int:
 
 def _load_datasets(data: DataConfig):
     if data.pair is None:
-        return tuple(read_labeled_csv(path, Path(path).stem).require_time_order() for path in (data.train, data.test))
+        return tuple(read_labeled_csv(path, Path(path).stem) for path in (data.train, data.test))
     turbine_a, turbine_b = synthgen.make_turbine_pair(data.pair.base, data.pair.profile)
     ds_a = apply_label_windows(turbine_a.records, turbine_a.truth_windows, "A")
     ds_b = apply_label_windows(turbine_b.records, turbine_b.truth_windows, "B")
@@ -337,7 +337,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = bundle_from_dict(read_json(args.bundle))
-    predicted = predict_stream(bundle, parse_scada_csv(args.scada).require_time_order())
+    predicted = predict_stream(bundle, parse_scada_csv(args.scada))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("time", "label", "confidence_flag"))

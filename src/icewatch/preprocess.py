@@ -4,8 +4,9 @@ The pipeline order is drop_invalid -> denoise -> balance. Denoising
 smooths all 26 continuous channels (time and group never) with a trailing
 (causal) moving average and drops the first window-1 records so that
 every surviving record is backed by a full window; the survivor keeps the
-time, group, and label of the window's most recent raw record. All
-randomness is injected through explicit seeds.
+time, group, and label of the window's most recent raw record, also when
+the window mixes labels. All randomness is injected through explicit
+seeds.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
     The first window-1 records are dropped; a window larger than the
     dataset raises a DataError instead of returning nothing.
     Each surviving record keeps the time, group and label of the most
-    recent raw record in its window (causal semantics); windows mixing
-    labels are counted and logged.
+    recent raw record in its window (causal semantics), whatever labels
+    the window's older records carry.
     """
     n = len(dataset)
     w = cfg.window
@@ -67,14 +68,6 @@ def denoise_dataset(dataset: LabeledDataset, cfg: DenoiseConfig) -> LabeledDatas
         raise DataError(f"moving-average window {w} exceeds series length {n}")
     if w == 1:
         return dataset
-
-    windows = sliding_window_view(dataset.label, w)
-    mixed = int(np.sum(np.any(windows != windows[:, -1:], axis=1)))
-    if mixed:
-        import logging  # loaded only here: most processes never log
-
-        logging.getLogger(__name__).debug("denoise: %d of %d windows mix labels", mixed, windows.shape[0])
-
     return replace(dataset.take(slice(w - 1, None)), channels=moving_average(dataset.channels, w))
 
 

@@ -20,22 +20,24 @@ labeled dataset (`LabeledDataset`) is a Frame plus a turbine id and a
 label column, built by `apply_label_windows` or `read_labeled_csv`.
 `Frame.columns` names each column, so the feature formulas read a frame
 the way they would read one record: `columns.wind_speed` is a column.
+
+This module owns the file format. Every reader and writer takes a path.
+A raw or labeled file is read by one reader, `_read`, which also enforces
+the format's file-level rules: at least one data row, and record times
+that never decrease.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from operator import itemgetter
-from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,13 +130,6 @@ class Frame:
         columns = {f.name: getattr(self, f.name) for f in fields(self)}
         return replace(self, **{name: v[rows] for name, v in columns.items() if isinstance(v, np.ndarray)})
 
-    def require_time_order(self):
-        """The frame itself, if its times never decrease (ingest requires it)."""
-        decreasing = np.flatnonzero(np.diff(self.time) < 0)
-        if decreasing.size:
-            raise DataError(f"record times decrease at index {int(decreasing[0]) + 1}")
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset(Frame):
@@ -147,34 +142,6 @@ class LabeledDataset(Frame):
     def label_counts(self) -> dict[Label, int]:
         counts = np.bincount(self.label, minlength=len(LABELS))
         return {label: int(counts[code]) for code, label in enumerate(LABELS)}
-
-
-@contextmanager
-def _open_source(source) -> Iterator[IO[str]]:
-    """A text stream over `source`; a path is opened here and closed on exit.
-    A byte that is not UTF-8 raises a DataError naming the path."""
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8", newline="") as stream:
-                yield stream
-        elif isinstance(source, io.TextIOBase):
-            yield source
-        else:  # binary stream
-            yield io.TextIOWrapper(source, encoding="utf-8", newline="")
-    except UnicodeDecodeError as exc:
-        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "stream")
-        raise DataError(f"{name}: {exc}") from None
-
-
-@contextmanager
-def open_sink(sink) -> Iterator[IO[str]]:
-    """A text stream for writing to `sink`; a path is opened here and closed
-    on exit, an open stream is used as is and left open."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as stream:
-            yield stream
-    else:
-        yield sink
 
 
 # the messages that several readers raise, each built here once
@@ -261,28 +228,32 @@ def _check_header(header: Sequence[str], expected: Sequence[str]) -> dict[str, i
     return positions
 
 
-def _csv_rows(source, expected: tuple[str, ...], what: str) -> Iterator[tuple[int, tuple[str, ...], Callable]]:
+def _csv_rows(path, expected: tuple[str, ...], what: str) -> Iterator[tuple[int, tuple[str, ...], Callable]]:
     """The row loop of every CSV reader: check the header against
     `expected`, skip blank rows and reject short ones. Yield the row number,
     the cells in `expected` order, and the time parser detected from the
-    first data row's first expected column."""
-    with _open_source(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise _no_rows(what)
-        positions = _check_header(header, expected)
-        ordered = itemgetter(*(positions[name] for name in expected))
-        time_parser = None
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise DataError(f"row {row_no}: {len(row)} cells, header has {len(header)}")
-            cells = ordered(row)
-            if time_parser is None:
-                time_parser = _detect_time_parser(cells[0])
-            yield row_no, cells, time_parser
+    first data row's first expected column. A byte that is not UTF-8
+    raises a DataError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as stream:
+            reader = csv.reader(stream)
+            header = next(reader, None)
+            if header is None:
+                raise _no_rows(what)
+            positions = _check_header(header, expected)
+            ordered = itemgetter(*(positions[name] for name in expected))
+            time_parser = None
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) < len(header):
+                    raise DataError(f"row {row_no}: {len(row)} cells, header has {len(header)}")
+                cells = ordered(row)
+                if time_parser is None:
+                    time_parser = _detect_time_parser(cells[0])
+                yield row_no, cells, time_parser
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _parse_label(cell: str, row: int) -> int:
@@ -292,15 +263,17 @@ def _parse_label(cell: str, row: int) -> int:
         raise _not_a_number(row, "label", cell) from None
 
 
-def _read_frame(source, what: str, labeled: bool) -> tuple[Frame, np.ndarray]:
-    """The reader of raw and labeled CSVs: the frame and, for a labeled
-    file, its int8 label codes (empty for a raw one)."""
+def _read_frame(path, what: str, labeled: bool) -> tuple[Frame, np.ndarray]:
+    """The row reader of raw and labeled CSVs: the frame and, for a labeled
+    file, its int8 label codes (empty for a raw one). It checks each cell,
+    names the row and column of the first bad one, and is the reference
+    that the np.loadtxt pass must match."""
     group_at = 1 + len(CHANNELS)
     times: list[int] = []
     rows: list[list[float]] = []
     groups: list[int] = []
     codes: list[int] = []
-    for row_no, cells, parse_time in _csv_rows(source, COLUMNS + (("label",) if labeled else ()), what):
+    for row_no, cells, parse_time in _csv_rows(path, COLUMNS + (("label",) if labeled else ()), what):
         times.append(parse_time(cells[0], row_no))
         rows.append([_parse_float(cell, row_no, name) for name, cell in zip(CHANNELS, cells[1:group_at])])
         groups.append(_parse_group(cells[group_at], row_no))
@@ -314,60 +287,78 @@ def _read_frame(source, what: str, labeled: bool) -> tuple[Frame, np.ndarray]:
     return frame, np.array(codes, dtype=np.int8)
 
 
-def _loadtxt_frame(path) -> Frame | None:
-    """The frame of the raw SCADA CSV at `path` from one np.loadtxt pass,
-    or None if that pass fails or warns, or a channel is not finite.
+# np.loadtxt silently cuts a cell to its string field's width; one character
+# wider than the longest label name, the field cuts no cell down to a name
+_LABEL_FIELD = f"U{max(len(label.value) for label in LABELS) + 1}"
 
-    The header must name the 28 columns in any order; the rows must be
-    plain integer epoch times and groups and plain float channels, with
+
+def _loadtxt_frame(path, labeled: bool) -> tuple[Frame, np.ndarray] | None:
+    """What _read_frame returns for the CSV at `path`, from one np.loadtxt
+    pass, or None if that pass fails or warns, a channel is not finite or
+    a label cell is not exactly one of the LABELS names.
+
+    The header must name the expected columns in any order; the rows must
+    be plain integer epoch times and groups and plain float channels, with
     exactly one cell per column. np.loadtxt parses a float cell to the
     bits float() gives and accepts no cell that the row reader rejects, so
-    a file it reads gives the row reader's frame."""
+    a file it reads gives the row reader's frame and codes."""
+    expected = COLUMNS + (("label",) if labeled else ())
     try:
         with open(path, encoding="utf-8") as stream, warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a file without data rows
             names = [name.strip() for name in stream.readline().split(",")]
-            if sorted(names) != sorted(COLUMNS):
+            if sorted(names) != sorted(expected):
                 return None
-            dtype = [(name, np.int64 if name in ("time", "group") else float) for name in names]
+            types = {"time": np.int64, "group": np.int64, "label": _LABEL_FIELD}
+            dtype = [(name, types.get(name, float)) for name in names]
             table = np.loadtxt(stream, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
     channels = np.stack([table[name] for name in CHANNELS], axis=1)
     if not np.isfinite(channels).all():
         return None
-    return Frame(np.ascontiguousarray(table["time"]), channels, np.ascontiguousarray(table["group"]))
+    codes = np.empty(0, dtype=np.int8)
+    if labeled:
+        codes = np.full(len(table), -1, dtype=np.int8)
+        for code, label in enumerate(LABELS):
+            codes[table["label"] == label.value] = code
+        if (codes < 0).any():
+            return None
+    return Frame(np.ascontiguousarray(table["time"]), channels, np.ascontiguousarray(table["group"])), codes
 
 
-def parse_scada_csv(source, turbine_id: str = "") -> Frame:
-    """Parse a raw SCADA CSV into a frame, preserving file order.
-
-    `source` may be a path or an open text/binary stream. The header must
-    contain exactly the 28 expected column names, in any order. Raises
-    DataError for a missing, unexpected or repeated column, a short row, a
-    cell that is not a finite number, an unparseable timestamp, or a file
-    without data rows.
-
-    A path is first read by one np.loadtxt pass (see _loadtxt_frame). A
-    file that pass does not take, and every stream, goes through the row
-    reader, which checks each cell and names the row and column of the
-    first bad one. Both give the same frame for a file they both read.
-    """
-    what = f"SCADA file for {turbine_id or 'turbine'}"
-    if isinstance(source, (str, Path)) and (frame := _loadtxt_frame(source)) is not None:
-        return frame
-    frame, _ = _read_frame(source, what, labeled=False)
+def _read(path, what: str, labeled: bool) -> tuple[Frame, np.ndarray]:
+    """The reader of raw and labeled CSVs, with the frame and label codes
+    of _read_frame. The np.loadtxt pass reads a plain file; any other file
+    goes through the row reader. A file without data rows, or whose record
+    times decrease, raises a DataError."""
+    frame, codes = _loadtxt_frame(path, labeled) or _read_frame(path, what, labeled)
     if not len(frame):
         raise _no_rows(what)
+    decreasing = np.flatnonzero(frame.time[1:] < frame.time[:-1])  # np.diff of int64 times can wrap
+    if decreasing.size:
+        raise DataError(f"record times decrease at index {int(decreasing[0]) + 1}")
+    return frame, codes
+
+
+def parse_scada_csv(path, turbine_id: str = "") -> Frame:
+    """Parse the raw SCADA CSV at `path` into a frame, preserving file order.
+
+    The header must contain exactly the 28 expected column names, in any
+    order. Raises DataError for a missing, unexpected or repeated column, a
+    short row, a cell that is not a finite number, an unparseable
+    timestamp, a file without data rows, or record times that decrease.
+    """
+    frame, _ = _read(path, f"SCADA file for {turbine_id or 'turbine'}", labeled=False)
     return frame
 
 
-def _write_rows(sink, frame: Frame, extra: dict[str, list]) -> None:
+def _write_rows(path, frame: Frame, extra: dict[str, list]) -> None:
     """The writer of raw and labeled CSVs: the frame's rows followed by the
     cells of the `extra` columns. Floats are written as the repr of Python
     floats, the shortest round-tripping form, so a write/parse round trip
     is bitwise exact; time is written as epoch seconds."""
-    with open_sink(sink) as stream:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         writer = csv.writer(stream)
         writer.writerow(COLUMNS + tuple(extra))
         rows = zip(frame.time.tolist(), frame.channels.tolist(), frame.group.tolist(), *extra.values())
@@ -375,15 +366,15 @@ def _write_rows(sink, frame: Frame, extra: dict[str, list]) -> None:
             writer.writerow([time, *map(repr, values), group, *cells])
 
 
-def write_scada_csv(frame: Frame, sink) -> None:
+def write_scada_csv(frame: Frame, path) -> None:
     """Write a frame as a raw SCADA CSV in canonical column order."""
-    _write_rows(sink, frame, {})
+    _write_rows(path, frame, {})
 
 
-def parse_label_windows_csv(source) -> list[LabelWindow]:
+def parse_label_windows_csv(path) -> list[LabelWindow]:
     """Parse a window file with columns start,end,class."""
     windows: list[LabelWindow] = []
-    for row_no, (start, end, kind_cell), parse_time in _csv_rows(source, ("start", "end", "class"), "window file"):
+    for row_no, (start, end, kind_cell), parse_time in _csv_rows(path, ("start", "end", "class"), "window file"):
         try:
             kind = WindowKind(kind_cell.strip())
         except ValueError:
@@ -392,8 +383,8 @@ def parse_label_windows_csv(source) -> list[LabelWindow]:
     return windows
 
 
-def write_label_windows_csv(windows: Iterable[LabelWindow], sink) -> None:
-    with open_sink(sink) as stream:
+def write_label_windows_csv(windows: Iterable[LabelWindow], path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         writer = csv.writer(stream)
         writer.writerow(("start", "end", "class"))
         for w in windows:
@@ -434,13 +425,15 @@ def apply_label_windows(
     return LabeledDataset(frame.time, frame.channels, frame.group, turbine_id, label)
 
 
-def write_labeled_csv(dataset: LabeledDataset, sink) -> None:
+def write_labeled_csv(dataset: LabeledDataset, path) -> None:
     """Internal labeled-dataset file: the 28 SCADA columns plus `label`."""
     names = [label.value for label in LABELS]
-    _write_rows(sink, dataset, {"label": [names[code] for code in dataset.label.tolist()]})
+    _write_rows(path, dataset, {"label": [names[code] for code in dataset.label.tolist()]})
 
 
-def read_labeled_csv(source, turbine_id: str = "") -> LabeledDataset:
-    """Read a file written by write_labeled_csv."""
-    frame, label = _read_frame(source, "labeled dataset file", labeled=True)
+def read_labeled_csv(path, turbine_id: str = "") -> LabeledDataset:
+    """Read the labeled dataset file at `path`, as write_labeled_csv
+    writes it; raises DataError as parse_scada_csv does, and for a label
+    that is not one of the LABELS names."""
+    frame, label = _read(path, "labeled dataset file", labeled=True)
     return LabeledDataset(frame.time, frame.channels, frame.group, turbine_id, label)

@@ -390,6 +390,7 @@ def _predict_power_only_bundle(tmp_path):
 
 
 NAN_BOUND = [{"feature": "x4", "upper": float("nan")}]
+LABELED_HEADER = ",".join(COLUMNS + ("label",)) + "\n"
 
 
 # (argv builder, exit code, expected part of the message)
@@ -496,6 +497,23 @@ MALFORMED = {
         "s.csv: 'utf-8' codec can't decode byte 0xff",
     ),
     "predict-scada-not-utf8": (_predict_scada_not_utf8, 3, "B.csv: 'utf-8' codec can't decode byte 0xff"),
+    "features-labeled-not-utf8": (
+        lambda t: ["features", "--data", _bytes(t / "d.csv", LABELED_HEADER.encode() + b"7,\xff\n"), "--out",
+                   str(t / "f.csv")], 3,
+        "d.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "ingest-windows-not-utf8": (
+        lambda t: _ingest(t, _scada(t / "s.csv", [0, 7]), _bytes(t / "w.csv", b"start,end,class\n0,\xff,normal\n")), 3,
+        "w.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "features-header-only": (
+        lambda t: ["features", "--data", _file(t / "d.csv", LABELED_HEADER), "--out", str(t / "f.csv")], 3,
+        "labeled dataset file contains no data rows",
+    ),
+    "inspect-rules-header-only": (
+        lambda t: ["inspect-rules", "--data", _file(t / "d.csv", LABELED_HEADER)], 3,
+        "labeled dataset file contains no data rows",
+    ),
     "predict-bundle-not-utf8": (
         lambda t: ["predict", "--bundle", _bytes(t / "b.json", b'{"format": "\xff"}'), "--scada", "B.csv", "--out",
                    str(t / "l.csv")], 3,
@@ -686,6 +704,13 @@ def test_predict_never_imports_synthgen_logging_or_hashlib(tmp_path, turbine_dir
     code = f"import sys; from icewatch.cli import main; print([main(a) for a in {argv!r}], [m for m in {unused!r} if m in sys.modules])"
     assert _python(code).splitlines()[-1] == f"{[0] * len(argv)} []"
     code = "import sys; from icewatch.cli import main; print(main(['--help']), 'icewatch.synthgen' in sys.modules)"
+    assert _python(code).splitlines()[-1] == "0 False"
+
+
+def test_experiment_never_imports_logging(tmp_path):
+    # nothing in icewatch logs, and logging costs a process about 5 ms to import
+    argv = ["experiment", "--config", str(SMOKE), "--out-dir", str(tmp_path / "out"), "--bundles"]
+    code = f"import sys; from icewatch.cli import main; print(main({argv!r}), 'logging' in sys.modules)"
     assert _python(code).splitlines()[-1] == "0 False"
 
 

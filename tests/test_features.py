@@ -1,4 +1,3 @@
-import io
 import json
 import re
 from pathlib import Path
@@ -236,14 +235,13 @@ class TestRankFeatures:
         assert [name for name, _ in rank_features(*fv_matrix(rescaled))] == base_order
 
 
-def test_feature_csv_export(rng):
+def test_feature_csv_export(rng, tmp_path):
     vectors = [
         make_fv(label=Label.NORMAL, wind_speed=0.5),
         make_fv(label=Label.ABNORMAL, wind_speed=-0.5),
     ]
-    buf = io.StringIO()
-    write_feature_csv(*fv_matrix(vectors), buf)
-    lines = buf.getvalue().strip().split("\n")
+    write_feature_csv(*fv_matrix(vectors), tmp_path / "f.csv")
+    lines = (tmp_path / "f.csv").read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == ",".join(FEATURE_IDS + ("y",))
     assert lines[1].endswith(",0")
     assert lines[2].endswith(",1")

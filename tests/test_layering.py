@@ -1,5 +1,5 @@
 """The package's import layers and error classes, read from the source
-with ast.
+with ast, and the line count that tests/code_lines.py prints.
 
 errors and schema sit at the bottom, the learners know nothing of SCADA
 records, evaluation sits on the learners alone, and only the CLI drives
@@ -116,3 +116,31 @@ def test_the_guard_sees_every_exception_base(tmp_path):
         "class D(Exception): pass\nclass E(object): pass\ndef f():\n    class F(KeyError): pass\n"
     )
     assert exception_classes(probe) == {"A", "B", "C", "D", "F"}
+
+
+# --- the line count of tests/code_lines.py --------------------------------------------
+
+
+def test_code_lines_counts_each_kind():
+    from code_lines import count_lines
+
+    source = '''"""A module docstring
+
+over three lines."""
+
+import os  # a trailing comment makes no comment line
+
+
+class A:
+    """One line."""
+
+    # a comment
+    x = """not a docstring:
+    a string's lines are code"""
+
+    def f(self):
+        """Two
+        lines."""
+        return os.sep
+'''
+    assert count_lines(source) == {"code": 6, "docstring": 6, "comment": 1, "blank": 5}

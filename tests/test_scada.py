@@ -1,4 +1,3 @@
-import io
 import random
 import warnings
 
@@ -14,6 +13,7 @@ from icewatch import scada
 from icewatch.scada import (
     CHANNELS,
     COLUMNS,
+    LABELS,
     Frame,
     Label,
     LabeledDataset,
@@ -29,9 +29,13 @@ from icewatch.scada import (
 )
 
 
-def csv_text(header, rows):
+LABELED_COLUMNS = COLUMNS + ("label",)
+
+
+def csv_file(path, header, rows):
     lines = [",".join(header)] + [",".join(str(c) for c in row) for row in rows]
-    return io.StringIO("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def full_row(time="100", value="1.5", group="1"):
@@ -39,15 +43,16 @@ def full_row(time="100", value="1.5", group="1"):
 
 
 class TestParse:
-    def test_two_valid_rows(self):
-        records = dataset_records(parse_scada_csv(csv_text(COLUMNS, [full_row("100"), full_row("107")])))
+    def test_two_valid_rows(self, tmp_path):
+        path = csv_file(tmp_path / "s.csv", COLUMNS, [full_row("100"), full_row("107")])
+        records = dataset_records(parse_scada_csv(path))
         assert len(records) == 2
         assert records[0].time == 100
         assert records[1].time == 107
         assert records[0].wind_speed == 1.5
         assert records[0].group == 1
 
-    def test_any_column_order(self):
+    def test_any_column_order(self, tmp_path):
         header = list(COLUMNS)
         random.Random(5).shuffle(header)
         idx = {name: i for i, name in enumerate(header)}
@@ -56,55 +61,66 @@ class TestParse:
         row[idx["group"]] = "3"
         for ch in CHANNELS:
             row[idx[ch]] = "2.25"
-        records = dataset_records(parse_scada_csv(csv_text(header, [row])))
+        records = dataset_records(parse_scada_csv(csv_file(tmp_path / "s.csv", header, [row])))
         assert records[0].time == 42
         assert records[0].power == 2.25
         assert records[0].group == 3
 
-    def test_iso_timestamps_autodetected(self):
-        records = dataset_records(
-            parse_scada_csv(csv_text(COLUMNS, [full_row("2015-11-01 00:00:07"), full_row("2015-11-01 00:00:14")]))
-        )
+    def test_iso_timestamps_autodetected(self, tmp_path):
+        rows = [full_row("2015-11-01 00:00:07"), full_row("2015-11-01 00:00:14")]
+        records = dataset_records(parse_scada_csv(csv_file(tmp_path / "s.csv", COLUMNS, rows)))
         assert records[1].time - records[0].time == 7
 
-    def test_missing_column(self):
+    def test_missing_column(self, tmp_path):
         header = [c for c in COLUMNS if c != "wind_speed"]
         with pytest.raises(DataError, match="^missing required column: 'wind_speed'$"):
-            parse_scada_csv(csv_text(header, [full_row()[:-1]]))
+            parse_scada_csv(csv_file(tmp_path / "s.csv", header, [full_row()[:-1]]))
 
-    def test_unexpected_column(self):
+    def test_unexpected_column(self, tmp_path):
         header = list(COLUMNS) + ["humidity"]
         with pytest.raises(DataError, match="^unexpected column in header: 'humidity'$"):
-            parse_scada_csv(csv_text(header, [full_row() + ["0"]]))
+            parse_scada_csv(csv_file(tmp_path / "s.csv", header, [full_row() + ["0"]]))
 
-    def test_non_numeric_cell(self):
+    def test_non_numeric_cell(self, tmp_path):
         row = full_row()
         row[1 + CHANNELS.index("power")] = "abc"
         with pytest.raises(DataError, match="^row 1, column 'power': not a finite number: 'abc'$"):
-            parse_scada_csv(csv_text(COLUMNS, [row]))
+            parse_scada_csv(csv_file(tmp_path / "s.csv", COLUMNS, [row]))
 
-    def test_nan_cell_rejected(self):
+    def test_nan_cell_rejected(self, tmp_path):
         row = full_row()
         row[1 + CHANNELS.index("acc_x")] = "nan"
         with pytest.raises(DataError, match="^row 1, column 'acc_x': not a finite number: 'nan'$"):
-            parse_scada_csv(csv_text(COLUMNS, [row]))
+            parse_scada_csv(csv_file(tmp_path / "s.csv", COLUMNS, [row]))
 
-    def test_bad_timestamp(self):
+    def test_bad_timestamp(self, tmp_path):
         with pytest.raises(DataError, match="^row 1: cannot parse timestamp 'not-a-time'$"):
-            parse_scada_csv(csv_text(COLUMNS, [full_row("not-a-time")]))
+            parse_scada_csv(csv_file(tmp_path / "s.csv", COLUMNS, [full_row("not-a-time")]))
 
-    def test_empty_file(self):
+    def test_empty_file(self, tmp_path):
+        (tmp_path / "empty.csv").write_text("")
         with pytest.raises(DataError, match="^SCADA file for turbine contains no data rows$"):
-            parse_scada_csv(io.StringIO(""))
+            parse_scada_csv(tmp_path / "empty.csv")
         with pytest.raises(DataError, match="^SCADA file for turbine contains no data rows$"):
-            parse_scada_csv(csv_text(COLUMNS, []))
+            parse_scada_csv(csv_file(tmp_path / "s.csv", COLUMNS, []))
+        with pytest.raises(DataError, match="^labeled dataset file contains no data rows$"):
+            read_labeled_csv(csv_file(tmp_path / "d.csv", LABELED_COLUMNS, []))
 
-    def test_round_trip_bitwise(self, rng):
+    def test_times_must_not_decrease(self, tmp_path):
+        rows = [full_row("100"), full_row("100"), full_row("107"), full_row("99")]
+        with pytest.raises(DataError, match="^record times decrease at index 3$"):
+            parse_scada_csv(csv_file(tmp_path / "s.csv", COLUMNS, rows))
+        with pytest.raises(DataError, match="^record times decrease at index 3$"):
+            read_labeled_csv(csv_file(tmp_path / "d.csv", LABELED_COLUMNS, [row + ["normal"] for row in rows]))
+        assert parse_scada_csv(csv_file(tmp_path / "s.csv", COLUMNS, rows[:3])).time.tolist() == [100, 100, 107]
+        extremes = [-(2**63), -1, 2**63 - 1]  # the difference of the last two is beyond int64
+        path = csv_file(tmp_path / "s.csv", COLUMNS, [full_row(str(t)) for t in extremes])
+        assert parse_scada_csv(path).time.tolist() == extremes
+
+    def test_round_trip_bitwise(self, rng, tmp_path):
         records = [random_record(rng, time=i * 7) for i in range(50)]
-        buf = io.StringIO()
-        write_scada_csv(frame_of(records), buf)
-        buf.seek(0)
-        assert dataset_records(parse_scada_csv(buf)) == records
+        write_scada_csv(frame_of(records), tmp_path / "s.csv")
+        assert dataset_records(parse_scada_csv(tmp_path / "s.csv")) == records
 
 
 class TestWindows:
@@ -173,15 +189,13 @@ class TestWindows:
         counts = ds.label_counts()
         assert sum(counts.values()) == len(ds)
 
-    def test_window_csv_round_trip(self):
+    def test_window_csv_round_trip(self, tmp_path):
         windows = [
             LabelWindow(50, 150, WindowKind.ICING),
             LabelWindow(150, 190, WindowKind.NORMAL),
         ]
-        buf = io.StringIO()
-        write_label_windows_csv(windows, buf)
-        buf.seek(0)
-        assert parse_label_windows_csv(buf) == windows
+        write_label_windows_csv(windows, tmp_path / "w.csv")
+        assert parse_label_windows_csv(tmp_path / "w.csv") == windows
 
 
 class TestLabelCounts:
@@ -213,14 +227,12 @@ class TestLabelCounts:
         assert counts[Label.INVALID] == truth[Label.INVALID]
 
 
-def test_labeled_csv_round_trip(rng):
+def test_labeled_csv_round_trip(rng, tmp_path):
     records = [random_record(rng, time=i * 7) for i in range(30)]
     windows = [LabelWindow(0, 100, WindowKind.NORMAL), LabelWindow(100, 140, WindowKind.ICING)]
     ds = apply_label_windows(frame_of(records), windows, "T9")
-    buf = io.StringIO()
-    write_labeled_csv(ds, buf)
-    buf.seek(0)
-    back = read_labeled_csv(buf, "T9")
+    write_labeled_csv(ds, tmp_path / "d.csv")
+    back = read_labeled_csv(tmp_path / "d.csv", "T9")
     assert back.turbine_id == ds.turbine_id
     assert dataset_records(back) == dataset_records(ds) == records
     assert dataset_labels(back) == dataset_labels(ds)
@@ -235,7 +247,7 @@ INT64 = st.integers(-(2**63), 2**63 - 1)
 def labeled_datasets(draw):
     n = draw(st.integers(1, 8))
     return LabeledDataset(
-        draw(arrays(np.int64, n, elements=INT64)),
+        np.sort(draw(arrays(np.int64, n, elements=INT64))),  # the file format requires time order
         draw(arrays(np.float64, (n, len(CHANNELS)), elements=FINITE)),
         draw(arrays(np.int64, n, elements=INT64)),
         "T",
@@ -249,26 +261,24 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(labeled_datasets())
-def test_frame_csv_round_trip_is_bitwise(ds):
+def test_frame_csv_round_trip_is_bitwise(tmp_path_factory, ds):
     frame = Frame(ds.time, ds.channels, ds.group)
-    buf = io.StringIO()
-    write_scada_csv(frame, buf)
-    buf.seek(0)
-    back = parse_scada_csv(buf)
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_scada_csv(frame, path)
+    back = parse_scada_csv(path)
     assert all(same_bits(getattr(back, c), getattr(frame, c)) for c in ("time", "channels", "group"))
 
-    buf = io.StringIO()
-    write_labeled_csv(ds, buf)
-    buf.seek(0)
-    back = read_labeled_csv(buf, "T")
+    write_labeled_csv(ds, path)
+    back = read_labeled_csv(path, "T")
     assert all(same_bits(getattr(back, c), getattr(ds, c)) for c in ("time", "channels", "group", "label"))
 
 
-# --- the np.loadtxt fast path of parse_scada_csv --------------------------------
+# --- the np.loadtxt pass of the raw and labeled reader -----------------------------
 
 TIME_CELLS = INT64.map(str)
 VALUE_CELLS = FINITE.map(repr) | st.sampled_from(["-0.0", "5e-324", "1e308", "-1e308", "7", "-0"])
 GROUP_CELLS = INT64.map(str)
+LABEL_CELLS = st.sampled_from([label.value for label in LABELS])
 # cells the row reader takes or rejects that a plain loadtxt pass may not
 ODD_TIMES = [
     "2015-11-01 00:00:07", str(2**63 - 1), str(-(2**63)), str(2**63), " 42 ", "+42", "4_2", "\u0664\u0662",
@@ -279,22 +289,35 @@ ODD_VALUES = [
     "0x10", "1.5e",
 ]
 ODD_GROUPS = ["3.0", '"3"', " 3 ", "3e0", "\u0663", "1_0", str(2**63)]
+# "abnormalX" is one character longer than the longest name: a string field
+# of that name's width would cut it down to "abnormal"
+ODD_LABELS = [" normal", "normal ", '"normal"', "Normal", "abnormalX", "abnormal_icing", "", "icing", "0"]
+ODD_CELLS = {"time": ODD_TIMES, "group": ODD_GROUPS, "label": ODD_LABELS}
 
 
 @st.composite
 def scada_files(draw):
-    """The text of a raw SCADA CSV, and whether every row is plain: integer
-    times and groups, float channels, one cell per column."""
-    header = draw(st.permutations(COLUMNS))
+    """The text of a raw or labeled SCADA CSV, whether it is labeled, and
+    whether every row is plain: integer times and groups, float channels,
+    label names, one cell per column."""
+    labeled = draw(st.booleans())
+    columns = LABELED_COLUMNS if labeled else COLUMNS
+    header = draw(st.permutations(columns))
     n = draw(st.integers(0, 5))
     iso = n > 0 and draw(st.integers(0, 5)) == 0
+    times = [f"2015-11-01 00:{i:02d}:07" if iso else draw(TIME_CELLS) for i in range(n)]
+    if not iso and draw(st.booleans()):  # random times mostly decrease, which the reader rejects
+        times.sort(key=int)
     rows = []
-    for i in range(n):
-        time = f"2015-11-01 00:{i:02d}:07" if iso else draw(TIME_CELLS)
-        rows.append({"time": time, "group": draw(GROUP_CELLS), **{ch: draw(VALUE_CELLS) for ch in CHANNELS}})
-    odd = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from(COLUMNS)), max_size=2)) if n else []
+    for time in times:
+        row = {"time": time, "group": draw(GROUP_CELLS), **{ch: draw(VALUE_CELLS) for ch in CHANNELS}}
+        rows.append(row | ({"label": draw(LABEL_CELLS)} if labeled else {}))
+    odd_columns = st.sampled_from(columns) | st.just("label") if labeled else st.sampled_from(columns)
+    odd = []
+    if n and draw(st.booleans()):
+        odd = draw(st.lists(st.tuples(st.integers(0, n - 1), odd_columns), max_size=2))
     for r, name in odd:
-        rows[r][name] = draw(st.sampled_from(ODD_TIMES if name == "time" else ODD_GROUPS if name == "group" else ODD_VALUES))
+        rows[r][name] = draw(st.sampled_from(ODD_CELLS.get(name, ODD_VALUES)))
     lines = [",".join(header)] + [",".join(row[name] for name in header) for row in rows]
     # whole-line edits: an extra cell, a missing cell, blank and blank-looking lines
     edits = draw(st.lists(st.tuples(st.integers(1, len(lines)), st.sampled_from(["extra", "short", "", "   "])), max_size=2))
@@ -307,36 +330,58 @@ def scada_files(draw):
             lines.insert(at, edit)
     plain = n > 0 and not iso and not odd and all(edit == "" for _, edit in edits)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from([newline, ""])), plain
+    return newline.join(lines) + draw(st.sampled_from([newline, ""])), labeled, plain
 
 
-def _outcome(parse):
-    """A parse's frame as bytes, or its exception type and message; it
+def _outcome(read):
+    """A read's frame and label codes as bytes, "declined" for a loadtxt
+    pass that returns None, or the exception's type and message; the read
     must not warn."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            frame = parse()
-            result = ("frame", frame.time.dtype, frame.time.tobytes(), frame.channels.dtype, frame.channels.shape,
-                      frame.channels.tobytes(), frame.group.dtype, frame.group.tobytes(), frame.channels.flags.c_contiguous)
+            got = read()
+            if got is None:
+                result = ("declined",)
+            else:
+                frame, codes = got
+                result = ("frame", frame.time.dtype, frame.time.tobytes(), frame.channels.dtype, frame.channels.shape,
+                          frame.channels.tobytes(), frame.group.dtype, frame.group.tobytes(),
+                          frame.channels.flags.c_contiguous, codes.dtype, codes.shape, codes.tobytes())
         except Exception as exc:  # compared below, type and message
             result = ("error", type(exc), str(exc))
     assert [str(w.message) for w in caught] == []
     return result
 
 
+def _text(header, *rows):
+    return "\n".join(",".join(row) for row in [header, *rows])
+
+
+LABELED_ROWS = [("7", "abnormal"), ("7", "invalid"), ("14", "normal")]
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(scada_files())
-@example((",".join(COLUMNS) + "\n", False))  # header only: no data rows, and no loadtxt warning
-@example(("\n".join(",".join(r) for r in [COLUMNS, full_row(str(-(2**63)), "-0.0", "3.0"), full_row(str(2**63 - 1))]), False))
-@example(("\n".join(",".join(r) for r in [COLUMNS, full_row("7"), full_row(str(2**63))]), False))
-@example(("\n".join(",".join(r) for r in [COLUMNS, full_row("2015-11-01 00:00:07", "1_000")]), False))
+@example((",".join(COLUMNS) + "\n", False, False))  # header only: no data rows, and no loadtxt warning
+@example((_text(COLUMNS, full_row(str(-(2**63)), "-0.0", "3.0"), full_row(str(2**63 - 1))), False, False))
+@example((_text(COLUMNS, full_row("7"), full_row(str(2**63))), False, False))
+@example((_text(COLUMNS, full_row("2015-11-01 00:00:07", "1_000")), False, False))
+@example((",".join(LABELED_COLUMNS) + "\n", True, False))
+@example((_text(LABELED_COLUMNS, *[full_row(t) + [name] for t, name in LABELED_ROWS]), True, True))
+@example((_text(LABELED_COLUMNS, full_row("7") + ["abnormal"], full_row("14") + ["abnormalX"]), True, False))
 def test_path_fast_path_matches_row_reader(tmp_path_factory, case):
-    text, plain = case
+    text, labeled, plain = case
     path = tmp_path_factory.getbasetemp() / "fast_path.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    by_path = _outcome(lambda: parse_scada_csv(path))
-    by_rows = _outcome(lambda: parse_scada_csv(io.BytesIO(text.encode("utf-8"))))  # a stream takes the row reader
-    assert by_path == by_rows
-    if plain:  # the fast path itself read the file
-        assert by_path[0] == "frame" and _outcome(lambda: scada._loadtxt_frame(path)) == by_rows
+    what = "labeled dataset file" if labeled else "SCADA file for turbine"
+    by_read = _outcome(lambda: scada._read(path, what, labeled))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scada, "_loadtxt_frame", lambda path, labeled: None)  # the row reader alone
+        assert _outcome(lambda: scada._read(path, what, labeled)) == by_read
+    by_rows = _outcome(lambda: scada._read_frame(path, what, labeled))
+    by_loadtxt = _outcome(lambda: scada._loadtxt_frame(path, labeled))
+    if plain:  # the loadtxt pass itself reads every plain file
+        assert by_rows[0] == "frame" and by_loadtxt == by_rows
+    else:  # and any file it reads, it reads as the row reader does
+        assert by_loadtxt in (("declined",), by_rows)
