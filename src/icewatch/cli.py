@@ -15,7 +15,6 @@ commands, predict among them, never do.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -27,8 +26,6 @@ from pathlib import Path
 # spinning in each process would slow them down. An explicit value wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
 
 from .errors import ConfigError, DataError, InvalidConfig  # noqa: E402
 from .features import feature_vectors, rank_features, write_feature_csv  # noqa: E402
@@ -61,6 +58,7 @@ from .scada import (  # noqa: E402
     read_labeled_csv,
     write_label_windows_csv,
     write_labeled_csv,
+    write_predicted_labels_csv,
     write_scada_csv,
 )
 from .schema import ANY, check, from_dict, one_of, read_json  # noqa: E402
@@ -338,11 +336,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_predict(args) -> int:
     bundle = bundle_from_dict(read_json(args.bundle))
     predicted = predict_stream(bundle, parse_scada_csv(args.scada))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("time", "label", "confidence_flag"))
-        labels = np.array([label.value for label in LABELS])[predicted.label].tolist()
-        writer.writerows(zip(predicted.time.tolist(), labels, predicted.flagged.astype(int).tolist()))
+    write_predicted_labels_csv(predicted.time, predicted.label, predicted.flagged, args.out)
     print(f"predicted {len(predicted)} records ({int(predicted.label.sum())} abnormal) -> {args.out}")
     return 0
 

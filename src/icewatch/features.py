@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .scada import INVALID_CODE, Label, LabeledDataset
+from .scada import INVALID_CODE, Label, LabeledDataset, write_csv_rows
 
 # Inputs must exceed -5 by this margin for the offset denominators.
 DENOMINATOR_MARGIN = 1e-6
@@ -162,8 +162,7 @@ def rank_features(X: np.ndarray, y: np.ndarray) -> list[tuple[str, float]]:
 
 def write_feature_csv(X: np.ndarray, y: np.ndarray, path) -> None:
     """Export a feature matrix as CSV with header x1..x10,y and y coded
-    0=normal, 1=abnormal. Values are written as the repr of Python floats."""
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        stream.write(",".join(FEATURE_IDS + ("y",)) + "\n")
-        for row, code in zip(X.tolist(), y.tolist()):
-            stream.write(",".join([*map(repr, row), str(code)]) + "\n")
+    0=normal, 1=abnormal, lines ended by "\\n". Values are written as the
+    repr of Python floats."""
+    formats = ("%r",) * len(FEATURE_IDS) + ("%d",)
+    write_csv_rows(path, FEATURE_IDS + ("y",), [*X.T, y], formats, newline="\n")

@@ -24,7 +24,8 @@ the way they would read one record: `columns.wind_speed` is a column.
 This module owns the file format. Every reader and writer takes a path.
 A raw or labeled file is read by one reader, `_read`, which also enforces
 the format's file-level rules: at least one data row, and record times
-that never decrease.
+that never decrease. Every CSV the package writes, here and in
+`features`, is formatted by one writer, `write_csv_rows`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -86,6 +88,7 @@ class Label(Enum):
 # normal/abnormal class codes of the feature matrices and the learners
 LABELS = (Label.NORMAL, Label.ABNORMAL, Label.INVALID)
 INVALID_CODE = LABELS.index(Label.INVALID)
+_LABEL_NAMES = np.array([label.value for label in LABELS])
 
 
 class WindowKind(Enum):
@@ -153,6 +156,11 @@ def _bad_timestamp(row: int, cell: str) -> DataError:
 
 def _not_a_number(row: int, column: str, cell: str) -> DataError:
     return DataError(f"row {row}, column {column!r}: not a finite number: {cell!r}")
+
+
+def _not_one_of(row: int, column: str, cell: str, names: Iterable[str]) -> DataError:
+    allowed = ", ".join(map(repr, names))
+    return DataError(f"row {row}, column {column!r}: expected one of {allowed}, got {cell!r}")
 
 
 def _no_rows(what: str) -> DataError:
@@ -260,7 +268,7 @@ def _parse_label(cell: str, row: int) -> int:
     try:
         return LABELS.index(Label(cell.strip()))
     except ValueError:
-        raise _not_a_number(row, "label", cell) from None
+        raise _not_one_of(row, "label", cell, _LABEL_NAMES.tolist()) from None
 
 
 def _read_frame(path, what: str, labeled: bool) -> tuple[Frame, np.ndarray]:
@@ -353,22 +361,44 @@ def parse_scada_csv(path, turbine_id: str = "") -> Frame:
     return frame
 
 
-def _write_rows(path, frame: Frame, extra: dict[str, list]) -> None:
-    """The writer of raw and labeled CSVs: the frame's rows followed by the
-    cells of the `extra` columns. Floats are written as the repr of Python
-    floats, the shortest round-tripping form, so a write/parse round trip
-    is bitwise exact; time is written as epoch seconds."""
+# the rows write_csv_rows formats at once: on 2 vCPUs the write time of an
+# 8,000-row raw file is flat from 256 to 4,096 rows, and the chunk's cells
+# are the memory the writer holds beyond its arrays
+_CHUNK_ROWS = 1024
+
+
+def write_csv_rows(
+    path, header: Sequence[str], columns: Sequence[np.ndarray], formats: Sequence[str], newline: str = "\r\n"
+) -> None:
+    """The writer of every CSV: the `header` line, then one row per index
+    of the equal-length 1-D arrays `columns`, each cell formatted by its
+    column's %-format ("%d", "%r" or "%s"), and each line ended by `newline`.
+
+    Rows are formatted a chunk at a time from Python ints, floats and strs,
+    so "%r" writes a float as float.__repr__, its shortest round-tripping
+    form. Cells are never quoted: no header name or cell may hold a comma,
+    a quote or a line break. Beyond the arrays themselves, the writer holds
+    one chunk of cells."""
+    row = ",".join(formats) + newline
     with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(COLUMNS + tuple(extra))
-        rows = zip(frame.time.tolist(), frame.channels.tolist(), frame.group.tolist(), *extra.values())
-        for time, values, group, *cells in rows:
-            writer.writerow([time, *map(repr, values), group, *cells])
+        stream.write(",".join(header) + newline)
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [column[start : start + _CHUNK_ROWS].tolist() for column in columns]
+            stream.write((row * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk))))
+
+
+_FRAME_FORMATS = ("%d",) + ("%r",) * len(CHANNELS) + ("%d",)
+
+
+def _frame_columns(frame: Frame) -> list[np.ndarray]:
+    return [frame.time, *frame.channels.T, frame.group]
 
 
 def write_scada_csv(frame: Frame, path) -> None:
-    """Write a frame as a raw SCADA CSV in canonical column order."""
-    _write_rows(path, frame, {})
+    """Write a frame as a raw SCADA CSV in canonical column order: time as
+    epoch seconds and channels as float reprs, so a write/parse round trip
+    is bitwise exact."""
+    write_csv_rows(path, COLUMNS, _frame_columns(frame), _FRAME_FORMATS)
 
 
 def parse_label_windows_csv(path) -> list[LabelWindow]:
@@ -378,17 +408,14 @@ def parse_label_windows_csv(path) -> list[LabelWindow]:
         try:
             kind = WindowKind(kind_cell.strip())
         except ValueError:
-            raise _not_a_number(row_no, "class", kind_cell.strip()) from None
+            raise _not_one_of(row_no, "class", kind_cell, [kind.value for kind in WindowKind]) from None
         windows.append(LabelWindow(start=parse_time(start, row_no), end=parse_time(end, row_no), kind=kind))
     return windows
 
 
 def write_label_windows_csv(windows: Iterable[LabelWindow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(("start", "end", "class"))
-        for w in windows:
-            writer.writerow((w.start, w.end, w.kind.value))
+    cells = np.array([(w.start, w.end, w.kind.value) for w in windows], dtype=object).reshape(-1, 3)
+    write_csv_rows(path, ("start", "end", "class"), cells.T, ("%d", "%d", "%s"))
 
 
 def _check_disjoint(windows: Sequence[LabelWindow]) -> None:
@@ -427,8 +454,15 @@ def apply_label_windows(
 
 def write_labeled_csv(dataset: LabeledDataset, path) -> None:
     """Internal labeled-dataset file: the 28 SCADA columns plus `label`."""
-    names = [label.value for label in LABELS]
-    _write_rows(path, dataset, {"label": [names[code] for code in dataset.label.tolist()]})
+    columns = _frame_columns(dataset) + [_LABEL_NAMES[dataset.label]]
+    write_csv_rows(path, COLUMNS + ("label",), columns, _FRAME_FORMATS + ("%s",))
+
+
+def write_predicted_labels_csv(time: np.ndarray, label: np.ndarray, flagged: np.ndarray, path) -> None:
+    """The labels file of `predict`: per record its time, the name of its
+    label code and its confidence flag as 0 or 1."""
+    columns = [time, _LABEL_NAMES[label], flagged]
+    write_csv_rows(path, ("time", "label", "confidence_flag"), columns, ("%d", "%s", "%d"))
 
 
 def read_labeled_csv(path, turbine_id: str = "") -> LabeledDataset:

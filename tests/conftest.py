@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import importlib.util
 import sys
 from collections import namedtuple
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from icewatch.errors import DataError
-from icewatch.features import DENOMINATOR_MARGIN, FEATURE_FIELDS, OFFSET, physical_features, statistical_features
+from icewatch.features import DENOMINATOR_MARGIN, FEATURE_FIELDS, FEATURE_IDS, OFFSET, physical_features, statistical_features
 from icewatch.rules import AUTO_NORMAL, HIGH, LOW
 from icewatch.scada import CHANNELS, COLUMNS, LABELS, Frame, Label, LabeledDataset
 
@@ -158,6 +159,44 @@ def gate_per_record(fv: FeatureVector, rule, cfg) -> int:
     if not rule_satisfied(rule, fv):
         return AUTO_NORMAL
     return LOW if fv.wind_speed < cfg.threshold else HIGH
+
+
+# --- the csv.writer reference of the CSV writers ------------------------------------
+# Each file as csv.writer wrote it before the writers shared one chunked
+# formatter: one writerow per record, floats as their repr.
+
+
+def _csv_writer_file(path, header, rows, lineterminator="\r\n") -> None:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def reference_frame_csv(frame: Frame, path) -> None:
+    """write_scada_csv's file, or for a LabeledDataset write_labeled_csv's."""
+    rows = zip(frame.time.tolist(), frame.channels.tolist(), frame.group.tolist())
+    rows = [[time, *map(repr, values), group] for time, values, group in rows]
+    header = COLUMNS
+    if isinstance(frame, LabeledDataset):
+        header += ("label",)
+        for row, code in zip(rows, frame.label.tolist()):
+            row.append(LABELS[code].value)
+    _csv_writer_file(path, header, rows)
+
+
+def reference_feature_csv(X: np.ndarray, y: np.ndarray, path) -> None:
+    rows = ([*map(repr, row), code] for row, code in zip(X.tolist(), y.tolist()))
+    _csv_writer_file(path, FEATURE_IDS + ("y",), rows, lineterminator="\n")
+
+
+def reference_predicted_labels_csv(time: np.ndarray, label: np.ndarray, flagged: np.ndarray, path) -> None:
+    names = [LABELS[code].value for code in label.tolist()]
+    _csv_writer_file(path, ("time", "label", "confidence_flag"), zip(time.tolist(), names, flagged.astype(int).tolist()))
+
+
+def reference_windows_csv(windows, path) -> None:
+    _csv_writer_file(path, ("start", "end", "class"), ((w.start, w.end, w.kind.value) for w in windows))
 
 
 def forbid_exact_knn(monkeypatch) -> list[int]:

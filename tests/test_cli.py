@@ -514,6 +514,15 @@ MALFORMED = {
         lambda t: ["inspect-rules", "--data", _file(t / "d.csv", LABELED_HEADER)], 3,
         "labeled dataset file contains no data rows",
     ),
+    "ingest-window-class-unknown": (
+        lambda t: _ingest(t, _scada(t / "s.csv", [0, 7]), _file(t / "w.csv", "start,end,class\n0,10,Icing\n")), 3,
+        "row 1, column 'class': expected one of 'icing', 'normal', got 'Icing'",
+    ),
+    "features-label-unknown": (
+        lambda t: ["features", "--data", _file(t / "d.csv", LABELED_HEADER + "0," + "1.0," * 26 + "1,Normal\n"),
+                   "--out", str(t / "f.csv")], 3,
+        "row 1, column 'label': expected one of 'normal', 'abnormal', 'invalid', got 'Normal'",
+    ),
     "predict-bundle-not-utf8": (
         lambda t: ["predict", "--bundle", _bytes(t / "b.json", b'{"format": "\xff"}'), "--scada", "B.csv", "--out",
                    str(t / "l.csv")], 3,

@@ -1,5 +1,6 @@
 """Golden guard: the smoke experiment's report.json and bundles, the labels
-its two bundles give turbine B's raw stream, the files `ingest` and
+its two bundles give turbine B's raw stream, the raw and window files
+`synth --pair` writes for both turbines, the files `ingest` and
 `features --balance under` write for turbine A, what `inspect-rules` prints
 for turbine A, and the report.json and bundles of the benchmark's MLP and
 CART experiments, at seed 13 and at seed 0, are pinned. A change that moves
@@ -30,6 +31,15 @@ LABELS_SHA256 = {
 BUNDLE_SHA256 = {
     "traditional": "ae7ff4fe199dc4fde733eb138fc03a570d0a546ef1b3ca5f465c452b667ab0a5",
     "reengineered": "4eeb39195242a7df86ae546d7f5535b86a4b2c8d4c4a6cae1bf2238b3fa64098",
+}
+
+# sha256 of each file `synth --pair` writes for the smoke config's pair; a
+# parse round trip is exact, so only these catch a drift in the raw format
+SYNTH_PAIR_SHA256 = {
+    "A/scada.csv": "fcb4cbcd363a8abfb8b74f461f3769d3ca34745255f5765b8608ad78eb7e938a",
+    "A/windows.csv": "11f297c027f0b97b4e3c26342643816f617c9d0977cb7d7e336e079aa6688b4c",
+    "B/scada.csv": "1c4300f1fe48f804b4d911ddf16a9aa81f3787373bc58a86d74b67c72d8922d5",
+    "B/windows.csv": "bc080fe823a84062e439face3fecbdff5892c68fc7c15dfa7e194fcc3fffec06",
 }
 
 # sha256 of turbine A's labeled CSV from `ingest` and of its feature CSV
@@ -110,6 +120,14 @@ def test_smoke_report_and_predict_labels_unchanged(tmp_path, monkeypatch):
         assert main(argv) == 0
         assert _sha256(labels) == digest, variant
     assert scored == []
+
+
+def test_smoke_synth_pair_files_unchanged(tmp_path):
+    config = tmp_path / "pair.json"
+    config.write_text(json.dumps(json.loads(SMOKE.read_text())["data"]["pair"]))
+    out = tmp_path / "out"
+    assert main(["synth", "--pair", "--config", str(config), "--out", str(out)]) == 0
+    assert {name: _sha256(out / name) for name in SYNTH_PAIR_SHA256} == SYNTH_PAIR_SHA256
 
 
 def _ingest_turbine_a(tmp_path) -> Path:

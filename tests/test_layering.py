@@ -4,7 +4,8 @@ with ast, and the line count that tests/code_lines.py prints.
 errors and schema sit at the bottom, the learners know nothing of SCADA
 records, evaluation sits on the learners alone, and only the CLI drives
 the pipeline. errors defines the package's four exception classes, and
-no other module defines one."""
+no other module defines one. One function, scada.write_csv_rows, writes
+every CSV: the csv module only reads."""
 
 import ast
 from pathlib import Path
@@ -116,6 +117,40 @@ def test_the_guard_sees_every_exception_base(tmp_path):
         "class D(Exception): pass\nclass E(object): pass\ndef f():\n    class F(KeyError): pass\n"
     )
     assert exception_classes(probe) == {"A", "B", "C", "D", "F"}
+
+
+# --- CSV files ------------------------------------------------------------------------
+
+
+def csv_names(path: Path) -> set[str]:
+    """The names of the csv module that the source at `path` uses: each
+    attribute of the module under any alias, and each name imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [a for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    aliases = {a.asname or a.name for a in imports if a.name == "csv"}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_only_the_row_reader_uses_the_csv_module():
+    """No module calls csv.writer, so every CSV is formatted by
+    scada.write_csv_rows; scada's row reader is csv.reader."""
+    used = {module: csv_names(PACKAGE / f"{module}.py") for module in MODULES}
+    assert {module: names for module, names in used.items() if names} == {"scada": {"reader"}}
+
+
+def test_the_csv_guard_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import csv\nimport csv as c\nfrom csv import DictWriter\n"
+        "def f(s):\n    return csv.writer(s), c.reader(s), c.QUOTE_ALL, DictWriter\n"
+    )
+    assert csv_names(probe) == {"writer", "reader", "QUOTE_ALL", "DictWriter"}
 
 
 # --- the line count of tests/code_lines.py --------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import dataset_labels, dataset_of, dataset_records, frame_of, make_record, random_record
+from conftest import (
+    dataset_labels,
+    dataset_of,
+    dataset_records,
+    frame_of,
+    make_record,
+    random_record,
+    reference_feature_csv,
+    reference_frame_csv,
+    reference_predicted_labels_csv,
+    reference_windows_csv,
+)
 from icewatch.errors import DataError
+from icewatch.features import write_feature_csv
 from icewatch import scada
 from icewatch.scada import (
     CHANNELS,
@@ -25,6 +39,7 @@ from icewatch.scada import (
     read_labeled_csv,
     write_label_windows_csv,
     write_labeled_csv,
+    write_predicted_labels_csv,
     write_scada_csv,
 )
 
@@ -236,6 +251,48 @@ def test_labeled_csv_round_trip(rng, tmp_path):
     assert back.turbine_id == ds.turbine_id
     assert dataset_records(back) == dataset_records(ds) == records
     assert dataset_labels(back) == dataset_labels(ds)
+
+
+# the cells whose text a float formatter is most likely to get wrong, all
+# in a frame's first row below, and the int64 bounds, in its first four rows
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3]
+INT64_BOUNDS = [-(2**63), 2**63 - 1, 0, -1]
+
+
+@pytest.mark.parametrize("n", [0, 1, scada._CHUNK_ROWS - 1, scada._CHUNK_ROWS, scada._CHUNK_ROWS + 1])
+def test_writers_match_csv_writer_reference(n, rng, tmp_path):
+    pool = np.concatenate([ODD_FLOATS, rng.standard_normal(53) * 10.0 ** rng.integers(-300, 300, 53)])
+    ints = np.resize(np.array(INT64_BOUNDS + rng.integers(-1000, 1000, 7).tolist(), dtype=np.int64), n)
+    frame = Frame(ints, np.resize(pool, (n, len(CHANNELS))), ints[::-1].copy())
+    codes = (np.arange(n) % len(LABELS)).astype(np.int8)
+    X, y = frame.channels[:, 1:11], codes % 2
+    windows = [LabelWindow(t - 1, t, list(WindowKind)[i % 2]) for i, t in enumerate(ints.tolist())]
+    dataset = LabeledDataset(frame.time, frame.channels, frame.group, "T", codes)
+    writers = {
+        "raw": (write_scada_csv, reference_frame_csv, (frame,)),
+        "labeled": (write_labeled_csv, reference_frame_csv, (dataset,)),
+        "feature": (write_feature_csv, reference_feature_csv, (X, y)),
+        "predicted-labels": (write_predicted_labels_csv, reference_predicted_labels_csv, (ints, codes, codes == 1)),
+        "windows": (write_label_windows_csv, reference_windows_csv, (windows,)),
+    }
+    for kind, (write, reference, args) in writers.items():
+        reference(*args, tmp_path / "expected.csv")
+        write(*args, tmp_path / "written.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes(), kind
+
+
+def test_writer_memory_is_bounded_by_a_chunk(rng, tmp_path):
+    # 24,000 records: calling tolist() on the whole frame peaks at 22.7 MB
+    # under tracemalloc, and the chunked writer at 2.0 MB
+    n = 24_000
+    frame = Frame(np.arange(n, dtype=np.int64) * 7, rng.standard_normal((n, len(CHANNELS))), np.ones(n, np.int64))
+    tracemalloc.start()
+    try:
+        write_scada_csv(frame, tmp_path / "s.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # finite doubles, with -0.0, the smallest subnormal and +-1.7e308 always in reach
