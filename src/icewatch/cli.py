@@ -334,7 +334,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    bundle = bundle_from_dict(read_json(args.bundle))
+    bundle = read_json(args.bundle, bundle_from_dict)  # a tree too deep to decode exits as one too deep to parse
     predicted = predict_stream(bundle, parse_scada_csv(args.scada))
     write_predicted_labels_csv(predicted.time, predicted.label, predicted.flagged, args.out)
     print(f"predicted {len(predicted)} records ({int(predicted.label.sum())} abnormal) -> {args.out}")

@@ -55,24 +55,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Annotated, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, InvalidConfig
-from .schema import POSITIVE, at_least, check, one_of
+from .schema import ANY, NOT_NEGATIVE, POSITIVE, array, at_least, check, from_dict, one_of
 
 NORMAL, ABNORMAL = 0, 1
 
 _KNN_BLOCK = 128
 
+Vector, Matrix, Labels = array(float, 1), array(float, 2), array(np.int8, 1)
 
-class StandardizationParams(NamedTuple):
+
+@dataclass(frozen=True, eq=False)
+class StandardizationParams:
     """Per-feature mean and population standard deviation. Zero-std
-    features pass through unscaled."""
+    features pass through unscaled. A feature whose training values are
+    not all finite has a NaN std."""
 
-    mean: np.ndarray
-    std: np.ndarray
+    mean: Vector
+    std: Vector = field(metadata=NOT_NEGATIVE)
+
+    def __post_init__(self):
+        check(self)
+        if self.mean.shape != self.std.shape:
+            raise InvalidConfig(f"{self.mean.size} means but {self.std.size} deviations")
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         scale = np.where(self.std == 0.0, 1.0, self.std)
@@ -114,27 +123,38 @@ class LearnerConfig:
 # --- KNN ---------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class KnnModel:
     """k, the standardized training rows X, their labels y and the
-    standardization; immutable. The rest is derived from X and never
-    serialized: every row's squared norm, the largest of them, and the
-    screens' training side [-2t, 1, |t|^2] in float64 and float32, which a
-    query's [q, |q|^2, 1] multiplies into |q|^2 + |t|^2 - 2 q.t in one
-    product."""
+    standardization, as model_to_dict writes them; immutable, and checked
+    when built. The rest is derived from X and never serialized: every
+    row's squared norm, the largest of them, and the screens' training side
+    [-2t, 1, |t|^2] in float64 and float32, which a query's [q, |q|^2, 1]
+    multiplies into |q|^2 + |t|^2 - 2 q.t in one product."""
 
-    __slots__ = ("k", "X", "y", "standardization", "sq_norms", "max_sq_norm", "screen64", "screen32")
+    k: int = field(metadata=at_least(1))
+    X: Matrix
+    y: Labels
+    standardization: StandardizationParams
 
-    def __init__(self, k: int, X: np.ndarray, y: np.ndarray, standardization: StandardizationParams):
-        sq_norms = np.einsum("ij,ij->i", X, X)
+    def __post_init__(self):
+        check(self)
+        rows, features = self.X.shape
+        if rows != self.y.size:
+            raise InvalidConfig(f"{rows} training rows but {self.y.size} labels")
+        if features != self.standardization.mean.size:
+            raise InvalidConfig(f"{features} columns but {self.standardization.mean.size} standardized features")
+        if self.k > rows:
+            raise InvalidConfig(f"k must be an integer in 1..{rows}, got {self.k}")
+        if ((self.y != NORMAL) & (self.y != ABNORMAL)).any():
+            raise InvalidConfig("labels must be 0 or 1")
+        sq_norms = np.einsum("ij,ij->i", self.X, self.X)
         with np.errstate(over="ignore"):
-            screen64 = np.hstack([-2.0 * X, np.ones((X.shape[0], 1)), sq_norms[:, None]])
+            screen64 = np.hstack([-2.0 * self.X, np.ones((rows, 1)), sq_norms[:, None]])
             screen32 = screen64.astype(np.float32)
-        values = (k, X, y, standardization, sq_norms, float(sq_norms.max()), screen64, screen32)
-        for name, value in zip(self.__slots__, values):
+        derived = {"sq_norms": sq_norms, "max_sq_norm": float(sq_norms.max()), "screen64": screen64, "screen32": screen32}
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _train_knn(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> KnnModel:
@@ -696,26 +716,6 @@ def _params_to_dict(p: StandardizationParams) -> dict:
     return {"mean": p.mean.tolist(), "std": p.std.tolist()}
 
 
-def _array(value, what: str, ndim: int, dtype=float) -> np.ndarray:
-    """A bundle's JSON array as an ndim-dimensional numpy array."""
-    try:
-        out = np.array(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfig(f"model {what}: expected a numeric array") from None
-    if out.ndim != ndim:
-        raise InvalidConfig(f"model {what}: expected {ndim} dimensions, got shape {out.shape}")
-    return out
-
-
-def _params_from_dict(doc: dict) -> StandardizationParams:
-    if not isinstance(doc, dict):
-        raise InvalidConfig("model standardization: expected an object")
-    mean, std = _array(doc["mean"], "mean", 1), _array(doc["std"], "std", 1)
-    if mean.shape != std.shape:
-        raise InvalidConfig(f"model standardization: {mean.size} means but {std.size} deviations")
-    return StandardizationParams(mean=mean, std=std)
-
-
 def _node_to_dict(model: CartModel, i: int) -> dict:
     doc = {
         "n": int(model.n[i]),
@@ -731,40 +731,6 @@ def _node_to_dict(model: CartModel, i: int) -> dict:
             right=_node_to_dict(model, model.right[i]),
         )
     return doc
-
-
-def _node_int(value, key: str) -> int:
-    if type(value) is not int:  # a bool is not an integer here
-        raise InvalidConfig(f"cart model: malformed tree node: {key} must be an integer, got {value!r}")
-    return value
-
-
-def _node_number(value, key: str) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise InvalidConfig(f"cart model: malformed tree node: {key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _node_from_dict(doc: dict, rows: list) -> int:
-    """Append the node `doc`, then its subtrees, to rows; return its row."""
-    if not isinstance(doc, dict):
-        raise InvalidConfig("cart model: a tree node must be an object")
-    n, klass = _node_int(doc["n"], "n"), _node_int(doc["class"], "class")
-    if klass not in (NORMAL, ABNORMAL):
-        raise InvalidConfig(f"cart model: node class must be 0 or 1, got {klass}")
-    proportions = doc["proportions"]
-    if not isinstance(proportions, list) or len(proportions) != 2:
-        raise InvalidConfig(f"cart model: malformed tree node: proportions must be two numbers, got {proportions!r}")
-    p_normal, p_abnormal = (_node_number(p, "proportions") for p in proportions)
-    at = len(rows)
-    rows.append([n, _node_number(doc["impurity"], "impurity"), klass, p_normal, p_abnormal, -1, 0.0, -1, -1])
-    if "feature" in doc:
-        feature = _node_int(doc["feature"], "feature")
-        if feature < 0:
-            raise InvalidConfig(f"cart model: feature index must be >= 0, got {feature}")
-        threshold = _node_number(doc["threshold"], "threshold")
-        rows[at][5:] = feature, threshold, _node_from_dict(doc["left"], rows), _node_from_dict(doc["right"], rows)
-    return at
 
 
 def model_to_dict(model: TrainedModel) -> dict:
@@ -795,67 +761,101 @@ def model_to_dict(model: TrainedModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> TrainedModel:
-    """Inverse of model_to_dict. Shapes are checked, so a malformed model
-    raises InvalidConfig here instead of failing inside predict."""
+# The declared documents of model_to_dict, one per kind without its format
+# and kind keys: KnnModel itself, and a CART and an MLP document whose
+# .model() is the model they describe. Each checks its fields' domains and
+# its cross-field shapes when it is built.
+
+
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """A CART node as the document nests it: a leaf, or a split that has
+    all of feature, threshold, left and right."""
+
+    n: int = field(metadata=at_least(1))
+    impurity: float = field(metadata=ANY)
+    class_: int = field(metadata=one_of(NORMAL, ABNORMAL))
+    proportions: tuple[float, float] = field(metadata=ANY)
+    feature: int | None = field(default=None, metadata=at_least(0))
+    threshold: float | None = field(default=None, metadata=ANY)
+    left: _Node | None = None
+    right: _Node | None = None
+
+    def __post_init__(self):
+        check(self)  # not the subtrees, which checked themselves
+        missing = [key for key in ("feature", "threshold", "left", "right") if getattr(self, key) is None]
+        if 0 < len(missing) < 4:
+            raise InvalidConfig(f"a split needs feature, threshold, left and right, got no {missing[0]}")
+
+    def append_to(self, rows: list) -> int:
+        """Append this node's row, then its subtrees', to rows, depth first
+        and left first; return its row."""
+        at = len(rows)
+        rows.append([self.n, self.impurity, self.class_, *self.proportions, -1, 0.0, -1, -1])
+        if self.feature is not None:
+            rows[at][5:] = self.feature, self.threshold, self.left.append_to(rows), self.right.append_to(rows)
+        return at
+
+
+@dataclass(frozen=True, eq=False)
+class _CartDoc:
+    max_depth: int = field(metadata=at_least(1))
+    min_leaf: int = field(metadata=at_least(1))
+    root: _Node
+
+    def __post_init__(self):
+        check(self)
+
+    def model(self) -> CartModel:
+        rows: list[list] = []
+        self.root.append_to(rows)
+        return _cart_model(rows, self.max_depth, self.min_leaf)
+
+
+@dataclass(frozen=True, eq=False)
+class _MlpDoc:
+    activation: str = field(metadata=one_of("sigmoid"))
+    weights: tuple[Matrix, ...]
+    biases: tuple[Vector, ...]
+    standardization: StandardizationParams
+
+    def __post_init__(self):
+        check(self)
+        if len(self.weights) != len(self.biases) or not self.weights:
+            raise InvalidConfig("weights and biases must be arrays of equal, non-zero length")
+        fan_in = self.standardization.mean.size
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if W.shape[0] != fan_in or b.shape != (W.shape[1],):
+                raise InvalidConfig(f"layer {i} has weights {W.shape} and biases {b.shape} after {fan_in} inputs")
+            fan_in = W.shape[1]
+        if fan_in != 1:
+            raise InvalidConfig(f"the last layer must have one output, got {fan_in}")
+
+    def model(self) -> MlpModel:
+        return MlpModel(self.weights, self.biases, self.standardization)
+
+
+_DOCUMENTS = {"knn": KnnModel, "cart": _CartDoc, "mlp": _MlpDoc}
+
+
+def model_from_dict(doc: dict, path: str = "model") -> TrainedModel:
+    """Inverse of model_to_dict: the declared document of the model's kind,
+    decoded by schema.from_dict, so a malformed model raises InvalidConfig
+    here, naming the value's path from `path`, instead of failing inside
+    predict."""
     if not isinstance(doc, dict):
-        raise InvalidConfig(f"a model must be a JSON object, got {type(doc).__name__}")
+        raise InvalidConfig(f"{path}: expected object, got {doc!r}")
     if doc.get("format") != MODEL_FORMAT:
-        raise InvalidConfig(f"unsupported model format {doc.get('format')!r}")
+        raise InvalidConfig(f"{path}: unsupported model format {doc.get('format')!r}")
     kind = doc.get("kind")
-    try:
-        if kind == "knn":
-            return _knn_from_dict(doc)
-        if kind == "cart":
-            return _cart_from_dict(doc)
-        if kind == "mlp":
-            return _mlp_from_dict(doc)
-    except KeyError as exc:
-        raise InvalidConfig(f"{kind} model: missing key {exc.args[0]!r}") from None
-    raise InvalidConfig(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _DOCUMENTS:
+        raise InvalidConfig(f"{path}: unknown model kind {kind!r}")
+    body = {key: value for key, value in doc.items() if key not in ("format", "kind")}
+    decoded = from_dict(_DOCUMENTS[kind], body, path)
+    return decoded if kind == "knn" else decoded.model()
 
 
-def _cart_from_dict(doc: dict) -> CartModel:
-    rows: list[list] = []
-    _node_from_dict(doc["root"], rows)
-    depth, leaf = doc["max_depth"], doc["min_leaf"]
-    if type(depth) is not int or type(leaf) is not int:
-        raise InvalidConfig(f"cart model: max_depth and min_leaf must be integers, got {depth!r} and {leaf!r}")
-    return _cart_model(rows, depth, leaf)
-
-
-def _knn_from_dict(doc: dict) -> KnnModel:
-    X, y = _array(doc["X"], "X", 2), _array(doc["y"], "y", 1, np.int8)
-    params = _params_from_dict(doc["standardization"])
-    k = doc["k"]
-    if X.shape[0] != y.size:
-        raise InvalidConfig(f"knn model: {X.shape[0]} training rows but {y.size} labels")
-    if X.shape[1] != params.mean.size:
-        raise InvalidConfig(f"knn model: {X.shape[1]} columns but {params.mean.size} standardized features")
-    if type(k) is not int or not 1 <= k <= y.size:
-        raise InvalidConfig(f"knn model: k must be an integer in 1..{y.size}, got {k!r}")
-    if not np.isin(y, (NORMAL, ABNORMAL)).all():
-        raise InvalidConfig("knn model: labels must be 0 or 1")
-    return KnnModel(k=k, X=X, y=y, standardization=params)
-
-
-def _mlp_from_dict(doc: dict) -> MlpModel:
-    params = _params_from_dict(doc["standardization"])
-    layers = doc["weights"], doc["biases"]
-    if not all(isinstance(part, list) for part in layers) or len(layers[0]) != len(layers[1]) or not layers[0]:
-        raise InvalidConfig("mlp model: weights and biases must be arrays of equal, non-zero length")
-    weights = tuple(_array(W, "weights", 2) for W in layers[0])
-    biases = tuple(_array(b, "biases", 1) for b in layers[1])
-    fan_in = params.mean.size
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        if W.shape[0] != fan_in or b.shape != (W.shape[1],):
-            raise InvalidConfig(
-                f"mlp model: layer {i} has weights {W.shape} and biases {b.shape} after {fan_in} inputs"
-            )
-        fan_in = W.shape[1]
-    if fan_in != 1:
-        raise InvalidConfig(f"mlp model: the last layer must have one output, got {fan_in}")
-    return MlpModel(weights=weights, biases=biases, standardization=params)
+Model = Annotated[TrainedModel, model_from_dict]  # a document's field that holds a model
 
 
 def check_input_width(model: TrainedModel, width: int) -> None:

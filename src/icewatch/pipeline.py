@@ -41,7 +41,7 @@ import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Annotated, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,7 +85,7 @@ from .rules import (
     strong_rule_filter,
 )
 from .scada import CHANNELS, Frame, LabeledDataset
-from .schema import at_least, check, from_dict, one_of
+from .schema import ANY, at_least, check, from_dict, one_of
 
 REPORT_FORMAT = 1
 BUNDLE_FORMAT = 1
@@ -488,36 +488,64 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
     return doc
 
 
+@dataclass(frozen=True, eq=False)
+class _BundleDoc:
+    """The declared document of bundle_to_dict. A traditional bundle holds
+    "model", the model of its part "all"; a re-engineered one its rule, its
+    segment_threshold, and "low_model" and "high_model". Every model reads
+    rows of the bundle's features."""
+
+    format: int = field(metadata=one_of(BUNDLE_FORMAT))
+    variant: str = field(metadata=one_of(*VARIANTS))
+    denoise: _BundleDenoise
+    raw_features: bool = False
+    rule: Annotated[IntervalRule, _rule_from_dict] | None = None
+    segment_threshold: float | None = field(default=None, metadata=ANY)
+    model: learners.Model | None = None
+    low_model: learners.Model | None = None
+    high_model: learners.Model | None = None
+
+    def __post_init__(self):
+        check(self)
+        if self.denoise.channels != CHANNELS:
+            raise InvalidConfig(f"denoise.channels: a bundle smooths every channel, got {list(self.denoise.channels)!r}")
+        needed = ("model",) if self.variant == "traditional" else ("rule", "segment_threshold", "low_model", "high_model")
+        for key in ("rule", "segment_threshold", "model", "low_model", "high_model"):
+            if (getattr(self, key) is None) == (key in needed):
+                raise InvalidConfig(f"{key}: missing" if key in needed else f"{key}: not part of a {self.variant} bundle")
+        if self.raw_features and self.variant != "traditional":
+            raise InvalidConfig("raw-channel features apply to the traditional variant only")
+        for key in _BUNDLE_KEYS.values():
+            if getattr(self, key) is not None:
+                learners.check_input_width(getattr(self, key), len(CHANNELS if self.raw_features else FEATURE_IDS))
+
+
 def bundle_from_dict(doc: dict) -> ModelBundle:
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"a bundle must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != BUNDLE_FORMAT:
-        raise InvalidConfig(f"unsupported bundle format {doc.get('format')!r}")
-    try:
-        denoise = doc["denoise"]
-        if isinstance(denoise, dict) and "channels" in denoise:  # as bundle_to_dict writes it, or absent
-            if denoise["channels"] != list(CHANNELS):
-                raise InvalidConfig(f"denoise.channels: a bundle smooths every channel, got {denoise['channels']!r}")
-            denoise = {key: value for key, value in denoise.items() if key != "channels"}
-        denoise = from_dict(DenoiseConfig, denoise)
-        variant = doc["variant"]
-        rule = segmentation = None
-        if variant == "reengineered":
-            rule_doc = doc["rule"]
-            if not isinstance(rule_doc, dict):
-                raise InvalidConfig(f"bundle rule: expected an object, got {rule_doc!r}")
-            rule = rule_from_json(rule_doc["constraints"], rule_id=rule_doc["id"])
-            segmentation = from_dict(SegmentationConfig, {"threshold": doc["segment_threshold"]})
-        elif variant != "traditional":
-            raise InvalidConfig(f"unknown bundle variant {variant!r}")
-        raw_features = rule is None and bool(doc.get("raw_features", False))
-        parts = ("all",) if rule is None else ("low", "high")
-        models = {name: learners.model_from_dict(doc[_BUNDLE_KEYS[name]]) for name in parts}
-        for model in models.values():
-            learners.check_input_width(model, len(CHANNELS) if raw_features else len(FEATURE_IDS))
-        return ModelBundle(variant, denoise, models, raw_features, rule, segmentation)
-    except KeyError as exc:
-        raise InvalidConfig(f"bundle is missing key {exc}") from None
+    """Inverse of bundle_to_dict, through the declared _BundleDoc."""
+    bundle = from_dict(_BundleDoc, doc)
+    segmentation = None if bundle.rule is None else SegmentationConfig(bundle.segment_threshold)
+    models = {name: getattr(bundle, key) for name, key in _BUNDLE_KEYS.items() if getattr(bundle, key) is not None}
+    denoise = DenoiseConfig(bundle.denoise.window)
+    return ModelBundle(bundle.variant, denoise, models, bundle.raw_features, bundle.rule, segmentation)
+
+
+@dataclass(frozen=True, eq=False)
+class _BundleDenoise(DenoiseConfig):
+    """A bundle's denoise entry: the config and the channels it smooths,
+    which are all of them."""
+
+    channels: tuple[str, ...] = CHANNELS
+
+
+@dataclass(frozen=True, eq=False)
+class _RuleDoc:
+    id: str
+    constraints: list  # as rules.rule_to_json writes them
+
+
+def _rule_from_dict(doc, path: str) -> IntervalRule:
+    rule = from_dict(_RuleDoc, doc, path)
+    return rule_from_json(rule.constraints, rule_id=rule.id)
 
 
 # --- report output --------------------------------------------------------------

@@ -13,11 +13,20 @@ import icewatch.cli  # noqa: F401
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from icewatch.errors import DataError
 from icewatch.features import DENOMINATOR_MARGIN, FEATURE_FIELDS, FEATURE_IDS, OFFSET, physical_features, statistical_features
 from icewatch.rules import AUTO_NORMAL, HIGH, LOW
 from icewatch.scada import CHANNELS, COLUMNS, LABELS, Frame, Label, LabeledDataset
+
+# A derandomized Hypothesis test draws some of its examples from the constants
+# in the source of every local module loaded in the session
+# (hypothesis.internal.constants_ast), so its file run alone may draw other
+# examples than the full run. A failure prints its choices as an
+# @reproduce_failure(...) line, which replays them from the test's own file.
+settings.register_profile("icewatch", print_blob=True)
+settings.load_profile("icewatch")
 
 # One record of a frame, and one feature vector (x1..x10 by name, then its
 # label): the per-record views the tests build and compare.

@@ -13,6 +13,7 @@ from conftest import frame_of, make_dataset, make_record
 from knn_oracle import knn_oracle
 from icewatch import learners
 from icewatch.cli import _experiment_config, _json_text, _load_datasets, _pipeline_configs, main
+from icewatch.errors import InvalidConfig
 from icewatch.pipeline import bundle_from_dict, predict_stream, run_traditional
 from icewatch.scada import (
     CHANNELS,
@@ -25,6 +26,7 @@ from icewatch.scada import (
     write_labeled_csv,
     write_scada_csv,
 )
+from icewatch.schema import read_json
 from icewatch.synthgen import SynthConfig, WindModel, default_offset_profile, generate_turbine
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -391,6 +393,13 @@ def _predict_power_only_bundle(tmp_path):
 
 NAN_BOUND = [{"feature": "x4", "upper": float("nan")}]
 LABELED_HEADER = ",".join(COLUMNS + ("label",)) + "\n"
+TEN_FEATURE_KNN = _knn_model([[0.0] * 10], mean=[0.0] * 10)
+
+
+def _reengineered_bundle(**keys):
+    rule = {"id": "R1", "constraints": [{"feature": "x4", "upper": 2.0}]}
+    return {"variant": "reengineered", "denoise": {"window": 10}, "rule": rule, "segment_threshold": 0.0,
+            "low_model": TEN_FEATURE_KNN, "high_model": TEN_FEATURE_KNN, **keys}
 
 
 # (argv builder, exit code, expected part of the message)
@@ -443,26 +452,26 @@ MALFORMED = {
         lambda t: _ingest(t, _file(t / "s.csv", ",".join(COLUMNS) + "\n1,2\n"), str(t / "w.csv")), 3,
         "row 1: 2 cells, header has 28",
     ),
-    "bundle-without-denoise": (lambda t: _predict(t, {"model": {}}), 2, "bundle is missing key 'denoise'"),
-    "bundle-without-model": (lambda t: _predict(t, {"denoise": {"window": 10}}), 2, "bundle is missing key 'model'"),
+    "bundle-without-denoise": (lambda t: _predict(t, {"model": {}}), 2, "denoise: missing"),
+    "bundle-without-model": (lambda t: _predict(t, {"denoise": {"window": 10}}), 2, "model: missing"),
     "bundle-not-object": (
         lambda t: ["predict", "--bundle", _file(t / "b.json", "[1,2]"), "--scada", "B.csv", "--out", str(t / "l.csv")], 2,
-        "a bundle must be a JSON object, got list",
+        "top level: expected object, got [1, 2]",
     ),
     "bundle-rule-not-object": (
         lambda t: _predict(t, {"variant": "reengineered", "denoise": {"window": 10}, "rule": [1], "segment_threshold": 0}), 2,
-        "bundle rule: expected an object, got [1]",
+        "rule: expected object, got [1]",
     ),
     "bundle-model-not-object": (
-        lambda t: _predict(t, {"denoise": {"window": 10}, "model": [1]}), 2, "a model must be a JSON object, got list",
+        lambda t: _predict(t, {"denoise": {"window": 10}, "model": [1]}), 2, "model: expected object, got [1]",
     ),
     "bundle-knn-width-mismatch": (
         lambda t: _predict(t, {"denoise": {"window": 10}, "model": _knn_model([[1, 2]], mean=[0])}), 2,
-        "knn model: 2 columns but 1 standardized features",
+        "model: 2 columns but 1 standardized features",
     ),
     "bundle-cart-threshold-string": (
         lambda t: _predict(t, {"denoise": {"window": 10}, "model": _cart_model(threshold="nan")}), 2,
-        "cart model: malformed tree node: threshold must be a finite number, got 'nan'",
+        "model.root.threshold: expected float, got 'nan'",
     ),
     "bundle-knn-not-ten-features": (
         lambda t: _predict(t, {"denoise": {"window": 10}, "model": _knn_model([[1, 2]], mean=[0, 0])}), 2,
@@ -565,6 +574,27 @@ MALFORMED = {
     "bundle-denoise-power-only": (
         _predict_power_only_bundle, 2, "denoise.channels: a bundle smooths every channel, got ['power']",
     ),
+    # bundle fields the document declares, each once loaded unchecked or misread
+    "bundle-raw-features-string": (
+        lambda t: _predict(t, {"denoise": {"window": 10}, "raw_features": "false", "model": TEN_FEATURE_KNN}), 2,
+        "raw_features: expected bool, got 'false'",
+    ),
+    "bundle-reengineered-raw-features": (
+        lambda t: _predict(t, _reengineered_bundle(raw_features=True)), 2,
+        "raw-channel features apply to the traditional variant only",
+    ),
+    "bundle-unknown-key": (
+        lambda t: _predict(t, {"denoise": {"window": 10}, "model": TEN_FEATURE_KNN, "notes": "x"}), 2,
+        "notes: unknown key",
+    ),
+    "bundle-reengineered-stray-model": (
+        lambda t: _predict(t, _reengineered_bundle(model=TEN_FEATURE_KNN)), 2,
+        "model: not part of a reengineered bundle",
+    ),
+    "bundle-model-unknown-key": (
+        lambda t: _predict(t, {"denoise": {"window": 10}, "model": {**TEN_FEATURE_KNN, "notes": "x"}}), 2,
+        "model.notes: unknown key",
+    ),
     "experiment-denoise-channels": (
         lambda t: _experiment(t, denoise={"channels": ["power"]}), 2, "denoise.channels: unknown key",
     ),
@@ -642,6 +672,48 @@ def test_malformed_input_exits_with_one_line(case, tmp_path, capsys):
     (line,) = err.splitlines()
     assert line.startswith("config error:" if expected_code == 2 else "data error:")
     assert message in line
+
+
+def test_deep_tree_loads_or_exits_2_with_one_line(tmp_path, capsys):
+    """A tree 980 levels deep loads, and predict stops at the missing
+    stream, or is too deep for this stack and exits 2 as json's own limit
+    does; never a RecursionError."""
+    argv = _deep_cart_bundle(tmp_path, 980)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RecursionError" not in err
+    (line,) = err.splitlines()
+    assert (code, line) == (2, f"config error: {argv[2]}: nested too deeply") or (
+        code == 3 and line.startswith("data error:") and "B.csv" in line
+    )
+
+
+def _with_frames_left(frames, fn):
+    """fn() called with about `frames` frames left below the recursion limit."""
+    frame, used = sys._getframe(), 0
+    while frame is not None:
+        frame, used = frame.f_back, used + 1
+
+    def call(n):
+        return fn() if n == 0 else call(n - 1)
+
+    return call(sys.getrecursionlimit() - used - frames)
+
+
+def test_tree_too_deep_to_decode_is_nested_too_deeply(tmp_path):
+    """With a stack that json can parse a 100-level tree in but the decoder
+    cannot decode it in, read_json raises the InvalidConfig of a file too
+    deep to parse."""
+    path = _deep_cart_bundle(tmp_path, 100)[2]
+    parsed, decoded = set(), set()
+    for frames in range(100, 135):
+        for done, decode in ((parsed, lambda doc: doc), (decoded, bundle_from_dict)):
+            try:
+                _with_frames_left(frames, lambda: read_json(path, decode))
+                done.add(frames)
+            except InvalidConfig as exc:
+                assert str(exc) == f"{path}: nested too deeply"
+    assert decoded and parsed - decoded  # stacks where only the decoder ran out
 
 
 # --- BLAS threads ---------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlp_objective import mlp_gradient, mlp_loss
-from icewatch import learners
+from icewatch import learners, schema
 from icewatch.errors import DataError, InvalidConfig
 from icewatch.learners import (
     ABNORMAL,
@@ -264,6 +264,26 @@ class TestCart:
         assert (back.max_depth, back.min_leaf) == (7, 3)
         assert json.dumps(model_to_dict(back)) == text
 
+    def test_decoding_checks_each_node_once(self, monkeypatch):
+        """A node checks its own fields as it is built, not its subtrees
+        again, which would be quadratic on a chain."""
+        leaf = {"n": 5, "impurity": 0.0, "class": NORMAL, "proportions": [1.0, 0.0]}
+        root = leaf
+        for _ in range(200):
+            root = {**leaf, "n": 10, "feature": 0, "threshold": 0.0, "left": root, "right": leaf}
+        checked = []
+        real_check = schema.check
+
+        def counting_check(config, prefix=""):
+            checked.append(type(config).__name__)
+            real_check(config, prefix)
+
+        monkeypatch.setattr(schema, "check", counting_check)
+        monkeypatch.setattr(learners, "check", counting_check)
+        model = model_from_dict(_cart_doc(root))
+        assert model.n.size == 401 and model.feature[:200].tolist() == [0] * 200
+        assert checked.count("_Node") == 401
+
     @pytest.mark.parametrize(
         "a, b",
         [(1.0, np.nextafter(1.0, 2.0)), (1e308, 1.5e308), (-1.5e308, -1e308)],
@@ -436,38 +456,56 @@ def _two_outputs(doc):
 # (algorithm, edit of the serialized model, expected part of the message)
 MALFORMED_MODELS = {
     "knn-rows-vs-labels": ("knn", lambda d: d["y"].pop(), "training rows but"),
-    "knn-k-zero": ("knn", lambda d: d.update(k=0), "k must be an integer in 1..40"),
+    "knn-k-zero": ("knn", lambda d: d.update(k=0), "model: k must be >= 1, got 0"),
     "knn-k-above-n": ("knn", lambda d: d.update(k=41), "k must be an integer in 1..40"),
-    "knn-k-string": ("knn", lambda d: d.update(k="3"), "k must be an integer"),
+    "knn-k-string": ("knn", lambda d: d.update(k="3"), "model.k: expected int, got '3'"),
     "knn-label-2": ("knn", lambda d: d["y"].__setitem__(0, 2), "labels must be 0 or 1"),
-    "knn-ragged-X": ("knn", lambda d: d["X"][0].pop(), "model X: expected a numeric array"),
-    "knn-X-1d": ("knn", lambda d: d.update(X=d["X"][0]), "model X: expected 2 dimensions"),
+    "knn-ragged-X": ("knn", lambda d: d["X"][0].pop(), "model.X: expected a numeric array"),
+    "knn-X-1d": ("knn", lambda d: d.update(X=d["X"][0]), "model.X: expected 2 dimensions, got shape (3,)"),
     "knn-std-length": ("knn", lambda d: d["standardization"]["std"].pop(), "3 means but 2 deviations"),
     "mlp-first-fan-in": ("mlp", lambda d: d["weights"][0].pop(), "layer 0 has weights (2, 4)"),
     "mlp-bias-length": ("mlp", lambda d: d["biases"][0].pop(), "layer 0 has weights (3, 4) and biases (3,)"),
     "mlp-last-fan-out": ("mlp", _two_outputs, "the last layer must have one output, got 2"),
     "mlp-no-layers": ("mlp", lambda d: d.update(weights=[], biases=[]), "weights and biases must be arrays"),
-    "cart-negative-feature": ("cart", lambda d: d["root"].update(feature=-1), "feature index must be >= 0"),
-    "cart-node-not-object": ("cart", lambda d: d["root"].update(left=[1]), "a tree node must be an object"),
-    "cart-threshold-list": ("cart", lambda d: d["root"].update(threshold=[0.5]), "malformed tree node"),
-    "cart-max-depth-inf": ("cart", lambda d: d.update(max_depth=float("inf")), "max_depth and min_leaf must be integers"),
-    "cart-class-3": ("cart", lambda d: d["root"].update({"class": 3}), "node class must be 0 or 1"),
+    "cart-negative-feature": ("cart", lambda d: d["root"].update(feature=-1), "model.root: feature must be >= 0, got -1"),
+    "cart-node-not-object": ("cart", lambda d: d["root"].update(left=[1]), "model.root.left: expected object, got [1]"),
+    "cart-threshold-list": ("cart", lambda d: d["root"].update(threshold=[0.5]), "model.root.threshold: expected float"),
+    "cart-max-depth-inf": ("cart", lambda d: d.update(max_depth=float("inf")), "model.max_depth: expected int, got inf"),
+    "cart-class-3": ("cart", lambda d: d["root"].update({"class": 3}), "model.root: class must be one of 0, 1, got 3"),
     # JSON integers and numbers only: nothing is coerced
-    "cart-feature-float": ("cart", lambda d: d["root"].update(feature=1.7), "feature must be an integer, got 1.7"),
-    "cart-threshold-string": ("cart", lambda d: d["root"].update(threshold="nan"), "threshold must be a finite number"),
+    "cart-feature-float": ("cart", lambda d: d["root"].update(feature=1.7), "model.root.feature: expected int, got 1.7"),
+    "cart-threshold-string": ("cart", lambda d: d["root"].update(threshold="nan"), "threshold: expected float, got 'nan'"),
     "cart-threshold-nan": ("cart", lambda d: d["root"].update(threshold=float("nan")), "threshold must be a finite number"),
-    "cart-class-bool": ("cart", lambda d: d["root"].update({"class": True}), "class must be an integer, got True"),
-    "cart-n-string": ("cart", lambda d: d["root"].update(n="10"), "n must be an integer, got '10'"),
-    "cart-impurity-string": ("cart", lambda d: d["root"].update(impurity="0.5"), "impurity must be a finite number"),
-    "cart-proportion-bool": ("cart", lambda d: d["root"]["proportions"].__setitem__(0, False), "proportions must be a finite number"),
-    "cart-proportions-one": ("cart", lambda d: d["root"]["proportions"].pop(), "proportions must be two numbers"),
-    "cart-min-leaf-float": ("cart", lambda d: d.update(min_leaf=5.9), "max_depth and min_leaf must be integers"),
-    "cart-max-depth-string": ("cart", lambda d: d.update(max_depth="12"), "max_depth and min_leaf must be integers"),
+    "cart-class-bool": ("cart", lambda d: d["root"].update({"class": True}), "model.root.class: expected int, got True"),
+    "cart-n-string": ("cart", lambda d: d["root"].update(n="10"), "model.root.n: expected int, got '10'"),
+    "cart-impurity-string": ("cart", lambda d: d["root"].update(impurity="0.5"), "impurity: expected float, got '0.5'"),
+    "cart-proportion-bool": (
+        "cart", lambda d: d["root"]["proportions"].__setitem__(0, False), "proportions[0]: expected float, got False",
+    ),
+    "cart-proportions-one": ("cart", lambda d: d["root"]["proportions"].pop(), "proportions: expected 2 items, got 1"),
+    "cart-min-leaf-float": ("cart", lambda d: d.update(min_leaf=5.9), "model.min_leaf: expected int, got 5.9"),
+    "cart-max-depth-string": ("cart", lambda d: d.update(max_depth="12"), "model.max_depth: expected int, got '12'"),
     # a missing key is named, not leaked as a KeyError
-    "cart-no-root": ("cart", lambda d: d.pop("root"), "cart model: missing key 'root'"),
-    "cart-split-without-left": ("cart", lambda d: d["root"].pop("left"), "cart model: missing key 'left'"),
-    "knn-no-X": ("knn", lambda d: d.pop("X"), "knn model: missing key 'X'"),
-    "mlp-no-standardization": ("mlp", lambda d: d.pop("standardization"), "mlp model: missing key 'standardization'"),
+    "cart-no-root": ("cart", lambda d: d.pop("root"), "model.root: missing"),
+    "cart-split-without-left": (
+        "cart", lambda d: d["root"].pop("left"), "model.root: a split needs feature, threshold, left and right, got no left",
+    ),
+    "knn-no-X": ("knn", lambda d: d.pop("X"), "model.X: missing"),
+    "mlp-no-standardization": ("mlp", lambda d: d.pop("standardization"), "model.standardization: missing"),
+    # fields the document declares, each once loaded unchecked
+    "mlp-activation-relu": ("mlp", lambda d: d.update(activation="relu"), "activation must be one of 'sigmoid', got 'relu'"),
+    "mlp-no-activation": ("mlp", lambda d: d.pop("activation"), "model.activation: missing"),
+    "cart-max-depth-negative": ("cart", lambda d: d.update(max_depth=-5), "model: max_depth must be >= 1, got -5"),
+    "cart-min-leaf-zero": ("cart", lambda d: d.update(min_leaf=0), "model: min_leaf must be >= 1, got 0"),
+    "knn-std-negative": (
+        "knn", lambda d: d["standardization"]["std"].__setitem__(0, -1.0), "std must be >= 0 or NaN, got -1.0",
+    ),
+    "mlp-std-negative": (
+        "mlp", lambda d: d["standardization"]["std"].__setitem__(2, -0.5), "std must be >= 0 or NaN, got -0.5",
+    ),
+    "knn-unknown-key": ("knn", lambda d: d.update(classes=[0, 1]), "model.classes: unknown key"),
+    "knn-label-beyond-int8": ("knn", lambda d: d["y"].__setitem__(0, 257), "model.y: integers outside int8"),
+    "knn-label-float": ("knn", lambda d: d["y"].__setitem__(0, 1.0), "model.y: expected a numeric array"),
 }
 
 

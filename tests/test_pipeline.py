@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import channel_matrix, dataset_labels, dataset_records, frame_of, make_record
-from icewatch.cli import main
+from icewatch.cli import _json_text, main
 from icewatch.errors import DataError, InvalidConfig
 from icewatch.evaluation import derive_seed
 from icewatch import pipeline
@@ -39,6 +39,7 @@ from icewatch.rules import (
     builtin_rule,
 )
 from icewatch.scada import CHANNELS, Label, apply_label_windows
+from icewatch.schema import read_json
 from icewatch.synthgen import SynthConfig, default_offset_profile, make_turbine_pair
 
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "experiment_smoke.json"
@@ -185,6 +186,34 @@ class TestBundle:
         back = bundle_from_dict(bundle_to_dict(bundle))
         stream = ds_a.take(slice(200))
         assert same_predictions(predict_stream(back, stream), predict_stream(bundle, stream))
+
+    # every array a model holds, derived ones included
+    MODEL_ARRAYS = {
+        "knn": lambda m: [m.X, m.y, m.standardization.mean, m.standardization.std, m.sq_norms, m.screen64, m.screen32],
+        "cart": lambda m: [m.n, m.impurity, m.klass, m.p_normal, m.p_abnormal, m.feature, m.threshold, m.left, m.right],
+        "mlp": lambda m: [*m.weights, *m.biases, m.standardization.mean, m.standardization.std],
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(MODEL_ARRAYS))
+    def test_bundle_file_round_trip_is_bitwise(self, algorithm, tmp_path):
+        """The bundle `experiment --bundles` writes decodes, through
+        read_json and bundle_from_dict, to bitwise the trained models."""
+        _, ds_a, _ = small_pair()
+        learner = LearnerConfig(algorithm=algorithm, mlp_hidden=(4,), mlp_epochs=3, cart_min_leaf=2)
+        bundle = train_bundle(ds_a, reengineered_cfg(learner=learner))
+        path = tmp_path / "bundle.json"
+        path.write_text(_json_text(bundle_to_dict(bundle)), encoding="utf-8")
+        back = bundle_from_dict(read_json(path))
+        assert back.models.keys() == bundle.models.keys() == {"low", "high"}
+        for name, model in bundle.models.items():
+            got, want = self.MODEL_ARRAYS[algorithm](back.models[name]), self.MODEL_ARRAYS[algorithm](model)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        scalars = {"knn": ("k", "max_sq_norm"), "cart": ("max_depth", "min_leaf"), "mlp": ()}[algorithm]
+        for name in scalars:
+            assert getattr(back.models["low"], name) == getattr(bundle.models["low"], name)
+        assert (back.rule, back.segmentation, back.denoise) == (bundle.rule, bundle.segmentation, bundle.denoise)
 
     def test_bundle_without_denoise_channels_loads(self):
         _, ds_a, _ = small_pair()

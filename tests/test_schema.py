@@ -6,16 +6,17 @@ import typing
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from icewatch import synthgen
+from icewatch import learners, pipeline, synthgen
 from icewatch.cli import ExperimentConfig, _experiment_config, _pipeline_configs, main
 from icewatch.errors import InvalidConfig
 from icewatch.learners import LearnerConfig
 from icewatch.pipeline import PipelineConfig
 from icewatch.preprocess import DenoiseConfig
 from icewatch.rules import IntervalConstraint, IntervalRule, SegmentationConfig
-from icewatch.schema import check, from_dict
+from icewatch.schema import NOT_NEGATIVE, array, check, from_dict, read_json
 from icewatch.synthgen import IcingTrigger, OffsetProfile, PairConfig, SynthConfig, WindModel
 
 
@@ -103,7 +104,8 @@ def _config_classes(*roots) -> list:
 
 
 CONFIG_CLASSES = _config_classes(
-    ExperimentConfig, PairConfig, PipelineConfig, DenoiseConfig, SegmentationConfig, IntervalConstraint
+    ExperimentConfig, PairConfig, PipelineConfig, DenoiseConfig, SegmentationConfig, IntervalConstraint,
+    pipeline._BundleDoc, learners._CartDoc, learners._MlpDoc,  # the model and bundle documents
 )
 
 
@@ -126,6 +128,7 @@ def test_config_classes_are_found():
     names = {cls.__name__ for cls in CONFIG_CLASSES}
     assert {"DataConfig", "LearnerConfig", "BalanceConfig", "SynthConfig", "WindModel", "OffsetProfile"} <= names
     assert {"IntervalRule", "IntervalConstraint"} <= names
+    assert {"KnnModel", "StandardizationParams", "_Node", "_BundleDenoise"} <= names
 
 
 # --- every numeric field at extreme values -----------------------------------------
@@ -196,3 +199,73 @@ def test_experiment_and_learner_fields_decode_or_raise_invalid_config():
             except InvalidConfig:
                 continue
             assert set(configs) == set(EXPERIMENT.variants), (path, value)
+
+
+# --- documents: arrays, keyword keys, fields with decoders of their own ------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Rows:
+    X: array(float, 2)
+    y: array(np.int8, 1) = dataclasses.field(default=None, metadata=NOT_NEGATIVE)
+    class_: int = 0
+    total: typing.Annotated[int, lambda value, path: sum(value)] = 0
+
+    def __post_init__(self):
+        check(self)
+
+
+def test_array_fields_decode_to_numpy_arrays():
+    rows = from_dict(Rows, {"X": [[1, 2.5], [3, 4]], "y": [0, 1], "class": 1, "total": [2, 3]})
+    assert rows.X.dtype == np.float64 and rows.X.tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    assert rows.y.dtype == np.int8 and rows.y.tolist() == [0, 1]
+    assert rows.class_ == 1 and rows.total == 5
+    assert from_dict(Rows, {"X": [[math.nan, -math.inf]]}).y is None  # an array may hold any double
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"X": [[1.0], [2.0, 3.0]]}, "X: expected a numeric array"),
+        ({"X": [["1.0"]]}, "X: expected a numeric array"),
+        ({"X": [[True]]}, "X: expected a numeric array"),
+        ({"X": [[None]]}, "X: expected a numeric array"),
+        ({"X": [[2**70]]}, "X: expected a numeric array"),
+        ({"X": [1.0, 2.0]}, "X: expected 2 dimensions, got shape (2,)"),
+        ({"X": [[1.0]], "y": [0.0]}, "y: expected a numeric array"),
+        ({"X": [[1.0]], "y": [128]}, "y: integers outside int8"),
+        ({"X": [[1.0]], "y": [[0]]}, "y: expected 1 dimensions, got shape (1, 1)"),
+        ({"X": [[1.0]], "y": [1, -3]}, "y must be >= 0 or NaN, got -3"),
+        ({"X": [[1.0]], "class_": 1}, "class_: unknown key"),
+    ],
+)
+def test_array_and_keyword_fields_reject_with_their_path(doc, message):
+    with pytest.raises(InvalidConfig) as info:
+        from_dict(Rows, doc)
+    assert str(info.value) == message
+
+
+def test_annotations_are_resolved_once_per_class(monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class Fresh:
+        n: int = 0
+
+    calls = []
+    resolve = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda *a, **k: calls.append(a[0]) or resolve(*a, **k))
+    for n in range(3):
+        assert from_dict(Fresh, {"n": n}).n == n
+    assert calls == [Fresh]
+
+
+def test_read_json_reports_a_decoder_out_of_stack_as_nested_too_deeply(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("[1]")
+
+    def endless(doc):
+        return endless(doc)
+
+    with pytest.raises(InvalidConfig) as info:
+        read_json(path, endless)
+    assert str(info.value) == f"{path}: nested too deeply"
+    assert read_json(path, len) == 1
