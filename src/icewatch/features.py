@@ -2,8 +2,7 @@
 
 Two groups of derived quantities are computed per record:
 
-* statistical / domain features: per-blade averages (pitch angle, pitch
-  speed, pitch motor temperature, charger temperature, charger current)
+* statistical / domain features: the mean pitch angle of the three blades
   and the inside-outside temperature difference
   tmp_diff = int_tmp - environment_tmp.
 
@@ -11,13 +10,10 @@ Two groups of derived quantities are computed per record:
   desensitized data can sit at or below zero:
 
       torque           = (power + 5) / (generator_speed + 5)
-      power_coeff      = (power + 5) / (wind_speed + 5)^3
-      thrust_coeff     = torque / (wind_speed + 5)^2
       tip_speed_ratio  = (generator_speed + 5) / (wind_speed + 5)
 
 The prediction model uses a fixed ten-feature vector, addressed by the
-ids x1..x10 (see FEATURE_IDS). power_coeff and thrust_coeff are computed
-and exportable but are not part of that vector.
+ids x1..x10 (see FEATURE_IDS): these four and six raw channels.
 
 The formulas are written once, over a record's channel attributes. An
 attribute may hold one value or a whole column (`Frame.columns`); every
@@ -61,32 +57,23 @@ FEATURE_FIELDS = {
 
 
 def statistical_features(record) -> dict:
-    """Per-blade averages and the inside-outside temperature difference of
+    """The mean pitch angle and the inside-outside temperature difference of
     `record`, which has one attribute per channel: a value or a column."""
     return {
         "pitch_angle_avg": (record.pitch1_angle + record.pitch2_angle + record.pitch3_angle) / 3.0,
-        "pitch_speed_avg": (record.pitch1_speed + record.pitch2_speed + record.pitch3_speed) / 3.0,
-        "pitch_moto_tmp_avg": (record.pitch1_moto_tmp + record.pitch2_moto_tmp + record.pitch3_moto_tmp) / 3.0,
-        "pitch_ng5_tmp_avg": (record.pitch1_ng5_tmp + record.pitch2_ng5_tmp + record.pitch3_ng5_tmp) / 3.0,
-        "pitch_ng5_dc_avg": (record.pitch1_ng5_DC + record.pitch2_ng5_DC + record.pitch3_ng5_DC) / 3.0,
         "tmp_diff": record.int_tmp - record.environment_tmp,
     }
 
 
 def physical_features(record) -> dict:
-    """Torque, power coefficient, thrust coefficient and tip-speed ratio.
+    """Torque and tip-speed ratio.
 
     Unguarded: where degenerate_mask holds, a denominator is (nearly) zero.
     """
-    wind = record.wind_speed + OFFSET
     gen = record.generator_speed + OFFSET
-    power = record.power + OFFSET
-    torque = power / gen
     return {
-        "torque": torque,
-        "power_coeff": power / wind**3,
-        "thrust_coeff": torque / wind**2,
-        "tip_speed_ratio": gen / wind,
+        "torque": (record.power + OFFSET) / gen,
+        "tip_speed_ratio": gen / (record.wind_speed + OFFSET),
     }
 
 

@@ -60,7 +60,7 @@ from typing import Annotated, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, InvalidConfig
-from .schema import ANY, NOT_NEGATIVE, POSITIVE, array, at_least, check, from_dict, one_of
+from .schema import ANY, NOT_NEGATIVE, POSITIVE, array, at_least, check, from_dict, one_of, to_dict
 
 NORMAL, ABNORMAL = 0, 1
 
@@ -712,59 +712,10 @@ def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 MODEL_FORMAT = 1
 
 
-def _params_to_dict(p: StandardizationParams) -> dict:
-    return {"mean": p.mean.tolist(), "std": p.std.tolist()}
-
-
-def _node_to_dict(model: CartModel, i: int) -> dict:
-    doc = {
-        "n": int(model.n[i]),
-        "impurity": float(model.impurity[i]),
-        "class": int(model.klass[i]),
-        "proportions": [float(model.p_normal[i]), float(model.p_abnormal[i])],
-    }
-    if model.feature[i] >= 0:
-        doc.update(
-            feature=int(model.feature[i]),
-            threshold=float(model.threshold[i]),
-            left=_node_to_dict(model, model.left[i]),
-            right=_node_to_dict(model, model.right[i]),
-        )
-    return doc
-
-
-def model_to_dict(model: TrainedModel) -> dict:
-    if isinstance(model, KnnModel):
-        return {
-            "format": MODEL_FORMAT,
-            "kind": "knn",
-            "k": model.k,
-            "X": model.X.tolist(),
-            "y": model.y.tolist(),
-            "standardization": _params_to_dict(model.standardization),
-        }
-    if isinstance(model, CartModel):
-        return {
-            "format": MODEL_FORMAT,
-            "kind": "cart",
-            "max_depth": model.max_depth,
-            "min_leaf": model.min_leaf,
-            "root": _node_to_dict(model, 0),
-        }
-    return {
-        "format": MODEL_FORMAT,
-        "kind": "mlp",
-        "activation": "sigmoid",
-        "weights": [W.tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "standardization": _params_to_dict(model.standardization),
-    }
-
-
 # The declared documents of model_to_dict, one per kind without its format
 # and kind keys: KnnModel itself, and a CART and an MLP document whose
 # .model() is the model they describe. Each checks its fields' domains and
-# its cross-field shapes when it is built.
+# its cross-field shapes when it is built, and schema reads and writes it.
 
 
 @dataclass(frozen=True, eq=False)
@@ -811,6 +762,18 @@ class _CartDoc:
         self.root.append_to(rows)
         return _cart_model(rows, self.max_depth, self.min_leaf)
 
+    @classmethod
+    def of(cls, model: CartModel) -> _CartDoc:
+        """The document of `model`: its node table as a _Node tree, built
+        from the last row up, as a child's row follows its parent's."""
+        nodes: dict[int, _Node] = {}
+        rows = list(zip(*(column.tolist() for column in model[: len(_NODE_DTYPES)])))
+        for i in range(len(rows) - 1, -1, -1):
+            n, impurity, klass, p_normal, p_abnormal, feature, threshold, left, right = rows[i]
+            split = () if feature < 0 else (feature, threshold, nodes.pop(left), nodes.pop(right))
+            nodes[i] = _Node(n, impurity, klass, (p_normal, p_abnormal), *split)
+        return cls(model.max_depth, model.min_leaf, nodes[0])
+
 
 @dataclass(frozen=True, eq=False)
 class _MlpDoc:
@@ -838,6 +801,18 @@ class _MlpDoc:
 _DOCUMENTS = {"knn": KnnModel, "cart": _CartDoc, "mlp": _MlpDoc}
 
 
+def model_to_dict(model: TrainedModel) -> dict:
+    """The JSON document of `model`: its format, its kind and the fields of
+    its kind's declared document."""
+    if isinstance(model, KnnModel):
+        kind, doc = "knn", model
+    elif isinstance(model, CartModel):
+        kind, doc = "cart", _CartDoc.of(model)
+    else:
+        kind, doc = "mlp", _MlpDoc("sigmoid", model.weights, model.biases, model.standardization)
+    return {"format": MODEL_FORMAT, "kind": kind, **to_dict(doc)}
+
+
 def model_from_dict(doc: dict, path: str = "model") -> TrainedModel:
     """Inverse of model_to_dict: the declared document of the model's kind,
     decoded by schema.from_dict, so a malformed model raises InvalidConfig
@@ -855,7 +830,7 @@ def model_from_dict(doc: dict, path: str = "model") -> TrainedModel:
     return decoded if kind == "knn" else decoded.model()
 
 
-Model = Annotated[TrainedModel, model_from_dict]  # a document's field that holds a model
+Model = Annotated[TrainedModel, model_from_dict, model_to_dict]  # a document's field that holds a model
 
 
 def check_input_width(model: TrainedModel, width: int) -> None:

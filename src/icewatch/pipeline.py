@@ -41,7 +41,7 @@ import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Annotated, Callable, NamedTuple, Sequence
+from typing import Annotated, Callable, Sequence
 
 import numpy as np
 
@@ -85,7 +85,7 @@ from .rules import (
     strong_rule_filter,
 )
 from .scada import CHANNELS, Frame, LabeledDataset
-from .schema import ANY, at_least, check, from_dict, one_of
+from .schema import ANY, at_least, check, from_dict, one_of, to_dict
 
 REPORT_FORMAT = 1
 BUNDLE_FORMAT = 1
@@ -263,7 +263,7 @@ def _collect(pid: int, pending: dict[int, int]) -> list | None:
 # --- both flows -----------------------------------------------------------------
 
 
-# part name -> the bundle key of its model, and the route code of its rows
+# part name -> the bundle field of its model, and the route code of its rows
 _BUNDLE_KEYS = {"all": "model", "low": "low_model", "high": "high_model"}
 _ROUTES = {"all": LOW, "low": LOW, "high": HIGH}
 
@@ -383,13 +383,56 @@ def run_reengineered(train: LabeledDataset, test: LabeledDataset, cfg: PipelineC
 # --- deployable bundle ----------------------------------------------------------
 
 
-class ModelBundle(NamedTuple):
-    variant: str
-    denoise: DenoiseConfig
-    models: dict[str, TrainedModel]  # by part name
+@dataclass(frozen=True, eq=False)
+class ModelBundle:
+    """A deployable bundle, the declared document that bundle_to_dict
+    writes and bundle_from_dict reads. A traditional bundle holds "model",
+    the model of its part "all"; a re-engineered one its rule, its
+    segment_threshold, and "low_model" and "high_model". Every model reads
+    rows of the bundle's features."""
+
+    format: int = field(metadata=one_of(BUNDLE_FORMAT))
+    variant: str = field(metadata=one_of(*VARIANTS))
+    denoise: _BundleDenoise
     raw_features: bool = False
-    rule: IntervalRule | None = None  # reengineered
-    segmentation: SegmentationConfig | None = None
+    rule: Annotated[IntervalRule, _rule_from_dict, _rule_to_dict] | None = None
+    segment_threshold: float | None = field(default=None, metadata=ANY)
+    model: learners.Model | None = None
+    low_model: learners.Model | None = None
+    high_model: learners.Model | None = None
+
+    def __post_init__(self):
+        check(self)
+        if self.denoise.channels != CHANNELS:
+            raise InvalidConfig(f"denoise.channels: a bundle smooths every channel, got {list(self.denoise.channels)!r}")
+        needed = ("model",) if self.variant == "traditional" else ("rule", "segment_threshold", "low_model", "high_model")
+        for key in ("rule", "segment_threshold", "model", "low_model", "high_model"):
+            if (getattr(self, key) is None) == (key in needed):
+                raise InvalidConfig(f"{key}: missing" if key in needed else f"{key}: not part of a {self.variant} bundle")
+        if self.raw_features and self.variant != "traditional":
+            raise InvalidConfig("raw-channel features apply to the traditional variant only")
+        for key in _BUNDLE_KEYS.values():
+            if getattr(self, key) is not None:
+                learners.check_input_width(getattr(self, key), len(CHANNELS if self.raw_features else FEATURE_IDS))
+
+
+@dataclass(frozen=True, eq=False)
+class _BundleDenoise(DenoiseConfig):
+    """A bundle's denoise entry: the config and the channels it smooths,
+    which are all of them."""
+
+    channels: tuple[str, ...] = CHANNELS
+
+
+@dataclass(frozen=True, eq=False)
+class _RuleDoc:
+    id: str
+    constraints: list  # as rules.rule_to_json writes them
+
+
+def _rule_from_dict(doc, path: str) -> IntervalRule:
+    rule = from_dict(_RuleDoc, doc, path)
+    return rule_from_json(rule.constraints, rule_id=rule.id)
 
 
 def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
@@ -400,14 +443,15 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
     models: dict[str, TrainedModel] = {}
     for name, (key, X, y) in _training_parts(train, cfg).items():
         Xb, yb, lcfg = _balanced(X, y, cfg, i, seed, key)
-        models[name] = learners.train(lcfg, Xb, yb)
+        models[_BUNDLE_KEYS[name]] = learners.train(lcfg, Xb, yb)
     return ModelBundle(
+        format=BUNDLE_FORMAT,
         variant=cfg.variant,
-        denoise=cfg.denoise,
-        models=models,
+        denoise=_BundleDenoise(cfg.denoise.window),
         raw_features=cfg.traditional_raw_features,
         rule=cfg.rule,
-        segmentation=cfg.segmentation,
+        segment_threshold=None if cfg.segmentation is None else cfg.segmentation.threshold,
+        **models,
     )
 
 
@@ -467,85 +511,21 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # degenerate rows, set aside below
             X = assemble_feature_vector(record, engineer_record(record))
         degenerate = degenerate_mask(record)
-    route = _route(X, bundle.rule, bundle.segmentation)
+    segmentation = None if bundle.rule is None else SegmentationConfig(bundle.segment_threshold)
+    route = _route(X, bundle.rule, segmentation)
     route[degenerate] = AUTO_NORMAL
-    label = _label(X, route, {_ROUTES[name]: model for name, model in bundle.models.items()})
+    parts = [(_ROUTES[name], getattr(bundle, key)) for name, key in _BUNDLE_KEYS.items()]
+    label = _label(X, route, {code: model for code, model in parts if model is not None})
     return StreamLabels(time=frame.time, label=label, flagged=warm_up | degenerate)
 
 
 def bundle_to_dict(bundle: ModelBundle) -> dict:
-    doc = {
-        "format": BUNDLE_FORMAT,
-        "variant": bundle.variant,
-        "denoise": {**asdict(bundle.denoise), "channels": list(CHANNELS)},  # the format keeps its bytes
-        "raw_features": bundle.raw_features,
-    }
-    if bundle.rule is not None:
-        doc["rule"] = _rule_to_dict(bundle.rule)
-        doc["segment_threshold"] = bundle.segmentation.threshold
-    for name, model in bundle.models.items():
-        doc[_BUNDLE_KEYS[name]] = learners.model_to_dict(model)
-    return doc
-
-
-@dataclass(frozen=True, eq=False)
-class _BundleDoc:
-    """The declared document of bundle_to_dict. A traditional bundle holds
-    "model", the model of its part "all"; a re-engineered one its rule, its
-    segment_threshold, and "low_model" and "high_model". Every model reads
-    rows of the bundle's features."""
-
-    format: int = field(metadata=one_of(BUNDLE_FORMAT))
-    variant: str = field(metadata=one_of(*VARIANTS))
-    denoise: _BundleDenoise
-    raw_features: bool = False
-    rule: Annotated[IntervalRule, _rule_from_dict] | None = None
-    segment_threshold: float | None = field(default=None, metadata=ANY)
-    model: learners.Model | None = None
-    low_model: learners.Model | None = None
-    high_model: learners.Model | None = None
-
-    def __post_init__(self):
-        check(self)
-        if self.denoise.channels != CHANNELS:
-            raise InvalidConfig(f"denoise.channels: a bundle smooths every channel, got {list(self.denoise.channels)!r}")
-        needed = ("model",) if self.variant == "traditional" else ("rule", "segment_threshold", "low_model", "high_model")
-        for key in ("rule", "segment_threshold", "model", "low_model", "high_model"):
-            if (getattr(self, key) is None) == (key in needed):
-                raise InvalidConfig(f"{key}: missing" if key in needed else f"{key}: not part of a {self.variant} bundle")
-        if self.raw_features and self.variant != "traditional":
-            raise InvalidConfig("raw-channel features apply to the traditional variant only")
-        for key in _BUNDLE_KEYS.values():
-            if getattr(self, key) is not None:
-                learners.check_input_width(getattr(self, key), len(CHANNELS if self.raw_features else FEATURE_IDS))
+    return to_dict(bundle)
 
 
 def bundle_from_dict(doc: dict) -> ModelBundle:
-    """Inverse of bundle_to_dict, through the declared _BundleDoc."""
-    bundle = from_dict(_BundleDoc, doc)
-    segmentation = None if bundle.rule is None else SegmentationConfig(bundle.segment_threshold)
-    models = {name: getattr(bundle, key) for name, key in _BUNDLE_KEYS.items() if getattr(bundle, key) is not None}
-    denoise = DenoiseConfig(bundle.denoise.window)
-    return ModelBundle(bundle.variant, denoise, models, bundle.raw_features, bundle.rule, segmentation)
-
-
-@dataclass(frozen=True, eq=False)
-class _BundleDenoise(DenoiseConfig):
-    """A bundle's denoise entry: the config and the channels it smooths,
-    which are all of them."""
-
-    channels: tuple[str, ...] = CHANNELS
-
-
-@dataclass(frozen=True, eq=False)
-class _RuleDoc:
-    id: str
-    constraints: list  # as rules.rule_to_json writes them
-
-
-def _rule_from_dict(doc, path: str) -> IntervalRule:
-    rule = from_dict(_RuleDoc, doc, path)
-    return rule_from_json(rule.constraints, rule_id=rule.id)
+    """Inverse of bundle_to_dict."""
+    return from_dict(ModelBundle, doc)
 
 
 # --- report output --------------------------------------------------------------

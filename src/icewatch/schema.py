@@ -12,6 +12,11 @@ and ``Annotated[T, decode]`` is decoded by ``decode(value, path)``.
 A field named after a Python keyword with a trailing underscore, such as
 ``class_``, reads and names the key without it.
 
+``to_dict`` writes the JSON object that ``from_dict`` reads: each field
+under its key, a None value left out, arrays and tuples as lists, nested
+dataclasses as objects, and a field of ``Annotated[T, decode, encode]`` as
+``encode(value)``.
+
 Each numeric or choice field declares its domain next to the field, as
 ``field(..., metadata=at_least(1))``; the declaration covers every item of
 a tuple, every value of a dict and every element of an array. A config's
@@ -58,6 +63,28 @@ def from_dict(cls, doc, path: str = ""):
     return _decode(cls, doc, path)
 
 
+def to_dict(obj) -> dict:
+    """The JSON object of the dataclass `obj`, which from_dict reads back."""
+    doc = {}
+    for key, name, encode in _writers(type(obj)):  # a loop: a level of a tree costs one frame
+        value = getattr(obj, name)
+        if value is not None:
+            doc[key] = encode(value)
+    return doc
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    return value
+
+
 def array(dtype, ndim: int):
     """The annotation of a field that holds an ndim-dimensional numpy array
     of dtype, decoded from nested JSON arrays by one np.array call: of
@@ -79,6 +106,20 @@ def _declared(cls) -> dict[str, tuple[str, object, bool]]:
         f.name.removesuffix("_"): (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls)
     }
+
+
+@functools.cache
+def _writers(cls) -> list[tuple[str, str, object]]:
+    """(key, field name, encoder) of each field of the dataclass cls, the
+    same for T and T | None: encode of ``Annotated[T, decode, encode]``,
+    to_dict of a dataclass, else _encode."""
+    writers = []
+    for key, (name, tp, _) in _declared(cls).items():
+        if typing.get_origin(tp) in (typing.Union, types.UnionType):
+            (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        metadata = tp.__metadata__ if typing.get_origin(tp) is typing.Annotated else ()
+        writers.append((key, name, metadata[1] if len(metadata) > 1 else to_dict if is_dataclass(tp) else _encode))
+    return writers
 
 
 def _decode(tp, value, path: str):

@@ -3,6 +3,7 @@ import json
 import os
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -204,23 +205,26 @@ class TestBundle:
         path = tmp_path / "bundle.json"
         path.write_text(_json_text(bundle_to_dict(bundle)), encoding="utf-8")
         back = bundle_from_dict(read_json(path))
-        assert back.models.keys() == bundle.models.keys() == {"low", "high"}
-        for name, model in bundle.models.items():
-            got, want = self.MODEL_ARRAYS[algorithm](back.models[name]), self.MODEL_ARRAYS[algorithm](model)
+        assert back.model is bundle.model is None
+        arrays = self.MODEL_ARRAYS[algorithm]
+        for key in ("low_model", "high_model"):
+            got, want = arrays(getattr(back, key)), arrays(getattr(bundle, key))
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         scalars = {"knn": ("k", "max_sq_norm"), "cart": ("max_depth", "min_leaf"), "mlp": ()}[algorithm]
         for name in scalars:
-            assert getattr(back.models["low"], name) == getattr(bundle.models["low"], name)
-        assert (back.rule, back.segmentation, back.denoise) == (bundle.rule, bundle.segmentation, bundle.denoise)
+            assert getattr(back.low_model, name) == getattr(bundle.low_model, name)
+        assert (back.rule, back.segment_threshold, back.denoise.window) == (
+            bundle.rule, bundle.segment_threshold, bundle.denoise.window
+        )
 
     def test_bundle_without_denoise_channels_loads(self):
         _, ds_a, _ = small_pair()
         doc = bundle_to_dict(train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common())))
         assert doc["denoise"] == {"window": 10, "channels": list(CHANNELS)}
         del doc["denoise"]["channels"]
-        assert bundle_from_dict(doc).denoise == DenoiseConfig()
+        assert bundle_from_dict(doc).denoise.window == DenoiseConfig().window
 
     def test_bundle_json_serializable(self):
         _, ds_a, _ = small_pair()
@@ -230,11 +234,78 @@ class TestBundle:
     def test_bundle_model_and_labels_are_immutable(self):
         _, ds_a, ds_b = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
-        model, labels = bundle.models["all"], predict_stream(bundle, ds_b.take(slice(20)))
+        model, labels = bundle.model, predict_stream(bundle, ds_b.take(slice(20)))
         for obj, name in ((bundle, "variant"), (model, "k"), (model, "screen32"), (model.standardization, "mean"),
                           (labels, "label")):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
+
+
+WRITTEN = [f"{learner}-{variant}" for learner in ("knn", "cart", "mlp") for variant in ("traditional", "reengineered")]
+
+
+@pytest.fixture(scope="module")
+def written_bundles(tmp_path_factory):
+    """Per case, the text of a bundle that `experiment --bundles` writes on
+    the smoke pair: each learner's two variants, and the traditional bundle
+    of the raw-channel baseline."""
+    smoke = json.loads(SMOKE.read_text())
+    cases = {
+        "knn": {},
+        "cart": {"learner": {"algorithm": "cart", "cart_min_leaf": 2}},
+        "mlp": {"learner": {"algorithm": "mlp", "mlp_hidden": [4], "mlp_epochs": 3}},
+        "raw": {"variants": ["traditional"], "traditional_raw_features": True},
+    }
+    texts = {}
+    for case, options in cases.items():
+        tmp = tmp_path_factory.mktemp(case)
+        config = tmp / "config.json"
+        config.write_text(json.dumps({**smoke, "n_runs": 1, **options}))
+        assert main(["experiment", "--config", str(config), "--out-dir", str(tmp / "out"), "--bundles"]) == 0
+        for path in (tmp / "out").glob("*.bundle.json"):
+            texts[f"{case}-{path.name.split('.')[0]}"] = path.read_text(encoding="utf-8")
+    assert sorted(texts) == sorted(WRITTEN + ["raw-traditional"])
+    return texts
+
+
+@pytest.mark.parametrize("case", WRITTEN + ["raw-traditional"])
+def test_written_bundle_reads_back_to_itself(case, written_bundles):
+    """A written bundle decodes and encodes to its own document and text."""
+    text = written_bundles[case]
+    doc = json.loads(text)
+    assert doc["raw_features"] is (case == "raw-traditional")
+    rewritten = bundle_to_dict(bundle_from_dict(doc))
+    same_doc, same_text = rewritten == doc, _json_text(rewritten) == text  # bare bools: no diff of the texts
+    assert same_doc and same_text
+
+
+def _cart_chain(depth):
+    """A traditional bundle whose CART tree splits `depth` times down the
+    left, with a leaf right of every split. In table order: the splits, the
+    deepest leaf, then the right leaves from the bottom up."""
+    splits = [[10, 0.5, 1, 0.5, 0.5, 1, float(i), i + 1, 2 * depth - i] for i in range(depth)]
+    leaves = [[5, 0.0, 0, 1.0, 0.0, -1, 0.0, -1, -1]] * (depth + 1)
+    model = learners._cart_model(splits + leaves, 12, 5)
+    return ModelBundle(pipeline.BUNDLE_FORMAT, "traditional", pipeline._BundleDenoise(10), model=model)
+
+
+def _in_fresh_thread(fn):
+    """fn() on a new thread's stack, about as shallow as the CLI's."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
+def test_deepest_writable_tree_reads_back_bitwise():
+    """A CART chain of 493 levels, the deepest that _json_text writes from a
+    fresh thread's stack, writes and decodes to its bitwise node table. The
+    limit is _json_text's own, two frames per level; the bundle's encoder
+    takes one and writes far deeper trees. predict reads about 980 levels."""
+    bundle = _cart_chain(493 - 1)
+    text = _in_fresh_thread(lambda: _json_text(bundle_to_dict(bundle)))
+    back = bundle_from_dict(json.loads(text))
+    for a, b in zip(TestBundle.MODEL_ARRAYS["cart"](back.model), TestBundle.MODEL_ARRAYS["cart"](bundle.model)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert _in_fresh_thread(lambda: bundle_to_dict(_cart_chain(900)))["model"]["root"]["n"] == 10
 
 
 class TestPredictStream:
@@ -276,7 +347,7 @@ class TestPredictStream:
     def test_traditional_bundle_ignores_rules(self):
         _, ds_a, ds_b = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
-        assert bundle.rule is None and bundle.segmentation is None
+        assert bundle.rule is None and bundle.segment_threshold is None
         stream = ds_b.take(slice(100))
         first = predict_stream(bundle, stream)
         second = predict_stream(bundle, stream)
@@ -288,7 +359,7 @@ class TestPredictStream:
         # training's denoise_dataset does
         _, ds_a, ds_b = small_pair()
         bundle = train_bundle(ds_a, PipelineConfig(variant="traditional", **knn_common()))
-        bundle = bundle._replace(denoise=denoise)
+        bundle = dataclasses.replace(bundle, denoise=pipeline._BundleDenoise(denoise.window))
         stream = drop_invalid(ds_b)
         seen = []
 
@@ -348,10 +419,11 @@ class TestPredictStream:
         X = seen["assemble_feature_vector"]
         if variant == "traditional":
             assert "gate" not in seen
-            routes = [(bundle.models["all"], np.arange(n))]
+            routes = [(bundle.model, np.arange(n))]
         else:
             route = seen["gate"]
-            routes = [(bundle.models[part], np.flatnonzero(route == code)) for part, code in (("low", LOW), ("high", HIGH))]
+            parts = ((bundle.low_model, LOW), (bundle.high_model, HIGH))
+            routes = [(model, np.flatnonzero(route == code)) for model, code in parts]
             routes = [(model, rows) for model, rows in routes if rows.size]
             assert (predictions.label[route == AUTO_NORMAL] == NORMAL).all()
             assert 0 < sum(rows.size for _, rows in routes) < n

@@ -16,7 +16,7 @@ from icewatch.learners import LearnerConfig
 from icewatch.pipeline import PipelineConfig
 from icewatch.preprocess import DenoiseConfig
 from icewatch.rules import IntervalConstraint, IntervalRule, SegmentationConfig
-from icewatch.schema import NOT_NEGATIVE, array, check, from_dict, read_json
+from icewatch.schema import NOT_NEGATIVE, array, check, from_dict, read_json, to_dict
 from icewatch.synthgen import IcingTrigger, OffsetProfile, PairConfig, SynthConfig, WindModel
 
 
@@ -105,7 +105,7 @@ def _config_classes(*roots) -> list:
 
 CONFIG_CLASSES = _config_classes(
     ExperimentConfig, PairConfig, PipelineConfig, DenoiseConfig, SegmentationConfig, IntervalConstraint,
-    pipeline._BundleDoc, learners._CartDoc, learners._MlpDoc,  # the model and bundle documents
+    pipeline.ModelBundle, learners._CartDoc, learners._MlpDoc,  # the model and bundle documents
 )
 
 
@@ -209,7 +209,8 @@ class Rows:
     X: array(float, 2)
     y: array(np.int8, 1) = dataclasses.field(default=None, metadata=NOT_NEGATIVE)
     class_: int = 0
-    total: typing.Annotated[int, lambda value, path: sum(value)] = 0
+    total: typing.Annotated[int, lambda value, path: sum(value), lambda total: [total]] = 0
+    pair: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         check(self)
@@ -243,6 +244,20 @@ def test_array_and_keyword_fields_reject_with_their_path(doc, message):
     with pytest.raises(InvalidConfig) as info:
         from_dict(Rows, doc)
     assert str(info.value) == message
+
+
+def test_to_dict_writes_the_object_from_dict_reads():
+    doc = {"X": [[1.0, 2.5]], "class": 1, "total": [5], "pair": [0.5, -1.0]}
+    rows = from_dict(Rows, doc)
+    written = to_dict(rows)
+    assert written == doc  # no "y": a None value is left out; "class", not "class_"; total by its encoder
+    assert [type(written[key]) for key in ("X", "pair")] == [list, list] and type(written["X"][0][0]) is float
+    y = to_dict(Rows(np.zeros((1, 1)), np.array([1, 0], dtype=np.int8)))["y"]
+    assert y == [1, 0] and type(y[0]) is int
+
+
+def test_to_dict_writes_nested_dataclasses_dicts_and_tuples_as_json():
+    assert to_dict(from_dict(PairConfig, PAIR_DOC)) == PAIR_DOC
 
 
 def test_annotations_are_resolved_once_per_class(monkeypatch):
