@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 # One BLAS thread per process, set before numpy loads: the seeded runs go
@@ -29,10 +29,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 from .errors import ConfigError, DataError, InvalidConfig  # noqa: E402
 from .features import feature_vectors, rank_features, write_feature_csv  # noqa: E402
-from .learners import LearnerConfig  # noqa: E402
 from .pipeline import (  # noqa: E402
     VARIANTS,
     PipelineConfig,
+    Settings,
     bundle_from_dict,
     bundle_to_dict,
     predict_stream,
@@ -42,13 +42,8 @@ from .pipeline import (  # noqa: E402
     run_traditional,
     train_bundle,
 )
-from .preprocess import (  # noqa: E402
-    BalanceConfig,
-    DenoiseConfig,
-    oversample_order,
-    undersample_order,
-)
-from .rules import SegmentationConfig, load_rule, strong_rule_filter  # noqa: E402
+from .preprocess import DenoiseConfig, oversample_order, undersample_order  # noqa: E402
+from .rules import load_rule, strong_rule_filter  # noqa: E402
 from .scada import (  # noqa: E402
     LABELS,
     Label,
@@ -61,7 +56,7 @@ from .scada import (  # noqa: E402
     write_predicted_labels_csv,
     write_scada_csv,
 )
-from .schema import ANY, check, from_dict, one_of, read_json  # noqa: E402
+from .schema import ANY, check, from_dict, one_of, read_json, to_dict  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -80,21 +75,13 @@ class DataConfig:
         check(self)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The experiment JSON document (configs/experiment_default.json)."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(Settings):
+    """The experiment JSON document (configs/experiment_default.json): the
+    settings its variants share, and its own."""
 
     data: DataConfig
-    learner: LearnerConfig
     variants: tuple[str, ...] = field(default=VARIANTS, metadata=one_of(*VARIANTS))
-    denoise: DenoiseConfig = DenoiseConfig()
-    balance: BalanceConfig = BalanceConfig()
-    # cv_k, n_runs, master_seed and min_segment_size are checked where they
-    # land, in PipelineConfig
-    cv_k: int = 5
-    n_runs: int = 10
-    master_seed: int = 0
-    min_segment_size: int = 50
     traditional_raw_features: bool = False
     rule: str = "R5"  # builtin id or rule JSON path
     segment_threshold: float = field(default=-0.25, metadata=ANY)
@@ -146,12 +133,17 @@ def _json_text(doc) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) + "\\n", byte for byte.
     json's indenting encoder runs in Python, one call per value, so each
     list of float rows (a KNN model's X, an MLP's weights) is rendered by
-    _float_rows and spliced in, re-indented, where a "\\0" stands for it."""
+    _float_rows and spliced in, re-indented, where a "\\0" stands for it.
+    A level of nested objects costs one frame, as in schema.to_dict, so
+    every tree that to_dict writes is written here too."""
     blocks = []
 
     def cut(value):
         if type(value) is dict:  # in json's key order, which is the blocks' order
-            return {key: cut(value[key]) for key in sorted(value)}
+            out = {}
+            for key in sorted(value):  # a loop, not a comprehension: one frame per level
+                out[key] = cut(value[key])
+            return out
         if type(value) is list:
             try:
                 blocks.append(_float_rows(value))
@@ -194,7 +186,7 @@ def _write_turbine(out: synthgen.SynthOutput, directory: Path) -> None:
     counts = {"normal": 0, "abnormal": 0, "invalid": 0}
     for label in out.truth_labels:
         counts[label.value] += 1
-    ledger = {"episodes": [asdict(e) for e in out.episode_ledger], "counts": counts}
+    ledger = {"episodes": [to_dict(e) for e in out.episode_ledger], "counts": counts}
     _dump_json(ledger, directory / "ledger.json")
 
 
@@ -275,29 +267,15 @@ def _pipeline_configs(exp: ExperimentConfig | dict) -> dict[str, PipelineConfig]
     decoded first if it is the JSON document."""
     if isinstance(exp, dict):
         exp = _experiment_config(exp)
-    common = dict(
-        denoise=exp.denoise,
-        balance=exp.balance,
-        learner=exp.learner,
-        cv_k=exp.cv_k,
-        n_runs=exp.n_runs,
-        master_seed=exp.master_seed,
-        min_segment_size=exp.min_segment_size,
-    )
-    configs: dict[str, PipelineConfig] = {}
-    for variant in exp.variants:
-        if variant == "traditional":
-            configs[variant] = PipelineConfig(
-                variant="traditional", traditional_raw_features=exp.traditional_raw_features, **common
-            )
-        else:
-            configs[variant] = PipelineConfig(
-                variant="reengineered",
-                rule=load_rule(exp.rule),
-                segmentation=SegmentationConfig(threshold=exp.segment_threshold),
-                **common,
-            )
-    return configs
+    shared = {f.name: getattr(exp, f.name) for f in fields(Settings)}
+    return {
+        variant: PipelineConfig(variant=variant, traditional_raw_features=exp.traditional_raw_features, **shared)
+        if variant == "traditional"
+        else PipelineConfig(
+            variant=variant, rule=load_rule(exp.rule), segment_threshold=exp.segment_threshold, **shared
+        )
+        for variant in exp.variants
+    }
 
 
 def _cmd_experiment(args) -> int:
@@ -320,7 +298,11 @@ def _cmd_experiment(args) -> int:
         else:
             reports.append(run_reengineered(train, test, cfg))
         if args.bundles:
-            bundles[f"{variant}.bundle.json"] = _json_text(bundle_to_dict(train_bundle(train, cfg)))
+            name = f"{variant}.bundle.json"
+            try:
+                bundles[name] = _json_text(bundle_to_dict(train_bundle(train, cfg)))
+            except RecursionError:  # a tree too deep to write, as read_json reports one too deep to read
+                raise InvalidConfig(f"{name}: nested too deeply") from None
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

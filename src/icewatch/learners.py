@@ -60,7 +60,7 @@ from typing import Annotated, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, InvalidConfig
-from .schema import ANY, NOT_NEGATIVE, POSITIVE, array, at_least, check, from_dict, one_of, to_dict
+from .schema import ANY, EXTENDED, NOT_NEGATIVE, POSITIVE, array, at_least, check, from_dict, one_of, to_dict
 
 NORMAL, ABNORMAL = 0, 1
 
@@ -728,7 +728,7 @@ class _Node:
     class_: int = field(metadata=one_of(NORMAL, ABNORMAL))
     proportions: tuple[float, float] = field(metadata=ANY)
     feature: int | None = field(default=None, metadata=at_least(0))
-    threshold: float | None = field(default=None, metadata=ANY)
+    threshold: float | None = field(default=None, metadata=EXTENDED)  # +inf splits a finite value from inf
     left: _Node | None = None
     right: _Node | None = None
 

@@ -15,10 +15,11 @@ scored on the whole (invalid-dropped, denoised, unbalanced) test turbine.
 Re-engineered flow: the traditional flow plus two gates, both on the
 feature matrix. After the same preprocessing, the strong rule filters
 training rows down to icing candidates (rules.strong_rule_filter;
-everything else is excluded from training), and rules.segment splits the
-candidates by wind speed into the parts "low" (seed key (0,)) and "high"
-(seed key (1,)), each in row order. The test turbine is routed and
-labeled by _route and _label, as predict_stream labels a stream: rule
+everything else is excluded from training), and rules.segment(X,
+threshold) splits the candidates at the config's segment_threshold into
+the parts "low" (seed key (0,)) and "high" (seed key (1,)), each in row
+order. The test turbine is routed by rules.gate(X, rule, threshold) in
+_route and labeled by _label, as predict_stream labels a stream: rule
 failures are predicted normal outright, candidates by their part's model.
 Scores are reported per part, on the rows routed to it, and pooled over
 the whole test set; the pooled CV score is the mean of the parts'.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Annotated, Callable, Sequence
 
 import numpy as np
@@ -77,7 +78,6 @@ from .rules import (
     HIGH,
     LOW,
     IntervalRule,
-    SegmentationConfig,
     gate,
     rule_from_json,
     rule_to_json,
@@ -92,29 +92,58 @@ BUNDLE_FORMAT = 1
 VARIANTS = ("traditional", "reengineered")
 
 
+@dataclass(frozen=True, eq=False)
+class _RuleDoc:
+    id: str
+    constraints: list  # as rules.rule_to_json writes them
+
+
+def _rule_from_dict(doc, path: str) -> IntervalRule:
+    rule = from_dict(_RuleDoc, doc, path)
+    return rule_from_json(rule.constraints, rule_id=rule.id)
+
+
+def _rule_to_dict(rule: IntervalRule) -> dict:
+    return {"id": rule.rule_id, "constraints": rule_to_json(rule)}
+
+
+# a rule field, written and read as {id, constraints}
+Rule = Annotated[IntervalRule, _rule_from_dict, _rule_to_dict]
+
+
 @dataclass(frozen=True)
-class PipelineConfig:
-    variant: str = field(metadata=one_of(*VARIANTS))
+class Settings:
+    """The settings that an experiment config passes to the pipeline config
+    of each of its variants, declared once for both."""
+
     learner: LearnerConfig
     denoise: DenoiseConfig = DenoiseConfig()
     balance: BalanceConfig = BalanceConfig()
-    rule: IntervalRule | None = None
-    segmentation: SegmentationConfig | None = None
     cv_k: int = field(default=5, metadata=at_least(2))
     n_runs: int = field(default=10, metadata=at_least(1))
     master_seed: int = field(default=0, metadata=at_least(0))
     min_segment_size: int = field(default=50, metadata=at_least(1))
+
+
+@dataclass(frozen=True, kw_only=True)
+class PipelineConfig(Settings):
+    """One variant's flow: the shared settings, and the rule and the
+    wind-speed split point of the re-engineered variant."""
+
+    variant: str = field(metadata=one_of(*VARIANTS))
+    rule: Rule | None = None
+    segment_threshold: float | None = field(default=None, metadata=ANY)
     traditional_raw_features: bool = False
 
     def __post_init__(self):
         check(self)
         if self.variant == "reengineered":
-            if self.rule is None or self.segmentation is None:
-                raise InvalidConfig("reengineered pipeline requires rule and segmentation")
+            if self.rule is None or self.segment_threshold is None:
+                raise InvalidConfig("reengineered pipeline requires rule and segment_threshold")
             if self.traditional_raw_features:
                 raise InvalidConfig("raw-channel features apply to the traditional variant only")
-        elif self.rule is not None or self.segmentation is not None:
-            raise InvalidConfig("traditional pipeline forbids rule and segmentation")
+        elif self.rule is not None or self.segment_threshold is not None:
+            raise InvalidConfig("traditional pipeline forbids rule and segment_threshold")
 
 
 def config_hash(doc: dict) -> str:
@@ -124,21 +153,12 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _rule_to_dict(rule: IntervalRule) -> dict:
-    return {"id": rule.rule_id, "constraints": rule_to_json(rule)}
-
-
 def pipeline_config_to_dict(cfg: PipelineConfig) -> dict:
-    """The report's config echo: every field except the learner seed (each
-    run derives its own), with the rule as {id, constraints} and the
-    segmentation as a top-level segment_threshold, both only when set."""
-    doc = asdict(cfg)
-    del doc["learner"]["seed"], doc["rule"], doc["segmentation"]
+    """The report's config echo: the config's document without the learner
+    seed, which each run derives, and with the channels denoise smooths."""
+    doc = to_dict(cfg)
+    del doc["learner"]["seed"]
     doc["denoise"]["channels"] = list(CHANNELS)  # every channel is smoothed; the echo keeps its bytes and hash
-    if cfg.rule is not None:
-        doc["rule"] = _rule_to_dict(cfg.rule)
-    if cfg.segmentation is not None:
-        doc["segment_threshold"] = cfg.segmentation.threshold
     return doc
 
 
@@ -278,7 +298,7 @@ def _training_parts(
     if cfg.variant == "traditional":
         return {"all": ((), X, y)}
     candidates, _ = strong_rule_filter(X, cfg.rule)
-    low, high = segment_vectors(X[candidates], cfg.segmentation)
+    low, high = segment_vectors(X[candidates], cfg.segment_threshold)
     parts = {"low": ((0,), candidates[low]), "high": ((1,), candidates[high])}
     for name, (_, rows) in parts.items():
         if len(rows) < cfg.min_segment_size:
@@ -286,12 +306,12 @@ def _training_parts(
     return {name: (key, X[rows], y[rows]) for name, (key, rows) in parts.items()}
 
 
-def _route(X: np.ndarray, rule: IntervalRule | None, segmentation: SegmentationConfig | None) -> np.ndarray:
+def _route(X: np.ndarray, rule: IntervalRule | None, threshold: float | None) -> np.ndarray:
     """int8[n]: the route code of each row, rules.gate's, or LOW for every
     row when there is no rule."""
     if rule is None:
         return np.full(len(X), LOW, dtype=np.int8)
-    return gate(X, rule, segmentation)
+    return gate(X, rule, threshold)
 
 
 def _label(X: np.ndarray, route: np.ndarray, models: dict[int, TrainedModel]) -> np.ndarray:
@@ -320,7 +340,7 @@ def _run(train: LabeledDataset, test: LabeledDataset, cfg: PipelineConfig) -> di
     part the mean and deviation of its CV and test scores over the runs."""
     train_parts = _training_parts(train, cfg)
     X_test, y_test = _matrix(test, cfg)
-    route = _route(X_test, cfg.rule, cfg.segmentation)
+    route = _route(X_test, cfg.rule, cfg.segment_threshold)
     test_rows = {name: route == _ROUTES[name] for name in train_parts}
     for name, rows in test_rows.items():
         if not rows.any():
@@ -395,7 +415,7 @@ class ModelBundle:
     variant: str = field(metadata=one_of(*VARIANTS))
     denoise: _BundleDenoise
     raw_features: bool = False
-    rule: Annotated[IntervalRule, _rule_from_dict, _rule_to_dict] | None = None
+    rule: Rule | None = None
     segment_threshold: float | None = field(default=None, metadata=ANY)
     model: learners.Model | None = None
     low_model: learners.Model | None = None
@@ -424,17 +444,6 @@ class _BundleDenoise(DenoiseConfig):
     channels: tuple[str, ...] = CHANNELS
 
 
-@dataclass(frozen=True, eq=False)
-class _RuleDoc:
-    id: str
-    constraints: list  # as rules.rule_to_json writes them
-
-
-def _rule_from_dict(doc, path: str) -> IntervalRule:
-    rule = from_dict(_RuleDoc, doc, path)
-    return rule_from_json(rule.constraints, rule_id=rule.id)
-
-
 def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
     """Train the final deployable model of each part with one balance draw,
     seeded one past the experiment's runs."""
@@ -450,7 +459,7 @@ def train_bundle(train: LabeledDataset, cfg: PipelineConfig) -> ModelBundle:
         denoise=_BundleDenoise(cfg.denoise.window),
         raw_features=cfg.traditional_raw_features,
         rule=cfg.rule,
-        segment_threshold=None if cfg.segmentation is None else cfg.segmentation.threshold,
+        segment_threshold=cfg.segment_threshold,
         **models,
     )
 
@@ -511,8 +520,7 @@ def predict_stream(bundle: ModelBundle, frame: Frame) -> StreamLabels:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # degenerate rows, set aside below
             X = assemble_feature_vector(record, engineer_record(record))
         degenerate = degenerate_mask(record)
-    segmentation = None if bundle.rule is None else SegmentationConfig(bundle.segment_threshold)
-    route = _route(X, bundle.rule, segmentation)
+    route = _route(X, bundle.rule, bundle.segment_threshold)
     route[degenerate] = AUTO_NORMAL
     parts = [(_ROUTES[name], getattr(bundle, key)) for name, key in _BUNDLE_KEYS.items()]
     label = _label(X, route, {code: model for code, model in parts if model is not None})

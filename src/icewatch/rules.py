@@ -19,9 +19,11 @@ Bounds are strict or inclusive exactly as written above.
 
 Rules and the wind-speed split work on feature matrices (rows from
 features.feature_vectors): rule_mask decides every row at once,
-strong_rule_filter and segment return the ascending row indices of their
-two parts, and gate combines the two into one routing code per row.
-Training, test gating, inspect-rules and predict all route through them.
+strong_rule_filter(X, rule) and segment(X, threshold) return the ascending
+row indices of their two parts, and gate(X, rule, threshold) combines the
+two into one routing code per row. The threshold is a plain float, the
+segment_threshold of the pipeline config and of the bundle. Training, test
+gating, inspect-rules and predict all route through them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .features import FEATURE_IDS
-from .schema import ANY, EXTENDED, check, from_dict, read_json
+from .schema import EXTENDED, from_dict, read_json
 
 INF = math.inf
 
@@ -123,27 +125,20 @@ def strong_rule_filter(X: np.ndarray, rule: IntervalRule) -> tuple[np.ndarray, n
     return np.flatnonzero(passed), np.flatnonzero(~passed)
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
-    threshold: float = field(default=-0.25, metadata=ANY)  # applied to x4
-
-    def __post_init__(self):
-        check(self)
-
-
-def segment(X: np.ndarray, cfg: SegmentationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending row indices (low, high) of the rows of X by wind speed;
-    the boundary value and NaN go high."""
-    low = X[:, _WIND] < cfg.threshold
+def segment(X: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending row indices (low, high) of the rows of X by wind speed
+    (x4) against `threshold`; the boundary value and NaN go high."""
+    low = X[:, _WIND] < threshold
     return np.flatnonzero(low), np.flatnonzero(~low)
 
 
-def gate(X: np.ndarray, rule: IntervalRule, cfg: SegmentationConfig) -> np.ndarray:
+def gate(X: np.ndarray, rule: IntervalRule, threshold: float) -> np.ndarray:
     """int8[n]: the route of each row of X. Outside the rule is AUTO_NORMAL,
-    a candidate is LOW or HIGH as segment splits the candidates."""
+    a candidate is LOW or HIGH as segment splits the candidates at
+    `threshold`."""
     route = np.full(len(X), AUTO_NORMAL, dtype=np.int8)
     candidates, _ = strong_rule_filter(X, rule)
-    low, high = segment(X[candidates], cfg)
+    low, high = segment(X[candidates], threshold)
     route[candidates[low]] = LOW
     route[candidates[high]] = HIGH
     return route

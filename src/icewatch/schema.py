@@ -216,7 +216,7 @@ POSITIVE = _domain("> 0", lambda v: v > 0)
 NOT_NEGATIVE = _domain(">= 0 or NaN", lambda v: np.logical_not(v < 0))
 NONZERO = _domain("nonzero", lambda v: v != 0)
 ANY = _domain("any value", lambda v: True)  # bounded by its type alone: int64, or a finite double
-EXTENDED = _domain("a number", lambda v: v == v, finite=False)  # any double but NaN, infinities included
+EXTENDED = _domain("a finite number or an infinity", lambda v: v == v, finite=False)  # any double but NaN
 
 
 def check(config, prefix: str = "") -> None:

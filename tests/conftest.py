@@ -162,12 +162,12 @@ def rule_satisfied(rule, fv: FeatureVector) -> bool:
     return all(holds(c, getattr(fv, FEATURE_FIELDS[c.feature])) for c in rule.constraints)
 
 
-def gate_per_record(fv: FeatureVector, rule, cfg) -> int:
+def gate_per_record(fv: FeatureVector, rule, threshold: float) -> int:
     """The route code of one vector: outside the rule auto-normal, else low
     below the threshold and high at or above it (or at NaN)."""
     if not rule_satisfied(rule, fv):
         return AUTO_NORMAL
-    return LOW if fv.wind_speed < cfg.threshold else HIGH
+    return LOW if fv.wind_speed < threshold else HIGH
 
 
 # --- the csv.writer reference of the CSV writers ------------------------------------

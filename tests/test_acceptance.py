@@ -28,7 +28,6 @@ from icewatch.learners import (
     train,
 )
 from icewatch.rules import (
-    SegmentationConfig,
     builtin_rule,
     rule_mask,
     segment,
@@ -146,7 +145,7 @@ def test_c04_partition_laws():
         for part in (candidates, auto):
             assert (np.diff(part) > 0).all()  # ascending: order kept
 
-        low, high = segment(X, SegmentationConfig(threshold=-0.25))
+        low, high = segment(X, -0.25)
         assert len(low) + len(high) == len(X)
         seen = np.concatenate([low, high])
         assert len(np.unique(seen)) == len(X)

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import frame_of, make_dataset, make_record
 from knn_oracle import knn_oracle
-from icewatch import learners
+from test_pipeline import _cart_chain
+from icewatch import cli, learners
 from icewatch.cli import _experiment_config, _json_text, _load_datasets, _pipeline_configs, main
 from icewatch.errors import InvalidConfig
 from icewatch.pipeline import bundle_from_dict, predict_stream, run_traditional
@@ -615,6 +616,8 @@ MALFORMED = {
         lambda t: _experiment(t, variants=["traditional"], segment_threshold=math.nan), 2,
         "config error: segment_threshold must be a finite number, got nan",
     ),
+    # a setting the variants share is checked as the experiment config is decoded
+    "experiment-cv-k-below-2": (lambda t: _experiment(t, cv_k=1), 2, "config error: cv_k must be >= 2, got 1"),
 }
 
 
@@ -686,6 +689,17 @@ def test_deep_tree_loads_or_exits_2_with_one_line(tmp_path, capsys):
     assert (code, line) == (2, f"config error: {argv[2]}: nested too deeply") or (
         code == 3 and line.startswith("data error:") and "B.csv" in line
     )
+
+
+def test_bundle_too_deep_to_write_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """A trained tree too deep to write exits 2 as a file too deep to read
+    does, and the experiment writes nothing."""
+    monkeypatch.setattr(cli, "run_traditional", lambda train, test, cfg: {})
+    monkeypatch.setattr(cli, "train_bundle", lambda train, cfg: _cart_chain(2000))
+    argv = _experiment(tmp_path, ["--bundles"], variants=["traditional"], data={"pair": {"base": {"duration": 200}}})
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: traditional.bundle.json: nested too deeply"]
+    assert not (tmp_path / "out").exists()
 
 
 def _with_frames_left(frames, fn):

@@ -5,7 +5,8 @@ errors and schema sit at the bottom, the learners know nothing of SCADA
 records, evaluation sits on the learners alone, and only the CLI drives
 the pipeline. errors defines the package's four exception classes, and
 no other module defines one. One function, scada.write_csv_rows, writes
-every CSV: the csv module only reads."""
+every CSV: the csv module only reads. One function, schema.to_dict, turns
+a dataclass into its JSON document: no module calls dataclasses.asdict."""
 
 import ast
 from pathlib import Path
@@ -119,20 +120,21 @@ def test_the_guard_sees_every_exception_base(tmp_path):
     assert exception_classes(probe) == {"A", "B", "C", "D", "F"}
 
 
-# --- CSV files ------------------------------------------------------------------------
+# --- CSV files and JSON documents ----------------------------------------------------
 
 
-def csv_names(path: Path) -> set[str]:
-    """The names of the csv module that the source at `path` uses: each
-    attribute of the module under any alias, and each name imported from it."""
+def module_names(path: Path, module: str) -> set[str]:
+    """The names of the standard `module` that the source at `path` uses:
+    each attribute of the module under any alias, and each name imported
+    from it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imports = [a for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
-    aliases = {a.asname or a.name for a in imports if a.name == "csv"}
+    aliases = {a.asname or a.name for a in imports if a.name == module}
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
             found.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
             found.update(a.name for a in node.names)
     return found
 
@@ -140,7 +142,7 @@ def csv_names(path: Path) -> set[str]:
 def test_only_the_row_reader_uses_the_csv_module():
     """No module calls csv.writer, so every CSV is formatted by
     scada.write_csv_rows; scada's row reader is csv.reader."""
-    used = {module: csv_names(PACKAGE / f"{module}.py") for module in MODULES}
+    used = {module: module_names(PACKAGE / f"{module}.py", "csv") for module in MODULES}
     assert {module: names for module, names in used.items() if names} == {"scada": {"reader"}}
 
 
@@ -150,7 +152,14 @@ def test_the_csv_guard_sees_every_form(tmp_path):
         "import csv\nimport csv as c\nfrom csv import DictWriter\n"
         "def f(s):\n    return csv.writer(s), c.reader(s), c.QUOTE_ALL, DictWriter\n"
     )
-    assert csv_names(probe) == {"writer", "reader", "QUOTE_ALL", "DictWriter"}
+    assert module_names(probe, "csv") == {"writer", "reader", "QUOTE_ALL", "DictWriter"}
+
+
+def test_schema_is_the_only_dataclass_encoder():
+    """No module calls dataclasses.asdict, so every dataclass is written by
+    schema.to_dict, the inverse of the from_dict that reads it."""
+    users = [module for module in MODULES if "asdict" in module_names(PACKAGE / f"{module}.py", "dataclasses")]
+    assert users == []
 
 
 # --- the line count of tests/code_lines.py --------------------------------------------

@@ -302,6 +302,19 @@ class TestCart:
         assert model.n.tolist() == [6, 3, 3] and model.impurity[1:].tolist() == [0.0, 0.0]
         assert np.array_equal(predict_batch(model, X), y)
 
+    def test_split_below_infinity_writes_and_reads_back(self):
+        # a split between a finite value and inf has the threshold +inf, which
+        # the document writes as Infinity
+        X = np.array([[0.0], [1.0], [np.inf], [np.inf]])
+        y = np.array([0, 0, 1, 1], dtype=np.int8)
+        model = train(LearnerConfig(algorithm="cart", cart_min_leaf=1), X, y)
+        assert model.threshold[0] == np.inf
+        text = json.dumps(model_to_dict(model))
+        assert '"threshold": Infinity' in text
+        back = model_from_dict(json.loads(text))
+        assert back.threshold.tobytes() == model.threshold.tobytes()
+        assert predict(back, X).tolist() == predict(model, X).tolist() == y.tolist()
+
     def test_deterministic(self, rng):
         X = rng.normal(size=(100, 4))
         y = (X[:, 0] > 0).astype(np.int8)

@@ -36,7 +36,6 @@ from icewatch.rules import (
     LOW,
     IntervalConstraint,
     IntervalRule,
-    SegmentationConfig,
     builtin_rule,
 )
 from icewatch.scada import CHANNELS, Label, apply_label_windows
@@ -71,7 +70,7 @@ def reengineered_cfg(**kw):
     return PipelineConfig(
         variant="reengineered",
         rule=builtin_rule("R5"),
-        segmentation=SegmentationConfig(),
+        segment_threshold=-0.25,
         **common,
     )
 
@@ -86,7 +85,7 @@ class TestConfigValidation:
             PipelineConfig(variant="traditional", rule=builtin_rule("R5"), **knn_common())
         with pytest.raises(InvalidConfig):
             PipelineConfig(
-                variant="traditional", segmentation=SegmentationConfig(), **knn_common()
+                variant="traditional", segment_threshold=-0.25, **knn_common()
             )
 
     def test_variant_mismatch_rejected_at_run(self):
@@ -147,7 +146,7 @@ class TestReengineered:
         cfg = PipelineConfig(
             variant="reengineered",
             rule=impossible,
-            segmentation=SegmentationConfig(),
+            segment_threshold=-0.25,
             **knn_common(),
         )
         with pytest.raises(DataError, match="^low segment has 0 training candidates, below minimum 50$"):
@@ -157,7 +156,7 @@ class TestReengineered:
         _, ds_a, _ = small_pair()
         cfg = reengineered_cfg()
         vectors = feature_vectors(prepare(ds_a, cfg.denoise))
-        route = pipeline._route(vectors, cfg.rule, cfg.segmentation)
+        route = pipeline._route(vectors, cfg.rule, cfg.segment_threshold)
         # every row takes exactly one route, and each route holds rows
         assert route.dtype == np.int8 and route.shape == (len(vectors),)
         counts = {code: int(np.sum(route == code)) for code in (AUTO_NORMAL, LOW, HIGH)}
@@ -296,16 +295,28 @@ def _in_fresh_thread(fn):
 
 
 def test_deepest_writable_tree_reads_back_bitwise():
-    """A CART chain of 493 levels, the deepest that _json_text writes from a
-    fresh thread's stack, writes and decodes to its bitwise node table. The
-    limit is _json_text's own, two frames per level; the bundle's encoder
-    takes one and writes far deeper trees. predict reads about 980 levels."""
+    """A CART chain of 493 levels, written by _json_text from a fresh
+    thread's stack, decodes to its bitwise node table. _json_text takes one
+    frame per level, as the bundle's encoder does, so the write limit is
+    json's indenting encoder's own: about 985 levels from a fresh thread.
+    predict reads about 980 levels."""
     bundle = _cart_chain(493 - 1)
     text = _in_fresh_thread(lambda: _json_text(bundle_to_dict(bundle)))
     back = bundle_from_dict(json.loads(text))
     for a, b in zip(TestBundle.MODEL_ARRAYS["cart"](back.model), TestBundle.MODEL_ARRAYS["cart"](bundle.model)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert _in_fresh_thread(lambda: bundle_to_dict(_cart_chain(900)))["model"]["root"]["n"] == 10
+
+
+def test_json_text_writes_every_tree_that_to_dict_writes():
+    """A CART chain of 900 levels, which the bundle's encoder writes from a
+    fresh thread's stack, is written by _json_text there too and decodes to
+    its bitwise node table."""
+    bundle = _cart_chain(900)
+    text = _in_fresh_thread(lambda: _json_text(bundle_to_dict(bundle)))
+    back = bundle_from_dict(json.loads(text))
+    for a, b in zip(TestBundle.MODEL_ARRAYS["cart"](back.model), TestBundle.MODEL_ARRAYS["cart"](bundle.model)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestPredictStream:

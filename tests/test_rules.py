@@ -17,7 +17,6 @@ from icewatch.rules import (
     LOW,
     IntervalConstraint,
     IntervalRule,
-    SegmentationConfig,
     builtin_rule,
     gate,
     load_rule,
@@ -125,7 +124,7 @@ class TestFilterAndSegment:
     def test_empty_input(self):
         empty = np.empty((0, len(FEATURE_IDS)))
         assert [part.tolist() for part in strong_rule_filter(empty, builtin_rule("R5"))] == [[], []]
-        assert [part.tolist() for part in segment(empty, SegmentationConfig())] == [[], []]
+        assert [part.tolist() for part in segment(empty, -0.25)] == [[], []]
 
     def test_all_violating(self):
         X = matrix(*[make_fv(wind_speed=3.0) for _ in range(4)])
@@ -157,13 +156,12 @@ class TestFilterAndSegment:
         assert len(candidates) == 4 and len(auto) == 6
 
     def test_segment_boundary_goes_high(self):
-        cfg = SegmentationConfig(threshold=-0.25)
-        assert segment(matrix(make_fv(wind_speed=-0.3)), cfg)[0].tolist() == [0]
-        assert segment(matrix(make_fv(wind_speed=-0.25)), cfg)[1].tolist() == [0]
+        assert segment(matrix(make_fv(wind_speed=-0.3)), -0.25)[0].tolist() == [0]
+        assert segment(matrix(make_fv(wind_speed=-0.25)), -0.25)[1].tolist() == [0]
 
     def test_segment_partition(self, rng):
         X = matrix(*random_fvs(rng, 500))
-        low, high = segment(X, SegmentationConfig(threshold=0.5))
+        low, high = segment(X, 0.5)
         assert len(low) + len(high) == len(X)
         assert (X[low, WIND] < 0.5).all()
         assert (X[high, WIND] >= 0.5).all()
@@ -173,28 +171,27 @@ class TestFilterAndSegment:
 
     def test_configurable_thresholds(self):
         for threshold in (0.0, -0.25, -0.5, -0.75, -1.0):
-            cfg = SegmentationConfig(threshold=threshold)
             X = matrix(make_fv(wind_speed=threshold - 0.01))
-            assert segment(X, cfg)[0].tolist() == [0]
+            assert segment(X, threshold)[0].tolist() == [0]
 
 
 class TestGate:
-    CFG = SegmentationConfig(threshold=-0.25)
+    THRESHOLD = -0.25
 
     def test_rule_failure_is_auto_normal(self):
         X = matrix(make_fv(wind_speed=5.0))
-        assert gate(X, builtin_rule("R5"), self.CFG).tolist() == [AUTO_NORMAL]
+        assert gate(X, builtin_rule("R5"), self.THRESHOLD).tolist() == [AUTO_NORMAL]
 
     def test_candidates_routed_by_wind(self):
         low = make_fv(wind_speed=-1.0, environment_tmp=0.0, pitch_angle_avg=0.2, power=1.0)
         high = make_fv(wind_speed=1.0, environment_tmp=0.0, pitch_angle_avg=0.2, power=1.0)
-        assert gate(matrix(low), builtin_rule("R5"), self.CFG).tolist() == [LOW]
-        assert gate(matrix(high), builtin_rule("R5"), self.CFG).tolist() == [HIGH]
+        assert gate(matrix(low), builtin_rule("R5"), self.THRESHOLD).tolist() == [LOW]
+        assert gate(matrix(high), builtin_rule("R5"), self.THRESHOLD).tolist() == [HIGH]
 
     def test_idempotent(self):
         X = matrix(make_fv(wind_speed=1.0, environment_tmp=0.0, pitch_angle_avg=0.2, power=1.0))
-        first = gate(X, builtin_rule("R5"), self.CFG)
-        assert all(gate(X, builtin_rule("R5"), self.CFG).tolist() == first.tolist() for _ in range(3))
+        first = gate(X, builtin_rule("R5"), self.THRESHOLD)
+        assert all(gate(X, builtin_rule("R5"), self.THRESHOLD).tolist() == first.tolist() for _ in range(3))
 
 
 # the values at which routing turns: every printed R1-R5 bound and the
@@ -212,10 +209,10 @@ def edge_matrix(rng, n):
 
 @pytest.mark.parametrize("rule_id", ["R1", "R2", "R3", "R4", "R5"])
 def test_gate_matches_the_per_record_gate(rule_id):
-    rule, cfg = builtin_rule(rule_id), SegmentationConfig()
+    rule, threshold = builtin_rule(rule_id), -0.25
     X = edge_matrix(np.random.default_rng(17), 100_000)
-    expected = [gate_per_record(FeatureVector(*row, Label.NORMAL), rule, cfg) for row in X.tolist()]
-    assert gate(X, rule, cfg).tolist() == expected
+    expected = [gate_per_record(FeatureVector(*row, Label.NORMAL), rule, threshold) for row in X.tolist()]
+    assert gate(X, rule, threshold).tolist() == expected
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -228,14 +225,14 @@ def test_gate_matches_the_per_record_gate(rule_id):
     st.sampled_from(["R1", "R2", "R3", "R4", "R5"]),
 )
 def test_routing_properties(X, rule_id):
-    rule, cfg = builtin_rule(rule_id), SegmentationConfig()
-    route = gate(X, rule, cfg)
+    rule, threshold = builtin_rule(rule_id), -0.25
+    route = gate(X, rule, threshold)
     # the three codes cover every row once
     parts = [np.flatnonzero(route == code) for code in (AUTO_NORMAL, LOW, HIGH)]
     assert sorted(np.concatenate(parts).tolist()) == list(range(len(X)))
     # the low rows, in row order, are segment's low part of the candidates
     candidates, auto = strong_rule_filter(X, rule)
-    low, high = segment(X[candidates], cfg)
+    low, high = segment(X[candidates], threshold)
     assert np.flatnonzero(route == LOW).tolist() == candidates[low].tolist()
     assert np.flatnonzero(route == HIGH).tolist() == candidates[high].tolist()
     assert np.flatnonzero(route == AUTO_NORMAL).tolist() == auto.tolist()

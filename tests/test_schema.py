@@ -15,14 +15,14 @@ from icewatch.errors import InvalidConfig
 from icewatch.learners import LearnerConfig
 from icewatch.pipeline import PipelineConfig
 from icewatch.preprocess import DenoiseConfig
-from icewatch.rules import IntervalConstraint, IntervalRule, SegmentationConfig
+from icewatch.rules import IntervalConstraint, IntervalRule, builtin_rule
 from icewatch.schema import NOT_NEGATIVE, array, check, from_dict, read_json, to_dict
 from icewatch.synthgen import IcingTrigger, OffsetProfile, PairConfig, SynthConfig, WindModel
 
 
 def test_float_field_accepts_int():
-    cfg = from_dict(SegmentationConfig, {"threshold": 0})
-    assert cfg.threshold == 0.0 and type(cfg.threshold) is float
+    cfg = from_dict(LearnerConfig, {"algorithm": "mlp", "mlp_learning_rate": 1})
+    assert cfg.mlp_learning_rate == 1.0 and type(cfg.mlp_learning_rate) is float
 
 
 def test_nested_tuples_and_dicts():
@@ -62,9 +62,14 @@ def test_rejections_name_the_dotted_path(cls, doc, message):
         (lambda: LearnerConfig("mlp", mlp_hidden=(8, 0)), "mlp_hidden[1] must be >= 1, got 0"),
         (lambda: LearnerConfig("mlp", mlp_learning_rate=0.0), "mlp_learning_rate must be > 0, got 0.0"),
         (lambda: OffsetProfile(scale={"power": 0.0}), "scale.power must be nonzero, got 0.0"),
-        (lambda: SegmentationConfig(math.inf), "threshold must be a finite number, got inf"),
         (
-            lambda: PipelineConfig("hybrid", LearnerConfig("knn")),
+            lambda: PipelineConfig(
+                variant="reengineered", learner=LearnerConfig("knn"), rule=builtin_rule("R5"), segment_threshold=math.inf
+            ),
+            "segment_threshold must be a finite number, got inf",
+        ),
+        (
+            lambda: PipelineConfig(variant="hybrid", learner=LearnerConfig("knn")),
             "variant must be one of 'traditional', 'reengineered', got 'hybrid'",
         ),
     ],
@@ -104,7 +109,7 @@ def _config_classes(*roots) -> list:
 
 
 CONFIG_CLASSES = _config_classes(
-    ExperimentConfig, PairConfig, PipelineConfig, DenoiseConfig, SegmentationConfig, IntervalConstraint,
+    ExperimentConfig, PairConfig, PipelineConfig, DenoiseConfig, IntervalConstraint,
     pipeline.ModelBundle, learners._CartDoc, learners._MlpDoc,  # the model and bundle documents
 )
 
@@ -112,14 +117,10 @@ CONFIG_CLASSES = _config_classes(
 @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_numeric_field_declares_its_domain(cls):
     """An int or float field, or a tuple or dict of them, declares its
-    domain next to the field; an int with no bound declares ANY. The
-    experiment's copies of PipelineConfig fields are checked there."""
-    copies = {f.name for f in dataclasses.fields(PipelineConfig)} if cls is ExperimentConfig else set()
+    domain next to the field; an int with no bound declares ANY."""
     hints = _hints(cls)
     undeclared = [
-        f.name
-        for f in dataclasses.fields(cls)
-        if {int, float} & set(_types(hints[f.name])) and "domain" not in f.metadata and f.name not in copies
+        f.name for f in dataclasses.fields(cls) if {int, float} & set(_types(hints[f.name])) and "domain" not in f.metadata
     ]
     assert undeclared == []
 
