@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -852,3 +854,116 @@ def test_package_reexports_the_record_types():
 
     for name in ("Frame", "Label", "LabeledDataset"):
         assert getattr(icewatch, name) is getattr(scada, name)
+
+
+# --- the icewatch process -------------------------------------------------------
+
+
+def _icewatch(argv, cwd=None, redirect=""):
+    """Run `python -m icewatch.cli *argv` to its exit, through sh with the
+    stream redirection `redirect` and with buffered standard streams;
+    return the finished process, output as text."""
+    env = _environ()
+    env.pop("PYTHONUNBUFFERED", None)
+    command = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "icewatch.cli", *argv]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_the_process_and_main_give_the_same_codes_output_and_files(tmp_path, turbine_dir, capsys, monkeypatch):
+    """Each command gives the same exit code, stdout, stderr and output
+    files run as a process, which ends in cli.entry, as called in-process.
+    Paths are relative, so that both runs print the same text."""
+    smoke = json.loads(SMOKE.read_text())
+    inputs = {
+        "pair.json": {"base": {"duration": 300, "seed": 2}},
+        "cart.json": {**smoke, "learner": {"algorithm": "cart"}, "n_runs": 2},
+    }
+    scada_b = str(turbine_dir / "B" / "scada.csv")
+    steps = [
+        (["--help"], 0),
+        (["definitely-not-a-command"], 2),
+        (["ingest", "--scada", "missing.csv", "--windows", "missing.csv", "--out", "o.csv"], 3),
+        (["synth", "--pair", "--config", "pair.json", "--out", "pair"], 0),
+        (["ingest", "--scada", str(turbine_dir / "A" / "scada.csv"), "--windows",
+          str(turbine_dir / "A" / "windows.csv"), "--turbine-id", "A", "--out", "A.csv"], 0),
+        (["features", "--data", "A.csv", "--rank", "--out", "features.csv"], 0),
+        (["inspect-rules", "--data", "A.csv"], 0),
+        (["experiment", "--config", "cart.json", "--out-dir", "out", "--bundles"], 0),
+        *(
+            (["predict", "--bundle", f"out/{variant}.bundle.json", "--scada", scada_b, "--out", f"{variant}.csv"], 0)
+            for variant in ("traditional", "reengineered")
+        ),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's help width, in both runs
+    runs = {}
+    for side in ("process", "main"):
+        run_dir = tmp_path / side
+        run_dir.mkdir()
+        for name, doc in inputs.items():
+            (run_dir / name).write_text(json.dumps(doc))
+        runs[side] = []
+        for argv, _ in steps:
+            if side == "process":
+                done = _icewatch(argv, cwd=run_dir)
+                runs[side].append((done.returncode, done.stdout, done.stderr))
+            else:
+                monkeypatch.chdir(run_dir)
+                capsys.readouterr()
+                code = main(argv)
+                runs[side].append((code, *capsys.readouterr()))
+    assert [code for code, _, _ in runs["main"]] == [code for _, code in steps]
+    for step, (argv, _) in enumerate(steps):
+        assert runs["process"][step] == runs["main"][step], argv
+    files = {side: sorted(p.relative_to(tmp_path / side) for p in (tmp_path / side).rglob("*")) for side in runs}
+    assert files["process"] == files["main"]
+    assert Path("out/reengineered.bundle.json") in files["main"] and Path("pair/B/scada.csv") in files["main"]
+    for path in files["main"]:
+        if (tmp_path / "main" / path).is_file():
+            assert (tmp_path / "process" / path).read_bytes() == (tmp_path / "main" / path).read_bytes(), path
+
+
+@pytest.mark.parametrize("command", ["--help", "inspect-rules"])
+def test_a_closed_stdout_exits_0_without_a_traceback(command, labeled_csv):
+    """With file descriptor 1 closed Python sets sys.stdout to None: print
+    writes nothing, and argparse writes the help to stderr."""
+    argv = ["--help"] if command == "--help" else ["inspect-rules", "--data", str(labeled_csv)]
+    done = _icewatch(argv, redirect=">&-")
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("usage: icewatch") if command == "--help" else done.stderr == ""
+
+
+class _FullStream(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_stdout_that_fails_to_flush_is_a_data_error(capsys, monkeypatch):
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "argv", ["icewatch", "--help"])
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    cli.entry()
+    assert exits == [3]
+    assert capsys.readouterr().err == f"data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_entry_ends_the_process_with_mains_code(code, monkeypatch):
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(cli, "main", lambda: code)
+    cli.entry()
+    assert exits == [code]
+
+
+def test_an_exception_from_main_leaves_entry_by_the_usual_path(monkeypatch):
+    exits = []
+
+    def main():
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(cli, "main", main)
+    with pytest.raises(ZeroDivisionError):
+        cli.entry()
+    assert exits == []

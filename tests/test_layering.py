@@ -6,7 +6,9 @@ records, evaluation sits on the learners alone, and only the CLI drives
 the pipeline. errors defines the package's four exception classes, and
 no other module defines one. One function, scada.write_csv_rows, writes
 every CSV: the csv module only reads. One function, schema.to_dict, turns
-a dataclass into its JSON document: no module calls dataclasses.asdict."""
+a dataclass into its JSON document: no module calls dataclasses.asdict.
+Only cli.entry and the forked runs' pipeline._fork_share end the process
+with os._exit, and the icewatch console script is cli.entry."""
 
 import ast
 from pathlib import Path
@@ -160,6 +162,62 @@ def test_schema_is_the_only_dataclass_encoder():
     schema.to_dict, the inverse of the from_dict that reads it."""
     users = [module for module in MODULES if "asdict" in module_names(PACKAGE / f"{module}.py", "dataclasses")]
     assert users == []
+
+
+# --- the end of the process ---------------------------------------------------------
+
+
+def functions_using(path: Path, module: str, name: str) -> set[str]:
+    """The functions of the source at `path`, by qualified name, that use
+    `name` of the standard `module`: as an attribute of the module under any
+    alias, or imported from it. Module level is "<module>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [a for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    aliases = {a.asname or a.name for a in imports if a.name == module}
+    found = set()
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Attribute) and node.attr == name and getattr(node.value, "id", None) in aliases) or (
+            isinstance(node, ast.ImportFrom) and node.module == module and name in {a.name for a in node.names}
+        ):
+            found.add(scope or "<module>")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_entry_and_the_forked_run_skip_the_interpreters_teardown():
+    """os._exit skips exit handlers and the flush of open files. cli.entry
+    ends the icewatch process with it once the standard streams are
+    flushed, and pipeline._fork_share ends each forked child with it; no
+    other path may."""
+    used = {module: functions_using(PACKAGE / f"{module}.py", "os", "_exit") for module in MODULES}
+    assert {module: names for module, names in used.items() if names} == {
+        "cli": {"entry"},
+        "pipeline": {"_fork_share"},
+    }
+
+
+def test_the_exit_guard_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os as o\nfrom os import _exit\n"
+        "def f():\n    o._exit(0)\nclass A:\n    def g(self):\n        import os\n        os._exit(1)\n"
+        "def h():\n    from os import _exit as quit\n    return o.exit\n"
+    )
+    assert functions_using(probe, "os", "_exit") == {"<module>", "f", "A.g", "h"}
+
+
+def test_the_console_script_is_entry():
+    """The icewatch command and python -m icewatch.cli share one exit path."""
+    import tomllib
+
+    pyproject = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"icewatch": "icewatch.cli:entry"}
 
 
 # --- the line count of tests/code_lines.py --------------------------------------------
