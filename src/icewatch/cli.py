@@ -7,8 +7,9 @@ CSV -> labels CSV), inspect-rules (rule pass rates on a dataset).
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data error.
 The `icewatch` command flushes its standard streams and ends the process
-without the interpreter's teardown; a stream that fails to flush is a
-data error (exit 3).
+without the interpreter's teardown; output that cannot be written, help
+included, is a data error (exit 3). An error line that stderr cannot take
+is lost, and the exit code stays that of the error.
 
 Each command imports only what it runs: synth and experiment load the
 synthetic generator (icewatch.synthgen) on first use, and the other
@@ -251,7 +252,7 @@ def _cmd_inspect_rules(args) -> int:
         captured = int(abnormal[candidates].sum())
         cap_rate = captured / n_abnormal if n_abnormal else float("nan")
         print(
-            f"{rule.rule_id}: {passed}/{n} pass ({passed / n:.1%}), "
+            f"{rule.id}: {passed}/{n} pass ({passed / n:.1%}), "
             f"abnormal captured {captured}/{n_abnormal} ({cap_rate:.1%})"
         )
     return 0
@@ -330,8 +331,19 @@ def _cmd_predict(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a help text it cannot write raises
+    the write's OSError: argparse swallows it, so that help into a full
+    disk would exit 0."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout or sys.stderr  # argparse's choice: stderr once fd 1 is closed
+        if file is not None:
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="icewatch", description="Blade-icing prediction pipelines")
+    parser = _Parser(prog="icewatch", description="Blade-icing prediction pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="label a raw SCADA CSV with icing windows")
@@ -381,28 +393,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from parse_args: help, or a usage error it reported
+        return 2 if exc.code not in (0, None) else 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: {exc}"
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"data error: {exc}"
     except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
-        return 3
+        code, message = 3, f"file not found: {exc.filename}"
     except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: invalid JSON: {exc}"
     except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"data error: {exc}"
+    _report(message)
+    return code
+
+
+def _report(message: str) -> None:
+    """Print an error's line to stderr if stderr can take it; an error that
+    cannot be reported keeps its exit code."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr, flush=True)
 
 
 def entry() -> None:
@@ -414,19 +429,20 @@ def entry() -> None:
     children, and icewatch registers no atexit handler and starts no
     thread or logger. What remains buffered is the standard streams, so
     they are flushed first; Python sets a stream to None when its file
-    descriptor is closed. A stream that fails to flush is a data error,
-    reported on stderr if stderr can take it. An exception that escapes
-    main is a bug and leaves by the usual path, traceback and teardown."""
+    descriptor is closed. A stdout that fails to flush is a data error,
+    reported on stderr if stderr can take it; a stderr that fails keeps
+    main's code, as _report does. An exception that escapes main is a bug
+    and leaves by the usual path, traceback and teardown."""
     code = main()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except OSError as exc:
-        code = 3
-        if sys.stderr is not None:
-            with contextlib.suppress(OSError):
-                print(f"data error: {exc}", file=sys.stderr, flush=True)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = 3
+            _report(f"data error: {exc}")
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
     os._exit(code)
 
 

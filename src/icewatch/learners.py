@@ -49,6 +49,12 @@ whose items are the rows' one-row products (_mlp_forward on rows of
 shape (1, features)): numpy hands BLAS each item on its own, so a row's
 product does not depend on the rows that share the call, as the rows of
 one matrix-matrix product may. CART compares values exactly.
+
+Each model is its own declared document: model_to_dict writes its fields
+under its format and kind, and model_from_dict decodes them with
+schema.from_dict. A model checks its fields' domains and its cross-field
+shapes when it is built, trained or decoded. A CART model's node table is
+written as the nested _Node documents of its root.
 """
 
 from __future__ import annotations
@@ -348,7 +354,7 @@ def _knn_exact_votes(Q: np.ndarray, Xt: np.ndarray, yt: np.ndarray, k: int, cand
 # --- CART --------------------------------------------------------------------
 
 
-class CartModel(NamedTuple):
+class NodeTable(NamedTuple):
     """A tree as one node table: row i of each array is node i, depth first
     from the root at row 0. A leaf has feature, left and right -1."""
 
@@ -361,18 +367,28 @@ class CartModel(NamedTuple):
     threshold: np.ndarray  # value < threshold descends left
     left: np.ndarray  # intp child rows
     right: np.ndarray
-    max_depth: int
-    min_leaf: int
 
 
 _NODE_DTYPES = (np.int64, float, np.int8, float, float, np.intp, float, np.intp, np.intp)
 
 
-def _cart_model(rows: list[list], max_depth: int, min_leaf: int) -> CartModel:
-    """The model of node rows (n, impurity, class, p_normal, p_abnormal,
+def _node_table(rows: list[list]) -> NodeTable:
+    """The table of node rows (n, impurity, class, p_normal, p_abnormal,
     feature, threshold, left, right) in table order."""
-    columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), _NODE_DTYPES)]
-    return CartModel(*columns, max_depth=max_depth, min_leaf=min_leaf)
+    return NodeTable(*(np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), _NODE_DTYPES)))
+
+
+@dataclass(frozen=True, eq=False)
+class CartModel:
+    """The tree's growth limits and its node table, written as the nested
+    _Node document of its root."""
+
+    max_depth: int = field(metadata=at_least(1))
+    min_leaf: int = field(metadata=at_least(1))
+    root: Annotated[NodeTable, _table_of, _tree_of]
+
+    def __post_init__(self):
+        check(self)
 
 
 def _gini(n_abnormal: float, n: float) -> float:
@@ -473,30 +489,48 @@ def _train_cart(cfg: LearnerConfig, X: np.ndarray, y: np.ndarray) -> CartModel:
     rows: list[list] = []
     XT = np.ascontiguousarray(X.T)
     _grow(XT, y, np.argsort(XT, axis=1), int(y.sum()), 0, cfg, rows, np.zeros(X.shape[0], dtype=bool))
-    return _cart_model(rows, cfg.cart_max_depth, cfg.cart_min_leaf)
+    return CartModel(cfg.cart_max_depth, cfg.cart_min_leaf, _node_table(rows))
 
 
 def _cart_predict(model: CartModel, X: np.ndarray) -> np.ndarray:
     """Descend all rows one level per step; a row stops at its leaf."""
+    tree = model.root
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
     while rows.size:
         at = node[rows]
-        feature = model.feature[at]
+        feature = tree.feature[at]
         internal = feature >= 0
         rows, at, feature = rows[internal], at[internal], feature[internal]
-        goes_left = X[rows, feature] < model.threshold[at]
-        node[rows] = np.where(goes_left, model.left[at], model.right[at])
-    return model.klass[node]
+        goes_left = X[rows, feature] < tree.threshold[at]
+        node[rows] = np.where(goes_left, tree.left[at], tree.right[at])
+    return tree.klass[node]
 
 
 # --- MLP ---------------------------------------------------------------------
 
 
-class MlpModel(NamedTuple):
-    weights: tuple[np.ndarray, ...]  # layer l: (fan_in, fan_out)
-    biases: tuple[np.ndarray, ...]
+@dataclass(frozen=True, eq=False)
+class MlpModel:
+    """Sigmoid layers: layer l's weights, (fan_in, fan_out), and biases,
+    (fan_out,), from the standardized features to one output."""
+
+    activation: str = field(metadata=one_of("sigmoid"))
+    weights: tuple[Matrix, ...]
+    biases: tuple[Vector, ...]
     standardization: StandardizationParams
+
+    def __post_init__(self):
+        check(self)
+        if len(self.weights) != len(self.biases) or not self.weights:
+            raise InvalidConfig("weights and biases must be arrays of equal, non-zero length")
+        fan_in = self.standardization.mean.size
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if W.shape[0] != fan_in or b.shape != (W.shape[1],):
+                raise InvalidConfig(f"layer {i} has weights {W.shape} and biases {b.shape} after {fan_in} inputs")
+            fan_in = W.shape[1]
+        if fan_in != 1:
+            raise InvalidConfig(f"the last layer must have one output, got {fan_in}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -632,7 +666,7 @@ def _train_mlps(cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, np.ndarray]
                 if n[f] > lo:
                     step(slice(f, f + 1), lo, n[f])
     return [
-        MlpModel(weights=tuple(W[f] for W in weights), biases=tuple(b[f] for b in biases), standardization=params[f])
+        MlpModel("sigmoid", tuple(W[f] for W in weights), tuple(b[f] for b in biases), params[f])
         for f in np.argsort(order)
     ]
 
@@ -712,12 +746,6 @@ def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 MODEL_FORMAT = 1
 
 
-# The declared documents of model_to_dict, one per kind without its format
-# and kind keys: KnnModel itself, and a CART and an MLP document whose
-# .model() is the model they describe. Each checks its fields' domains and
-# its cross-field shapes when it is built, and schema reads and writes it.
-
-
 @dataclass(frozen=True, eq=False)
 class _Node:
     """A CART node as the document nests it: a leaf, or a split that has
@@ -748,75 +776,38 @@ class _Node:
         return at
 
 
-@dataclass(frozen=True, eq=False)
-class _CartDoc:
-    max_depth: int = field(metadata=at_least(1))
-    min_leaf: int = field(metadata=at_least(1))
-    root: _Node
-
-    def __post_init__(self):
-        check(self)
-
-    def model(self) -> CartModel:
-        rows: list[list] = []
-        self.root.append_to(rows)
-        return _cart_model(rows, self.max_depth, self.min_leaf)
-
-    @classmethod
-    def of(cls, model: CartModel) -> _CartDoc:
-        """The document of `model`: its node table as a _Node tree, built
-        from the last row up, as a child's row follows its parent's."""
-        nodes: dict[int, _Node] = {}
-        rows = list(zip(*(column.tolist() for column in model[: len(_NODE_DTYPES)])))
-        for i in range(len(rows) - 1, -1, -1):
-            n, impurity, klass, p_normal, p_abnormal, feature, threshold, left, right = rows[i]
-            split = () if feature < 0 else (feature, threshold, nodes.pop(left), nodes.pop(right))
-            nodes[i] = _Node(n, impurity, klass, (p_normal, p_abnormal), *split)
-        return cls(model.max_depth, model.min_leaf, nodes[0])
+def _table_of(doc, path: str) -> NodeTable:
+    """The node table of the root's _Node document."""
+    rows: list[list] = []
+    from_dict(_Node, doc, path).append_to(rows)
+    return _node_table(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class _MlpDoc:
-    activation: str = field(metadata=one_of("sigmoid"))
-    weights: tuple[Matrix, ...]
-    biases: tuple[Vector, ...]
-    standardization: StandardizationParams
-
-    def __post_init__(self):
-        check(self)
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise InvalidConfig("weights and biases must be arrays of equal, non-zero length")
-        fan_in = self.standardization.mean.size
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.shape[0] != fan_in or b.shape != (W.shape[1],):
-                raise InvalidConfig(f"layer {i} has weights {W.shape} and biases {b.shape} after {fan_in} inputs")
-            fan_in = W.shape[1]
-        if fan_in != 1:
-            raise InvalidConfig(f"the last layer must have one output, got {fan_in}")
-
-    def model(self) -> MlpModel:
-        return MlpModel(self.weights, self.biases, self.standardization)
+def _tree_of(table: NodeTable) -> dict:
+    """The root's _Node document of the node table, its tree built from the
+    last row up, as a child's row follows its parent's."""
+    nodes: dict[int, _Node] = {}
+    rows = list(zip(*(column.tolist() for column in table)))
+    for i in range(len(rows) - 1, -1, -1):
+        n, impurity, klass, p_normal, p_abnormal, feature, threshold, left, right = rows[i]
+        split = () if feature < 0 else (feature, threshold, nodes.pop(left), nodes.pop(right))
+        nodes[i] = _Node(n, impurity, klass, (p_normal, p_abnormal), *split)
+    return to_dict(nodes[0])
 
 
-_DOCUMENTS = {"knn": KnnModel, "cart": _CartDoc, "mlp": _MlpDoc}
+_DOCUMENTS = {"knn": KnnModel, "cart": CartModel, "mlp": MlpModel}
+_KINDS = {cls: kind for kind, cls in _DOCUMENTS.items()}
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    """The JSON document of `model`: its format, its kind and the fields of
-    its kind's declared document."""
-    if isinstance(model, KnnModel):
-        kind, doc = "knn", model
-    elif isinstance(model, CartModel):
-        kind, doc = "cart", _CartDoc.of(model)
-    else:
-        kind, doc = "mlp", _MlpDoc("sigmoid", model.weights, model.biases, model.standardization)
-    return {"format": MODEL_FORMAT, "kind": kind, **to_dict(doc)}
+    """The JSON document of `model`: its format, its kind and its fields."""
+    return {"format": MODEL_FORMAT, "kind": _KINDS[type(model)], **to_dict(model)}
 
 
 def model_from_dict(doc: dict, path: str = "model") -> TrainedModel:
-    """Inverse of model_to_dict: the declared document of the model's kind,
-    decoded by schema.from_dict, so a malformed model raises InvalidConfig
-    here, naming the value's path from `path`, instead of failing inside
+    """Inverse of model_to_dict: the model of the document's kind, decoded
+    by schema.from_dict, so a malformed model raises InvalidConfig here,
+    naming the value's path from `path`, instead of failing inside
     predict."""
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{path}: expected object, got {doc!r}")
@@ -826,8 +817,7 @@ def model_from_dict(doc: dict, path: str = "model") -> TrainedModel:
     if not isinstance(kind, str) or kind not in _DOCUMENTS:
         raise InvalidConfig(f"{path}: unknown model kind {kind!r}")
     body = {key: value for key, value in doc.items() if key not in ("format", "kind")}
-    decoded = from_dict(_DOCUMENTS[kind], body, path)
-    return decoded if kind == "knn" else decoded.model()
+    return from_dict(_DOCUMENTS[kind], body, path)
 
 
 Model = Annotated[TrainedModel, model_from_dict, model_to_dict]  # a document's field that holds a model
@@ -836,7 +826,7 @@ Model = Annotated[TrainedModel, model_from_dict, model_to_dict]  # a document's 
 def check_input_width(model: TrainedModel, width: int) -> None:
     """Raise InvalidConfig unless the model reads rows of `width` features."""
     if isinstance(model, CartModel):
-        needed = int(model.feature.max()) + 1
+        needed = int(model.root.feature.max()) + 1
         if needed > width:
             raise InvalidConfig(f"cart model splits on feature {needed - 1}, but rows have {width} features")
     elif model.standardization.mean.size != width:

@@ -33,7 +33,9 @@ i = n_runs would. Reports carry a config hash and all seeds, and contain
 no timestamps, so identical configs reproduce byte-identical report files.
 
 A bundle stores the model of each part under a fixed key: "all" as
-"model", "low" as "low_model" and "high" as "high_model".
+"model", "low" as "low_model" and "high" as "high_model". A re-engineered
+bundle also holds its rule, as the rule's own document, and its
+segment_threshold.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Annotated, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,8 +81,6 @@ from .rules import (
     LOW,
     IntervalRule,
     gate,
-    rule_from_json,
-    rule_to_json,
     segment as segment_vectors,
     strong_rule_filter,
 )
@@ -90,25 +90,6 @@ from .schema import ANY, at_least, check, from_dict, one_of, to_dict
 REPORT_FORMAT = 1
 BUNDLE_FORMAT = 1
 VARIANTS = ("traditional", "reengineered")
-
-
-@dataclass(frozen=True, eq=False)
-class _RuleDoc:
-    id: str
-    constraints: list  # as rules.rule_to_json writes them
-
-
-def _rule_from_dict(doc, path: str) -> IntervalRule:
-    rule = from_dict(_RuleDoc, doc, path)
-    return rule_from_json(rule.constraints, rule_id=rule.id)
-
-
-def _rule_to_dict(rule: IntervalRule) -> dict:
-    return {"id": rule.rule_id, "constraints": rule_to_json(rule)}
-
-
-# a rule field, written and read as {id, constraints}
-Rule = Annotated[IntervalRule, _rule_from_dict, _rule_to_dict]
 
 
 @dataclass(frozen=True)
@@ -131,7 +112,7 @@ class PipelineConfig(Settings):
     wind-speed split point of the re-engineered variant."""
 
     variant: str = field(metadata=one_of(*VARIANTS))
-    rule: Rule | None = None
+    rule: IntervalRule | None = None
     segment_threshold: float | None = field(default=None, metadata=ANY)
     traditional_raw_features: bool = False
 
@@ -208,8 +189,8 @@ def _map_runs(one_run: Callable[[int], object], n: int) -> list:
     here. Errors are never pickled, because that recomputation is what
     raises them: runs are deterministic, so the parent raises the first
     error in run order, as the sequential loop would. Where fork is
-    unavailable, or one process suffices, the runs execute one after
-    another in this process.
+    unavailable, or one process suffices, the one share is the parent's
+    and no process is forked.
 
     A fork copies only the calling thread. The CLI starts no other thread
     and pins BLAS to one thread per process (see icewatch.cli), so the
@@ -220,8 +201,6 @@ def _map_runs(one_run: Callable[[int], object], n: int) -> list:
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(n, len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        return [one_run(i) for i in range(n)]
     bounds = [n * k // workers for k in range(workers + 1)]
     shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     pending: dict[int, int] = {}  # child pid -> read end of its result pipe
@@ -415,7 +394,7 @@ class ModelBundle:
     variant: str = field(metadata=one_of(*VARIANTS))
     denoise: _BundleDenoise
     raw_features: bool = False
-    rule: Rule | None = None
+    rule: IntervalRule | None = None
     segment_threshold: float | None = field(default=None, metadata=ANY)
     model: learners.Model | None = None
     low_model: learners.Model | None = None

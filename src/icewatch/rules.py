@@ -24,6 +24,11 @@ row indices of their two parts, and gate(X, rule, threshold) combines the
 two into one routing code per row. The threshold is a plain float, the
 segment_threshold of the pipeline config and of the bundle. Training, test
 gating, inspect-rules and predict all route through them.
+
+A rule is the document {id, constraints} that a bundle holds; a rule file
+is the constraints array alone, and the rule takes its id from the file's
+stem. Both read and write the constraints through one codec, in which an
+infinite bound is null.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from .errors import InvalidConfig
 from .features import FEATURE_IDS
-from .schema import EXTENDED, from_dict, read_json
+from .schema import EXTENDED, from_dict, read_json, to_dict
 
 INF = math.inf
 
@@ -63,12 +69,37 @@ class IntervalConstraint:
             raise InvalidConfig(f"{self.feature}: lower {self.lower} exceeds upper {self.upper}")
 
 
+def _constraints_from_json(doc, path: str) -> tuple[IntervalConstraint, ...]:
+    """The constraints of a JSON array of constraint objects, in which a
+    null or absent bound is unbounded; errors name the value's path from
+    `path`."""
+    if not isinstance(doc, list):
+        raise InvalidConfig(f"{path}: expected array, got {doc!r}")
+    constraints = []
+    for i, item in enumerate(doc):
+        if not isinstance(item, dict):
+            raise InvalidConfig(f"{path}[{i}]: a rule must be a JSON array of constraint objects, got {item!r}")
+        bounded = {key: value for key, value in item.items() if value is not None}
+        constraints.append(from_dict(IntervalConstraint, bounded, f"{path}[{i}]"))
+    return tuple(constraints)
+
+
+def _constraints_to_json(constraints: tuple[IntervalConstraint, ...]) -> list[dict]:
+    """Inverse of _constraints_from_json: every key, an infinite bound as
+    null."""
+    return [
+        {**to_dict(c), "lower": None if c.lower == -INF else c.lower, "upper": None if c.upper == INF else c.upper}
+        for c in constraints
+    ]
+
+
 @dataclass(frozen=True)
 class IntervalRule:
-    """Conjunction of interval constraints, at most one per feature."""
+    """Conjunction of interval constraints, at most one per feature; a
+    bundle's {id, constraints} document."""
 
-    rule_id: str
-    constraints: tuple[IntervalConstraint, ...]
+    id: str
+    constraints: Annotated[tuple[IntervalConstraint, ...], _constraints_from_json, _constraints_to_json]
 
     def __post_init__(self):
         if not self.constraints:
@@ -102,7 +133,7 @@ def builtin_rule(rule_id: str) -> IntervalRule:
         constraints = _BUILTIN[rule_id]
     except KeyError:
         raise InvalidConfig(f"unknown builtin rule: {rule_id!r} (expected R1..R5)") from None
-    return IntervalRule(rule_id=rule_id, constraints=constraints)
+    return IntervalRule(rule_id, constraints)
 
 
 def rule_mask(rule: IntervalRule, X: np.ndarray) -> np.ndarray:
@@ -144,33 +175,10 @@ def gate(X: np.ndarray, rule: IntervalRule, threshold: float) -> np.ndarray:
     return route
 
 
-def rule_to_json(rule: IntervalRule) -> list[dict]:
-    """Serializable form; infinite bounds become null."""
-    out = []
-    for c in rule.constraints:
-        out.append(
-            {
-                "feature": c.feature,
-                "lower": None if c.lower == -INF else c.lower,
-                "upper": None if c.upper == INF else c.upper,
-                "lower_inclusive": c.lower_inclusive,
-                "upper_inclusive": c.upper_inclusive,
-            }
-        )
-    return out
-
-
-def rule_from_json(doc: list[dict], rule_id: str = "custom") -> IntervalRule:
-    """Inverse of rule_to_json; a null or absent bound is unbounded."""
-    if not isinstance(doc, list) or not all(isinstance(item, dict) for item in doc):
-        raise InvalidConfig("a rule must be a JSON array of constraint objects")
-    items = [{key: value for key, value in item.items() if value is not None} for item in doc]
-    return IntervalRule(rule_id=rule_id, constraints=tuple(from_dict(IntervalConstraint, item) for item in items))
-
-
 def load_rule(spec: str) -> IntervalRule:
-    """Resolve a CLI rule argument: a builtin id (R1..R5) or a JSON path."""
+    """Resolve a CLI rule argument: a builtin id (R1..R5) or the path of a
+    JSON array of constraint objects, the rule named by the file's stem."""
     path = Path(spec)
     if spec in _BUILTIN or not path.exists():
         return builtin_rule(spec)  # raises for an unknown id
-    return rule_from_json(read_json(path), rule_id=path.stem)
+    return IntervalRule(path.stem, _constraints_from_json(read_json(path), spec))

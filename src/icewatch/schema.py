@@ -57,16 +57,10 @@ def read_json(path, decode=lambda doc: doc):
         raise InvalidConfig(f"{path}: nested too deeply") from None
 
 
-def from_dict(cls, doc, path: str = ""):
-    """Build the dataclass `cls` from a parsed JSON object; `path` names
-    the object within an enclosing document."""
-    return _decode(cls, doc, path)
-
-
 def to_dict(obj) -> dict:
     """The JSON object of the dataclass `obj`, which from_dict reads back."""
     doc = {}
-    for key, name, encode in _writers(type(obj)):  # a loop: a level of a tree costs one frame
+    for key, (name, _, _, _, encode) in _declared(type(obj)).items():  # a loop: a level of a tree costs one frame
         value = getattr(obj, name)
         if value is not None:
             doc[key] = encode(value)
@@ -97,32 +91,29 @@ def _fail(path: str, message: str) -> InvalidConfig:
 
 
 @functools.cache
-def _declared(cls) -> dict[str, tuple[str, object, bool]]:
-    """key -> (field name, type, required) of each field of the dataclass
-    cls, once per class: resolving the annotations costs far more than
-    decoding a small object such as a tree node."""
+def _declared(cls) -> dict[str, tuple]:
+    """key -> (field name, type, required, decode, encode) of each field of
+    the dataclass cls, once per class: resolving the annotations costs far
+    more than decoding a small object such as a tree node. decode and
+    encode are those of ``Annotated[T, decode, encode]``, the same for
+    ``T | None``; without them decode is None, and encode is to_dict for a
+    dataclass, else _encode."""
     hints = typing.get_type_hints(cls, include_extras=True)
-    return {
-        f.name.removesuffix("_"): (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls)
-    }
-
-
-@functools.cache
-def _writers(cls) -> list[tuple[str, str, object]]:
-    """(key, field name, encoder) of each field of the dataclass cls, the
-    same for T and T | None: encode of ``Annotated[T, decode, encode]``,
-    to_dict of a dataclass, else _encode."""
-    writers = []
-    for key, (name, tp, _) in _declared(cls).items():
+    declared = {}
+    for f in fields(cls):
+        tp = hints[f.name]
         if typing.get_origin(tp) in (typing.Union, types.UnionType):
             (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
-        metadata = tp.__metadata__ if typing.get_origin(tp) is typing.Annotated else ()
-        writers.append((key, name, metadata[1] if len(metadata) > 1 else to_dict if is_dataclass(tp) else _encode))
-    return writers
+        codec = tp.__metadata__ if typing.get_origin(tp) is typing.Annotated else (None,)
+        encode = codec[1] if len(codec) > 1 else to_dict if is_dataclass(tp) else _encode
+        required = f.default is MISSING and f.default_factory is MISSING
+        declared[f.name.removesuffix("_")] = (f.name, hints[f.name], required, codec[0], encode)
+    return declared
 
 
-def _decode(tp, value, path: str):
+def from_dict(tp, value, path: str = ""):
+    """The value of type `tp`, a dataclass for a whole document, built from
+    parsed JSON; `path` names the value within an enclosing document."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # unwrapped here, so a nested level costs one frame
         if value is None and type(None) in args:
@@ -137,13 +128,14 @@ def _decode(tp, value, path: str):
         for key in value:
             if key not in declared:
                 raise _fail(prefix + key, "unknown key")
-        for key, (_, _, required) in declared.items():
+        for key, (_, _, required, _, _) in declared.items():
             if required and key not in value:
                 raise _fail(prefix + key, "missing")
         kwargs = {}
         for key, v in value.items():  # a loop, not a comprehension, for the same reason
-            name, field_type, _ = declared[key]
-            kwargs[name] = _decode(field_type, v, prefix + key)
+            name, field_type, _, decode, _ = declared[key]
+            # a field's own decoder is called from here, so that it adds no frame
+            kwargs[name] = from_dict(field_type, v, prefix + key) if decode is None or v is None else decode(v, prefix + key)
         try:
             return tp(**kwargs)
         except InvalidConfig as exc:
@@ -158,11 +150,11 @@ def _decode(tp, value, path: str):
         item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args
         if len(item_types) != len(value):
             raise _fail(path, f"expected {len(item_types)} items, got {len(value)}")
-        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(item_types, value)))
+        return tuple(from_dict(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(item_types, value)))
     if origin is dict:
         if not isinstance(value, dict):
             raise _fail(path, f"expected object, got {value!r}")
-        return {key: _decode(args[1], v, f"{path}.{key}") for key, v in value.items()}
+        return {key: from_dict(args[1], v, f"{path}.{key}") for key, v in value.items()}
     if tp is float and type(value) is int:
         try:
             return float(value)

@@ -8,6 +8,7 @@ criteria execute.
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_c06_cart_separability():
             X, y = X[perm], y[perm]
             model = train(cfg, X, y)
             assert np.array_equal(predict_batch(model, X), y), f"seed {seed}: not 100%"
-            assert neg.max() < model.threshold[0] < pos.min(), f"seed {seed}: threshold"
+            assert neg.max() < model.root.threshold[0] < pos.min(), f"seed {seed}: threshold"
 
 
 def test_c07_mlp_gradient_check():
@@ -211,6 +212,7 @@ def test_c07_mlp_gradient_check():
                 weights=(rng.normal(0, 0.4, (d_in, hidden)), rng.normal(0, 0.4, (hidden, 1))),
                 biases=(rng.normal(0, 0.2, hidden), rng.normal(0, 0.2, 1)),
                 standardization=StandardizationParams(mean=np.zeros(d_in), std=np.ones(d_in)),
+                activation="sigmoid",
             )
             X = rng.normal(size=(m, d_in))
             y = list((rng.uniform(size=m) < 0.5).astype(int))
@@ -224,8 +226,8 @@ def test_c07_mlp_gradient_check():
                     wm = [w.copy() for w in model.weights]
                     wp[layer][idx] += h
                     wm[layer][idx] -= h
-                    lp = mlp_loss(MlpModel(tuple(wp), model.biases, model.standardization), X, y)
-                    lm = mlp_loss(MlpModel(tuple(wm), model.biases, model.standardization), X, y)
+                    lp = mlp_loss(replace(model, weights=tuple(wp)), X, y)
+                    lm = mlp_loss(replace(model, weights=tuple(wm)), X, y)
                     fd.append((lp - lm) / (2 * h))
             for layer in range(2):
                 for idx in np.ndindex(*model.biases[layer].shape):
@@ -233,8 +235,8 @@ def test_c07_mlp_gradient_check():
                     bm = [b.copy() for b in model.biases]
                     bp[layer][idx] += h
                     bm[layer][idx] -= h
-                    lp = mlp_loss(MlpModel(model.weights, tuple(bp), model.standardization), X, y)
-                    lm = mlp_loss(MlpModel(model.weights, tuple(bm), model.standardization), X, y)
+                    lp = mlp_loss(replace(model, biases=tuple(bp)), X, y)
+                    lm = mlp_loss(replace(model, biases=tuple(bm)), X, y)
                     fd.append((lp - lm) / (2 * h))
             fd = np.array(fd)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-12)

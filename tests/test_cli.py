@@ -405,6 +405,10 @@ def _reengineered_bundle(**keys):
             "low_model": TEN_FEATURE_KNN, "high_model": TEN_FEATURE_KNN, **keys}
 
 
+def _bundle_rule(constraints):
+    return _reengineered_bundle(rule={"id": "R1", "constraints": constraints})
+
+
 # (argv builder, exit code, expected part of the message)
 MALFORMED = {
     "knn_k-string": (
@@ -620,6 +624,26 @@ MALFORMED = {
     ),
     # a setting the variants share is checked as the experiment config is decoded
     "experiment-cv-k-below-2": (lambda t: _experiment(t, cv_k=1), 2, "config error: cv_k must be >= 2, got 1"),
+    # a rule's constraint errors name the constraint, in a bundle and in a rule file
+    "bundle-rule-upper-string": (
+        lambda t: _predict(t, _bundle_rule([{"feature": "x4", "upper": "x"}])), 2,
+        "config error: rule.constraints[0].upper: expected float, got 'x'",
+    ),
+    "bundle-rule-unknown-feature": (
+        lambda t: _predict(t, _bundle_rule([{"feature": "x4"}, {"feature": "x99"}])), 2,
+        "config error: rule.constraints[1]: unknown feature id 'x99'",
+    ),
+    "bundle-rule-constraint-not-object": (
+        lambda t: _predict(t, _bundle_rule([{"feature": "x4"}, 1])), 2,
+        "config error: rule.constraints[1]: a rule must be a JSON array of constraint objects, got 1",
+    ),
+    "bundle-rule-constraints-not-array": (
+        lambda t: _predict(t, _bundle_rule(5)), 2, "config error: rule.constraints: expected array, got 5",
+    ),
+    "rule-file-upper-string": (
+        lambda t: _inspect_rules(t, '[{"feature": "x4", "upper": "x"}]'), 2,
+        "r.json[0].upper: expected float, got 'x'",
+    ),
 }
 
 
@@ -859,12 +883,14 @@ def test_package_reexports_the_record_types():
 # --- the icewatch process -------------------------------------------------------
 
 
-def _icewatch(argv, cwd=None, redirect=""):
+def _icewatch(argv, cwd=None, redirect="", unbuffered=False):
     """Run `python -m icewatch.cli *argv` to its exit, through sh with the
-    stream redirection `redirect` and with buffered standard streams;
-    return the finished process, output as text."""
+    stream redirection `redirect` and with buffered standard streams, or
+    unbuffered ones; return the finished process, output as text."""
     env = _environ()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     command = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "icewatch.cli", *argv]
     return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
 
@@ -930,6 +956,34 @@ def test_a_closed_stdout_exits_0_without_a_traceback(command, labeled_csv):
     done = _icewatch(argv, redirect=">&-")
     assert done.returncode == 0 and "Traceback" not in done.stderr
     assert done.stderr.startswith("usage: icewatch") if command == "--help" else done.stderr == ""
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["ingest", "--scada", "missing.csv", "--windows", "missing.csv", "--out", "o.csv"], 3), (["no-command"], 2)],
+    ids=["data-error", "usage-error"],
+)
+def test_an_error_that_stderr_cannot_take_keeps_its_code(argv, code, redirect, tmp_path):
+    """With file descriptor 2 closed (sys.stderr is None) or open for
+    reading only (its writes fail), the error line is lost, not written to
+    stdout, and the exit code is the error's. argparse writes a usage
+    error's usage line to stdout when sys.stderr is None."""
+    done = _icewatch(argv, cwd=tmp_path, redirect=redirect)
+    assert (done.returncode, done.stderr) == (code, "")
+    assert "error" not in done.stdout and "missing.csv" not in done.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_into_a_full_device_is_a_data_error(unbuffered):
+    """argparse swallows the OSError of its help's write, which unbuffered
+    streams raise at the write; either way the help is output that could
+    not be written. A usage error still exits 2."""
+    done = _icewatch(["--help"], redirect=">/dev/full", unbuffered=unbuffered)
+    assert done.returncode == 3 and done.stderr == f"data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    done = _icewatch(["no-command"], redirect=">/dev/full", unbuffered=unbuffered)
+    assert done.returncode == 2 and "invalid choice: 'no-command'" in done.stderr
 
 
 class _FullStream(io.StringIO):

@@ -169,7 +169,7 @@ class TestCrossValidate:
 
     MODEL_ARRAYS = {
         "knn": lambda m: [m.X, m.y, m.standardization.mean, m.standardization.std],
-        "cart": lambda m: [m.n, m.impurity, m.klass, m.p_normal, m.p_abnormal, m.feature, m.threshold, m.left, m.right],
+        "cart": lambda m: list(m.root),  # the node table's nine arrays
         "mlp": lambda m: [*m.weights, *m.biases, m.standardization.mean, m.standardization.std],
     }
 

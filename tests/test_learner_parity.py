@@ -15,6 +15,7 @@ the references below run on each row alone.
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,16 +66,16 @@ def reference_train_mlp(cfg, X, y):
         for fan_in, fan_out in zip(sizes, sizes[1:])
     )
     biases = tuple(np.zeros(fan_out) for fan_out in sizes[1:])
-    model = MlpModel(weights=weights, biases=biases, standardization=params)
+    model = MlpModel(activation="sigmoid", weights=weights, biases=biases, standardization=params)
     for _ in range(cfg.mlp_epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.mlp_batch_size):
             batch = perm[lo : lo + cfg.mlp_batch_size]
             grads_w, grads_b = reference_gradient(model, X[batch], y[batch])
-            model = MlpModel(
+            model = replace(
+                model,
                 weights=tuple(W - cfg.mlp_learning_rate * g for W, g in zip(model.weights, grads_w)),
                 biases=tuple(b - cfg.mlp_learning_rate * g for b, g in zip(model.biases, grads_b)),
-                standardization=params,
             )
     return model
 
@@ -97,12 +98,13 @@ def reference_gradient(model, X, y):
 
 
 def reference_cart_predict(model: CartModel, X):
+    tree = model.root
     out = []
     for x in np.atleast_2d(X):
         i = 0
-        while model.feature[i] >= 0:
-            i = model.left[i] if x[model.feature[i]] < model.threshold[i] else model.right[i]
-        out.append(model.klass[i])
+        while tree.feature[i] >= 0:
+            i = tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
+        out.append(tree.klass[i])
     return np.array(out, dtype=np.int8)
 
 
@@ -506,15 +508,15 @@ def test_cart_node_table_matches_reference_grower():
         model = train(cfg, X, y)
         want = reference_train_cart(cfg, X, y)
         for name, column in zip(_CART_COLUMNS, zip(*want)):
-            got = getattr(model, name)
+            got = getattr(model.root, name)
             assert _same_bits(got, np.array(column, dtype=got.dtype)), (case, name)
         trained += 1
-        splits += int((model.feature >= 0).sum())
+        splits += int((model.root.feature >= 0).sum())
     assert trained >= 300 and splits > 3000
 
 
 def _same_tree(a, b):
-    return all(_same_bits(getattr(a, name), getattr(b, name)) for name in _CART_COLUMNS)
+    return all(_same_bits(getattr(a.root, name), getattr(b.root, name)) for name in _CART_COLUMNS)
 
 
 def test_cart_tree_ignores_row_order():
@@ -539,12 +541,12 @@ def test_cart_tree_ignores_row_order():
     y = np.array([1] * 4 + [0] * 8, dtype=np.int8)
     cfg = LearnerConfig(algorithm="cart", cart_min_leaf=1)
     model = train(cfg, X, y)
-    assert model.threshold[0] == 0.0 and not np.signbit(model.threshold[0])
+    assert model.root.threshold[0] == 0.0 and not np.signbit(model.root.threshold[0])
     assert _same_tree(train(cfg, X[::-1], y[::-1]), model)
 
 
 def _thresholds(model):
-    return model.threshold[model.feature >= 0].tolist()
+    return model.root.threshold[model.root.feature >= 0].tolist()
 
 
 def test_cart_labels_match_reference():
@@ -621,7 +623,7 @@ def _centered_mlp(rng, hidden):
     model = train(LearnerConfig(algorithm="mlp", mlp_hidden=hidden, mlp_epochs=5, seed=3), X, y)
     p = np.median(mlp_probability(model, _labeled(rng, 2000)[0]))
     biases = model.biases[:-1] + (model.biases[-1] - np.log(p / (1.0 - p)),)
-    return MlpModel(weights=model.weights, biases=biases, standardization=model.standardization)
+    return replace(model, biases=biases)
 
 
 def _near_half(model, rng, n):
@@ -663,10 +665,10 @@ def test_cart_predict_is_row_exact():
     # every split's threshold planted in its feature column of a random
     # quarter of the rows: those rows sit exactly on the split
     Q = _labeled(rng, N_ROWS)[0]
-    splits = np.flatnonzero(model.feature >= 0)
+    splits = np.flatnonzero(model.root.feature >= 0)
     for i in splits:
-        Q[rng.random(N_ROWS) < 0.25, model.feature[i]] = model.threshold[i]
-    on_split = (Q[:, model.feature[splits]] == model.threshold[splits]).any(axis=1)
+        Q[rng.random(N_ROWS) < 0.25, model.root.feature[i]] = model.root.threshold[i]
+    on_split = (Q[:, model.root.feature[splits]] == model.root.threshold[splits]).any(axis=1)
     assert on_split.sum() > N_ROWS // 2
     want = one_row_at_a_time(reference_cart_predict, model, Q)
     assert _same_bits(predict(model, Q), want)

@@ -1,6 +1,8 @@
 import json
 import re
+import typing
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,8 +200,8 @@ class TestCart:
             X, y = separable_1d(rng)
             model = train(cfg, X, y)
             assert np.array_equal(predict_batch(model, X), y)
-            assert model.feature[0] >= 0  # the root splits
-            assert X[y == 0].max() < model.threshold[0] < X[y == 1].min()
+            assert model.root.feature[0] >= 0  # the root splits
+            assert X[y == 0].max() < model.root.threshold[0] < X[y == 1].min()
 
     def test_single_split_tree_descent(self):
         leaf_n = {"n": 5, "impurity": 0.0, "class": NORMAL, "proportions": [1.0, 0.0]}
@@ -210,8 +212,8 @@ class TestCart:
         }
         model = model_from_dict(_cart_doc(root))
         assert isinstance(model, CartModel)
-        assert model.feature.tolist() == [0, -1, -1]
-        assert (model.left[0], model.right[0]) == (1, 2)
+        assert model.root.feature.tolist() == [0, -1, -1]
+        assert (model.root.left[0], model.root.right[0]) == (1, 2)
         assert predict(model, np.array([-1.0, 9.9])) == NORMAL
         assert predict(model, np.array([0.0, -9.9])) == ABNORMAL  # value < threshold goes left
 
@@ -220,13 +222,14 @@ class TestCart:
         y = (X[:, 1] + 0.3 * rng.normal(size=200) > 0).astype(np.int8)
         y[:2] = [0, 1]
         model = train(LearnerConfig(algorithm="cart", cart_max_depth=6), X, y)
-        internal = np.flatnonzero(model.feature >= 0)
+        tree = model.root
+        internal = np.flatnonzero(tree.feature >= 0)
         assert internal.size > 0
         for i in internal.tolist():
-            left, right = model.left[i], model.right[i]
-            weighted = (model.n[left] * model.impurity[left] + model.n[right] * model.impurity[right]) / model.n[i]
-            assert weighted <= model.impurity[i] + 1e-12
-            assert model.n[left] >= model.min_leaf and model.n[right] >= model.min_leaf
+            left, right = tree.left[i], tree.right[i]
+            weighted = (tree.n[left] * tree.impurity[left] + tree.n[right] * tree.impurity[right]) / tree.n[i]
+            assert weighted <= tree.impurity[i] + 1e-12
+            assert tree.n[left] >= model.min_leaf and tree.n[right] >= model.min_leaf
         preds = predict_batch(model, X)
         assert preds.shape == (200,)  # every row routed
 
@@ -235,31 +238,33 @@ class TestCart:
         y = (rng.uniform(size=300) < 0.5).astype(np.int8)
         y[:2] = [0, 1]
         model = train(LearnerConfig(algorithm="cart", cart_max_depth=3), X, y)
-        depth = np.zeros(model.n.size, dtype=int)
-        for i in np.flatnonzero(model.feature >= 0).tolist():  # a parent's row precedes its children's
-            depth[[model.left[i], model.right[i]]] = depth[i] + 1
+        tree = model.root
+        depth = np.zeros(tree.n.size, dtype=int)
+        for i in np.flatnonzero(tree.feature >= 0).tolist():  # a parent's row precedes its children's
+            depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
         assert depth.max() <= 3
 
     def test_node_table_invariants(self, rng):
         X = rng.normal(size=(400, 5))
         y = (X[:, 0] - X[:, 2] + 0.5 * rng.normal(size=400) > 0).astype(np.int8)
         model = train(LearnerConfig(algorithm="cart", cart_max_depth=7, cart_min_leaf=3), X, y)
-        internal = np.flatnonzero(model.feature >= 0)
-        leaves = np.flatnonzero(model.feature < 0)
-        left, right = model.left[internal], model.right[internal]
-        assert internal.size >= 10 and model.n[0] == 400
+        tree = model.root
+        internal = np.flatnonzero(tree.feature >= 0)
+        leaves = np.flatnonzero(tree.feature < 0)
+        left, right = tree.left[internal], tree.right[internal]
+        assert internal.size >= 10 and tree.n[0] == 400
         # depth first, left subtree first: every row but the root is the child of exactly one row before it
         assert (left == internal + 1).all() and (right > left).all()
-        assert sorted([*left.tolist(), *right.tolist()]) == list(range(1, model.n.size))
-        assert (model.n[left] + model.n[right] == model.n[internal]).all()
-        assert (model.left[leaves] == -1).all() and (model.right[leaves] == -1).all()
-        assert np.abs(model.p_normal + model.p_abnormal - 1.0).max() <= 1e-15
-        assert model.n[leaves].sum() == 400
+        assert sorted([*left.tolist(), *right.tolist()]) == list(range(1, tree.n.size))
+        assert (tree.n[left] + tree.n[right] == tree.n[internal]).all()
+        assert (tree.left[leaves] == -1).all() and (tree.right[leaves] == -1).all()
+        assert np.abs(tree.p_normal + tree.p_abnormal - 1.0).max() <= 1e-15
+        assert tree.n[leaves].sum() == 400
 
         text = json.dumps(model_to_dict(model))
         back = model_from_dict(json.loads(text))
         for name in _CART_COLUMNS:
-            a, b = getattr(model, name), getattr(back, name)
+            a, b = getattr(model.root, name), getattr(back.root, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert (back.max_depth, back.min_leaf) == (7, 3)
         assert json.dumps(model_to_dict(back)) == text
@@ -281,7 +286,7 @@ class TestCart:
         monkeypatch.setattr(schema, "check", counting_check)
         monkeypatch.setattr(learners, "check", counting_check)
         model = model_from_dict(_cart_doc(root))
-        assert model.n.size == 401 and model.feature[:200].tolist() == [0] * 200
+        assert model.root.n.size == 401 and model.root.feature[:200].tolist() == [0] * 200
         assert checked.count("_Node") == 401
 
     @pytest.mark.parametrize(
@@ -297,9 +302,9 @@ class TestCart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = train(LearnerConfig(algorithm="cart", cart_min_leaf=1), X, y)
-        assert model.feature.tolist() == [0, -1, -1]
-        assert a < model.threshold[0] <= b
-        assert model.n.tolist() == [6, 3, 3] and model.impurity[1:].tolist() == [0.0, 0.0]
+        assert model.root.feature.tolist() == [0, -1, -1]
+        assert a < model.root.threshold[0] <= b
+        assert model.root.n.tolist() == [6, 3, 3] and model.root.impurity[1:].tolist() == [0.0, 0.0]
         assert np.array_equal(predict_batch(model, X), y)
 
     def test_split_below_infinity_writes_and_reads_back(self):
@@ -308,11 +313,11 @@ class TestCart:
         X = np.array([[0.0], [1.0], [np.inf], [np.inf]])
         y = np.array([0, 0, 1, 1], dtype=np.int8)
         model = train(LearnerConfig(algorithm="cart", cart_min_leaf=1), X, y)
-        assert model.threshold[0] == np.inf
+        assert model.root.threshold[0] == np.inf
         text = json.dumps(model_to_dict(model))
         assert '"threshold": Infinity' in text
         back = model_from_dict(json.loads(text))
-        assert back.threshold.tobytes() == model.threshold.tobytes()
+        assert back.root.threshold.tobytes() == model.root.threshold.tobytes()
         assert predict(back, X).tolist() == predict(model, X).tolist() == y.tolist()
 
     def test_deterministic(self, rng):
@@ -328,6 +333,7 @@ class TestMlp:
         model = MlpModel(
             weights=(np.zeros((3, 4)), np.zeros((4, 1))),
             biases=(np.zeros(4), np.zeros(1)),
+            activation="sigmoid",
             standardization=identity_params(3),
         )
         x = np.array([0.3, -0.2, 0.5])
@@ -339,6 +345,7 @@ class TestMlp:
         model = MlpModel(
             weights=(np.array([[100.0]]), np.array([[200.0]])),
             biases=(np.zeros(1), np.array([-100.0])),
+            activation="sigmoid",
             standardization=identity_params(1),
         )
         X = np.array([[-1.0], [1.0], [1.0], [-1.0]])
@@ -351,6 +358,7 @@ class TestMlp:
         model = MlpModel(
             weights=(rng.normal(0, 0.3, (4, 5)), rng.normal(0, 0.3, (5, 1))),
             biases=(rng.normal(0, 0.1, 5), rng.normal(0, 0.1, 1)),
+            activation="sigmoid",
             standardization=identity_params(4),
         )
         X = rng.normal(size=(6, 4))
@@ -365,7 +373,8 @@ class TestMlp:
             model = MlpModel(
                 weights=(rng.normal(0, 0.2, (3, 4)), rng.normal(0, 0.2, (4, 1))),
                 biases=(rng.normal(0, 0.1, 4), rng.normal(0, 0.1, 1)),
-                standardization=identity_params(3),
+                activation="sigmoid",
+            standardization=identity_params(3),
             )
             X = rng.normal(size=(5, 3))
             y = list((rng.uniform(size=5) < 0.5).astype(int))
@@ -378,8 +387,8 @@ class TestMlp:
                     Wm = [w.copy() for w in model.weights]
                     Wp[layer][idx] += h
                     Wm[layer][idx] -= h
-                    lp = mlp_loss(MlpModel(tuple(Wp), model.biases, model.standardization), X, y)
-                    lm = mlp_loss(MlpModel(tuple(Wm), model.biases, model.standardization), X, y)
+                    lp = mlp_loss(replace(model, weights=tuple(Wp)), X, y)
+                    lm = mlp_loss(replace(model, weights=tuple(Wm)), X, y)
                     fd = (lp - lm) / (2 * h)
                     assert grads_w[layer][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
@@ -546,9 +555,16 @@ def test_predict_returns_the_int_code(algorithm):
     assert empty.dtype == np.int8 and empty.shape == (0,)
 
 
+def test_each_model_is_its_own_document():
+    """model_to_dict and model_from_dict read and write each model as
+    itself: no adapter class stands between a kind's document and its
+    model."""
+    assert set(learners._DOCUMENTS.values()) == set(typing.get_args(learners.TrainedModel))
+
+
 @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
 def test_input_width_check(algorithm):
     model = model_from_dict(_trained_doc(algorithm))
     check_input_width(model, 3)
     with pytest.raises(InvalidConfig):
-        check_input_width(model, 2 if algorithm != "cart" else int(model.feature.max()))
+        check_input_width(model, 2 if algorithm != "cart" else int(model.root.feature.max()))

@@ -190,7 +190,7 @@ class TestBundle:
     # every array a model holds, derived ones included
     MODEL_ARRAYS = {
         "knn": lambda m: [m.X, m.y, m.standardization.mean, m.standardization.std, m.sq_norms, m.screen64, m.screen32],
-        "cart": lambda m: [m.n, m.impurity, m.klass, m.p_normal, m.p_abnormal, m.feature, m.threshold, m.left, m.right],
+        "cart": lambda m: list(m.root),  # the node table's nine arrays
         "mlp": lambda m: [*m.weights, *m.biases, m.standardization.mean, m.standardization.std],
     }
 
@@ -284,7 +284,7 @@ def _cart_chain(depth):
     deepest leaf, then the right leaves from the bottom up."""
     splits = [[10, 0.5, 1, 0.5, 0.5, 1, float(i), i + 1, 2 * depth - i] for i in range(depth)]
     leaves = [[5, 0.0, 0, 1.0, 0.0, -1, 0.0, -1, -1]] * (depth + 1)
-    model = learners._cart_model(splits + leaves, 12, 5)
+    model = learners.CartModel(12, 5, learners._node_table(splits + leaves))
     return ModelBundle(pipeline.BUNDLE_FORMAT, "traditional", pipeline._BundleDenoise(10), model=model)
 
 

@@ -20,13 +20,12 @@ from icewatch.rules import (
     builtin_rule,
     gate,
     load_rule,
-    rule_from_json,
     rule_mask,
-    rule_to_json,
     segment,
     strong_rule_filter,
 )
 from icewatch.scada import Label
+from icewatch.schema import from_dict, to_dict
 
 EPS = 1e-9
 WIND = FEATURE_IDS.index("x4")
@@ -245,18 +244,18 @@ def test_routing_properties(X, rule_id):
 class TestSerialization:
     def test_round_trip(self):
         rule = builtin_rule("R5")
-        back = rule_from_json(rule_to_json(rule), rule_id="R5")
+        back = from_dict(IntervalRule, to_dict(rule))
         assert back == rule
 
     def test_infinite_bounds_become_null(self):
-        doc = rule_to_json(builtin_rule("R1"))
+        doc = to_dict(builtin_rule("R1"))["constraints"]
         assert doc[0]["lower"] is None
         assert doc[0]["upper"] == 2.0
 
     def test_load_rule_builtin_and_path(self, tmp_path):
         assert load_rule("R3") == builtin_rule("R3")
         path = tmp_path / "custom.json"
-        path.write_text(json.dumps(rule_to_json(builtin_rule("R4"))))
+        path.write_text(json.dumps(to_dict(builtin_rule("R4"))["constraints"]))
         loaded = load_rule(str(path))
         assert loaded.constraints == builtin_rule("R4").constraints
         message = "unknown builtin rule: 'nonexistent.json' (expected R1..R5)"
@@ -272,7 +271,7 @@ class TestSerialization:
             with pytest.raises(InvalidConfig, match="NaN"):
                 IntervalConstraint("x4", **bounds)
         with pytest.raises(InvalidConfig, match="NaN"):
-            rule_from_json(json.loads('[{"feature": "x4", "upper": NaN}]'))
+            from_dict(IntervalRule, {"id": "nan", "constraints": json.loads('[{"feature": "x4", "upper": NaN}]')})
         assert IntervalConstraint("x4", lower=-math.inf, upper=math.inf).upper == math.inf
         with pytest.raises(InvalidConfig):
             IntervalRule("bad", ())

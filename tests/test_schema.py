@@ -110,7 +110,8 @@ def _config_classes(*roots) -> list:
 
 CONFIG_CLASSES = _config_classes(
     ExperimentConfig, PairConfig, PipelineConfig, DenoiseConfig, IntervalConstraint,
-    pipeline.ModelBundle, learners._CartDoc, learners._MlpDoc,  # the model and bundle documents
+    pipeline.ModelBundle, learners.CartModel, learners.MlpModel,  # the model and bundle documents
+    learners._Node,  # a CART root, whose Annotated node table hides it
 )
 
 
@@ -129,7 +130,7 @@ def test_config_classes_are_found():
     names = {cls.__name__ for cls in CONFIG_CLASSES}
     assert {"DataConfig", "LearnerConfig", "BalanceConfig", "SynthConfig", "WindModel", "OffsetProfile"} <= names
     assert {"IntervalRule", "IntervalConstraint"} <= names
-    assert {"KnnModel", "StandardizationParams", "_Node", "_BundleDenoise"} <= names
+    assert {"KnnModel", "CartModel", "MlpModel", "StandardizationParams", "_Node", "_BundleDenoise"} <= names
 
 
 # --- every numeric field at extreme values -----------------------------------------
