@@ -334,7 +334,12 @@ def _cmd_predict(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, except that a help text it cannot write raises
     the write's OSError: argparse swallows it, so that help into a full
-    disk would exit 0."""
+    disk would exit 0. A usage error raises SystemExit with its usage line
+    and error line as text, which main reports like any other error:
+    argparse would write the usage line to stdout once sys.stderr is None."""
+
+    def error(self, message):
+        raise SystemExit(f"{self.format_usage()}{self.prog}: error: {message}")
 
     def print_help(self, file=None):
         file = file or sys.stdout or sys.stderr  # argparse's choice: stderr once fd 1 is closed
@@ -396,8 +401,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # from parse_args: help, or a usage error it reported
-        return 2 if exc.code not in (0, None) else 0
+    except SystemExit as exc:  # from parse_args: after the help, or _Parser.error's text
+        if not isinstance(exc.code, str):
+            return 2 if exc.code not in (0, None) else 0
+        code, message = 2, exc.code
     except ConfigError as exc:
         code, message = 2, f"config error: {exc}"
     except DataError as exc:

@@ -39,7 +39,9 @@ applies the tie rule above.
 needs one per fold and one on all rows, and checks every set before it
 trains any. MLPs train in lockstep on stacked arrays (_train_mlps), each
 model bitwise the one `train` gives on its set alone; `train` of an MLP is
-the one-set case.
+the one-set case. Each epoch walks a step schedule made once per call
+(_mlp_schedule), in which models of equal size share their last partial
+batch.
 
 `predict_batch`, used by the experiments, and `predict`, used by
 deployment, run one path for every learner, and every row gets, bit for
@@ -605,6 +607,25 @@ def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarra
     return weights, biases
 
 
+def _mlp_schedule(n: Sequence[int], size: int) -> list[tuple[int, int, int, int]]:
+    """One epoch's steps over sets of n[f] rows, most rows first, as
+    (first, end, lo, hi): models first to end - 1 take rows lo to hi - 1 of
+    their shuffled sets as one step. At each batch start lo the models
+    with a full batch left are a prefix of the stack; after them, each run
+    of equal-size models whose rows end inside the batch takes its partial
+    batch as one step."""
+    steps = []
+    for lo in range(0, n[0], size):
+        first = sum(rows >= lo + size for rows in n)
+        if first:
+            steps.append((0, first, lo, lo + size))
+        while first < len(n) and n[first] > lo:
+            end = first + n.count(n[first])
+            steps.append((first, end, lo, n[first]))
+            first = end
+    return steps
+
+
 def _train_mlps(cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[MlpModel]:
     """Minibatch SGD of one model per checked (X, y) set, every model in
     lockstep on stacked arrays and bit for bit the model of a loop of its
@@ -614,14 +635,16 @@ def _train_mlps(cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, np.ndarray]
     (F, n_params), and its gradient into row f of grad, so a step's update
     is two array operations. Each model keeps its own default_rng(cfg.seed)
     and so its own initial weights, epoch permutations and step order. The
-    sets are ordered by row count, most first: the models that still have a
-    full batch at a step are then a prefix of the stack and take the step
-    together. Their products are one np.matmul, which hands BLAS each
-    model's matrices on their own with the strides a lone model has, and
-    the elementwise work runs on the whole prefix. A model whose rows end
-    inside a step takes that partial batch alone, as a one-model slice, as
-    does the largest set (in cross-validation, all rows) at the steps past
-    the other sets' ends.
+    sets are ordered by row count, most first, and every epoch walks the
+    same step schedule (_mlp_schedule), whose stacked parameter, gradient
+    and batch views are made once per call: each epoch's shuffled rows are
+    written into the arrays those views see. A step's models are a slice
+    of the stack: the models that still have a full batch, or a run of
+    equal-size models (in cross-validation, folds of one size) whose rows
+    end inside the batch and take that partial batch together. Their
+    products are one np.matmul, which hands BLAS each model's matrices on
+    their own with the strides a lone model has, and the elementwise work
+    runs on the whole slice, each model's sums on its own rows.
 
     Per model, standardizing once and then gathering rows gives the values
     of standardizing each batch (the transform is elementwise), and
@@ -643,28 +666,21 @@ def _train_mlps(cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, np.ndarray]
     targets = [y.astype(float) for _, y in sets]
     # model f's shuffled rows of an epoch fill X_epoch[f, :n[f]] and t_epoch[f, :n[f]]
     X_epoch, t_epoch = np.empty((len(sets), n[0], sizes[0])), np.empty((len(sets), n[0]))
-    lr, size = cfg.mlp_learning_rate, cfg.mlp_batch_size
-
-    def step(models: slice, lo: int, hi: int) -> None:
-        stack_w = [W[models] for W in weights]
-        acts = _mlp_forward(stack_w, [b[models] for b in biases], X_epoch[models, lo:hi])
-        _mlp_backward(stack_w, acts, t_epoch[models, lo:hi], [g[models] for g in grads_w], [g[models] for g in grads_b])
-        g = grad[models]
-        g *= lr
-        theta[models] -= g
-
+    steps = []
+    for first, end, lo, hi in _mlp_schedule(n, cfg.mlp_batch_size):
+        m = slice(first, end)
+        stacks = [[a[m] for a in arrays] for arrays in (weights, biases, grads_w, grads_b)]
+        steps.append((*stacks, X_epoch[m, lo:hi], t_epoch[m, lo:hi], theta[m], grad[m]))
+    lr = cfg.mlp_learning_rate
     for _ in range(cfg.mlp_epochs):
         for f, rng in enumerate(rngs):
             perm = rng.permutation(n[f])
             X_epoch[f, : n[f]] = X_std[f][perm]
             t_epoch[f, : n[f]] = targets[f][perm]
-        for lo in range(0, n[0], size):
-            full = sum(rows >= lo + size for rows in n)
-            if full:
-                step(slice(0, full), lo, lo + size)
-            for f in range(full, len(n)):
-                if n[f] > lo:
-                    step(slice(f, f + 1), lo, n[f])
+        for stack_w, stack_b, stack_gw, stack_gb, X_batch, t_batch, stack_theta, stack_grad in steps:
+            _mlp_backward(stack_w, _mlp_forward(stack_w, stack_b, X_batch), t_batch, stack_gw, stack_gb)
+            stack_grad *= lr
+            stack_theta -= stack_grad
     return [
         MlpModel("sigmoid", tuple(W[f] for W in weights), tuple(b[f] for b in biases), params[f])
         for f in np.argsort(order)

@@ -966,12 +966,24 @@ def test_a_closed_stdout_exits_0_without_a_traceback(command, labeled_csv):
 )
 def test_an_error_that_stderr_cannot_take_keeps_its_code(argv, code, redirect, tmp_path):
     """With file descriptor 2 closed (sys.stderr is None) or open for
-    reading only (its writes fail), the error line is lost, not written to
-    stdout, and the exit code is the error's. argparse writes a usage
-    error's usage line to stdout when sys.stderr is None."""
+    reading only (its writes fail), the error line, and a usage error's
+    usage line, are lost, not written to stdout, and the exit code is the
+    error's."""
     done = _icewatch(argv, cwd=tmp_path, redirect=redirect)
-    assert (done.returncode, done.stderr) == (code, "")
-    assert "error" not in done.stdout and "missing.csv" not in done.stdout
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+
+
+def test_a_usage_error_writes_nothing_to_stdout(capsys, monkeypatch):
+    """A usage error writes argparse's usage line, then its error line, to
+    stderr, and both are lost once sys.stderr is None: argparse alone
+    would write the usage line to stdout."""
+    assert main(["no-command"]) == 2
+    choices = "'ingest', 'synth', 'features', 'experiment', 'predict', 'inspect-rules'"
+    error = f"icewatch: error: argument command: invalid choice: 'no-command' (choose from {choices})\n"
+    assert capsys.readouterr() == ("", cli.build_parser().format_usage() + error)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["no-command"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

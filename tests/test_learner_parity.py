@@ -150,11 +150,14 @@ def test_mlp_training_bitwise(hidden, epochs):
 # training-set sizes for train_many at batch 32: five folds of 203 rows,
 # whose sizes differ by one and end in 2- and 3-row remainder batches; the
 # same folds followed by all 203 rows, as crossval_fold_scores stacks them,
-# where all rows lead the stack and take their last steps alone; and
-# remainders of 13 and 1 rows beside sets of exactly one and two batches
+# where all rows lead the stack and take their last steps alone; five
+# equal folds beside all rows, whose 22-row remainders are one stacked
+# step; and remainders of 13 and 1 rows beside sets of exactly one and two
+# batches
 TRAIN_MANY_SIZES = {
     "folds": [162, 162, 162, 163, 163],
     "folds_and_all": [162, 162, 162, 163, 163, 203],
+    "equal_folds_and_all": [150, 150, 150, 150, 150, 200],
     "mixed": [45, 32, 203, 64, 33],
 }
 
@@ -175,6 +178,25 @@ def test_train_many_mlps_bitwise(sizes, hidden, epochs):
             assert _same_bits(a, b)
         assert _same_bits(got.standardization.mean, want.standardization.mean)
         assert _same_bits(got.standardization.std, want.standardization.std)
+
+
+def test_equal_size_sets_share_their_partial_batch_step(monkeypatch):
+    """An epoch over five 150-row folds and 200 rows at batch 32: four
+    steps of all six models, one of the 200 rows' fifth batch beside one of
+    the five folds' 22-row remainders, then the 200 rows' last full and
+    8-row batches alone."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1].shape)
+        return forward(*args)
+
+    forward = learners._mlp_forward
+    monkeypatch.setattr(learners, "_mlp_forward", counted)
+    rng = np.random.default_rng(4)
+    sets = [_labeled(rng, n) for n in TRAIN_MANY_SIZES["equal_folds_and_all"]]
+    train_many(LearnerConfig(algorithm="mlp", mlp_epochs=1, mlp_batch_size=32), sets)
+    assert [shape[:2] for shape in calls] == [(6, 32)] * 4 + [(1, 32), (5, 22), (1, 32), (1, 8)]
 
 
 @pytest.mark.parametrize("algorithm", ["knn", "cart", "mlp"])
