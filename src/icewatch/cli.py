@@ -188,9 +188,7 @@ def _write_turbine(out: synthgen.SynthOutput, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_scada_csv(out.records, directory / "scada.csv")
     write_label_windows_csv(out.truth_windows, directory / "windows.csv")
-    counts = {"normal": 0, "abnormal": 0, "invalid": 0}
-    for label in out.truth_labels:
-        counts[label.value] += 1
+    counts = {label.value: out.truth_labels.count(label) for label in LABELS}
     ledger = {"episodes": [to_dict(e) for e in out.episode_ledger], "counts": counts}
     _dump_json(ledger, directory / "ledger.json")
 

@@ -38,8 +38,8 @@ applies the tie rule above.
 `train_many` trains one model per training set, as cross-validation
 needs one per fold and one on all rows, and checks every set before it
 trains any. MLPs train in lockstep on stacked arrays (_train_mlps), each
-model bitwise the one `train` gives on its set alone; `train` of an MLP is
-the one-set case. Each epoch walks a step schedule made once per call
+model bitwise the one `train` gives on its set alone; `train` is the
+one-set case. Each epoch walks a step schedule made once per call
 (_mlp_schedule), in which models of equal size share their last partial
 batch.
 
@@ -711,26 +711,23 @@ def _checked(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) ->
 
 def train(cfg: LearnerConfig, features: np.ndarray, labels: Sequence[int]) -> TrainedModel:
     """Train per cfg.algorithm. Deterministic in (cfg, data)."""
-    X, y = _checked(cfg, features, labels)
-    if cfg.algorithm == "knn":
-        return _train_knn(cfg, X, y)
-    if cfg.algorithm == "cart":
-        return _train_cart(cfg, X, y)
-    return _train_mlps(cfg, [(X, y)])[0]
+    return train_many(cfg, [(features, labels)])[0]
 
 
 def train_many(
     cfg: LearnerConfig, sets: Sequence[tuple[np.ndarray, Sequence[int]]]
 ) -> list[TrainedModel]:
     """One model per (features, labels) set, in order, each bitwise the
-    model `train` gives on that set alone. Every set is checked, in order,
-    before any is trained, so a bad set raises what `train` raises on it.
-    MLPs train in lockstep (_train_mlps), so their sets share one feature
-    width; KNN and CART train one set after the other."""
+    model `train` gives on that set alone. Every set is checked once, in
+    order, before any is trained, so a bad set raises what `train` raises
+    on it. MLPs train in lockstep (_train_mlps), so their sets share one
+    feature width; KNN and CART train one set after the other."""
     checked = [_checked(cfg, X, y) for X, y in sets]
-    if cfg.algorithm != "mlp" or not checked:
-        return [train(cfg, X, y) for X, y in checked]
-    return _train_mlps(cfg, checked)
+    if cfg.algorithm == "knn":
+        return [_train_knn(cfg, X, y) for X, y in checked]
+    if cfg.algorithm == "cart":
+        return [_train_cart(cfg, X, y) for X, y in checked]
+    return _train_mlps(cfg, checked) if checked else []
 
 
 def predict_batch(model: TrainedModel, features: np.ndarray) -> np.ndarray:

@@ -164,14 +164,11 @@ def segment(X: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gate(X: np.ndarray, rule: IntervalRule, threshold: float) -> np.ndarray:
-    """int8[n]: the route of each row of X. Outside the rule is AUTO_NORMAL,
-    a candidate is LOW or HIGH as segment splits the candidates at
-    `threshold`."""
-    route = np.full(len(X), AUTO_NORMAL, dtype=np.int8)
-    candidates, _ = strong_rule_filter(X, rule)
-    low, high = segment(X[candidates], threshold)
-    route[candidates[low]] = LOW
-    route[candidates[high]] = HIGH
+    """int8[n]: the route of each row of X. Outside the rule is AUTO_NORMAL;
+    a candidate is LOW or HIGH as segment splits rows at `threshold`, so
+    the boundary value and NaN go high."""
+    route = np.where(X[:, _WIND] < threshold, LOW, HIGH).astype(np.int8)
+    route[~rule_mask(rule, X)] = AUTO_NORMAL
     return route
 
 

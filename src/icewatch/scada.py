@@ -12,7 +12,10 @@ Class labels come from a separate window file (columns start,end,class
 with class in {icing, normal}). Window membership is half-open
 [start, end): a record at exactly `end` is outside. Records covered by
 no window are labeled invalid and retained at this layer; dropping them
-is the preprocessing stage's job.
+is the preprocessing stage's job. In memory a set of windows is one
+structured array of WINDOW_DTYPE: per window its `start` and `end` in
+epoch seconds and, as `kind`, the label code it gives its records
+(abnormal for icing, normal for normal).
 
 A raw stream is a `Frame`: one array per column, built once by the CSV
 reader or the synthetic generator and written by the CSV writer. A
@@ -91,22 +94,10 @@ INVALID_CODE = LABELS.index(Label.INVALID)
 _LABEL_NAMES = np.array([label.value for label in LABELS])
 
 
-class WindowKind(Enum):
-    ICING = "icing"
-    NORMAL = "normal"
-
-
-@dataclass(frozen=True, slots=True)
-class LabelWindow:
-    """Half-open time interval [start, end) carrying one class tag."""
-
-    start: int
-    end: int
-    kind: WindowKind
-
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise DataError(f"window start {self.start} must precede end {self.end}")
+# label windows: [start, end) in epoch seconds and the label code of the
+# records inside; a window file's class names, indexed by that code
+WINDOW_DTYPE = np.dtype([("start", np.int64), ("end", np.int64), ("kind", np.int8)])
+_CLASS_NAMES = ("normal", "icing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,10 +229,10 @@ def _check_header(header: Sequence[str], expected: Sequence[str]) -> dict[str, i
 
 def _csv_rows(path, expected: tuple[str, ...], what: str) -> Iterator[tuple[int, tuple[str, ...], Callable]]:
     """The row loop of every CSV reader: check the header against
-    `expected`, skip blank rows and reject short ones. Yield the row number,
-    the cells in `expected` order, and the time parser detected from the
-    first data row's first expected column. A byte that is not UTF-8
-    raises a DataError naming the path."""
+    `expected`, skip blank rows and reject a row of more or fewer cells
+    than the header. Yield the row number, the cells in `expected` order,
+    and the time parser detected from the first data row's first expected
+    column. A byte that is not UTF-8 raises a DataError naming the path."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as stream:
             reader = csv.reader(stream)
@@ -254,7 +245,7 @@ def _csv_rows(path, expected: tuple[str, ...], what: str) -> Iterator[tuple[int,
             for row_no, row in enumerate(reader, start=1):
                 if not row:
                     continue
-                if len(row) < len(header):
+                if len(row) != len(header):
                     raise DataError(f"row {row_no}: {len(row)} cells, header has {len(header)}")
                 cells = ordered(row)
                 if time_parser is None:
@@ -354,8 +345,9 @@ def parse_scada_csv(path, turbine_id: str = "") -> Frame:
 
     The header must contain exactly the 28 expected column names, in any
     order. Raises DataError for a missing, unexpected or repeated column, a
-    short row, a cell that is not a finite number, an unparseable
-    timestamp, a file without data rows, or record times that decrease.
+    row of more or fewer cells than the header, a cell that is not a finite
+    number, an unparseable timestamp, a file without data rows, or record
+    times that decrease.
     """
     frame, _ = _read(path, f"SCADA file for {turbine_id or 'turbine'}", labeled=False)
     return frame
@@ -401,54 +393,47 @@ def write_scada_csv(frame: Frame, path) -> None:
     write_csv_rows(path, COLUMNS, _frame_columns(frame), _FRAME_FORMATS)
 
 
-def parse_label_windows_csv(path) -> list[LabelWindow]:
-    """Parse a window file with columns start,end,class."""
-    windows: list[LabelWindow] = []
-    for row_no, (start, end, kind_cell), parse_time in _csv_rows(path, ("start", "end", "class"), "window file"):
+def parse_label_windows_csv(path) -> np.ndarray:
+    """The windows of the file at `path`, with columns start,end,class, as a
+    WINDOW_DTYPE array in file order. A class other than icing or normal,
+    or a start that is not before its end, raises at its row."""
+    rows = []
+    for row_no, (start, end, class_cell), parse_time in _csv_rows(path, ("start", "end", "class"), "window file"):
         try:
-            kind = WindowKind(kind_cell.strip())
+            code = _CLASS_NAMES.index(class_cell.strip())
         except ValueError:
-            raise _not_one_of(row_no, "class", kind_cell, [kind.value for kind in WindowKind]) from None
-        windows.append(LabelWindow(start=parse_time(start, row_no), end=parse_time(end, row_no), kind=kind))
-    return windows
+            raise _not_one_of(row_no, "class", class_cell, sorted(_CLASS_NAMES)) from None
+        start, end = parse_time(start, row_no), parse_time(end, row_no)
+        if start >= end:
+            raise DataError(f"window start {start} must precede end {end}")
+        rows.append((start, end, code))
+    return np.array(rows, dtype=WINDOW_DTYPE)
 
 
-def write_label_windows_csv(windows: Iterable[LabelWindow], path) -> None:
-    cells = np.array([(w.start, w.end, w.kind.value) for w in windows], dtype=object).reshape(-1, 3)
-    write_csv_rows(path, ("start", "end", "class"), cells.T, ("%d", "%d", "%s"))
+def write_label_windows_csv(windows: np.ndarray, path) -> None:
+    columns = [windows["start"], windows["end"], np.array(_CLASS_NAMES)[windows["kind"]]]
+    write_csv_rows(path, ("start", "end", "class"), columns, ("%d", "%d", "%s"))
 
 
-def _check_disjoint(windows: Sequence[LabelWindow]) -> None:
-    order = sorted(range(len(windows)), key=lambda i: windows[i].start)
-    for a, b in zip(order, order[1:]):
-        # half-open intervals: touching windows do not overlap
-        if windows[a].end > windows[b].start:
-            raise DataError(f"label windows {a} and {b} overlap")
-
-
-def apply_label_windows(
-    frame: Frame,
-    windows: Sequence[LabelWindow],
-    turbine_id: str = "",
-) -> LabeledDataset:
-    """Label each record of `frame` by window membership (start <= t < end).
-
-    Records inside an icing window become abnormal, inside a normal window
-    become normal, and anything uncovered is invalid. Windows must be
-    pairwise non-overlapping across both classes; the result is therefore
-    independent of window order. The dataset shares the frame's arrays.
-    """
-    _check_disjoint(windows)
+def apply_label_windows(frame: Frame, windows: np.ndarray, turbine_id: str = "") -> LabeledDataset:
+    """Label each record of `frame` by window membership (start <= t < end):
+    a record inside a window takes the window's kind, and a record in no
+    window is invalid. `windows` is a WINDOW_DTYPE array whose windows each
+    start before they end and, in any order, pairwise do not overlap, so
+    the result is independent of window order. The dataset shares the
+    frame's arrays."""
+    order = np.argsort(windows["start"], kind="stable")
+    ordered = windows[order]
+    # half-open intervals: touching windows do not overlap
+    overlaps = np.flatnonzero(ordered["end"][:-1] > ordered["start"][1:])
+    if overlaps.size:
+        a, b = order[overlaps[0] : overlaps[0] + 2].tolist()
+        raise DataError(f"label windows {a} and {b} overlap")
     label = np.full(len(frame), INVALID_CODE, dtype=np.int8)
-    if windows:
-        ordered = sorted(windows, key=lambda w: w.start)
-        starts = np.array([w.start for w in ordered], dtype=np.int64)
-        ends = np.array([w.end for w in ordered], dtype=np.int64)
-        kinds = [Label.ABNORMAL if w.kind is WindowKind.ICING else Label.NORMAL for w in ordered]
-        codes = np.array([LABELS.index(kind) for kind in kinds], dtype=np.int8)
-        i = np.searchsorted(starts, frame.time, side="right") - 1
-        inside = (i >= 0) & (frame.time < ends[i])
-        label[inside] = codes[i[inside]]
+    if len(ordered):
+        i = np.searchsorted(ordered["start"], frame.time, side="right") - 1
+        inside = (i >= 0) & (frame.time < ordered["end"][i])
+        label[inside] = ordered["kind"][i[inside]]
     return LabeledDataset(frame.time, frame.channels, frame.group, turbine_id, label)
 
 

@@ -16,6 +16,11 @@ offset) imitating the provider's desensitization; this is what produces
 negative "wind speeds" and makes thresholds like -0.25 meaningful. A
 turbine pair for cross-turbine experiments shares physics but differs in
 these calibration affines and in noise seeds.
+
+The ground truth comes twice: as one label per record, and as the label
+windows of scada.WINDOW_DTYPE that a window file holds, one window per
+run of normal or icing records. The records within `label_buffer` of an
+episode's edges are invalid and lie in no window.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConfig
-from .scada import CHANNELS, LABELS, Frame, Label, LabelWindow, WindowKind
+from .scada import CHANNELS, INVALID_CODE, LABELS, WINDOW_DTYPE, Frame, Label
 from .schema import ANY, NONZERO, at_least, check, from_dict, within
 
 START_EPOCH = 1446336000  # 2015-11-01T00:00:00Z, a winter campaign start
@@ -139,7 +144,7 @@ class Episode:
 @dataclass(frozen=True)
 class SynthOutput:
     records: Frame
-    truth_windows: tuple[LabelWindow, ...]
+    truth_windows: np.ndarray  # WINDOW_DTYPE[m], in time order
     episode_ledger: tuple[Episode, ...]
     truth_labels: tuple[Label, ...]  # per-record ground truth, buffers included
 
@@ -192,17 +197,17 @@ def _truth_label_array(n: int, spans: Sequence[tuple[int, int, float]], buffer: 
     return labels
 
 
-def _windows_from_labels(labels: np.ndarray, times: np.ndarray) -> list[LabelWindow]:
-    """One window per run of equal labels: normal (0) and icing (1) runs
-    get a window, invalid runs none."""
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
-    ends = np.append(starts[1:], labels.shape[0])
-    kinds = {0: WindowKind.NORMAL, 1: WindowKind.ICING}
-    return [
-        LabelWindow(int(times[first]), int(times[end - 1]) + 1, kinds[code])
-        for first, end, code in zip(starts.tolist(), ends.tolist(), labels[starts].tolist())
-        if code in kinds
-    ]
+def _windows_from_labels(labels: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """One window per run of equal labels, of the run's label code: normal
+    (0) and icing (1) runs get a window, invalid runs none."""
+    firsts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
+    lasts = np.append(firsts[1:], labels.shape[0]) - 1
+    kept = labels[firsts] != INVALID_CODE
+    windows = np.empty(np.count_nonzero(kept), dtype=WINDOW_DTYPE)
+    windows["start"] = times[firsts[kept]]
+    windows["end"] = times[lasts[kept]] + 1
+    windows["kind"] = labels[firsts[kept]]
+    return windows
 
 
 def generate_turbine(cfg: SynthConfig) -> SynthOutput:
@@ -300,7 +305,7 @@ def generate_turbine(cfg: SynthConfig) -> SynthOutput:
     truth_labels = tuple(LABELS[code] for code in label_array.tolist())
     return SynthOutput(
         records=records,
-        truth_windows=tuple(windows),
+        truth_windows=windows,
         episode_ledger=ledger,
         truth_labels=truth_labels,
     )

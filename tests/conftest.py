@@ -18,7 +18,7 @@ from hypothesis import settings
 from icewatch.errors import DataError
 from icewatch.features import DENOMINATOR_MARGIN, FEATURE_FIELDS, FEATURE_IDS, OFFSET, physical_features, statistical_features
 from icewatch.rules import AUTO_NORMAL, HIGH, LOW
-from icewatch.scada import CHANNELS, COLUMNS, LABELS, Frame, Label, LabeledDataset
+from icewatch.scada import CHANNELS, COLUMNS, LABELS, WINDOW_DTYPE, Frame, Label, LabeledDataset
 
 # A derandomized Hypothesis test draws some of its examples from the constants
 # in the source of every local module loaded in the session
@@ -100,6 +100,21 @@ def dataset_records(frame: Frame) -> list[ScadaRecord]:
 
 def dataset_labels(dataset: LabeledDataset) -> list[Label]:
     return [LABELS[code] for code in dataset.label.tolist()]
+
+
+# the kind of an icing and of a normal label window: its records' label code
+ICING, NORMAL = LABELS.index(Label.ABNORMAL), LABELS.index(Label.NORMAL)
+
+
+def windows_of(*windows) -> np.ndarray:
+    """The label windows (start, end, kind), in order, as one array."""
+    return np.array(list(windows), dtype=WINDOW_DTYPE)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes: the equality
+    of arrays, which == compares element-wise."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_dataset(labels, turbine_id="T", start_time=0, dt=7) -> LabeledDataset:
@@ -204,8 +219,9 @@ def reference_predicted_labels_csv(time: np.ndarray, label: np.ndarray, flagged:
     _csv_writer_file(path, ("time", "label", "confidence_flag"), zip(time.tolist(), names, flagged.astype(int).tolist()))
 
 
-def reference_windows_csv(windows, path) -> None:
-    _csv_writer_file(path, ("start", "end", "class"), ((w.start, w.end, w.kind.value) for w in windows))
+def reference_windows_csv(windows: np.ndarray, path) -> None:
+    rows = ((start, end, "icing" if kind == ICING else "normal") for start, end, kind in windows.tolist())
+    _csv_writer_file(path, ("start", "end", "class"), rows)
 
 
 def forbid_exact_knn(monkeypatch) -> list[int]:

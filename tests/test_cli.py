@@ -362,6 +362,19 @@ def _predict_unsorted(tmp_path):
     return _predict(tmp_path, {"denoise": {"window": 2}, "model": _knn_model([[0.0] * 10], mean=[0.0] * 10)})
 
 
+def _long_row(path, row):
+    """The CSV at `path` with a cell appended to data row `row`."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines[row] += ",0"
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _predict_long_row(tmp_path):
+    _long_row(_scada(tmp_path / "B.csv", [0, 7, 14]), 1)
+    return _predict(tmp_path, {"denoise": {"window": 2}, "model": _knn_model([[0.0] * 10], mean=[0.0] * 10)})
+
+
 def _predict_scada_not_utf8(tmp_path):
     _bytes(tmp_path / "B.csv", b"time,\xff\n")
     return _predict(tmp_path, {"denoise": {"window": 2}, "model": _knn_model([[0.0] * 10], mean=[0.0] * 10)})
@@ -459,6 +472,15 @@ MALFORMED = {
         lambda t: _ingest(t, _file(t / "s.csv", ",".join(COLUMNS) + "\n1,2\n"), str(t / "w.csv")), 3,
         "row 1: 2 cells, header has 28",
     ),
+    "long-scada-row": (
+        lambda t: _ingest(t, _long_row(_scada(t / "s.csv", [0, 7, 14]), 2), _file(t / "w.csv", "start,end,class\n0,100,normal\n")),
+        3, "row 2: 29 cells, header has 28",
+    ),
+    "long-window-row": (
+        lambda t: _ingest(t, _scada(t / "s.csv", [0, 7]), _file(t / "w.csv", "start,end,class\n0,10,normal\n10,20,icing,0\n")),
+        3, "row 2: 4 cells, header has 3",
+    ),
+    "long-predict-row": (_predict_long_row, 3, "row 1: 29 cells, header has 28"),
     "bundle-without-denoise": (lambda t: _predict(t, {"model": {}}), 2, "denoise: missing"),
     "bundle-without-model": (lambda t: _predict(t, {"denoise": {"window": 10}}), 2, "model: missing"),
     "bundle-not-object": (
@@ -782,6 +804,20 @@ def test_cli_import_pins_blas_to_one_thread():
 def test_cli_import_keeps_an_explicit_blas_thread_count():
     code = "import os, icewatch.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_cli_import_creates_18_dataclasses():
+    """Creating a dataclass costs 0.4-0.9 ms at import, the largest share
+    of the start-up time icewatch's own modules take (ROADMAP, Measured
+    limits). A change that adds one updates this count and says why."""
+    code = (
+        "import dataclasses, sys, icewatch.cli\n"
+        "print(*sorted(f'{name}.{v.__qualname__}' for name, module in list(sys.modules.items())"
+        " if name.startswith('icewatch') for v in vars(module).values()"
+        " if isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == name))"
+    )
+    names = _python(code).split()
+    assert len(names) == 18, names
 
 
 def test_package_import_loads_no_numpy_and_sets_nothing():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    ICING,
+    NORMAL,
     dataset_labels,
     dataset_of,
     dataset_records,
@@ -20,6 +22,8 @@ from conftest import (
     reference_frame_csv,
     reference_predicted_labels_csv,
     reference_windows_csv,
+    same_bits,
+    windows_of,
 )
 from icewatch.errors import DataError
 from icewatch.features import write_feature_csv
@@ -31,8 +35,6 @@ from icewatch.scada import (
     Frame,
     Label,
     LabeledDataset,
-    LabelWindow,
-    WindowKind,
     apply_label_windows,
     parse_label_windows_csv,
     parse_scada_csv,
@@ -141,7 +143,7 @@ class TestParse:
 class TestWindows:
     def test_membership_half_open(self):
         records = [make_record(time=t) for t in (49, 50, 100, 149, 150)]
-        ds = apply_label_windows(frame_of(records), [LabelWindow(50, 150, WindowKind.ICING)])
+        ds = apply_label_windows(frame_of(records), windows_of((50, 150, ICING)))
         assert dataset_labels(ds) == [
             Label.INVALID,
             Label.ABNORMAL,
@@ -152,65 +154,85 @@ class TestWindows:
 
     def test_record_in_no_window_is_invalid(self):
         records = [make_record(time=200)]
-        windows = [
-            LabelWindow(50, 150, WindowKind.ICING),
-            LabelWindow(160, 190, WindowKind.NORMAL),
-        ]
-        ds = apply_label_windows(frame_of(records), windows)
-        assert dataset_labels(ds)[0] is Label.INVALID
+        windows = windows_of(
+            (50, 150, ICING),
+            (160, 190, NORMAL),
+        )
+        for case in (windows, windows_of()):
+            ds = apply_label_windows(frame_of(records), case)
+            assert dataset_labels(ds)[0] is Label.INVALID
 
     def test_normal_window(self):
-        ds = apply_label_windows(frame_of([make_record(time=10)]), [LabelWindow(0, 20, WindowKind.NORMAL)])
+        ds = apply_label_windows(frame_of([make_record(time=10)]), windows_of((0, 20, NORMAL)))
         assert dataset_labels(ds)[0] is Label.NORMAL
 
     def test_overlap_rejected_across_classes(self):
-        windows = [
-            LabelWindow(50, 150, WindowKind.ICING),
-            LabelWindow(140, 190, WindowKind.NORMAL),
-        ]
+        windows = windows_of(
+            (50, 150, ICING),
+            (140, 190, NORMAL),
+        )
         with pytest.raises(DataError, match="^label windows 0 and 1 overlap$"):
+            apply_label_windows(frame_of([make_record(time=10)]), windows)
+        # the file-order indices of the first overlapping pair in start order
+        windows = windows_of(
+            (300, 400, NORMAL),
+            (100, 200, ICING),
+            (350, 500, ICING),
+            (150, 250, NORMAL),
+        )
+        with pytest.raises(DataError, match="^label windows 1 and 3 overlap$"):
             apply_label_windows(frame_of([make_record(time=10)]), windows)
 
     def test_touching_windows_allowed(self):
-        windows = [
-            LabelWindow(50, 150, WindowKind.ICING),
-            LabelWindow(150, 190, WindowKind.NORMAL),
-        ]
+        windows = windows_of(
+            (50, 150, ICING),
+            (150, 190, NORMAL),
+        )
         ds = apply_label_windows(frame_of([make_record(time=150)]), windows)
         assert dataset_labels(ds)[0] is Label.NORMAL
 
     def test_order_independence(self, rng):
         records = [make_record(time=t) for t in range(0, 500, 7)]
-        windows = [
-            LabelWindow(0, 100, WindowKind.NORMAL),
-            LabelWindow(100, 180, WindowKind.ICING),
-            LabelWindow(200, 350, WindowKind.NORMAL),
-            LabelWindow(400, 450, WindowKind.ICING),
-        ]
+        windows = windows_of(
+            (0, 100, NORMAL),
+            (100, 180, ICING),
+            (200, 350, NORMAL),
+            (400, 450, ICING),
+        )
         reference = dataset_labels(apply_label_windows(frame_of(records), windows))
         for _ in range(5):
-            shuffled = list(windows)
-            rng.shuffle(shuffled)
+            shuffled = windows[rng.permutation(len(windows))]
             labels = dataset_labels(apply_label_windows(frame_of(records), shuffled))
             assert labels == reference
 
     def test_partition_counts(self, rng):
         records = [make_record(time=t) for t in range(0, 400, 3)]
-        windows = [
-            LabelWindow(0, 90, WindowKind.NORMAL),
-            LabelWindow(95, 170, WindowKind.ICING),
-        ]
+        windows = windows_of(
+            (0, 90, NORMAL),
+            (95, 170, ICING),
+        )
         ds = apply_label_windows(frame_of(records), windows)
         counts = ds.label_counts()
         assert sum(counts.values()) == len(ds)
 
     def test_window_csv_round_trip(self, tmp_path):
-        windows = [
-            LabelWindow(50, 150, WindowKind.ICING),
-            LabelWindow(150, 190, WindowKind.NORMAL),
-        ]
-        write_label_windows_csv(windows, tmp_path / "w.csv")
-        assert parse_label_windows_csv(tmp_path / "w.csv") == windows
+        windows = windows_of(
+            (50, 150, ICING),
+            (150, 190, NORMAL),
+        )
+        for case in (windows, windows_of()):
+            write_label_windows_csv(case, tmp_path / "w.csv")
+            assert same_bits(parse_label_windows_csv(tmp_path / "w.csv"), case)
+
+    def test_window_start_not_before_end_raises_at_its_row(self, tmp_path):
+        # row 2's empty window raises before row 3's bad class is read
+        rows = [("0", "10", "icing"), ("20", "20", "normal"), ("30", "40", "Icing")]
+        path = csv_file(tmp_path / "w.csv", ("start", "end", "class"), rows)
+        with pytest.raises(DataError, match="^window start 20 must precede end 20$"):
+            parse_label_windows_csv(path)
+        path = csv_file(tmp_path / "w.csv", ("start", "end", "class"), [rows[0], rows[2], rows[1]])
+        with pytest.raises(DataError, match="^row 2, column 'class': expected one of 'icing', 'normal', got 'Icing'$"):
+            parse_label_windows_csv(path)
 
 
 class TestLabelCounts:
@@ -218,7 +240,7 @@ class TestLabelCounts:
         records = [make_record(time=t) for t in (0, 10, 20)]
         ds = apply_label_windows(
             frame_of(records),
-            [LabelWindow(0, 5, WindowKind.NORMAL), LabelWindow(8, 12, WindowKind.ICING)],
+            windows_of((0, 5, NORMAL), (8, 12, ICING)),
             "T1",
         )
         assert ds.label_counts() == {Label.NORMAL: 1, Label.ABNORMAL: 1, Label.INVALID: 1}
@@ -244,7 +266,7 @@ class TestLabelCounts:
 
 def test_labeled_csv_round_trip(rng, tmp_path):
     records = [random_record(rng, time=i * 7) for i in range(30)]
-    windows = [LabelWindow(0, 100, WindowKind.NORMAL), LabelWindow(100, 140, WindowKind.ICING)]
+    windows = windows_of((0, 100, NORMAL), (100, 140, ICING))
     ds = apply_label_windows(frame_of(records), windows, "T9")
     write_labeled_csv(ds, tmp_path / "d.csv")
     back = read_labeled_csv(tmp_path / "d.csv", "T9")
@@ -266,7 +288,7 @@ def test_writers_match_csv_writer_reference(n, rng, tmp_path):
     frame = Frame(ints, np.resize(pool, (n, len(CHANNELS))), ints[::-1].copy())
     codes = (np.arange(n) % len(LABELS)).astype(np.int8)
     X, y = frame.channels[:, 1:11], codes % 2
-    windows = [LabelWindow(t - 1, t, list(WindowKind)[i % 2]) for i, t in enumerate(ints.tolist())]
+    windows = windows_of(*zip(ints.tolist(), ints[::-1].tolist(), (np.arange(n) % 2).tolist()))
     dataset = LabeledDataset(frame.time, frame.channels, frame.group, "T", codes)
     writers = {
         "raw": (write_scada_csv, reference_frame_csv, (frame,)),
@@ -310,10 +332,6 @@ def labeled_datasets(draw):
         "T",
         draw(arrays(np.int8, n, elements=st.integers(0, 2))),
     )
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -424,6 +442,7 @@ LABELED_ROWS = [("7", "abnormal"), ("7", "invalid"), ("14", "normal")]
 @example((_text(COLUMNS, full_row(str(-(2**63)), "-0.0", "3.0"), full_row(str(2**63 - 1))), False, False))
 @example((_text(COLUMNS, full_row("7"), full_row(str(2**63))), False, False))
 @example((_text(COLUMNS, full_row("2015-11-01 00:00:07", "1_000")), False, False))
+@example((_text(COLUMNS, full_row("7"), full_row("14") + ["0"]), False, False))  # a row one cell too long
 @example((",".join(LABELED_COLUMNS) + "\n", True, False))
 @example((_text(LABELED_COLUMNS, *[full_row(t) + [name] for t, name in LABELED_ROWS]), True, True))
 @example((_text(LABELED_COLUMNS, full_row("7") + ["abnormal"], full_row("14") + ["abnormalX"]), True, False))

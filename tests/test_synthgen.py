@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dataset_labels, dataset_records
+from conftest import ICING, NORMAL, dataset_labels, dataset_records, same_bits, windows_of
 from icewatch import synthgen
 from icewatch.errors import InvalidConfig
 from icewatch.scada import CHANNELS, Label, apply_label_windows
@@ -30,7 +30,7 @@ class TestGenerate:
         cfg = SynthConfig(duration=3000, seed=21)
         a, b = generate_turbine(cfg), generate_turbine(cfg)
         assert dataset_records(a.records) == dataset_records(b.records)
-        assert a.truth_windows == b.truth_windows
+        assert same_bits(a.truth_windows, b.truth_windows)
         assert a.episode_ledger == b.episode_ledger
 
     def test_impossible_trigger_means_no_episodes(self):
@@ -40,7 +40,7 @@ class TestGenerate:
         out = generate_turbine(cfg)
         assert out.episode_ledger == ()
         assert all(label is not Label.ABNORMAL for label in out.truth_labels)
-        assert all(w.kind.value == "normal" for w in out.truth_windows)
+        assert (out.truth_windows["kind"] == NORMAL).all()
 
     def test_icing_fraction_within_band(self):
         # calibration contract of the default config, checked at full scale
@@ -54,12 +54,19 @@ class TestGenerate:
         ds = apply_label_windows(out.records, out.truth_windows, "S")
         assert tuple(dataset_labels(ds)) == out.truth_labels
 
+    def test_windows_are_the_runs_of_normal_and_icing_labels(self):
+        labels = np.array([2, 2, 0, 0, 1, 1, 1, 2, 0], dtype=np.int8)
+        times = 7 * np.arange(len(labels), dtype=np.int64)
+        want = windows_of((14, 22, NORMAL), (28, 43, ICING), (56, 57, NORMAL))
+        assert same_bits(synthgen._windows_from_labels(labels, times), want)
+        assert same_bits(synthgen._windows_from_labels(np.full(3, 2, np.int8), times[:3]), windows_of())
+
     def test_ledger_matches_windows(self):
         out = generate_turbine(SynthConfig(duration=20000, seed=5))
-        icing_windows = [w for w in out.truth_windows if w.kind.value == "icing"]
+        icing_windows = out.truth_windows[out.truth_windows["kind"] == ICING].tolist()
         assert len(icing_windows) == len(out.episode_ledger)
-        for w, e in zip(icing_windows, out.episode_ledger):
-            assert (w.start, w.end) == (e.start, e.end)
+        for (start, end, _), e in zip(icing_windows, out.episode_ledger):
+            assert (start, end) == (e.start, e.end)
             assert 0.0 < e.severity <= 1.0
 
     def test_monotone_derating_by_wind_decile(self):
@@ -109,7 +116,7 @@ class TestPair:
         base = SynthConfig(duration=4000, seed=10)
         _, b = make_turbine_pair(base, default_offset_profile())
         unoffset_same_seed = generate_turbine(replace(base, seed=11))
-        assert b.truth_windows == unoffset_same_seed.truth_windows
+        assert same_bits(b.truth_windows, unoffset_same_seed.truth_windows)
         assert b.truth_labels == unoffset_same_seed.truth_labels
 
     def test_offsets_change_sensor_values(self):
@@ -129,8 +136,10 @@ class TestPair:
 
 def same_turbine(a, b) -> bool:
     """Field-wise equality of two generator outputs, records row by row."""
-    return dataset_records(a.records) == dataset_records(b.records) and (
-        (a.truth_windows, a.episode_ledger, a.truth_labels) == (b.truth_windows, b.episode_ledger, b.truth_labels)
+    return (
+        dataset_records(a.records) == dataset_records(b.records)
+        and same_bits(a.truth_windows, b.truth_windows)
+        and (a.episode_ledger, a.truth_labels) == (b.episode_ledger, b.truth_labels)
     )
 
 
@@ -217,7 +226,7 @@ def test_generator_matches_per_record_loops(case, monkeypatch):
     for column in ("time", "channels", "group"):
         a, b = getattr(got.records, column), getattr(want.records, column)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), column
-    assert got.truth_windows == want.truth_windows
+    assert same_bits(got.truth_windows, want.truth_windows)
     assert got.episode_ledger == want.episode_ledger
     assert got.truth_labels == want.truth_labels
     assert got.episode_ledger  # every case starts at least one episode
